@@ -8,6 +8,13 @@ drive unneeded columns to zero; S and E are modeled in the original
 domain.  All posteriors are updated in closed form by coordinate ascent
 on the mean-field objective, with a refinement weight that delays the
 ARD regularization until the reconstruction fits the data.
+
+The observation is real, so under the DFT its transform-domain slices
+come in conjugate-mirrored pairs whose posteriors are conjugates of each
+other.  The model stores and updates only the slices the transform keeps
+(``Transform.forward(y, half=True)``) and counts each with its weight
+(``Transform.slice_weights``) in the expected residual and the fit;
+multi-ranks are reported for all J slices through ``Transform.slice_map``.
 """
 
 from __future__ import annotations
@@ -134,7 +141,7 @@ class ModelState:
     """Everything one inference iteration reads and writes."""
 
     y: np.ndarray
-    ybar: np.ndarray          # (I1, I2, J) transform-domain slice stack
+    ybar: np.ndarray          # (I1, I2, K) stack of the K kept transform slices
     sbar: np.ndarray
     hp: HyperParams
     transform: Transform
@@ -152,7 +159,13 @@ class ModelState:
 
     @property
     def n_slices(self) -> int:
+        """Number of stored (kept) transform-domain slices."""
         return self.ybar.shape[2]
+
+    @property
+    def multirank(self) -> np.ndarray:
+        """Current rank of each of the J slices."""
+        return self.factors.ranks[self.transform.slice_map[0]]
 
 
 class IterationRecord(NamedTuple):
@@ -201,6 +214,34 @@ def _sub_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
 
+def _check_observation(y) -> np.ndarray:
+    """The observation as a real float64 tensor, or a ValueError.
+
+    Rejects complex and non-finite entries (naming the first bad index
+    in column-major order) and a nonzero tensor whose sum of squares
+    underflows to 0 or overflows to inf in float64.
+    """
+    y = as_tensor(y)
+    if np.iscomplexobj(y):
+        raise ValueError("observation tensor must be real")
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.ravel(order="F"))
+        idx = tuple(int(i) for i in np.unravel_index(bad[0], y.shape, order="F"))
+        raise ValueError(f"observation has a non-finite entry {y[idx]} at index "
+                         f"{idx} ({bad.size} non-finite entries in all)")
+    if y.any():
+        flat = y.ravel(order="K")
+        with np.errstate(over="ignore", under="ignore"):
+            sq = float(flat @ flat)
+        if sq == 0.0 or math.isinf(sq):
+            raise ValueError(
+                f"observation scale out of range: max|y| = {np.abs(flat).max():.3e}, "
+                f"so its sum of squares {'underflows to 0' if sq == 0 else 'overflows'}"
+                " in float64; rescale the input")
+    return y
+
+
 def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
                threads: int = 1) -> ModelState:
     """Build the starting posterior state from the observation.
@@ -210,10 +251,17 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
     at phi * I, the sparse means are drawn uniformly on [0, sigma0) and
     all Gamma means start at their prior values (tau at 1, ARD
     precisions at 1/phi, beta at 1/sigma0^2).  Deterministic given seed.
+
+    Only the slices the transform keeps for a real tensor are stored; a
+    per-slice ``init_rank`` must therefore give conjugate-mirrored slices
+    equal ranks.
     """
-    y = as_tensor(y)
-    if np.iscomplexobj(y):
-        raise ValueError("observation tensor must be real")
+    y = np.asfortranarray(_check_observation(y))
+    if not L.real_safe:
+        raise ValueError(
+            "transform is not real-safe: its inverse does not map products of "
+            "transforms of real tensors back to real tensors, which the model "
+            "of a real observation needs")
     i1, i2 = y.shape[:2]
     j = num_slices(y.shape)
     ranks = np.asarray(hp.init_rank, dtype=np.int64)
@@ -229,14 +277,19 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
 
     phi = L.phi
     gamma = phi if hp.gamma is None else float(hp.gamma)
-    ybar = to_slice_stack(L.forward(y))
+    ybar = to_slice_stack(L.forward(y, half=True))
+    k_kept = ybar.shape[2]
+    if not np.array_equal(ranks[L.slice_map[0]], ranks):
+        raise ValueError("per-slice init_rank must be equal on "
+                         "conjugate-mirrored slices")
+    ranks = ranks[:k_kept]  # the kept slices are the first K: id varies slowest
 
-    u_mean = [np.empty(0)] * j
-    v_mean = [np.empty(0)] * j
-    sigma_u = [np.empty(0)] * j
-    sigma_v = [np.empty(0)] * j
-    lambda_a = [np.empty(0)] * j
-    lambda_b = [np.empty(0)] * j
+    u_mean = [np.empty(0)] * k_kept
+    v_mean = [np.empty(0)] * k_kept
+    sigma_u = [np.empty(0)] * k_kept
+    sigma_v = [np.empty(0)] * k_kept
+    lambda_a = [np.empty(0)] * k_kept
+    lambda_b = [np.empty(0)] * k_kept
 
     def init_slice(k):
         r = int(ranks[k])
@@ -254,8 +307,9 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
         phi=phi, gamma=gamma,
         factors=FactorState(u_mean, v_mean, sigma_u, sigma_v, ranks.copy()),
         sparse=SparseState(
-            s_mean=np.empty(0), s_var=np.full(y.shape, hp.sigma0_sq),
-            beta_a=np.ones(y.shape), beta_b=np.full(y.shape, hp.sigma0_sq),
+            s_mean=np.empty(0), s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
+            beta_a=np.ones(y.shape, order="F"),
+            beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
         ),
         noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
                          lambda_a=lambda_a, lambda_b=lambda_b),
@@ -264,9 +318,10 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
     _slice_map(state, init_slice)
 
     rng = _sub_rng(seed, SPARSE_INIT_STREAM)
-    state.sparse.s_mean = rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape)
-    state.sbar = to_slice_stack(L.forward(state.sparse.s_mean))
-    if np.linalg.norm(ybar) > 0:
+    state.sparse.s_mean = np.asfortranarray(
+        rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape))
+    state.sbar = to_slice_stack(L.forward(state.sparse.s_mean, half=True))
+    if y.any():
         compute_fit(state)
     return state
 
@@ -354,14 +409,15 @@ def update_lambda(state: ModelState) -> NoiseState:
 def reconstruct_x(state: ModelState) -> np.ndarray:
     """Mean low-rank reconstruction, mapped back to the original domain."""
     f = state.factors
+    L = state.transform
     xbar = np.empty_like(state.ybar)
 
     def step(k):
         xbar[:, :, k] = f.u_mean[k] @ f.v_mean[k].conj().T
 
     _slice_map(state, step)
-    full = from_slice_stack(xbar, state.shape)
-    return state.transform.inverse(full, assert_real=True)
+    half = from_slice_stack(xbar, state.shape[:2] + L.half_trailing)
+    return L.inverse(half, assert_real=True, half=True)
 
 
 def update_s(state: ModelState) -> SparseState:
@@ -373,7 +429,7 @@ def update_s(state: ModelState) -> SparseState:
     denom = sp.beta_mean + tau
     sp.s_var = 1.0 / denom
     sp.s_mean = tau * z / denom
-    state.sbar = to_slice_stack(state.transform.forward(sp.s_mean))
+    state.sbar = to_slice_stack(state.transform.forward(sp.s_mean, half=True))
     return sp
 
 
@@ -382,7 +438,7 @@ def update_beta(state: ModelState) -> SparseState:
     hp = state.hp
     sp = state.sparse
     s_sq = sp.s_mean ** 2 + sp.s_var
-    sp.beta_a = np.full(state.shape, hp.a0_beta + 0.5)
+    sp.beta_a = np.full(state.shape, hp.a0_beta + 0.5, order="F")
     sp.beta_b = hp.b0_beta + 0.5 * s_sq
     return sp
 
@@ -391,7 +447,8 @@ def expected_residual_sq(state: ModelState) -> float:
     """Expected squared transform-domain residual <||Ybar - U V^H - Sbar||^2>.
 
     Expands into the squared mean residual plus the factor-covariance
-    cross terms and the transform-scaled sparse variances.
+    cross terms and the transform-scaled sparse variances.  The sum runs
+    over all J slices: each kept slice counts with its weight.
     """
     i1, i2 = state.shape[:2]
     f = state.factors
@@ -408,7 +465,8 @@ def expected_residual_sq(state: ModelState) -> float:
         terms[k] = t
 
     _slice_map(state, step)
-    return float(terms.sum() + state.phi * state.sparse.s_var.sum())
+    return float(terms @ state.transform.slice_weights
+                 + state.phi * state.sparse.s_var.sum())
 
 
 def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseState:
@@ -422,8 +480,14 @@ def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseStat
 
 
 def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
-    """Fit statistic 1 - sqrt(<residual^2>) / ||Ybar||, stored on the state."""
-    ynorm = np.linalg.norm(state.ybar)
+    """Fit statistic 1 - sqrt(<residual^2>) / ||Ybar||, stored on the state.
+
+    ||Ybar|| is the norm over all J slices, from the kept ones and their
+    weights.
+    """
+    ybar = state.ybar
+    ynorm = math.sqrt(float(state.transform.slice_weights
+                            @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(0, 1))))
     if ynorm == 0:
         raise ValueError("fit is undefined for an identically zero observation")
     if resid_sq is None:
@@ -438,7 +502,8 @@ def prune_columns(state: ModelState, threshold: Optional[float] = None) -> np.nd
     Column r of slice k is removed when its mean-plus-covariance energy
     (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below threshold times the
     largest column energy of that slice.  The strongest column survives
-    unless the whole slice is exactly zero.  Returns the new multi-rank.
+    unless the whole slice is exactly zero.  Returns the new multi-rank,
+    one rank for each of the J slices.
     """
     if threshold is None:
         threshold = state.hp.prune_threshold
@@ -465,7 +530,7 @@ def prune_columns(state: ModelState, threshold: Optional[float] = None) -> np.nd
         f.ranks[k] = int(np.count_nonzero(keep))
 
     _slice_map(state, step)
-    return f.ranks.copy()
+    return state.multirank
 
 
 def _check_state_positive(state: ModelState) -> None:
@@ -496,9 +561,9 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
     ``hp.max_iter`` iterations; non-convergence is reported in the
     trace, not raised.
     """
-    y = as_tensor(y)
+    y = _check_observation(y)
     trace = RunTrace()
-    if np.linalg.norm(y) == 0.0:
+    if not y.any():
         trace.converged = True
         trace.message = "input tensor is identically zero; returning zeros"
         zeros = np.zeros(y.shape)
@@ -510,7 +575,7 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
     if hp.max_iter == 0:
         trace.message = "iteration budget is zero; returning initialization"
         return RunResult(x_prev, state.sparse.s_mean.copy(),
-                         state.factors.ranks.copy(), trace)
+                         state.multirank, trace)
 
     for it in range(1, hp.max_iter + 1):
         update_u(state)
@@ -533,7 +598,7 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
             rel_change = 0.0 if diff_norm == 0 else math.inf
         trace.records.append(IterationRecord(
             iteration=it, fit=state.noise.fit, rel_change=float(rel_change),
-            multirank=[int(r) for r in state.factors.ranks],
+            multirank=[int(r) for r in state.multirank],
             tau_mean=state.noise.tau_mean,
         ))
         # stop only on consecutive update-produced iterates: iteration 1 is
@@ -550,4 +615,4 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
             f"after {hp.max_iter} iterations (tol {hp.tol:g})"
         )
     return RunResult(state.x_hat, state.sparse.s_mean,
-                     state.factors.ranks.copy(), trace)
+                     state.multirank, trace)

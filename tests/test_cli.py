@@ -172,6 +172,41 @@ def test_denoise_transform_file_matches_builtin_dft(tmp_path):
     assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("nan", "non-finite entry nan at index (1, 2, 3)"),
+    ("tiny", "underflows"),
+    ("huge", "overflows"),
+])
+def test_denoise_rejects_bad_input_exit_code_1(tmp_path, capsys, bad, message):
+    src, inst = make_lowrank_input(tmp_path)
+    y = inst.y.copy()
+    if bad == "nan":
+        y[1, 2, 3] = np.nan
+    else:
+        y = y * (1e-200 if bad == "tiny" else 1e200)
+    write_tensor(src, y)
+    out = tmp_path / "xhat.npy"
+    code = main(["denoise", "--input", str(src), "--seed", "1",
+                 "--init-rank", "2", "--max-iter", "5", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_rejects_transform_that_is_not_real_safe(tmp_path, capsys):
+    src, _ = make_lowrank_input(tmp_path)
+    # unitary, but conjugation is no row permutation: slice products of a
+    # real tensor's transform would not map back to a real tensor
+    phase = np.diag(np.exp(2j * np.pi * np.arange(8) / 16))
+    mpath = tmp_path / "m3.npy"
+    write_tensor(mpath, phase)
+    code = main(["denoise", "--input", str(src), "--seed", "1",
+                 "--init-rank", "2", "--max-iter", "5",
+                 "--out", str(tmp_path / "x.npy"), "--transform-file", str(mpath)])
+    assert code == 1
+    assert "real-safe" in capsys.readouterr().err
+
+
 def test_denoise_pads_matrix_input(tmp_path):
     m = np.random.default_rng(0).standard_normal((6, 5))
     src = tmp_path / "m.npy"

@@ -1,6 +1,6 @@
 """End-to-end inference loop behavior on small instances."""
 
-import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +20,14 @@ from lmhbrtf.model import (
     update_u,
     update_v,
 )
-from lmhbrtf.synth import SynthConfig, generate, r_err, x_err
-from lmhbrtf.tensor import linear_to_slice
+from lmhbrtf.synth import (
+    SynthConfig,
+    generate,
+    pattern_is_mirror_symmetric,
+    r_err,
+    x_err,
+)
+from lmhbrtf.tensor import linear_to_slice, slice_to_linear
 from lmhbrtf.transform import Transform, mirror_slice
 
 
@@ -65,6 +71,44 @@ def test_max_iter_zero_returns_initialization():
     assert result.s_hat.tobytes() == state.sparse.s_mean.tobytes()
     assert result.trace.records == []
     assert not result.trace.converged
+
+
+def test_multirank_covers_all_slices_and_is_mirror_symmetric():
+    # the model stores 5 of the 8 DFT slices; the reported multi-rank and
+    # every trace record still give one rank per slice
+    cfg, inst = small_instance(rho=0.1, sigma_sq=1e-2, seed=6)
+    result = run(inst.y, Transform.dft((8,)), small_hp(max_iter=40), seed=1)
+    assert result.multirank.shape == (8,)
+    assert pattern_is_mirror_symmetric(result.multirank, (8,))
+    for rec in result.trace.records:
+        assert len(rec.multirank) == 8
+        assert pattern_is_mirror_symmetric(rec.multirank, (8,))
+
+
+def _enter(entry, y):
+    return {"run": run, "init_state": init_state}[entry](
+        y, Transform.dft((8,)), small_hp(), seed=0)
+
+
+@pytest.mark.parametrize("entry", ["run", "init_state"])
+def test_non_finite_input_rejected_with_first_index(entry):
+    cfg, inst = small_instance()
+    y = inst.y.copy()
+    y[3, 4, 5] = np.nan
+    y[0, 0, 6] = np.inf   # earlier in row-major order, later in column-major
+    with pytest.raises(ValueError, match=r"non-finite entry nan at index \(3, 4, 5\)"):
+        _enter(entry, y)
+
+
+@pytest.mark.parametrize("entry", ["run", "init_state"])
+@pytest.mark.parametrize("scale,word", [(1e-200, "underflows"), (1e200, "overflows")])
+def test_out_of_range_scale_rejected(entry, scale, word):
+    # y * 1e-200 is not zero: it must not come back as the zero solution
+    cfg, inst = small_instance()
+    y = inst.y * scale
+    peak = np.abs(y).max()
+    with pytest.raises(ValueError, match=re.escape(f"max|y| = {peak:.3e}") + f".*{word}"):
+        _enter(entry, y)
 
 
 def test_zero_input_trivial_convergence():
@@ -152,17 +196,28 @@ def test_factor_product_reproduces_residual_on_clean_data():
 
 
 def test_conjugate_symmetry_preserved_every_iteration():
-    cfg, inst = small_instance(rho=0.1, sigma_sq=1e-2, seed=12)
-    L = Transform.dft((8,))
-    state = init_state(inst.y, L, small_hp(), seed=1)
-    trailing = (8,)
-    pairs = [(slice_idx, mirror_slice(slice_idx, trailing))
-             for slice_idx in itertools.product(range(8))]
+    # with two trailing modes the kept stack still holds mirror pairs, in
+    # the i4 = 0 and i4 = 2 planes: (1, 0) <-> (2, 0) and (1, 2) <-> (2, 2);
+    # they are updated independently and must stay conjugate (self-paired
+    # slices real)
+    trailing = (3, 4)
+    shape = (12, 12) + trailing
+    pattern = np.array([3 if i4 % 2 == 0 else 2
+                        for i4 in range(4) for i3 in range(3)])
+    cfg = SynthConfig(shape=shape, base_rank=3, multirank=pattern,
+                      rho=0.1, sigma_sq=1e-2, seed=12)
+    inst = generate(cfg)
+    state = init_state(inst.y, Transform.dft(trailing), small_hp(), seed=1)
+    pairs = []
+    for k in range(state.n_slices):
+        idx = linear_to_slice(k, shape)
+        km = slice_to_linear(mirror_slice(idx, trailing), shape)
+        if km < state.n_slices:
+            pairs.append((k, km))
+    assert sum(k != km for k, km in pairs) == 4
     for _ in range(25):
         manual_iteration(state)
-        for idx, mirrored in pairs:
-            k = idx[0]
-            km = mirrored[0]
+        for k, km in pairs:
             a = state.factors.u_mean[k] @ state.factors.v_mean[k].conj().T
             b = state.factors.u_mean[km] @ state.factors.v_mean[km].conj().T
             norm = max(np.linalg.norm(a), 1e-300)

@@ -104,6 +104,22 @@ def test_init_state_rejects_complex_input():
         init_state(np.zeros((3, 3, 2), dtype=complex), Transform.dft((2,)), hp, 0)
 
 
+def test_init_state_rejects_mirror_asymmetric_init_rank():
+    y = np.random.default_rng(0).standard_normal((4, 4, 5))
+    symmetric = HyperParams(init_rank=[3, 2, 1, 1, 2])
+    state = init_state(y, Transform.dft((5,)), symmetric, seed=0)
+    assert np.array_equal(state.factors.ranks, [3, 2, 1])
+    with pytest.raises(ValueError, match="mirrored"):
+        init_state(y, Transform.dft((5,)), HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
+
+
+def test_init_state_rejects_transform_that_is_not_real_safe():
+    y = np.random.default_rng(0).standard_normal((4, 4, 2))
+    phase = Transform.explicit([np.diag([1.0, 1j])])
+    with pytest.raises(ValueError, match="real-safe"):
+        init_state(y, phase, HyperParams(init_rank=2), seed=0)
+
+
 def test_update_u_ard_limit_kills_columns():
     state = make_state()
     state.noise.fit = state.gamma  # refinement weight exactly 1
@@ -161,9 +177,10 @@ def test_update_v_single_slice_mirror():
 
 def test_update_u_slice_locality():
     # slice k's update reads nothing from other slices, so edits elsewhere
-    # leave its result bit-identical
-    a = make_state(shape=(4, 4, 3), r=2, seed=5)
-    b = make_state(shape=(4, 4, 3), r=2, seed=5)
+    # leave its result bit-identical; 5 DFT slices keep 3 in the stack
+    a = make_state(shape=(4, 4, 5), r=2, seed=5)
+    b = make_state(shape=(4, 4, 5), r=2, seed=5)
+    assert b.n_slices == 3
     b.factors.v_mean[2] = b.factors.v_mean[2] * 2.0
     b.noise.lambda_b[2] = b.noise.lambda_b[2] * 3.0
     update_u(a)

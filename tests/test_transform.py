@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lmhbrtf.errors import ImaginaryResidueError
-from lmhbrtf.tensor import frobenius_norm, get_slice
+from lmhbrtf.tensor import frobenius_norm, get_slice, to_slice_stack
 from lmhbrtf.transform import Transform, mirror_slice, real_part
 
 
@@ -124,3 +124,106 @@ def test_real_part_threshold():
     assert real_part(x).dtype == np.float64
     with pytest.raises(ImaginaryResidueError):
         real_part(np.ones((2, 2, 2)) + 1e-4j)
+
+
+# half-spectrum form: the kept slices of a real tensor's DFT
+
+HALF_SHAPES = [(3, 4, 5), (3, 4, 6), (3, 4, 1), (3, 4, 2),
+               (2, 3, 4, 5), (2, 3, 3, 6), (2, 3, 5, 1), (2, 3, 3, 2),
+               (2, 2, 3, 2, 5), (2, 2, 2, 3, 4), (2, 2, 3, 3, 1), (2, 2, 4, 3, 2)]
+
+
+@pytest.mark.parametrize("shape", HALF_SHAPES)
+def test_half_forward_matches_rfftn(shape):
+    x = rng().standard_normal(shape)
+    L = Transform.dft(shape[2:])
+    half = L.forward(x, half=True)
+    ref = np.fft.rfftn(x, axes=tuple(range(2, x.ndim)))
+    assert half.shape == shape[:2] + L.half_trailing == ref.shape
+    assert frobenius_norm(half - ref) <= 1e-13 * frobenius_norm(ref)
+    back = L.inverse(half, assert_real=True, half=True)
+    assert back.dtype == np.float64
+    ref_back = np.fft.irfftn(ref, s=shape[2:], axes=tuple(range(2, x.ndim)))
+    assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
+    assert frobenius_norm(back - ref_back) <= 1e-12 * frobenius_norm(x)
+
+
+@pytest.mark.parametrize("shape", HALF_SHAPES)
+def test_half_weighted_parseval_and_slice_map(shape):
+    x = rng().standard_normal(shape)
+    L = Transform.dft(shape[2:])
+    stack = to_slice_stack(L.forward(x, half=True))
+    full = to_slice_stack(L.forward(x))
+    w = L.slice_weights
+    assert w.shape == (stack.shape[2],) and w.sum() == full.shape[2]
+    lhs = float(w @ (np.abs(stack) ** 2).sum(axis=(0, 1)))
+    rhs = L.phi * frobenius_norm(x) ** 2
+    assert abs(lhs - rhs) <= 1e-12 * rhs
+    # every one of the J slices is a kept slice or the conjugate of one
+    source, conj = L.slice_map
+    assert source.shape == conj.shape == (full.shape[2],)
+    assert set(source) == set(range(stack.shape[2]))
+    mapped = np.where(conj, stack[:, :, source].conj(), stack[:, :, source])
+    assert frobenius_norm(mapped - full) <= 1e-13 * frobenius_norm(full)
+    # a kept slice stands for two slices exactly when its mirror is dropped
+    counts = np.bincount(source, minlength=stack.shape[2])
+    assert np.array_equal(counts, w)
+
+
+def test_explicit_transform_keeps_all_slices_at_weight_one():
+    L = Transform.explicit([dft_matrix(4), dft_matrix(3)])
+    assert L.real_safe
+    assert L.half_trailing == L.trailing == (4, 3)
+    assert np.array_equal(L.slice_weights, np.ones(12))
+    source, conj = L.slice_map
+    assert np.array_equal(source, np.arange(12)) and not conj.any()
+    x = rng().standard_normal((3, 2, 4, 3))
+    assert np.array_equal(L.forward(x, half=True), L.forward(x))
+    back = L.inverse(L.forward(x, half=True), assert_real=True, half=True)
+    assert back.dtype == np.float64
+    assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
+
+
+def test_explicit_real_safe_means_conjugation_permutes_rows():
+    assert Transform.explicit([dft_matrix(5)]).real_safe
+    assert Transform.explicit([dft_matrix(4, normalized=True)]).real_safe
+    assert Transform.explicit([np.array([[1.0, 1.0], [1.0, -1.0]])]).real_safe
+    # a unitary phase matrix: conjugation is not a row permutation
+    assert not Transform.explicit([np.diag([1.0, 1j])]).real_safe
+    assert not Transform.explicit([np.eye(3), np.diag([1.0, 1j])]).real_safe
+
+
+@pytest.mark.parametrize("trailing,pair", [
+    ((5,), [(0,)]),                      # the real DC slice
+    ((6,), [(3,)]),                      # the real Nyquist slice
+    ((3, 4), [(1, 0), (2, 0)]),          # stored mirror pair, i4 = 0 plane
+    ((3, 4), [(1, 2), (2, 2)]),          # stored mirror pair, i4 = I4/2 plane
+])
+def test_half_inverse_checks_stored_mirror_pairs(trailing, pair):
+    shape = (3, 2) + trailing
+    L = Transform.dft(trailing)
+    xbar = L.forward(rng().standard_normal(shape), half=True)
+    xbar[(slice(None), slice(None)) + pair[0]] += 0.5j
+    with pytest.raises(ImaginaryResidueError):
+        L.inverse(xbar, assert_real=True, half=True)
+    if len(pair) == 2:
+        # the conjugate change on the partner restores the symmetry
+        xbar[(slice(None), slice(None)) + pair[1]] -= 0.5j
+        L.inverse(xbar, assert_real=True, half=True)
+
+
+def test_half_inverse_unchecked_on_slices_with_dropped_mirror():
+    # a slice whose mirror is dropped is real by construction: any value is
+    # the transform of some real tensor
+    L = Transform.dft((3, 4))
+    xbar = L.forward(rng().standard_normal((3, 2, 3, 4)), half=True)
+    xbar[:, :, 1, 1] += 0.5j
+    back = L.inverse(xbar, assert_real=True, half=True)
+    assert np.allclose(L.forward(back, half=True), xbar, atol=1e-12)
+
+
+def test_half_form_rejects_complex_input_and_full_shape():
+    with pytest.raises(ValueError, match="real"):
+        Transform.dft((4,)).forward(np.ones((2, 2, 4), dtype=complex), half=True)
+    with pytest.raises(ValueError):
+        Transform.dft((4,)).inverse(np.zeros((2, 2, 4), dtype=complex), half=True)
