@@ -56,6 +56,15 @@ _DEFAULTS = {
 }
 
 
+# Slice threads were removed: every phase updates all slices in one batched
+# expression.  --threads (and the "threads" config key) still parse, as a
+# no-op, because the benchmark's denoise workload (bench/workloads.py)
+# passes --threads 1; the flag can go with the benchmark change that drops it.
+_THREADS_HELP = ("ignored (no-op): slice updates are batched, there are no "
+                 "slice threads; accepted so that existing command lines, such "
+                 "as the benchmark's denoise workload, still parse")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmhbrtf",
@@ -89,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the inference initialization")
     p.add_argument("--save-tensors", dest="save_tensors",
                    help="directory for the generated/recovered tensors")
-    p.add_argument("--threads", type=int, help="slice-parallel workers (0 = auto)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_synth)
 
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="column pruning threshold")
     p.add_argument("--report", help="optional report JSON path")
     p.add_argument("--sparse-out", dest="sparse_out", help="optional path for the sparse estimate")
-    p.add_argument("--threads", type=int, help="slice-parallel workers (0 = auto)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_denoise)
 
@@ -212,13 +221,6 @@ def _parse_gamma(value):
         raise UsageError(f"--gamma must be a number or 'auto', got {value!r}")
 
 
-def _resolve_threads(value) -> int:
-    if value is None or int(value) == 0:
-        env = os.environ.get("LMH_BRTF_THREADS", "")
-        value = int(env) if env.strip() else 1
-    return max(1, int(value))
-
-
 def _load_input_tensor(path) -> np.ndarray:
     arr = read_tensor(path)
     while arr.ndim < 3:  # pad trailing singleton modes; the library rejects order < 3
@@ -249,8 +251,6 @@ def cmd_synth(args) -> None:
         max_iter=int(opts["max_iter"]),
         prune_threshold=float(opts["threshold"]),
     )
-    threads = _resolve_threads(opts["threads"])
-
     saved = {}
 
     def keep_tensors(cfg_rep, inst, result):
@@ -264,14 +264,13 @@ def cmd_synth(args) -> None:
             saved["done"] = True
 
     report = run_benchmark([cfg], hp=hp, model_seed=int(opts["model_seed"]),
-                           threads=threads, repeats=int(opts["repeats"]),
+                           repeats=int(opts["repeats"]),
                            on_cell=keep_tensors)
     report.command = "synth"
     report.config.update({
         "argv": _echo_argv(args),
         "dims": list(dims),
         "pattern": [int(p) for p in pattern],
-        "threads": threads,
         "hyperparams": _hp_dict(hp),
     })
     report.save(args.out)
@@ -335,9 +334,8 @@ def cmd_denoise(args) -> None:
         max_iter=int(opts["max_iter"]),
         prune_threshold=float(opts["threshold"]),
     )
-    threads = _resolve_threads(opts["threads"])
     t0 = time.perf_counter()
-    result = run(y, transform, hp, seed=args.seed, threads=threads)
+    result = run(y, transform, hp, seed=args.seed)
     elapsed = time.perf_counter() - t0
     write_tensor(args.out, result.x_hat)
     if opts["sparse_out"]:
@@ -352,7 +350,6 @@ def cmd_denoise(args) -> None:
                 "transform": transform.kind,
                 "phi": transform.phi,
                 "seed": int(args.seed),
-                "threads": threads,
                 "hyperparams": _hp_dict(hp),
             },
             results={

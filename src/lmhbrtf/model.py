@@ -15,11 +15,14 @@ other.  The model stores and updates only the slices the transform keeps
 (``Transform.forward(y, half=True)``) and counts each with its weight
 (``Transform.slice_weights``) in the expected residual and the fit;
 multi-ranks are reported for all J slices through ``Transform.slice_map``.
+
+The slice posteriors are independent given the shared scalars, so every
+phase updates all K kept slices at once on stacked, zero-padded arrays
+(see :class:`FactorState`): one batched numpy expression per phase.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
@@ -27,8 +30,15 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import NumericalBreakdownError
-from .tensor import as_tensor, from_slice_stack, num_slices, to_slice_stack
+from .tensor import (
+    as_tensor,
+    from_slice_stack,
+    linear_to_slice,
+    num_slices,
+    to_slice_stack,
+)
 from .transform import Transform
+from .tsvd import balanced_factors
 
 __all__ = [
     "HyperParams",
@@ -95,22 +105,37 @@ class HyperParams:
 
 @dataclass
 class FactorState:
-    """Per-slice posterior factors: means, covariances and retained ranks."""
+    """Posterior factors of the K kept slices, stacked and zero-padded.
 
-    u_mean: list
-    v_mean: list
-    sigma_u: list
-    sigma_v: list
+    ``u_mean`` is (K, I1, R), ``v_mean`` (K, I2, R) and ``sigma_u``/
+    ``sigma_v`` (K, R, R), where R is the largest entry of ``ranks``.
+    Slice k's active columns are its first ``ranks[k]``; its other
+    columns of the means and rows/columns of the covariances are
+    exactly zero.
+    """
+
+    u_mean: np.ndarray
+    v_mean: np.ndarray
+    sigma_u: np.ndarray
+    sigma_v: np.ndarray
     ranks: np.ndarray
+
+    @property
+    def active(self) -> np.ndarray:
+        """(K, R) mask of the active columns."""
+        return np.arange(self.u_mean.shape[2]) < self.ranks[:, None]
 
 
 @dataclass
 class SparseState:
-    """Posterior of the sparse component and its per-element Gamma precisions."""
+    """Posterior of the sparse component and its per-element Gamma precisions.
+
+    The Gamma shape ``beta_a`` is the same for every element.
+    """
 
     s_mean: np.ndarray
     s_var: np.ndarray
-    beta_a: np.ndarray
+    beta_a: float
     beta_b: np.ndarray
 
     @property
@@ -120,12 +145,16 @@ class SparseState:
 
 @dataclass
 class NoiseState:
-    """Noise precision, per-slice ARD precisions and the fit statistic."""
+    """Noise precision, ARD precisions and the fit statistic.
+
+    The ARD Gamma shape ``lambda_a`` is the same for every column;
+    ``lambda_b`` is (K, R), laid out like the factor columns.
+    """
 
     tau_a: float
     tau_b: float
-    lambda_a: list
-    lambda_b: list
+    lambda_a: float
+    lambda_b: np.ndarray
     fit: float = 0.0
 
     @property
@@ -133,25 +162,40 @@ class NoiseState:
         return self.tau_a / self.tau_b
 
     def lambda_mean(self, k: int) -> np.ndarray:
-        return self.lambda_a[k] / self.lambda_b[k]
+        return self.lambda_a / self.lambda_b[k]
 
 
 @dataclass
 class ModelState:
-    """Everything one inference iteration reads and writes."""
+    """Everything one inference iteration reads and writes.
+
+    ``resid`` (the (K, I1, I2) stack Ybar - Sbar) and ``ynorm`` (the
+    weighted norm of Ybar over all J slices) are derived from ``ybar``
+    and ``sbar`` and refreshed whenever either is assigned.
+    """
 
     y: np.ndarray
+    transform: Transform
     ybar: np.ndarray          # (I1, I2, K) stack of the K kept transform slices
     sbar: np.ndarray
     hp: HyperParams
-    transform: Transform
     phi: float
     gamma: float
     factors: FactorState
     sparse: SparseState
     noise: NoiseState
     x_hat: Optional[np.ndarray] = None
-    threads: int = 1
+    resid: np.ndarray = field(init=False, repr=False)
+    ynorm: float = field(init=False)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "ybar":
+            weights = self.transform.slice_weights
+            super().__setattr__("ynorm", math.sqrt(float(
+                weights @ (value.real ** 2 + value.imag ** 2).sum(axis=(0, 1)))))
+        if name in ("ybar", "sbar") and "sbar" in vars(self):
+            super().__setattr__("resid", (self.ybar - self.sbar).transpose(2, 0, 1))
 
     @property
     def shape(self) -> tuple:
@@ -195,21 +239,6 @@ class RunResult(NamedTuple):
     trace: RunTrace
 
 
-def _slice_map(state: ModelState, fn) -> None:
-    """Run fn(k) for every slice, optionally on a thread pool.
-
-    Slice updates write disjoint state, so the result is identical for
-    any worker count or completion order.
-    """
-    ks = range(state.n_slices)
-    if state.threads <= 1:
-        for k in ks:
-            fn(k)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=state.threads) as pool:
-        list(pool.map(fn, ks))
-
-
 def _sub_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
@@ -242,8 +271,12 @@ def _check_observation(y) -> np.ndarray:
     return y
 
 
-def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
-               threads: int = 1) -> ModelState:
+def _pair_mask(active: np.ndarray) -> np.ndarray:
+    """(K, R, R) mask of the covariance entries between active columns."""
+    return active[:, :, None] & active[:, None, :]
+
+
+def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> ModelState:
     """Build the starting posterior state from the observation.
 
     Factor means come from the per-slice skinny SVD of the transformed
@@ -283,59 +316,39 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
         raise ValueError("per-slice init_rank must be equal on "
                          "conjugate-mirrored slices")
     ranks = ranks[:k_kept]  # the kept slices are the first K: id varies slowest
+    r_max = int(ranks.max())
 
-    u_mean = [np.empty(0)] * k_kept
-    v_mean = [np.empty(0)] * k_kept
-    sigma_u = [np.empty(0)] * k_kept
-    sigma_v = [np.empty(0)] * k_kept
-    lambda_a = [np.empty(0)] * k_kept
-    lambda_b = [np.empty(0)] * k_kept
-
-    def init_slice(k):
-        r = int(ranks[k])
-        u, s, vh = np.linalg.svd(ybar[:, :, k], full_matrices=False)
-        root = np.sqrt(s[:r])
-        u_mean[k] = u[:, :r] * root
-        v_mean[k] = vh[:r].conj().T * root
-        sigma_u[k] = phi * np.eye(r, dtype=np.complex128)
-        sigma_v[k] = phi * np.eye(r, dtype=np.complex128)
-        lambda_a[k] = np.ones(r)
-        lambda_b[k] = np.full(r, phi)
-
-    state = ModelState(
-        y=y, ybar=ybar, sbar=np.empty(0), hp=hp, transform=L,
-        phi=phi, gamma=gamma,
-        factors=FactorState(u_mean, v_mean, sigma_u, sigma_v, ranks.copy()),
-        sparse=SparseState(
-            s_mean=np.empty(0), s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
-            beta_a=np.ones(y.shape, order="F"),
-            beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
-        ),
-        noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
-                         lambda_a=lambda_a, lambda_b=lambda_b),
-        threads=threads,
-    )
-    _slice_map(state, init_slice)
+    active = np.arange(r_max) < ranks[:, None]
+    u, s, vh = np.linalg.svd(ybar.transpose(2, 0, 1), full_matrices=False)
+    u_mean, v_mean = balanced_factors(u, s, vh, r_max)
+    cov = np.where(_pair_mask(active), phi * np.eye(r_max, dtype=np.complex128), 0)
 
     rng = _sub_rng(seed, SPARSE_INIT_STREAM)
-    state.sparse.s_mean = np.asfortranarray(
+    s_mean = np.asfortranarray(
         rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape))
-    state.sbar = to_slice_stack(L.forward(state.sparse.s_mean, half=True))
+    state = ModelState(
+        y=y, transform=L, ybar=ybar,
+        sbar=to_slice_stack(L.forward(s_mean, half=True)),
+        hp=hp, phi=phi, gamma=gamma,
+        factors=FactorState(
+            u_mean=np.where(active[:, None, :], u_mean, 0),
+            v_mean=np.where(active[:, None, :], v_mean, 0),
+            sigma_u=cov, sigma_v=cov.copy(), ranks=ranks.copy()),
+        sparse=SparseState(
+            s_mean=s_mean, s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
+            beta_a=1.0, beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
+        ),
+        noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
+                         lambda_a=1.0, lambda_b=np.full(active.shape, phi)),
+    )
     if y.any():
         compute_fit(state)
     return state
 
 
-def _vtv(state: ModelState, k: int) -> np.ndarray:
-    """<V^H V> for slice k: I2 * Sigma_v + M_v^H M_v."""
-    f = state.factors
-    return state.shape[1] * f.sigma_v[k] + f.v_mean[k].conj().T @ f.v_mean[k]
-
-
-def _utu(state: ModelState, k: int) -> np.ndarray:
-    """<U^H U> for slice k: I1 * Sigma_u + M_u^H M_u."""
-    f = state.factors
-    return state.shape[0] * f.sigma_u[k] + f.u_mean[k].conj().T @ f.u_mean[k]
+def _hermitian_t(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().transpose(0, 2, 1)
 
 
 def _refinement_weight(state: ModelState) -> float:
@@ -345,50 +358,79 @@ def _refinement_weight(state: ModelState) -> float:
     return max(state.noise.fit, 0.0) / state.gamma
 
 
-def _posterior_cov(data_term: np.ndarray, ard_diag: np.ndarray) -> np.ndarray:
+def _slice_name(state: ModelState, k: int) -> str:
+    # the kept slices are the first K of the J slices in linear order
+    return f"slice {k} (trailing index {linear_to_slice(k, state.shape)})"
+
+
+def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray:
+    """Stacked inverse of the posterior precisions, Hermitian and zero-padded.
+
+    Inactive entries are pinned to the identity for the inverse (so a
+    padded slice is not singular) and zeroed again afterwards.
+    """
+    pairs = _pair_mask(state.factors.active)
+    prec = np.where(pairs, prec, np.eye(prec.shape[-1]))
     try:
-        cov = np.linalg.inv(data_term + np.diag(ard_diag))
+        cov = np.linalg.inv(prec)
     except np.linalg.LinAlgError as exc:
+        singular = np.flatnonzero(np.linalg.slogdet(prec)[0] == 0)
+        where = _slice_name(state, int(singular[0])) if singular.size else "a slice"
         raise NumericalBreakdownError(
-            f"singular posterior precision matrix: {exc}"
-        ) from exc
-    return 0.5 * (cov + cov.conj().T)
+            f"singular posterior precision of {side} on {where}: {exc}") from exc
+    return np.where(pairs, 0.5 * (cov + _hermitian_t(cov)), 0)
+
+
+def _update_factor(state: ModelState, side: str) -> FactorState:
+    """Closed-form update of one factor's posterior on every slice.
+
+    For U the precision is scale * <V^H V> + w * diag(lambda) and the
+    mean scale * (Ybar - Sbar) V Sigma_u; V mirrors it with the
+    conjugate-transposed residual and the roles of U and V swapped.
+    """
+    scale = state.noise.tau_mean / state.phi
+    w = _refinement_weight(state)
+    f = state.factors
+    if side == "u":
+        other, other_cov, rows, resid = f.v_mean, f.sigma_v, state.shape[1], state.resid
+    else:
+        other, other_cov, rows, resid = (f.u_mean, f.sigma_u, state.shape[0],
+                                         _hermitian_t(state.resid))
+    prec = scale * (rows * other_cov + _hermitian_t(other) @ other)
+    diag = np.arange(prec.shape[-1])
+    prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
+    cov = _posterior_cov(state, prec, side.upper())
+    mean = scale * resid @ other @ cov
+    if side == "u":
+        f.sigma_u, f.u_mean = cov, mean
+    else:
+        f.sigma_v, f.v_mean = cov, mean
+    return f
 
 
 def update_u(state: ModelState) -> FactorState:
-    """Closed-form update of the left factor posterior, slice by slice."""
-    tau = state.noise.tau_mean
-    scale = tau / state.phi
-    w = _refinement_weight(state)
-    f = state.factors
-
-    def step(k):
-        cov = _posterior_cov(scale * _vtv(state, k),
-                             w * state.noise.lambda_mean(k))
-        f.sigma_u[k] = cov
-        resid = state.ybar[:, :, k] - state.sbar[:, :, k]
-        f.u_mean[k] = scale * resid @ f.v_mean[k] @ cov
-
-    _slice_map(state, step)
-    return f
+    """Closed-form update of the left factor posterior."""
+    return _update_factor(state, "u")
 
 
 def update_v(state: ModelState) -> FactorState:
-    """Mirror of :func:`update_u` for the right factor (conjugated residual)."""
-    tau = state.noise.tau_mean
-    scale = tau / state.phi
-    w = _refinement_weight(state)
+    """Closed-form update of the right factor posterior."""
+    return _update_factor(state, "v")
+
+
+def _column_sq_norms(m: np.ndarray) -> np.ndarray:
+    """(K, R) squared norms of the columns of a (K, I, R) complex stack."""
+    # real and imaginary parts interleave in the last axis of the float view
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    return np.einsum("kir,kir->kr", parts, parts).reshape(m.shape[0], -1, 2).sum(axis=2)
+
+
+def _column_energy(state: ModelState) -> np.ndarray:
+    """(K, R) expected column energies, the diagonal of <U^H U> + <V^H V>."""
+    i1, i2 = state.shape[:2]
     f = state.factors
-
-    def step(k):
-        cov = _posterior_cov(scale * _utu(state, k),
-                             w * state.noise.lambda_mean(k))
-        f.sigma_v[k] = cov
-        resid = state.ybar[:, :, k] - state.sbar[:, :, k]
-        f.v_mean[k] = scale * resid.conj().T @ f.u_mean[k] @ cov
-
-    _slice_map(state, step)
-    return f
+    return (i1 * np.diagonal(f.sigma_u, axis1=1, axis2=2).real + _column_sq_norms(f.u_mean)
+            + i2 * np.diagonal(f.sigma_v, axis1=1, axis2=2).real + _column_sq_norms(f.v_mean))
 
 
 def update_lambda(state: ModelState) -> NoiseState:
@@ -396,27 +438,23 @@ def update_lambda(state: ModelState) -> NoiseState:
     i1, i2 = state.shape[:2]
     hp = state.hp
     noise = state.noise
-
-    def step(k):
-        energy = (np.diagonal(_utu(state, k)) + np.diagonal(_vtv(state, k))).real
-        noise.lambda_a[k] = np.full(energy.shape, hp.a0_lambda + (i1 + i2) / 2)
-        noise.lambda_b[k] = hp.b0_lambda + energy / 2
-
-    _slice_map(state, step)
+    noise.lambda_a = hp.a0_lambda + (i1 + i2) / 2
+    noise.lambda_b = hp.b0_lambda + _column_energy(state) / 2
     return noise
+
+
+def _factor_products(state: ModelState) -> np.ndarray:
+    """U V^H of every kept slice, as an (I1, I2, K) stack laid out like ybar."""
+    f = state.factors
+    out = np.empty_like(state.ybar)
+    np.matmul(f.u_mean, _hermitian_t(f.v_mean), out=out.transpose(2, 0, 1))
+    return out
 
 
 def reconstruct_x(state: ModelState) -> np.ndarray:
     """Mean low-rank reconstruction, mapped back to the original domain."""
-    f = state.factors
     L = state.transform
-    xbar = np.empty_like(state.ybar)
-
-    def step(k):
-        xbar[:, :, k] = f.u_mean[k] @ f.v_mean[k].conj().T
-
-    _slice_map(state, step)
-    half = from_slice_stack(xbar, state.shape[:2] + L.half_trailing)
+    half = from_slice_stack(_factor_products(state), state.shape[:2] + L.half_trailing)
     return L.inverse(half, assert_real=True, half=True)
 
 
@@ -438,7 +476,7 @@ def update_beta(state: ModelState) -> SparseState:
     hp = state.hp
     sp = state.sparse
     s_sq = sp.s_mean ** 2 + sp.s_var
-    sp.beta_a = np.full(state.shape, hp.a0_beta + 0.5, order="F")
+    sp.beta_a = hp.a0_beta + 0.5
     sp.beta_b = hp.b0_beta + 0.5 * s_sq
     return sp
 
@@ -452,20 +490,17 @@ def expected_residual_sq(state: ModelState) -> float:
     """
     i1, i2 = state.shape[:2]
     f = state.factors
-    terms = np.zeros(state.n_slices)
-
-    def step(k):
-        mu, mv = f.u_mean[k], f.v_mean[k]
-        su, sv = f.sigma_u[k], f.sigma_v[k]
-        res = state.ybar[:, :, k] - mu @ mv.conj().T - state.sbar[:, :, k]
-        t = np.sum(np.abs(res) ** 2)
-        t += i1 * i2 * np.einsum("ij,ji->", sv, su).real
-        t += i1 * np.einsum("ij,ji->", su, mv.conj().T @ mv).real
-        t += i2 * np.einsum("ij,ji->", sv, mu.conj().T @ mu).real
-        terms[k] = t
-
-    _slice_map(state, step)
-    return float(terms @ state.transform.slice_weights
+    mu, mv = f.u_mean, f.v_mean
+    su, sv = f.sigma_u, f.sigma_v
+    res = _factor_products(state)
+    np.subtract(state.resid, res.transpose(2, 0, 1), out=res.transpose(2, 0, 1))
+    # each slice is contiguous in the column-major stack: as floats, one row
+    parts = res.reshape(-1, order="F").view(np.float64).reshape(state.n_slices, -1)
+    t = np.einsum("ki,ki->k", parts, parts)
+    t += i1 * i2 * np.einsum("kij,kji->k", sv, su).real
+    t += i1 * np.einsum("kij,kji->k", su, _hermitian_t(mv) @ mv).real
+    t += i2 * np.einsum("kij,kji->k", sv, _hermitian_t(mu) @ mu).real
+    return float(t @ state.transform.slice_weights
                  + state.phi * state.sparse.s_var.sum())
 
 
@@ -483,16 +518,13 @@ def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
     """Fit statistic 1 - sqrt(<residual^2>) / ||Ybar||, stored on the state.
 
     ||Ybar|| is the norm over all J slices, from the kept ones and their
-    weights.
+    weights (``state.ynorm``).
     """
-    ybar = state.ybar
-    ynorm = math.sqrt(float(state.transform.slice_weights
-                            @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(0, 1))))
-    if ynorm == 0:
+    if state.ynorm == 0:
         raise ValueError("fit is undefined for an identically zero observation")
     if resid_sq is None:
         resid_sq = expected_residual_sq(state)
-    state.noise.fit = 1.0 - math.sqrt(resid_sq) / ynorm
+    state.noise.fit = 1.0 - math.sqrt(resid_sq) / state.ynorm
     return state.noise.fit
 
 
@@ -502,55 +534,63 @@ def prune_columns(state: ModelState, threshold: Optional[float] = None) -> np.nd
     Column r of slice k is removed when its mean-plus-covariance energy
     (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below threshold times the
     largest column energy of that slice.  The strongest column survives
-    unless the whole slice is exactly zero.  Returns the new multi-rank,
-    one rank for each of the J slices.
+    unless the whole slice is exactly zero.  Survivors move to the front
+    in their original order and the stacks shrink to the new largest
+    rank.  Returns the new multi-rank, one rank for each of the J slices.
     """
     if threshold is None:
         threshold = state.hp.prune_threshold
     i1, i2 = state.shape[:2]
     f = state.factors
     noise = state.noise
-
-    def step(k):
-        energy = (np.diagonal(_utu(state, k)) + np.diagonal(_vtv(state, k))).real
-        energy = energy / (i1 + i2)
-        top = energy.max(initial=0.0)
-        if top <= 0.0:
-            keep = np.zeros(energy.shape, dtype=bool)
-        else:
-            keep = energy >= threshold * top
-        if keep.all():
-            return
-        f.u_mean[k] = f.u_mean[k][:, keep]
-        f.v_mean[k] = f.v_mean[k][:, keep]
-        f.sigma_u[k] = f.sigma_u[k][np.ix_(keep, keep)]
-        f.sigma_v[k] = f.sigma_v[k][np.ix_(keep, keep)]
-        noise.lambda_a[k] = noise.lambda_a[k][keep]
-        noise.lambda_b[k] = noise.lambda_b[k][keep]
-        f.ranks[k] = int(np.count_nonzero(keep))
-
-    _slice_map(state, step)
+    energy = _column_energy(state) / (i1 + i2)
+    top = energy.max(axis=1, initial=0.0)[:, None]
+    # padding has zero energy, so it never passes a positive threshold; an
+    # all-zero slice keeps no column
+    keep = (energy >= threshold * top) & (top > 0.0)
+    if np.array_equal(keep, f.active):
+        return state.multirank
+    f.ranks = np.count_nonzero(keep, axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :f.ranks.max(initial=0)]
+    active = np.arange(order.shape[1]) < f.ranks[:, None]
+    cols = order[:, None, :]
+    f.u_mean = np.where(active[:, None, :], np.take_along_axis(f.u_mean, cols, 2), 0)
+    f.v_mean = np.where(active[:, None, :], np.take_along_axis(f.v_mean, cols, 2), 0)
+    pairs = _pair_mask(active)
+    for name in ("sigma_u", "sigma_v"):
+        cov = np.take_along_axis(getattr(f, name), order[:, :, None], 1)
+        setattr(f, name, np.where(pairs, np.take_along_axis(cov, cols, 2), 0))
+    noise.lambda_b = np.take_along_axis(noise.lambda_b, order, 1)
     return state.multirank
 
 
 def _check_state_positive(state: ModelState) -> None:
-    noise, sp = state.noise, state.sparse
-    ok = (noise.tau_b > 0
-          and all((b > 0).all() for b in noise.lambda_b)
-          and (sp.beta_b > 0).all()
-          and (sp.s_var > 0).all()
-          and all(np.diagonal(c).real.min(initial=1.0) > 0
-                  for c in state.factors.sigma_u)
-          and all(np.diagonal(c).real.min(initial=1.0) > 0
-                  for c in state.factors.sigma_v))
-    if not ok:
-        raise NumericalBreakdownError(
-            "a Gamma parameter or posterior variance became non-positive"
-        )
+    """Raise NumericalBreakdownError naming the first non-positive
+    Gamma parameter or posterior variance and where it is."""
+    noise, sp, f = state.noise, state.sparse, state.factors
+    if not noise.tau_b > 0:
+        raise NumericalBreakdownError(f"noise Gamma rate tau_b = {noise.tau_b:g} "
+                                      "is not positive")
+    active = f.active
+    for name, values in (
+            ("ARD Gamma rate lambda_b", noise.lambda_b),
+            ("posterior variance diag(Sigma_u)",
+             np.diagonal(f.sigma_u, axis1=1, axis2=2).real),
+            ("posterior variance diag(Sigma_v)",
+             np.diagonal(f.sigma_v, axis1=1, axis2=2).real)):
+        bad = np.flatnonzero((active & ~(values > 0)).any(axis=1))
+        if bad.size:
+            raise NumericalBreakdownError(
+                f"{name} is not positive on {_slice_name(state, int(bad[0]))}")
+    for name, values in (("sparse Gamma rate beta_b", sp.beta_b),
+                         ("sparse variance s_var", sp.s_var)):
+        if not (values > 0).all():
+            bad = np.flatnonzero(~(values > 0).ravel(order="F"))
+            idx = tuple(int(i) for i in np.unravel_index(bad[0], state.shape, order="F"))
+            raise NumericalBreakdownError(f"{name} is not positive at index {idx}")
 
 
-def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
-        threads: int = 1) -> RunResult:
+def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     """Full inference loop: iterate the posterior updates until the
     reconstruction stabilizes.
 
@@ -559,7 +599,8 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
     dead factor columns are pruned.  The loop stops when the relative
     change of the reconstruction drops below ``hp.tol`` or after
     ``hp.max_iter`` iterations; non-convergence is reported in the
-    trace, not raised.
+    trace, not raised.  A numerical breakdown raises
+    :class:`NumericalBreakdownError` naming the iteration.
     """
     y = _check_observation(y)
     trace = RunTrace()
@@ -570,7 +611,7 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
         return RunResult(zeros, zeros.copy(),
                          np.zeros(num_slices(y.shape), dtype=np.int64), trace)
 
-    state = init_state(y, L, hp, seed, threads=threads)
+    state = init_state(y, L, hp, seed)
     x_prev = reconstruct_x(state)
     if hp.max_iter == 0:
         trace.message = "iteration budget is zero; returning initialization"
@@ -578,16 +619,19 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int,
                          state.multirank, trace)
 
     for it in range(1, hp.max_iter + 1):
-        update_u(state)
-        update_v(state)
-        update_lambda(state)
-        update_s(state)
-        update_beta(state)
-        resid_sq = expected_residual_sq(state)
-        update_tau(state, resid_sq=resid_sq)
-        compute_fit(state, resid_sq=resid_sq)
-        prune_columns(state)
-        _check_state_positive(state)
+        try:
+            update_u(state)
+            update_v(state)
+            update_lambda(state)
+            update_s(state)
+            update_beta(state)
+            resid_sq = expected_residual_sq(state)
+            update_tau(state, resid_sq=resid_sq)
+            compute_fit(state, resid_sq=resid_sq)
+            prune_columns(state)
+            _check_state_positive(state)
+        except NumericalBreakdownError as exc:
+            raise NumericalBreakdownError(f"iteration {it}: {exc}") from exc
 
         x_hat = state.x_hat
         prev_norm = np.linalg.norm(x_prev)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .model import HyperParams, run
 from .report import RunReport
-from .tensor import linear_to_slice, num_slices
-from .transform import Transform, mirror_slice
+from .tensor import num_slices
+from .transform import Transform, mirror_map
 from .tsvd import conj_transpose, t_product, truncate_multi_rank
 
 __all__ = [
@@ -139,16 +139,7 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
 def pattern_is_mirror_symmetric(pattern, trailing) -> bool:
     """True when conjugate-mirrored slices carry equal ranks."""
     pattern = np.asarray(pattern)
-    trailing = tuple(trailing)
-    shape = (1, 1) + trailing
-    for j in range(pattern.size):
-        idx = linear_to_slice(j, shape)
-        jm = 0
-        for i, n in zip(reversed(mirror_slice(idx, trailing)), reversed(trailing)):
-            jm = jm * n + i
-        if pattern[j] != pattern[jm]:
-            return False
-    return True
+    return np.array_equal(pattern[mirror_map(trailing)], pattern)
 
 
 def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
@@ -224,7 +215,7 @@ def protocol_hyperparams(shape, init_rank: Optional[int] = None,
 
 
 def run_benchmark(configs, hp: Optional[HyperParams] = None,
-                  model_seed: int = 11, threads: int = 1,
+                  model_seed: int = 11,
                   repeats: int = 1, on_cell=None) -> RunReport:
     """generate -> run -> score over a grid of configs.
 
@@ -244,7 +235,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
             inst = generate(cfg_rep)
             t1 = time.perf_counter()
             result = run(inst.y, Transform.dft(cfg.shape[2:]), hp_cell,
-                         seed=model_seed, threads=threads)
+                         seed=model_seed)
             t2 = time.perf_counter()
             if on_cell is not None:
                 on_cell(cfg_rep, inst, result)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ImaginaryResidueError
 
-__all__ = ["Transform", "real_part", "real_if_close", "mirror_slice"]
+__all__ = ["Transform", "real_part", "real_if_close", "mirror_slice", "mirror_map"]
 
 _RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
@@ -305,3 +305,11 @@ def mirror_slice(index, trailing) -> tuple:
     Per mode, index 0 maps to itself and i > 0 maps to I - i.
     """
     return tuple((n - i) % n for i, n in zip(index, trailing))
+
+
+def mirror_map(trailing) -> np.ndarray:
+    """Linear index of the mirror (:func:`mirror_slice`) of each of the J slices."""
+    trailing = tuple(int(n) for n in trailing)
+    idx = np.indices(trailing).reshape(len(trailing), -1, order="F")
+    mirror = -idx % np.array(trailing)[:, None]
+    return np.ravel_multi_index(tuple(mirror), trailing, order="F")

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ImaginaryResidueError
 from .tensor import (
     as_tensor,
     from_slice_stack,
     num_slices,
     to_slice_stack,
 )
-from .transform import Transform, real_if_close
+from .transform import Transform, mirror_map, real_if_close
 
 __all__ = [
     "TSVDResult",
@@ -30,6 +31,7 @@ __all__ = [
     "tubal_rank",
     "truncate_multi_rank",
     "factorize_lemma1",
+    "balanced_factors",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -112,25 +114,31 @@ def identity_tensor(size: int, trailing, L: Transform) -> np.ndarray:
     return L.inverse(ibar, assert_real=L.real_safe)
 
 
-def _slice_svds(x: np.ndarray, L: Transform):
-    """Forward-transform and SVD every slice; returns stack + factor lists."""
-    x = as_tensor(x)
-    xbar = to_slice_stack(L.forward(x))
-    us, svals, vhs = [], [], []
-    for k in range(xbar.shape[2]):
-        u, s, vh = np.linalg.svd(xbar[:, :, k], full_matrices=False)
-        us.append(u)
-        svals.append(s)
-        vhs.append(vh)
-    return xbar, us, svals, vhs
+def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
+    """Forward-transform *x* and SVD all its slices in one stacked call.
+
+    Returns the (I1, I2, J) slice stack (J kept slices with ``half``)
+    and ``np.linalg.svd`` of its (J, I1, I2) view.
+    """
+    xbar = to_slice_stack(L.forward(as_tensor(x), half=half))
+    return xbar, np.linalg.svd(np.moveaxis(xbar, 2, 0), **svd_kw)
 
 
-def _ranks_from_svals(svals, tol: float) -> np.ndarray:
-    ranks = np.zeros(len(svals), dtype=np.int64)
-    for k, s in enumerate(svals):
-        if s.size and s[0] > 0:
-            ranks[k] = int(np.count_nonzero(s > tol * s[0]))
-    return ranks
+def _ranks_from_svals(svals: np.ndarray, tol: float) -> np.ndarray:
+    """Per-slice count of the singular values above tol * sigma_max."""
+    return np.count_nonzero(svals > tol * svals[:, :1], axis=1).astype(np.int64)
+
+
+def balanced_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray, width: int):
+    """Split the leading *width* singular triplets of each slice evenly.
+
+    From stacked SVD factors (J, I1, m), (J, m) and (J, m, I2) returns
+    the (J, I1, width) and (J, I2, width) stacks U0 sqrt(S0) and
+    V0 sqrt(S0), whose slice products U V^H are the best rank-*width*
+    approximations.
+    """
+    root = np.sqrt(s[:, None, :width])
+    return u[:, :, :width] * root, vh[:, :width].conj().transpose(0, 2, 1) * root
 
 
 def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
@@ -153,22 +161,12 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
         wu, wv, ws1, ws2 = i1, i2, i1, i2
     else:
         wu = wv = ws1 = ws2 = rank
-    xbar = to_slice_stack(L.forward(x))
-    ubar = np.empty((i1, wu, j), dtype=np.complex128)
+    _, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
+    diag = np.arange(m if rank is None else rank)
     sbar = np.zeros((ws1, ws2, j), dtype=np.complex128)
-    vbar = np.empty((i2, wv, j), dtype=np.complex128)
-    svals = []
-    for k in range(j):
-        u, s, vh = np.linalg.svd(xbar[:, :, k], full_matrices=rank is None)
-        if rank is None:
-            ubar[:, :, k] = u
-            sbar[:m, :m, k] = np.diag(s)
-            vbar[:, :, k] = vh.conj().T
-        else:
-            ubar[:, :, k] = u[:, :rank]
-            sbar[:, :, k] = np.diag(s[:rank])
-            vbar[:, :, k] = vh[:rank].conj().T
-        svals.append(s)
+    sbar[diag, diag] = svals[:, :diag.size].T
+    ubar = np.moveaxis(u[:, :, :wu], 0, 2)
+    vbar = np.transpose(vh[:, :wv].conj(), (2, 1, 0))
     u = real_if_close(L.inverse(from_slice_stack(ubar, (i1, wu) + trailing)))
     s = real_if_close(L.inverse(from_slice_stack(sbar, (ws1, ws2) + trailing)))
     v = real_if_close(L.inverse(from_slice_stack(vbar, (i2, wv) + trailing)))
@@ -183,10 +181,7 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     """
     if tol < 0:
         raise ValueError("rank tolerance must be nonnegative")
-    x = as_tensor(x)
-    xbar = to_slice_stack(L.forward(x))
-    svals = [np.linalg.svd(xbar[:, :, k], compute_uv=False)
-             for k in range(xbar.shape[2])]
+    _, svals = _slice_svds(x, L, compute_uv=False)
     return _ranks_from_svals(svals, tol)
 
 
@@ -201,7 +196,8 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     For a real input under a real-safe transform, *target* must respect
     the transform's slice symmetry (for the DFT: equal ranks on
     conjugate-mirrored slices); otherwise the result cannot be real and
-    an :class:`ImaginaryResidueError` is raised.
+    an :class:`ImaginaryResidueError` is raised.  A real input under the
+    DFT is truncated on the kept half of its slices only.
     """
     x = as_tensor(x)
     target = np.asarray(target, dtype=np.int64)
@@ -211,14 +207,22 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
         raise ValueError(f"target multi-rank must have length {j}, got {target.shape}")
     if (target < 0).any() or (target > m).any():
         raise ValueError(f"target multi-rank entries must lie in [0, {m}]")
-    xbar, us, svals, vhs = _slice_svds(x, L)
-    out = np.zeros_like(xbar)
-    for k in range(j):
-        r = int(target[k])
-        if r:
-            out[:, :, k] = (us[k][:, :r] * svals[k][:r]) @ vhs[k][:r]
     want_real = L.real_safe and not np.iscomplexobj(x)
-    return L.inverse(from_slice_stack(out, x.shape), assert_real=want_real)
+    half = want_real and L.kind == "dft"
+    # the half spectrum holds one slice of each mirror pair, so it cannot
+    # show an asymmetric target: check it here
+    if half and not np.array_equal(target[mirror_map(L.trailing)], target):
+        raise ImaginaryResidueError(
+            "target multi-rank differs on conjugate-mirrored slices, so the "
+            "truncation of a real tensor would not be real")
+    xbar, (u, s, vh) = _slice_svds(x, L, half=half, full_matrices=False)
+    k = xbar.shape[2]
+    r = int(target[:k].max(initial=0))
+    s = np.where(np.arange(r) < target[:k, None], s[:, :r], 0.0)
+    out = np.empty_like(xbar)
+    np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=np.moveaxis(out, 2, 0))
+    shape = x.shape[:2] + (L.half_trailing if half else L.trailing)
+    return L.inverse(from_slice_stack(out, shape), assert_real=want_real, half=half)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
@@ -234,19 +238,13 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     trailing = x.shape[2:]
     if not 0 <= r <= min(i1, i2):
         raise ValueError(f"factor width {r} out of range [0, {min(i1, i2)}]")
-    xbar, us, svals, vhs = _slice_svds(x, L)
+    _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
     ranks = _ranks_from_svals(svals, tol)
     if ranks.max(initial=0) > r:
         raise ValueError(
             f"factor width {r} is below the tubal rank {int(ranks.max())}"
         )
-    j = xbar.shape[2]
-    ubar = np.zeros((i1, r, j), dtype=np.complex128)
-    vbar = np.zeros((i2, r, j), dtype=np.complex128)
-    for k in range(j):
-        root = np.sqrt(svals[k][:r])
-        ubar[:, :, k] = us[k][:, :r] * root
-        vbar[:, :, k] = vhs[k][:r].conj().T * root
+    ubar, vbar = (np.moveaxis(f, 0, 2) for f in balanced_factors(us, svals, vhs, r))
     u = real_if_close(L.inverse(from_slice_stack(ubar, (i1, r) + trailing)))
     v = real_if_close(L.inverse(from_slice_stack(vbar, (i2, r) + trailing)))
     return u, v

@@ -290,11 +290,11 @@ def _tiny_state(seed, shape=(3, 3, 2), rank=2):
     state = init_state(y, Transform.dft(shape[2:]), hp, seed=seed)
     state.noise.tau_a = float(rng.uniform(0.5, 3.0))
     state.noise.tau_b = float(rng.uniform(0.5, 3.0))
-    state.sparse.beta_a = rng.uniform(0.5, 3.0, shape)
+    # Gamma shapes are one scalar per family; the rates vary per element
+    state.sparse.beta_a = float(rng.uniform(0.5, 3.0))
     state.sparse.beta_b = rng.uniform(0.5, 3.0, shape)
-    for k in range(state.n_slices):
-        state.noise.lambda_a[k] = rng.uniform(0.5, 3.0, rank)
-        state.noise.lambda_b[k] = rng.uniform(0.5, 3.0, rank)
+    state.noise.lambda_a = float(rng.uniform(0.5, 3.0))
+    state.noise.lambda_b = rng.uniform(0.5, 3.0, (state.n_slices, rank))
     state.noise.fit = state.gamma  # refinement weight exactly 1
     return state, rng
 
@@ -381,7 +381,7 @@ def test_criterion_6_update_optimality():
             d = 0.5 * np.diagonal(utu + vtv).real
             coef_log = hp.a0_lambda + (i1 + i2) / 2 - 1.0
             coef_lin = hp.b0_lambda + d
-            a0, b0 = state.noise.lambda_a[k], state.noise.lambda_b[k]
+            a0, b0 = state.noise.lambda_a, state.noise.lambda_b[k]
             base = _gamma_objective(a0, b0, coef_log, coef_lin)
             perturbed = []
             for eps in (1e-2, 1e-3):

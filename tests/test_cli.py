@@ -153,6 +153,10 @@ def test_denoise_deterministic_outputs(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert read_tensor(out1).tobytes() == read_tensor(out2).tobytes()
+    # --threads is a documented no-op that still parses
+    out3 = tmp_path / "c.npy"
+    assert main(args + ["--threads", "3", "--out", str(out3)]) == 0
+    assert read_tensor(out1).tobytes() == read_tensor(out3).tobytes()
 
 
 def test_denoise_transform_file_matches_builtin_dft(tmp_path):

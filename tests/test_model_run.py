@@ -129,14 +129,6 @@ def test_run_deterministic_bitwise():
     assert [r._asdict() for r in a.trace.records] == [r._asdict() for r in b.trace.records]
 
 
-def test_threads_do_not_change_results():
-    cfg, inst = small_instance(rho=0.1, sigma_sq=1e-4, seed=3)
-    hp = small_hp(max_iter=40)
-    a = run(inst.y, Transform.dft((8,)), hp, seed=7, threads=1)
-    b = run(inst.y, Transform.dft((8,)), hp, seed=7, threads=3)
-    assert a.x_hat.tobytes() == b.x_hat.tobytes()
-
-
 def test_ranks_nonincreasing_and_positive_trace_fields():
     cfg, inst = small_instance(rho=0.1, sigma_sq=1e-2, seed=6)
     result = run(inst.y, Transform.dft((8,)), small_hp(max_iter=80), seed=1)
@@ -260,10 +252,11 @@ def test_positivity_invariant_holds_through_noisy_run():
     for _ in range(40):
         manual_iteration(state)
         assert state.noise.tau_b > 0
-        assert all((b > 0).all() for b in state.noise.lambda_b)
         assert (state.sparse.beta_b > 0).all()
         assert (state.sparse.s_var > 0).all()
-        for k in range(state.n_slices):
-            if state.factors.ranks[k]:
-                assert np.diagonal(state.factors.sigma_u[k]).real.min() > 0
-                assert np.diagonal(state.factors.sigma_v[k]).real.min() > 0
+        # the stacks are zero-padded beyond each slice's rank
+        for k, r in enumerate(state.factors.ranks):
+            assert (state.noise.lambda_b[k, :r] > 0).all()
+            if r:
+                assert np.diagonal(state.factors.sigma_u[k])[:r].real.min() > 0
+                assert np.diagonal(state.factors.sigma_v[k])[:r].real.min() > 0

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from lmhbrtf import model
+from lmhbrtf.errors import NumericalBreakdownError
 from lmhbrtf.model import (
     HyperParams,
+    _check_state_positive,
     compute_fit,
     expected_residual_sq,
     init_state,
     prune_columns,
     reconstruct_x,
+    run,
     update_beta,
     update_lambda,
     update_s,
@@ -29,19 +33,22 @@ def make_state(shape=(4, 4, 2), r=2, seed=3, sigma0_sq=1.0, gamma=1.0):
 
 
 def randomize_factors(state, seed=0):
-    """Overwrite the posterior with arbitrary complex values (oracle tests)."""
+    """Overwrite the posterior with arbitrary complex values (oracle tests).
+
+    Only the active columns of each slice are drawn; the padding stays 0.
+    """
     r = np.random.default_rng(seed)
     f = state.factors
     for k in range(state.n_slices):
         rk = f.ranks[k]
         i1, i2 = state.shape[:2]
-        f.u_mean[k] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
-        f.v_mean[k] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
+        f.u_mean[k, :, :rk] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
+        f.v_mean[k, :, :rk] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
         for covs in (f.sigma_u, f.sigma_v):
             a = r.standard_normal((rk, rk)) + 1j * r.standard_normal((rk, rk))
-            covs[k] = a @ a.conj().T + 0.5 * np.eye(rk)
-        state.noise.lambda_a[k] = r.uniform(0.5, 2.0, rk)
-        state.noise.lambda_b[k] = r.uniform(0.5, 2.0, rk)
+            covs[k, :rk, :rk] = a @ a.conj().T + 0.5 * np.eye(rk)
+        state.noise.lambda_b[k, :rk] = r.uniform(0.5, 2.0, rk)
+    state.noise.lambda_a = 1.5
     state.noise.tau_a = 3.0
     state.noise.tau_b = 1.5
     state.noise.fit = 0.7
@@ -123,9 +130,8 @@ def test_init_state_rejects_transform_that_is_not_real_safe():
 def test_update_u_ard_limit_kills_columns():
     state = make_state()
     state.noise.fit = state.gamma  # refinement weight exactly 1
-    for k in range(state.n_slices):
-        state.noise.lambda_a[k] = np.full(state.factors.ranks[k], 1e12)
-        state.noise.lambda_b[k] = np.ones(state.factors.ranks[k])
+    state.noise.lambda_a = 1e12
+    state.noise.lambda_b = np.ones_like(state.noise.lambda_b)
     update_u(state)
     for k in range(state.n_slices):
         assert np.linalg.norm(state.factors.sigma_u[k]) <= 1e-9
@@ -210,8 +216,8 @@ def test_update_lambda_zero_factors():
 def test_update_lambda_shape_term():
     state = make_state(shape=(6, 5, 2), r=2)
     update_lambda(state)
-    assert np.allclose(state.noise.lambda_a[0],
-                       state.hp.a0_lambda + (6 + 5) / 2)
+    assert state.noise.lambda_a == pytest.approx(state.hp.a0_lambda + (6 + 5) / 2,
+                                                 rel=1e-15)
 
 
 def test_update_lambda_matches_recompute_oracle():
@@ -231,9 +237,9 @@ def test_update_s_precision_limits():
     state = make_state(shape=(4, 4, 1), r=2, seed=1)
     tau = state.noise.tau_mean
     # one element with enormous sparsity precision is pinned to zero
-    state.sparse.beta_a = np.full(state.shape, tau)
+    state.sparse.beta_a = tau
     state.sparse.beta_b = np.ones(state.shape)
-    state.sparse.beta_a[0, 0, 0] = 1e12
+    state.sparse.beta_b[0, 0, 0] = tau / 1e12
     update_s(state)
     z = state.y - state.x_hat
     assert abs(state.sparse.s_mean[0, 0, 0]) <= 1e-10 * abs(z[0, 0, 0])
@@ -253,7 +259,7 @@ def test_update_s_absorbs_outliers_when_tau_dominates():
     state.ybar = to_slice_stack(state.transform.forward(state.y))
     state.noise.tau_a = 1e6
     state.noise.tau_b = 1.0
-    state.sparse.beta_a = np.ones(state.shape)
+    state.sparse.beta_a = 1.0
     state.sparse.beta_b = np.ones(state.shape)
     update_s(state)
     z = state.y - state.x_hat
@@ -375,7 +381,7 @@ def test_prune_drops_zero_column():
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
         assert state.factors.u_mean[k].shape == (4, 2)
-        assert state.noise.lambda_a[k].shape == (2,)
+        assert state.noise.lambda_b[k].shape == (2,)
         assert state.factors.sigma_u[k].shape == (2, 2)
 
 
@@ -394,3 +400,208 @@ def test_reconstruct_zero_factors_and_single_slice():
     got = reconstruct_x(single)
     expected = (single.factors.u_mean[0] @ single.factors.v_mean[0].conj().T).real
     assert np.allclose(got[:, :, 0], expected, rtol=1e-12, atol=1e-14)
+
+
+# --------------------------------------------------------------------------
+# stacked, zero-padded factor layout
+
+
+def assert_padding_zero(state):
+    """Columns and covariance rows/columns beyond each slice's rank are 0."""
+    f = state.factors
+    assert f.u_mean.shape[2] == f.ranks.max(initial=0)
+    for k, r in enumerate(f.ranks):
+        assert not f.u_mean[k][:, r:].any()
+        assert not f.v_mean[k][:, r:].any()
+        for cov in (f.sigma_u[k], f.sigma_v[k]):
+            assert not cov[r:, :].any() and not cov[:, r:].any()
+
+
+def mixed_rank_state():
+    """Kept ranks [3, 2, 0] on (4, 4, 5): slice 2 is pruned to rank 0."""
+    y = np.random.default_rng(17).standard_normal((4, 4, 5))
+    hp = HyperParams(init_rank=[3, 2, 1, 1, 2], gamma=1.0, tol=1e-6, max_iter=50)
+    state = init_state(y, Transform.dft((5,)), hp, seed=17)
+    assert np.array_equal(state.factors.ranks, [3, 2, 1])
+    assert_padding_zero(state)
+    randomize_factors(state, seed=4)
+    f = state.factors
+    for stack in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v):
+        stack[0] = stack[0].real  # slice 0 is self-paired: real under the DFT
+    f.u_mean[2] = 0.0
+    f.v_mean[2] = 0.0
+    f.sigma_u[2] = 0.0
+    f.sigma_v[2] = 0.0
+    assert np.array_equal(prune_columns(state), [3, 2, 0, 0, 2])
+    assert_padding_zero(state)
+    state.noise.fit = 0.4
+    return state
+
+
+def _active(state, k):
+    f = state.factors
+    r = f.ranks[k]
+    return (f.u_mean[k][:, :r], f.v_mean[k][:, :r],
+            f.sigma_u[k][:r, :r], f.sigma_v[k][:r, :r],
+            state.noise.lambda_mean(k)[:r])
+
+
+def test_mixed_rank_phases_match_per_slice_reference():
+    state = mixed_rank_state()
+    i1, i2 = state.shape[:2]
+    scale = state.noise.tau_mean / state.phi
+    weight = state.noise.fit / state.gamma
+    resid = [state.ybar[:, :, k] - state.sbar[:, :, k] for k in range(3)]
+    live = [k for k in range(3) if state.factors.ranks[k]]
+
+    before = [_active(state, k) for k in range(3)]
+    update_u(state)
+    assert_padding_zero(state)
+    for k in live:
+        _, vm, _, sv, lam = before[k]
+        mean, cov = _reference_row_updates(resid[k], np.zeros_like(resid[k]),
+                                           vm, sv, lam, scale, weight)
+        mu, _, su, _, _ = _active(state, k)
+        assert np.allclose(mu, mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(su, cov, rtol=1e-10, atol=1e-12)
+
+    update_v(state)
+    assert_padding_zero(state)
+    for k in live:
+        mu, mv, su, sv, lam = _active(state, k)
+        mean, cov = _reference_row_updates(resid[k].conj().T, np.zeros_like(resid[k].T),
+                                           mu, su, lam, scale, weight)
+        assert np.allclose(mv, mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(sv, cov, rtol=1e-10, atol=1e-12)
+
+    update_lambda(state)
+    assert_padding_zero(state)
+    for k in live:
+        mu, mv, su, sv, _ = _active(state, k)
+        energy = np.diagonal(i1 * su + mu.conj().T @ mu + i2 * sv + mv.conj().T @ mv).real
+        r = state.factors.ranks[k]
+        assert np.allclose(state.noise.lambda_b[k, :r],
+                           state.hp.b0_lambda + energy / 2, rtol=1e-12)
+
+    update_s(state)
+    assert_padding_zero(state)
+    xbar = np.zeros_like(state.ybar)
+    for k in live:
+        mu, mv, _, _, _ = _active(state, k)
+        xbar[:, :, k] = mu @ mv.conj().T
+    expected_x = state.transform.inverse(xbar, assert_real=True, half=True)
+    assert np.allclose(state.x_hat, expected_x, rtol=1e-12, atol=1e-14)
+
+    update_beta(state)
+    terms = np.zeros(3)
+    for k in range(3):
+        mu, mv, su, sv, _ = _active(state, k)
+        res = state.ybar[:, :, k] - mu @ mv.conj().T - state.sbar[:, :, k]
+        terms[k] = (np.sum(np.abs(res) ** 2)
+                    + i1 * i2 * np.trace(sv @ su).real
+                    + i1 * np.trace(su @ mv.conj().T @ mv).real
+                    + i2 * np.trace(sv @ mu.conj().T @ mu).real)
+    expected = (terms @ state.transform.slice_weights
+                + state.phi * state.sparse.s_var.sum())
+    assert expected_residual_sq(state) == pytest.approx(expected, rel=1e-12)
+    update_tau(state)
+    compute_fit(state)
+    prune_columns(state)
+    assert_padding_zero(state)
+
+
+def test_prune_compacts_survivors_in_order_and_shrinks_width():
+    y = np.random.default_rng(2).standard_normal((5, 4, 5))
+    state = init_state(y, Transform.dft((5,)),
+                       HyperParams(init_rank=[3, 2, 1, 1, 2]), seed=2)
+    randomize_factors(state, seed=9)
+    f = state.factors
+    # slice 0 loses its first column and slice 1 its second: width 3 -> 2
+    for k, col in ((0, 0), (1, 1)):
+        f.u_mean[k][:, col] = 0.0
+        f.v_mean[k][:, col] = 0.0
+        for cov in (f.sigma_u[k], f.sigma_v[k]):
+            cov[col, :] = 0.0
+            cov[:, col] = 0.0
+    old_u, old_sv = f.u_mean.copy(), f.sigma_v.copy()
+    old_lb = state.noise.lambda_b.copy()
+    ranks = prune_columns(state, threshold=1e-4)
+    assert np.array_equal(ranks, [2, 1, 1, 1, 1])
+    assert f.u_mean.shape == (3, 5, 2) and f.sigma_v.shape == (3, 2, 2)
+    assert state.noise.lambda_b.shape == (3, 2)
+    survivors = {0: [1, 2], 1: [0], 2: [0]}
+    for k, cols in survivors.items():
+        r = len(cols)
+        assert np.array_equal(f.u_mean[k][:, :r], old_u[k][:, cols])
+        assert np.array_equal(f.sigma_v[k][:r, :r], old_sv[k][np.ix_(cols, cols)])
+        assert np.array_equal(state.noise.lambda_b[k, :r], old_lb[k, cols])
+    assert_padding_zero(state)
+
+
+def test_ynorm_is_weighted_norm_of_stack_and_follows_assignment():
+    state = make_state(shape=(4, 3, 6), r=2, seed=12)
+    w = state.transform.slice_weights
+    ybar = state.ybar
+    recomputed = np.sqrt(sum(w[k] * np.linalg.norm(ybar[:, :, k]) ** 2
+                             for k in range(state.n_slices)))
+    assert state.ynorm == pytest.approx(recomputed, rel=1e-14)
+    assert state.ynorm ** 2 == pytest.approx(state.phi * np.sum(state.y ** 2), rel=1e-12)
+    state.ybar = 2.0 * ybar
+    assert state.ynorm == pytest.approx(2.0 * recomputed, rel=1e-14)
+
+
+def test_residual_stack_follows_sbar_and_ybar_assignment():
+    state = make_state(shape=(4, 3, 4), r=2, seed=8)
+    assert np.array_equal(state.resid, (state.ybar - state.sbar).transpose(2, 0, 1))
+    state.sbar = np.zeros_like(state.sbar)
+    assert np.array_equal(state.resid, state.ybar.transpose(2, 0, 1))
+    state.ybar = 3.0 * state.ybar
+    assert np.array_equal(state.resid, state.ybar.transpose(2, 0, 1))
+
+
+# --------------------------------------------------------------------------
+# numerical breakdowns name the quantity and the slice
+
+
+def test_singular_precision_names_the_slice():
+    state = make_state(shape=(4, 4, 5), r=2, seed=5)
+    f = state.factors
+    f.v_mean[1] = 0.0
+    f.sigma_v[1] = 0.0
+    state.noise.fit = 0.0  # no ARD term: slice 1's precision block is zero
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"singular posterior precision of U on slice 1 "
+                             r"\(trailing index \(1,\)\)"):
+        update_u(state)
+
+
+def test_non_positive_lambda_b_names_the_slice():
+    state = make_state(shape=(4, 4, 5), r=2, seed=5)
+    state.noise.lambda_b[2, 1] = 0.0
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"lambda_b is not positive on slice 2 "
+                             r"\(trailing index \(2,\)\)"):
+        _check_state_positive(state)
+    # an inactive entry is padding, not a parameter: it is not checked
+    state.noise.lambda_b[2, 1] = 1.0
+    state.factors.ranks[2] = 1
+    state.noise.lambda_b[2, 1] = -1.0
+    _check_state_positive(state)
+
+
+def test_breakdown_in_run_names_the_iteration(monkeypatch):
+    y = np.random.default_rng(3).standard_normal((5, 5, 4))
+    original = model.update_lambda
+    calls = []
+
+    def update_lambda_breaking_at_3(state):
+        original(state)
+        calls.append(1)
+        if len(calls) == 3:
+            state.noise.lambda_b[1, 0] = -1.0
+
+    monkeypatch.setattr(model, "update_lambda", update_lambda_breaking_at_3)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"^iteration 3: ARD Gamma rate lambda_b is not "
+                             r"positive on slice 1 \(trailing index \(1,\)\)"):
+        run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)

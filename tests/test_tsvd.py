@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from lmhbrtf.errors import ImaginaryResidueError
 from lmhbrtf.tensor import bdiag, frobenius_norm, from_slice_stack, to_slice_stack
-from lmhbrtf.transform import Transform
+from lmhbrtf.transform import Transform, mirror_map
 from lmhbrtf.tsvd import (
     conj_transpose,
     facewise_product,
@@ -239,6 +240,42 @@ def test_truncate_recovers_mixed_pattern():
     cut = truncate_multi_rank(x, L, target)
     assert np.isrealobj(cut)
     assert np.array_equal(multi_rank(cut, L), target)
+
+
+def _truncate_full_reference(x, L, target):
+    """Per-slice truncation of the full spectrum, slice by slice."""
+    xbar = to_slice_stack(L.forward(x))
+    out = np.zeros_like(xbar)
+    for k, r in enumerate(target):
+        u, s, vh = np.linalg.svd(xbar[:, :, k], full_matrices=False)
+        out[:, :, k] = (u[:, :r] * s[:r]) @ vh[:r]
+    return L.inverse(from_slice_stack(out, x.shape), assert_real=True)
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 7), (6, 5, 8), (5, 6, 3, 4),
+                                   (4, 5, 4, 3), (4, 3, 3, 2, 5)])
+def test_truncate_half_spectrum_matches_full_reference(shape):
+    # real input under the DFT: only the kept half of the slices is SVD'd
+    r = np.random.default_rng(sum(shape))
+    x = r.standard_normal(shape)
+    L = Transform.dft(shape[2:])
+    target = r.integers(0, min(shape[:2]) + 1, size=int(np.prod(shape[2:])))
+    target = np.minimum(target, target[mirror_map(shape[2:])])  # mirror-symmetric
+    got = truncate_multi_rank(x, L, target)
+    expected = _truncate_full_reference(x, L, target)
+    assert np.isrealobj(got) and got.shape == shape
+    assert frobenius_norm(got - expected) <= 1e-12 * frobenius_norm(expected)
+
+
+@pytest.mark.parametrize("trailing,target", [((5,), [2, 2, 1, 2, 2]),
+                                             ((3, 4), [1] * 12)])
+def test_truncate_rejects_asymmetric_target(trailing, target):
+    target = np.array(target)
+    if len(trailing) == 2:
+        target[1] = 2  # slice (1, 0); its mirror (2, 0) is kept in the half too
+    x = np.random.default_rng(7).standard_normal((4, 4) + trailing)
+    with pytest.raises(ImaginaryResidueError, match="mirrored"):
+        truncate_multi_rank(x, Transform.dft(trailing), target)
 
 
 def test_truncate_validates_target():
