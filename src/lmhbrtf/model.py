@@ -169,15 +169,19 @@ class NoiseState:
 class ModelState:
     """Everything one inference iteration reads and writes.
 
-    ``resid`` (the (K, I1, I2) stack Ybar - Sbar) and ``ynorm`` (the
-    weighted norm of Ybar over all J slices) are derived from ``ybar``
-    and ``sbar`` and refreshed whenever either is assigned.
+    The sparse component enters the factor updates only through the
+    residual ``resid`` = L(Y - S), the (K, I1, I2) view of an (I1, I2, K)
+    stack laid out like ``ybar``.  ``sbar`` = Ybar - resid is derived
+    from it: assigning ``sbar`` sets resid = Ybar - sbar, and assigning
+    ``ybar`` holds ``sbar`` fixed and refreshes ``ynorm`` (the weighted
+    norm of Ybar over all J slices).  ``xbar`` is the (I1, I2, K) stack
+    of slice products U V^H that ``x_hat`` was reconstructed from.
     """
 
     y: np.ndarray
     transform: Transform
     ybar: np.ndarray          # (I1, I2, K) stack of the K kept transform slices
-    sbar: np.ndarray
+    resid: np.ndarray
     hp: HyperParams
     phi: float
     gamma: float
@@ -185,17 +189,29 @@ class ModelState:
     sparse: SparseState
     noise: NoiseState
     x_hat: Optional[np.ndarray] = None
-    resid: np.ndarray = field(init=False, repr=False)
+    xbar: Optional[np.ndarray] = field(default=None, repr=False)
     ynorm: float = field(init=False)
 
     def __setattr__(self, name, value):
-        super().__setattr__(name, value)
+        if name == "ybar" and "resid" in vars(self):
+            sbar = self.sbar
+            super().__setattr__(name, value)
+            self.sbar = sbar
+        else:
+            super().__setattr__(name, value)
         if name == "ybar":
             weights = self.transform.slice_weights
             super().__setattr__("ynorm", math.sqrt(float(
                 weights @ (value.real ** 2 + value.imag ** 2).sum(axis=(0, 1)))))
-        if name in ("ybar", "sbar") and "sbar" in vars(self):
-            super().__setattr__("resid", (self.ybar - self.sbar).transpose(2, 0, 1))
+
+    @property
+    def sbar(self) -> np.ndarray:
+        """(I1, I2, K) stack of the kept slices of L(S): Ybar - resid."""
+        return self.ybar - self.resid.transpose(1, 2, 0)
+
+    @sbar.setter
+    def sbar(self, value: np.ndarray) -> None:
+        self.resid = (self.ybar - value).transpose(2, 0, 1)
 
     @property
     def shape(self) -> tuple:
@@ -276,6 +292,11 @@ def _pair_mask(active: np.ndarray) -> np.ndarray:
     return active[:, :, None] & active[:, None, :]
 
 
+def _residual_stack(y: np.ndarray, s_mean: np.ndarray, L: Transform) -> np.ndarray:
+    """The (K, I1, I2) residual stack L(Y - S) of the kept slices."""
+    return to_slice_stack(L.forward(y - s_mean, half=True)).transpose(2, 0, 1)
+
+
 def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> ModelState:
     """Build the starting posterior state from the observation.
 
@@ -327,8 +348,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     s_mean = np.asfortranarray(
         rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape))
     state = ModelState(
-        y=y, transform=L, ybar=ybar,
-        sbar=to_slice_stack(L.forward(s_mean, half=True)),
+        y=y, transform=L, ybar=ybar, resid=_residual_stack(y, s_mean, L),
         hp=hp, phi=phi, gamma=gamma,
         factors=FactorState(
             u_mean=np.where(active[:, None, :], u_mean, 0),
@@ -385,22 +405,24 @@ def _update_factor(state: ModelState, side: str) -> FactorState:
     """Closed-form update of one factor's posterior on every slice.
 
     For U the precision is scale * <V^H V> + w * diag(lambda) and the
-    mean scale * (Ybar - Sbar) V Sigma_u; V mirrors it with the
-    conjugate-transposed residual and the roles of U and V swapped.
+    mean scale * R V Sigma_u, R = L(Y - S) the residual stack; V
+    mirrors it with R^H, read as (U^H R)^H so that R is not copied,
+    and the roles of U and V swapped.
     """
     scale = state.noise.tau_mean / state.phi
     w = _refinement_weight(state)
     f = state.factors
     if side == "u":
-        other, other_cov, rows, resid = f.v_mean, f.sigma_v, state.shape[1], state.resid
+        other, other_cov, rows = f.v_mean, f.sigma_v, state.shape[1]
+        proj = scale * state.resid @ other
     else:
-        other, other_cov, rows, resid = (f.u_mean, f.sigma_u, state.shape[0],
-                                         _hermitian_t(state.resid))
+        other, other_cov, rows = f.u_mean, f.sigma_u, state.shape[0]
+        proj = scale * _hermitian_t(_hermitian_t(other) @ state.resid)
     prec = scale * (rows * other_cov + _hermitian_t(other) @ other)
     diag = np.arange(prec.shape[-1])
     prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
     cov = _posterior_cov(state, prec, side.upper())
-    mean = scale * resid @ other @ cov
+    mean = proj @ cov
     if side == "u":
         f.sigma_u, f.u_mean = cov, mean
     else:
@@ -451,49 +473,72 @@ def _factor_products(state: ModelState) -> np.ndarray:
     return out
 
 
-def reconstruct_x(state: ModelState) -> np.ndarray:
-    """Mean low-rank reconstruction, mapped back to the original domain."""
+def reconstruct_x(state: ModelState, products: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean low-rank reconstruction, mapped back to the original domain.
+
+    *products* is the (I1, I2, K) stack of slice products U V^H, such
+    as ``state.xbar``; it is computed from the factors when not given.
+    """
+    if products is None:
+        products = _factor_products(state)
     L = state.transform
-    half = from_slice_stack(_factor_products(state), state.shape[:2] + L.half_trailing)
+    half = from_slice_stack(products, state.shape[:2] + L.half_trailing)
     return L.inverse(half, assert_real=True, half=True)
 
 
 def update_s(state: ModelState) -> SparseState:
-    """Gaussian update of the sparse component from the current residual."""
-    state.x_hat = reconstruct_x(state)
-    z = state.y - state.x_hat
+    """Gaussian update of the sparse component from the current residual.
+
+    Writes ``s_mean`` and ``s_var`` in place, then sets the residual
+    stack to L(Y - S) and keeps the slice products behind ``x_hat`` in
+    ``state.xbar``.
+    """
+    state.xbar = _factor_products(state)
+    state.x_hat = reconstruct_x(state, state.xbar)
     tau = state.noise.tau_mean
     sp = state.sparse
-    denom = sp.beta_mean + tau
-    sp.s_var = 1.0 / denom
-    sp.s_mean = tau * z / denom
-    state.sbar = to_slice_stack(state.transform.forward(sp.s_mean, half=True))
+    # s_var holds denom = <beta> + tau until the last step
+    denom = np.divide(sp.beta_a, sp.beta_b, out=sp.s_var)
+    denom += tau
+    np.subtract(state.y, state.x_hat, out=sp.s_mean)
+    sp.s_mean *= tau
+    sp.s_mean /= denom
+    np.divide(1.0, denom, out=sp.s_var)
+    state.resid = _residual_stack(state.y, sp.s_mean, state.transform)
     return sp
 
 
 def update_beta(state: ModelState) -> SparseState:
-    """Gamma update of the per-element sparsity precisions."""
+    """Gamma update of the per-element sparsity precisions (``beta_b`` in place)."""
     hp = state.hp
     sp = state.sparse
-    s_sq = sp.s_mean ** 2 + sp.s_var
     sp.beta_a = hp.a0_beta + 0.5
-    sp.beta_b = hp.b0_beta + 0.5 * s_sq
+    np.square(sp.s_mean, out=sp.beta_b)
+    sp.beta_b += sp.s_var
+    sp.beta_b *= 0.5
+    sp.beta_b += hp.b0_beta
     return sp
 
 
-def expected_residual_sq(state: ModelState) -> float:
+def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = None) -> float:
     """Expected squared transform-domain residual <||Ybar - U V^H - Sbar||^2>.
 
     Expands into the squared mean residual plus the factor-covariance
     cross terms and the transform-scaled sparse variances.  The sum runs
     over all J slices: each kept slice counts with its weight.
+    *products* is the stack of slice products U V^H of the current
+    factors (``state.xbar`` right after :func:`update_s`); it is
+    computed from the factors when not given.
     """
     i1, i2 = state.shape[:2]
     f = state.factors
     mu, mv = f.u_mean, f.v_mean
     su, sv = f.sigma_u, f.sigma_v
-    res = _factor_products(state)
-    np.subtract(state.resid, res.transpose(2, 0, 1), out=res.transpose(2, 0, 1))
+    if products is None:
+        products = res = _factor_products(state)  # a fresh stack: subtract in place
+    else:
+        res = np.empty_like(products)
+    np.subtract(state.resid, products.transpose(2, 0, 1), out=res.transpose(2, 0, 1))
     # each slice is contiguous in the column-major stack: as floats, one row
     parts = res.reshape(-1, order="F").view(np.float64).reshape(state.n_slices, -1)
     t = np.einsum("ki,ki->k", parts, parts)
@@ -584,7 +629,7 @@ def _check_state_positive(state: ModelState) -> None:
                 f"{name} is not positive on {_slice_name(state, int(bad[0]))}")
     for name, values in (("sparse Gamma rate beta_b", sp.beta_b),
                          ("sparse variance s_var", sp.s_var)):
-        if not (values > 0).all():
+        if not values.min() > 0:  # a NaN minimum fails too
             bad = np.flatnonzero(~(values > 0).ravel(order="F"))
             idx = tuple(int(i) for i in np.unravel_index(bad[0], state.shape, order="F"))
             raise NumericalBreakdownError(f"{name} is not positive at index {idx}")
@@ -625,7 +670,7 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
             update_lambda(state)
             update_s(state)
             update_beta(state)
-            resid_sq = expected_residual_sq(state)
+            resid_sq = expected_residual_sq(state, products=state.xbar)
             update_tau(state, resid_sq=resid_sq)
             compute_fit(state, resid_sq=resid_sq)
             prune_columns(state)

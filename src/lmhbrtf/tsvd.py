@@ -125,8 +125,12 @@ def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
 
 
 def _ranks_from_svals(svals: np.ndarray, tol: float) -> np.ndarray:
-    """Per-slice count of the singular values above tol * sigma_max."""
-    return np.count_nonzero(svals > tol * svals[:, :1], axis=1).astype(np.int64)
+    """Per-slice count of the singular values above tol * sigma_max.
+
+    sigma_max is the largest singular value over all slices, so a slice
+    that is zero up to roundoff has rank 0.
+    """
+    return np.count_nonzero(svals > tol * svals.max(initial=0.0), axis=1).astype(np.int64)
 
 
 def balanced_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray, width: int):
@@ -176,8 +180,9 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
 def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Per-slice numerical ranks in the transform domain.
 
-    A singular value counts toward the rank when it exceeds
-    ``tol * sigma_max`` of its slice.
+    A singular value counts toward the rank when it exceeds ``tol``
+    times the largest singular value of the whole tensor (over all
+    slices), so a slice that is zero up to roundoff has rank 0.
     """
     if tol < 0:
         raise ValueError("rank tolerance must be nonnegative")

@@ -237,8 +237,7 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
         cov = np.linalg.inv(prec)
         cov = 0.5 * (cov + cov.conj().T)
         b.factors.sigma_u[k] = cov
-        resid = b.ybar[:, :, k] - b.sbar[:, :, k]
-        b.factors.u_mean[k] = scale * resid @ b.factors.v_mean[k] @ cov
+        b.factors.u_mean[k] = scale * b.resid[k] @ b.factors.v_mean[k] @ cov
 
     for k in range(a.n_slices):
         assert a.factors.u_mean[k].tobytes() == b.factors.u_mean[k].tobytes()

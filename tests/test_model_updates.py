@@ -551,12 +551,68 @@ def test_ynorm_is_weighted_norm_of_stack_and_follows_assignment():
 
 
 def test_residual_stack_follows_sbar_and_ybar_assignment():
+    # the state stores Rbar = L(Y - S); Sbar is derived from it
     state = make_state(shape=(4, 3, 4), r=2, seed=8)
-    assert np.array_equal(state.resid, (state.ybar - state.sbar).transpose(2, 0, 1))
-    state.sbar = np.zeros_like(state.sbar)
+    state.sbar = np.zeros_like(state.ybar)
     assert np.array_equal(state.resid, state.ybar.transpose(2, 0, 1))
+    s = np.random.default_rng(2).standard_normal(state.shape)
+    sbar = to_slice_stack(state.transform.forward(s, half=True))
+    state.sbar = sbar
+    assert np.array_equal(state.resid, (state.ybar - sbar).transpose(2, 0, 1))
+    # assigning ybar holds Sbar fixed
+    held = state.sbar
     state.ybar = 3.0 * state.ybar
-    assert np.array_equal(state.resid, state.ybar.transpose(2, 0, 1))
+    assert np.array_equal(state.resid, (state.ybar - held).transpose(2, 0, 1))
+
+
+def test_sbar_round_trip():
+    state = make_state(shape=(4, 3, 4), r=2, seed=8)
+    s = np.random.default_rng(3).standard_normal(state.shape)
+    sbar = to_slice_stack(state.transform.forward(s, half=True))
+    state.sbar = sbar
+    scale = max(np.abs(state.ybar).max(), np.abs(sbar).max())
+    assert np.abs(state.sbar - sbar).max() <= 1e-15 * scale
+
+
+def test_update_s_sets_residual_to_transform_of_y_minus_s():
+    state = mixed_rank_state()
+    update_s(state)
+    L = state.transform
+    direct = to_slice_stack(L.forward(state.y - state.sparse.s_mean, half=True))
+    assert np.array_equal(state.resid, direct.transpose(2, 0, 1))
+    via_sbar = state.ybar - to_slice_stack(L.forward(state.sparse.s_mean, half=True))
+    assert (np.linalg.norm(state.resid.transpose(1, 2, 0) - via_sbar)
+            <= 1e-12 * np.linalg.norm(via_sbar))
+
+
+def test_sparse_phase_updates_in_place_and_matches_reference_formulas():
+    state = mixed_rank_state()
+    sp = state.sparse
+    r = np.random.default_rng(6)
+    sp.beta_a = 1.3
+    sp.beta_b[...] = r.uniform(0.1, 2.0, state.shape)
+    arrays = (sp.s_mean, sp.s_var, sp.beta_b)
+    tau = state.noise.tau_mean
+    denom = sp.beta_a / sp.beta_b + tau
+    update_s(state)
+    z = state.y - state.x_hat
+    assert np.array_equal(sp.s_var, 1.0 / denom)
+    assert np.array_equal(sp.s_mean, tau * z / denom)
+    update_beta(state)
+    assert np.array_equal(sp.beta_b,
+                          state.hp.b0_beta + 0.5 * (sp.s_mean ** 2 + sp.s_var))
+    assert sp.beta_a == state.hp.a0_beta + 0.5
+    assert all(a is b for a, b in zip((sp.s_mean, sp.s_var, sp.beta_b), arrays))
+
+
+def test_update_s_keeps_the_products_behind_x_hat():
+    state = mixed_rank_state()
+    update_s(state)
+    assert np.array_equal(state.x_hat, reconstruct_x(state))
+    assert np.array_equal(state.x_hat, reconstruct_x(state, state.xbar))
+    update_beta(state)
+    kept = expected_residual_sq(state, products=state.xbar)
+    assert kept == expected_residual_sq(state)
 
 
 # --------------------------------------------------------------------------

@@ -242,6 +242,17 @@ def test_truncate_recovers_mixed_pattern():
     assert np.array_equal(multi_rank(cut, L), target)
 
 
+def test_multi_rank_is_zero_on_slices_zero_up_to_roundoff():
+    # after truncating every slice but slice 0 to rank 0, the other slices
+    # hold only roundoff: the tolerance is relative to the largest singular
+    # value of the whole tensor, not of each slice
+    x = np.random.default_rng(11).standard_normal((5, 6, 3, 4))
+    L = Transform.dft((3, 4))
+    target = np.zeros(12, dtype=int)
+    target[0] = 4
+    assert np.array_equal(multi_rank(truncate_multi_rank(x, L, target), L), target)
+
+
 def _truncate_full_reference(x, L, target):
     """Per-slice truncation of the full spectrum, slice by slice."""
     xbar = to_slice_stack(L.forward(x))
