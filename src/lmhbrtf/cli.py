@@ -41,7 +41,7 @@ _DEFAULTS = {
         "pattern": "desk", "repeats": 1, "init_rank": "auto",
         "sigma0sq": 1.0, "gamma": "1.0", "tol": 1e-6, "max_iter": 2500,
         "threshold": 1e-4, "model_seed": 11, "save_tensors": None,
-        "threads": 0, "order": None,
+        "order": None,
     },
     "corrupt": {
         "rho": 0.2, "sigma2": 1e-4, "low": 0.0, "high": 255.0,
@@ -57,8 +57,8 @@ _DEFAULTS = {
 
 
 # Slice threads were removed: every phase updates all slices in one batched
-# expression.  --threads (and the "threads" config key) still parse, as a
-# no-op, because the benchmark's denoise workload (bench/workloads.py)
+# expression.  denoise --threads (and its "threads" config key) still parse,
+# as a no-op, because the benchmark's denoise workload (bench/workloads.py)
 # passes --threads 1; the flag can go with the benchmark change that drops it.
 _THREADS_HELP = ("ignored (no-op): slice updates are batched, there are no "
                  "slice threads; accepted so that existing command lines, such "
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the inference initialization")
     p.add_argument("--save-tensors", dest="save_tensors",
                    help="directory for the generated/recovered tensors")
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_synth)
 
@@ -271,7 +270,6 @@ def cmd_synth(args) -> None:
         "argv": _echo_argv(args),
         "dims": list(dims),
         "pattern": [int(p) for p in pattern],
-        "hyperparams": _hp_dict(hp),
     })
     report.save(args.out)
     cell = report.results["cells"][0]
@@ -350,7 +348,7 @@ def cmd_denoise(args) -> None:
                 "transform": transform.kind,
                 "phi": transform.phi,
                 "seed": int(args.seed),
-                "hyperparams": _hp_dict(hp),
+                "hyperparams": hp.as_dict(),
             },
             results={
                 "multirank": [int(r) for r in result.multirank],
@@ -388,13 +386,6 @@ def cmd_metrics(args) -> None:
 def _echo_argv(args) -> list:
     echo = getattr(args, "_argv_echo", None)
     return list(echo) if echo is not None else []
-
-
-def _hp_dict(hp: HyperParams) -> dict:
-    out = dict(hp.__dict__)
-    if isinstance(out["init_rank"], np.ndarray):
-        out["init_rank"] = [int(r) for r in out["init_rank"]]
-    return out
 
 
 def main(argv=None) -> int:

@@ -102,6 +102,13 @@ class HyperParams:
         if not 0 < self.prune_threshold < 1:
             raise ValueError("prune_threshold must lie in (0, 1)")
 
+    def as_dict(self) -> dict:
+        """The settings as a report echo (a per-slice array as a list of ints)."""
+        out = dict(vars(self))
+        if isinstance(self.init_rank, np.ndarray):
+            out["init_rank"] = [int(r) for r in self.init_rank]
+        return out
+
 
 @dataclass
 class FactorState:
@@ -171,11 +178,9 @@ class ModelState:
 
     The sparse component enters the factor updates only through the
     residual ``resid`` = L(Y - S), the (K, I1, I2) view of an (I1, I2, K)
-    stack laid out like ``ybar``.  ``sbar`` = Ybar - resid is derived
-    from it: assigning ``sbar`` sets resid = Ybar - sbar, and assigning
-    ``ybar`` holds ``sbar`` fixed and refreshes ``ynorm`` (the weighted
-    norm of Ybar over all J slices).  ``xbar`` is the (I1, I2, K) stack
-    of slice products U V^H that ``x_hat`` was reconstructed from.
+    stack laid out like ``ybar``.  ``ynorm`` is the weighted norm of Ybar
+    over all J slices.  ``xbar`` is the (I1, I2, K) stack of slice
+    products U V^H that ``x_hat`` was reconstructed from.
     """
 
     y: np.ndarray
@@ -188,30 +193,9 @@ class ModelState:
     factors: FactorState
     sparse: SparseState
     noise: NoiseState
+    ynorm: float
     x_hat: Optional[np.ndarray] = None
     xbar: Optional[np.ndarray] = field(default=None, repr=False)
-    ynorm: float = field(init=False)
-
-    def __setattr__(self, name, value):
-        if name == "ybar" and "resid" in vars(self):
-            sbar = self.sbar
-            super().__setattr__(name, value)
-            self.sbar = sbar
-        else:
-            super().__setattr__(name, value)
-        if name == "ybar":
-            weights = self.transform.slice_weights
-            super().__setattr__("ynorm", math.sqrt(float(
-                weights @ (value.real ** 2 + value.imag ** 2).sum(axis=(0, 1)))))
-
-    @property
-    def sbar(self) -> np.ndarray:
-        """(I1, I2, K) stack of the kept slices of L(S): Ybar - resid."""
-        return self.ybar - self.resid.transpose(1, 2, 0)
-
-    @sbar.setter
-    def sbar(self, value: np.ndarray) -> None:
-        self.resid = (self.ybar - value).transpose(2, 0, 1)
 
     @property
     def shape(self) -> tuple:
@@ -331,12 +315,11 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
 
     phi = L.phi
     gamma = phi if hp.gamma is None else float(hp.gamma)
-    ybar = to_slice_stack(L.forward(y, half=True))
-    k_kept = ybar.shape[2]
-    if not np.array_equal(ranks[L.slice_map[0]], ranks):
+    ybar = to_slice_stack(L.forward(y, half=True))  # also checks the shape
+    if not np.array_equal(ranks[L.mirror], ranks):
         raise ValueError("per-slice init_rank must be equal on "
                          "conjugate-mirrored slices")
-    ranks = ranks[:k_kept]  # the kept slices are the first K: id varies slowest
+    ranks = ranks[:ybar.shape[2]]  # the kept slices are the first K: id varies slowest
     r_max = int(ranks.max())
 
     active = np.arange(r_max) < ranks[:, None]
@@ -360,6 +343,8 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
         ),
         noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
                          lambda_a=1.0, lambda_b=np.full(active.shape, phi)),
+        ynorm=math.sqrt(float(L.slice_weights
+                              @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(0, 1)))),
     )
     if y.any():
         compute_fit(state)

@@ -20,7 +20,7 @@ import numpy as np
 from .model import HyperParams, run
 from .report import RunReport
 from .tensor import num_slices
-from .transform import Transform, mirror_map
+from .transform import Transform
 from .tsvd import conj_transpose, t_product, truncate_multi_rank
 
 __all__ = [
@@ -137,9 +137,9 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
 
 
 def pattern_is_mirror_symmetric(pattern, trailing) -> bool:
-    """True when conjugate-mirrored slices carry equal ranks."""
+    """True when conjugate-mirrored DFT slices carry equal ranks."""
     pattern = np.asarray(pattern)
-    return np.array_equal(pattern[mirror_map(trailing)], pattern)
+    return np.array_equal(pattern[Transform.dft(trailing).mirror], pattern)
 
 
 def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
@@ -152,7 +152,10 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     """
     if L is None:
         L = Transform.dft(cfg.shape[2:])
-    if L.real_safe and not pattern_is_mirror_symmetric(cfg.multirank, cfg.shape[2:]):
+    if L.trailing != cfg.shape[2:]:
+        raise ValueError(f"transform trailing shape {L.trailing} does not match "
+                         f"the tensor shape {cfg.shape}")
+    if L.real_safe and not np.array_equal(cfg.multirank[L.mirror], cfg.multirank):
         raise ValueError(
             "rank pattern is not symmetric across conjugate-mirrored slices; "
             "the planted low-rank tensor would not be real"
@@ -255,16 +258,12 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
             "r_err_mean": float(np.mean([r["r_err"] for r in rows])),
             "x_err_mean": float(np.mean([r["x_err"] for r in rows])),
         })
-    hp_echo = "protocol"
-    if hp is not None:
-        hp_echo = {k: (list(map(int, v)) if isinstance(v, np.ndarray) else v)
-                   for k, v in hp.__dict__.items()}
     return RunReport(
         command="run_benchmark",
         config={
             "repeats": int(repeats),
             "model_seed": int(model_seed),
-            "hyperparams": hp_echo,
+            "hyperparams": "protocol" if hp is None else hp.as_dict(),
         },
         results={"cells": cells},
     )

@@ -21,6 +21,13 @@ exact complex-to-real inverse; :attr:`Transform.slice_weights` counts
 how many of the J slices each kept slice stands for and
 :attr:`Transform.slice_map` says where each of the J slices is kept.
 An explicit transform keeps all J slices at weight 1.
+
+Under a real-safe transform the slices of a real tensor's transform
+pair up under conjugation.  The transform stores one conjugation
+permutation per trailing mode (i -> -i mod I_k for the DFT, the row
+permutation that conjugation applies to an explicit matrix), and
+:attr:`Transform.mirror` combines them into the conjugate of each of the
+J slices; every per-slice rank of a real tensor is checked against it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import ImaginaryResidueError
 
-__all__ = ["Transform", "real_part", "real_if_close", "mirror_slice", "mirror_map"]
+__all__ = ["Transform", "real_part", "real_if_close", "mirror_slice"]
 
 _RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
@@ -111,18 +118,16 @@ class Transform:
             unnormalized DFT matrices).
         phi: energy constant relating original- and transform-domain
             squared Frobenius norms.
-        real_safe: True when L maps real tensors to transforms whose
-            round trips (and products of transforms of real tensors)
-            are real again, i.e. when conjugating each matrix only
-            permutes its rows.
     """
 
     kind: str
     trailing: tuple
     phi: float
-    real_safe: bool
     matrices: tuple = field(default=(), repr=False)
     _inverses: tuple = field(default=(), repr=False)
+    # per trailing mode, p with conj(m) = m[p], or None where conjugation
+    # does not permute the rows of m
+    _conj_perms: tuple = field(default=(), repr=False)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":
@@ -132,9 +137,9 @@ class Transform:
             raise ValueError(f"invalid trailing shape {trailing}")
         mats = tuple(_dft_matrix(n) for n in trailing)
         return cls(kind="dft", trailing=trailing,
-                   phi=float(np.prod(trailing)), real_safe=True,
-                   matrices=mats,
-                   _inverses=tuple(m.conj() / m.shape[0] for m in mats))
+                   phi=float(np.prod(trailing)), matrices=mats,
+                   _inverses=tuple(m.conj() / m.shape[0] for m in mats),
+                   _conj_perms=tuple(-np.arange(n) % n for n in trailing))
 
     @classmethod
     def explicit(cls, matrices) -> "Transform":
@@ -148,8 +153,7 @@ class Transform:
         if not mats:
             raise ValueError("explicit transform needs at least one matrix")
         phi = 1.0
-        inverses = []
-        real_safe = True
+        inverses, perms = [], []
         for m in mats:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"transform matrix must be square, got {m.shape}")
@@ -172,12 +176,35 @@ class Transform:
             # conj(m) = q m; real results need q to be a permutation
             q = m.conj() @ m.conj().T / c
             p = np.abs(q).argmax(axis=1)
-            real_safe = (real_safe
-                         and np.array_equal(np.sort(p), np.arange(n))
-                         and np.linalg.norm(q - np.eye(n)[p]) <= _SCALE_TOL * np.sqrt(n))
+            permutes = (np.array_equal(np.sort(p), np.arange(n))
+                        and np.linalg.norm(q - np.eye(n)[p]) <= _SCALE_TOL * np.sqrt(n))
+            perms.append(p if permutes else None)
         return cls(kind="explicit", trailing=tuple(m.shape[0] for m in mats),
-                   phi=phi, real_safe=bool(real_safe), matrices=mats,
-                   _inverses=tuple(inverses))
+                   phi=phi, matrices=mats, _inverses=tuple(inverses),
+                   _conj_perms=tuple(perms))
+
+    @property
+    def real_safe(self) -> bool:
+        """True when L maps real tensors to transforms whose round trips
+        (and products of transforms of real tensors) are real again, i.e.
+        when conjugating each matrix only permutes its rows."""
+        return all(p is not None for p in self._conj_perms)
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """Linear index of the conjugate of each of the J slices.
+
+        For a real X, slice ``mirror[j]`` of L(X) is the conjugate of
+        slice j.  Under the DFT this is :func:`mirror_slice`; under a
+        real matrix every slice is its own mirror.  A per-slice rank of a
+        real tensor's transform must be equal on j and ``mirror[j]``.
+        """
+        if not self.real_safe:
+            raise ValueError("conjugation does not permute the slices of a "
+                             "transform that is not real-safe")
+        idx = np.indices(self.trailing).reshape(len(self.trailing), -1, order="F")
+        conj = tuple(p[i] for p, i in zip(self._conj_perms, idx))
+        return np.ravel_multi_index(conj, self.trailing, order="F")
 
     @property
     def _kept(self) -> int:
@@ -213,15 +240,13 @@ class Transform:
         """Where each of the J slices of a real tensor's transform is kept.
 
         Returns ``(source, conj)``: slice j (linear index) equals kept
-        slice ``source[j]``, conjugated where ``conj[j]`` is True.
+        slice ``source[j]``, conjugated where ``conj[j]`` is True.  The
+        kept slices are the first K in linear order (the last trailing
+        index varies slowest), so a dropped slice is held by its mirror.
         """
-        idx = np.indices(self.trailing).reshape(len(self.trailing), -1, order="F")
-        dropped = idx[-1] >= self._kept
-        if self.kind == "dft":
-            mirror = -idx % np.array(self.trailing)[:, None]
-            idx = np.where(dropped, mirror, idx)
-        source = np.ravel_multi_index(tuple(idx), self.half_trailing, order="F")
-        return source, dropped
+        j = np.arange(math.prod(self.trailing))
+        dropped = j >= math.prod(self.half_trailing)
+        return np.where(dropped, self.mirror, j), dropped
 
     @cached_property
     def _c2r(self) -> np.ndarray:
@@ -307,11 +332,3 @@ def mirror_slice(index, trailing) -> tuple:
     Per mode, index 0 maps to itself and i > 0 maps to I - i.
     """
     return tuple((n - i) % n for i, n in zip(index, trailing))
-
-
-def mirror_map(trailing) -> np.ndarray:
-    """Linear index of the mirror (:func:`mirror_slice`) of each of the J slices."""
-    trailing = tuple(int(n) for n in trailing)
-    idx = np.indices(trailing).reshape(len(trailing), -1, order="F")
-    mirror = -idx % np.array(trailing)[:, None]
-    return np.ravel_multi_index(tuple(mirror), trailing, order="F")

@@ -18,7 +18,7 @@ from .tensor import (
     num_slices,
     to_slice_stack,
 )
-from .transform import Transform, mirror_map, real_if_close
+from .transform import Transform, real_if_close
 
 __all__ = [
     "TSVDResult",
@@ -198,13 +198,16 @@ def tubal_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> in
 def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     """Best per-slice rank-r_k approximation, reassembled in the original domain.
 
-    For a real input under a real-safe transform, *target* must respect
-    the transform's slice symmetry (for the DFT: equal ranks on
-    conjugate-mirrored slices); otherwise the result cannot be real and
-    an :class:`ImaginaryResidueError` is raised.  A real input under the
-    DFT is truncated on the kept half of its slices only.
+    For a real input under a real-safe transform, *target* must be equal
+    on conjugate-mirrored slices (:attr:`Transform.mirror`); otherwise
+    the result cannot be real and an :class:`ImaginaryResidueError` is
+    raised before any SVD.  A real input is truncated on the slices
+    ``forward(x, half=True)`` keeps only.
     """
     x = as_tensor(x)
+    if x.shape[2:] != L.trailing:
+        raise ValueError(f"tensor shape {x.shape} does not match transform "
+                         f"trailing shape {L.trailing}")
     target = np.asarray(target, dtype=np.int64)
     j = num_slices(x.shape)
     m = min(x.shape[0], x.shape[1])
@@ -213,21 +216,18 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     if (target < 0).any() or (target > m).any():
         raise ValueError(f"target multi-rank entries must lie in [0, {m}]")
     want_real = L.real_safe and not np.iscomplexobj(x)
-    half = want_real and L.kind == "dft"
-    # the half spectrum holds one slice of each mirror pair, so it cannot
-    # show an asymmetric target: check it here
-    if half and not np.array_equal(target[mirror_map(L.trailing)], target):
+    if want_real and not np.array_equal(target[L.mirror], target):
         raise ImaginaryResidueError(
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
-    xbar, (u, s, vh) = _slice_svds(x, L, half=half, full_matrices=False)
+    xbar, (u, s, vh) = _slice_svds(x, L, half=want_real, full_matrices=False)
     k = xbar.shape[2]
     r = int(target[:k].max(initial=0))
     s = np.where(np.arange(r) < target[:k, None], s[:, :r], 0.0)
     out = np.empty_like(xbar)
     np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=np.moveaxis(out, 2, 0))
-    shape = x.shape[:2] + (L.half_trailing if half else L.trailing)
-    return L.inverse(from_slice_stack(out, shape), assert_real=want_real, half=half)
+    shape = x.shape[:2] + (L.half_trailing if want_real else L.trailing)
+    return L.inverse(from_slice_stack(out, shape), assert_real=want_real, half=want_real)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,

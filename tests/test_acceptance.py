@@ -468,7 +468,8 @@ def test_criterion_7_residual_expansion_monte_carlo():
             covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
     state.sparse.s_mean = rng.standard_normal(state.shape)
     state.sparse.s_var = rng.uniform(0.2, 1.0, state.shape)
-    state.sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+    sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+    state.resid = (state.ybar - sbar).transpose(2, 0, 1)
 
     analytic = expected_residual_sq(state)
 

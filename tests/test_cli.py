@@ -49,6 +49,20 @@ def test_synth_missing_dims_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_synth_has_no_threads_option(tmp_path, capsys):
+    argv = ["synth", "--dims", "12,12,8", "--rank", "2", "--rho", "0.0",
+            "--sigma2", "0.0", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 1}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown option" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_synth_order_mismatch_is_usage_error(tmp_path):
     code = main(["synth", "--order", "4", "--dims", "12,12,8", "--rank", "2",
                  "--rho", "0.0", "--sigma2", "0.0", "--seed", "1",

@@ -183,7 +183,7 @@ def test_factor_product_reproduces_residual_on_clean_data():
         manual_iteration(state)
     for k in range(state.n_slices):
         prod = state.factors.u_mean[k] @ state.factors.v_mean[k].conj().T
-        target = state.ybar[:, :, k] - state.sbar[:, :, k]
+        target = state.resid[k]
         assert np.linalg.norm(prod - target) <= 1e-6 * np.linalg.norm(target)
 
 

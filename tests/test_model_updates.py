@@ -120,6 +120,33 @@ def test_init_state_rejects_mirror_asymmetric_init_rank():
         init_state(y, Transform.dft((5,)), HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
 
 
+@pytest.mark.parametrize("shape,L,init_rank", [
+    # order 4: slices 1 and 2, trailing (1, 0) and (2, 0), are mirrors and
+    # both kept in the i4 = 0 plane
+    ((6, 6, 3, 4), Transform.dft((3, 4)), [3, 2] + [3] * 10),
+    # explicit DFT matrices keep every slice: 1 and 4 are mirrors
+    ((6, 6, 5), Transform.explicit([np.fft.fft(np.eye(5))]), [3, 2, 3, 3, 3]),
+])
+def test_init_state_rejects_init_rank_asymmetric_on_a_kept_mirror_pair(shape, L, init_rank):
+    y = np.random.default_rng(1).standard_normal(shape)
+    with pytest.raises(ValueError, match="mirrored"):
+        init_state(y, L, HyperParams(init_rank=init_rank), seed=0)
+    with pytest.raises(ValueError, match="mirrored"):
+        run(y, L, HyperParams(init_rank=init_rank, max_iter=2), seed=0)
+    symmetric = np.minimum(init_rank, np.asarray(init_rank)[L.mirror])
+    init_state(y, L, HyperParams(init_rank=symmetric), seed=0)
+
+
+def test_hyperparams_as_dict_echoes_every_field_as_plain_values():
+    hp = HyperParams(init_rank=np.array([3, 2, 2]), gamma=2.0)
+    echo = hp.as_dict()
+    assert echo["init_rank"] == [3, 2, 2]
+    assert all(type(r) is int for r in echo["init_rank"])
+    assert {k: v for k, v in echo.items() if k != "init_rank"} == {
+        k: v for k, v in vars(hp).items() if k != "init_rank"}
+    assert HyperParams(init_rank=4).as_dict()["init_rank"] == 4
+
+
 def test_init_state_rejects_transform_that_is_not_real_safe():
     y = np.random.default_rng(0).standard_normal((4, 4, 2))
     phase = Transform.explicit([np.diag([1.0, 1j])])
@@ -155,7 +182,7 @@ def test_update_u_single_slice_reduces_to_matrix_factorization():
     state.noise.fit = 0.8
     update_u(state)
     expected, cov = _reference_row_updates(
-        y=state.ybar[:, :, 0], s=state.sbar[:, :, 0],
+        y=state.ybar[:, :, 0], s=state.ybar[:, :, 0] - state.resid[0],
         vm=state.factors.v_mean[0], sv=state.factors.sigma_v[0],
         lam=state.noise.lambda_mean(0), tau=state.noise.tau_mean,
         weight=0.8 / state.gamma,
@@ -170,7 +197,7 @@ def test_update_v_single_slice_mirror():
     update_u(state)
     update_v(state)
     y = state.ybar[:, :, 0]
-    s = state.sbar[:, :, 0]
+    s = y - state.resid[0]
     expected, cov = _reference_row_updates(
         y=y.conj().T, s=s.conj().T,
         vm=state.factors.u_mean[0], sv=state.factors.sigma_u[0],
@@ -304,7 +331,8 @@ def _zero_out(state, with_s=True):
     if with_s:
         state.sparse.s_mean = np.zeros(state.shape)
         state.sparse.s_var = np.zeros(state.shape)
-        state.sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+        sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+        state.resid = (state.ybar - sbar).transpose(2, 0, 1)
 
 
 def test_update_tau_cold_start():
@@ -327,7 +355,8 @@ def test_update_tau_perfect_fit_limit():
     state.factors.ranks[:] = 4
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
-    state.sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+    sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
+    state.resid = (state.ybar - sbar).transpose(2, 0, 1)
     update_tau(state)
     assert state.noise.tau_b == pytest.approx(state.hp.b0_tau, rel=1e-3)
     assert state.noise.tau_mean > 1e6
@@ -345,7 +374,8 @@ def test_compute_fit_limits():
     exact.factors.sigma_v[0] = np.zeros((4, 4), dtype=complex)
     exact.sparse.s_mean = np.zeros(exact.shape)
     exact.sparse.s_var = np.zeros(exact.shape)
-    exact.sbar = to_slice_stack(exact.transform.forward(exact.sparse.s_mean))
+    sbar = to_slice_stack(exact.transform.forward(exact.sparse.s_mean))
+    exact.resid = (exact.ybar - sbar).transpose(2, 0, 1)
     assert compute_fit(exact) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -451,7 +481,7 @@ def test_mixed_rank_phases_match_per_slice_reference():
     i1, i2 = state.shape[:2]
     scale = state.noise.tau_mean / state.phi
     weight = state.noise.fit / state.gamma
-    resid = [state.ybar[:, :, k] - state.sbar[:, :, k] for k in range(3)]
+    resid = [state.resid[k] for k in range(3)]
     live = [k for k in range(3) if state.factors.ranks[k]]
 
     before = [_active(state, k) for k in range(3)]
@@ -496,7 +526,7 @@ def test_mixed_rank_phases_match_per_slice_reference():
     terms = np.zeros(3)
     for k in range(3):
         mu, mv, su, sv, _ = _active(state, k)
-        res = state.ybar[:, :, k] - mu @ mv.conj().T - state.sbar[:, :, k]
+        res = state.resid[k] - mu @ mv.conj().T
         terms[k] = (np.sum(np.abs(res) ** 2)
                     + i1 * i2 * np.trace(sv @ su).real
                     + i1 * np.trace(su @ mv.conj().T @ mv).real
@@ -538,7 +568,7 @@ def test_prune_compacts_survivors_in_order_and_shrinks_width():
     assert_padding_zero(state)
 
 
-def test_ynorm_is_weighted_norm_of_stack_and_follows_assignment():
+def test_ynorm_is_weighted_norm_of_stack():
     state = make_state(shape=(4, 3, 6), r=2, seed=12)
     w = state.transform.slice_weights
     ybar = state.ybar
@@ -546,32 +576,15 @@ def test_ynorm_is_weighted_norm_of_stack_and_follows_assignment():
                              for k in range(state.n_slices)))
     assert state.ynorm == pytest.approx(recomputed, rel=1e-14)
     assert state.ynorm ** 2 == pytest.approx(state.phi * np.sum(state.y ** 2), rel=1e-12)
-    state.ybar = 2.0 * ybar
-    assert state.ynorm == pytest.approx(2.0 * recomputed, rel=1e-14)
 
 
-def test_residual_stack_follows_sbar_and_ybar_assignment():
-    # the state stores Rbar = L(Y - S); Sbar is derived from it
+def test_initial_residual_stack_is_transform_of_y_minus_s():
+    # the state stores Rbar = L(Y - S) of the kept slices, laid out like ybar
     state = make_state(shape=(4, 3, 4), r=2, seed=8)
-    state.sbar = np.zeros_like(state.ybar)
-    assert np.array_equal(state.resid, state.ybar.transpose(2, 0, 1))
-    s = np.random.default_rng(2).standard_normal(state.shape)
-    sbar = to_slice_stack(state.transform.forward(s, half=True))
-    state.sbar = sbar
-    assert np.array_equal(state.resid, (state.ybar - sbar).transpose(2, 0, 1))
-    # assigning ybar holds Sbar fixed
-    held = state.sbar
-    state.ybar = 3.0 * state.ybar
-    assert np.array_equal(state.resid, (state.ybar - held).transpose(2, 0, 1))
-
-
-def test_sbar_round_trip():
-    state = make_state(shape=(4, 3, 4), r=2, seed=8)
-    s = np.random.default_rng(3).standard_normal(state.shape)
-    sbar = to_slice_stack(state.transform.forward(s, half=True))
-    state.sbar = sbar
-    scale = max(np.abs(state.ybar).max(), np.abs(sbar).max())
-    assert np.abs(state.sbar - sbar).max() <= 1e-15 * scale
+    L = state.transform
+    assert np.array_equal(state.ybar, to_slice_stack(L.forward(state.y, half=True)))
+    direct = to_slice_stack(L.forward(state.y - state.sparse.s_mean, half=True))
+    assert np.array_equal(state.resid, direct.transpose(2, 0, 1))
 
 
 def test_update_s_sets_residual_to_transform_of_y_minus_s():

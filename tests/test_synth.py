@@ -75,6 +75,29 @@ def test_generate_rejects_asymmetric_pattern():
         generate(cfg)
 
 
+def test_generate_follows_the_mirror_of_an_explicit_transform():
+    # a real orthogonal transform pairs no slices: any pattern is real
+    pattern = [2, 1, 2, 2]
+    cfg = SynthConfig(shape=(8, 7, 4), base_rank=2, multirank=pattern,
+                      rho=0.0, sigma_sq=0.0, seed=3)
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    L = Transform.explicit([q])
+    inst = generate(cfg, L)
+    assert np.isrealobj(inst.x_gt)
+    assert np.array_equal(multi_rank(inst.x_gt, L), pattern)
+    # DFT matrices pair slices 1 and 3, so the same pattern is rejected
+    with pytest.raises(ValueError, match="mirror"):
+        generate(cfg, Transform.explicit([np.fft.fft(np.eye(4))]))
+
+
+@pytest.mark.parametrize("trailing", [(5,), (3,)])
+def test_generate_rejects_transform_of_another_trailing_shape(trailing):
+    cfg = SynthConfig(shape=(8, 7, 4), base_rank=2, multirank=[2, 1, 2, 1],
+                      rho=0.0, sigma_sq=0.0, seed=1)
+    with pytest.raises(ValueError, match="does not match"):
+        generate(cfg, Transform.dft(trailing))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(shape=(12, 12), base_rank=2, multirank=[2], rho=0.0,

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from lmhbrtf.errors import ImaginaryResidueError
-from lmhbrtf.tensor import frobenius_norm, get_slice, to_slice_stack
+from lmhbrtf.tensor import (
+    frobenius_norm,
+    get_slice,
+    linear_to_slice,
+    slice_to_linear,
+    to_slice_stack,
+)
 from lmhbrtf.transform import Transform, mirror_slice, real_part
 
 
@@ -191,6 +197,29 @@ def test_explicit_real_safe_means_conjugation_permutes_rows():
     # a unitary phase matrix: conjugation is not a row permutation
     assert not Transform.explicit([np.diag([1.0, 1j])]).real_safe
     assert not Transform.explicit([np.eye(3), np.diag([1.0, 1j])]).real_safe
+
+
+@pytest.mark.parametrize("trailing", [(5,), (6,), (3, 4), (4, 5), (2, 3, 4), (3, 2, 5)])
+def test_mirror_is_the_dft_mirror_slice(trailing):
+    L = Transform.dft(trailing)
+    shape = (1, 1) + trailing
+    expected = [slice_to_linear(mirror_slice(linear_to_slice(j, shape), trailing), shape)
+                for j in range(int(np.prod(trailing)))]
+    assert np.array_equal(L.mirror, expected)
+
+
+def test_explicit_mirror_pairs_the_conjugate_slices():
+    x = rng().standard_normal((3, 2, 3, 4))
+    L = Transform.explicit([dft_matrix(3), dft_matrix(4, normalized=True)])
+    assert np.array_equal(L.mirror, Transform.dft((3, 4)).mirror)
+    full = to_slice_stack(L.forward(x))
+    assert frobenius_norm(full[:, :, L.mirror] - full.conj()) <= 1e-13 * frobenius_norm(full)
+    # conjugating a real matrix permutes nothing: every slice is its own mirror
+    q, _ = np.linalg.qr(rng().standard_normal((4, 4)))
+    real = Transform.explicit([np.array([[1.0, 1.0], [1.0, -1.0]]), q])
+    assert np.array_equal(real.mirror, np.arange(8))
+    with pytest.raises(ValueError, match="real-safe"):
+        Transform.explicit([np.diag([1.0, 1j])]).mirror
 
 
 @pytest.mark.parametrize("trailing,pair", [

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from lmhbrtf import tsvd
 from lmhbrtf.errors import ImaginaryResidueError
 from lmhbrtf.tensor import bdiag, frobenius_norm, from_slice_stack, to_slice_stack
-from lmhbrtf.transform import Transform, mirror_map
+from lmhbrtf.transform import Transform
 from lmhbrtf.tsvd import (
     conj_transpose,
     facewise_product,
@@ -271,7 +272,7 @@ def test_truncate_half_spectrum_matches_full_reference(shape):
     x = r.standard_normal(shape)
     L = Transform.dft(shape[2:])
     target = r.integers(0, min(shape[:2]) + 1, size=int(np.prod(shape[2:])))
-    target = np.minimum(target, target[mirror_map(shape[2:])])  # mirror-symmetric
+    target = np.minimum(target, target[L.mirror])  # mirror-symmetric
     got = truncate_multi_rank(x, L, target)
     expected = _truncate_full_reference(x, L, target)
     assert np.isrealobj(got) and got.shape == shape
@@ -287,6 +288,28 @@ def test_truncate_rejects_asymmetric_target(trailing, target):
     x = np.random.default_rng(7).standard_normal((4, 4) + trailing)
     with pytest.raises(ImaginaryResidueError, match="mirrored"):
         truncate_multi_rank(x, Transform.dft(trailing), target)
+
+
+def test_truncate_rejects_asymmetric_target_before_any_svd(monkeypatch):
+    # explicit DFT matrices keep all slices, so only the mirror shows that
+    # slice 1 and its conjugate, slice 4, would get different ranks
+    def no_svd(*args, **kwargs):
+        raise AssertionError("slice SVDs ran before the target check")
+
+    monkeypatch.setattr(tsvd, "_slice_svds", no_svd)
+    L = Transform.explicit([np.fft.fft(np.eye(5))])
+    x = np.random.default_rng(7).standard_normal((4, 4, 5))
+    with pytest.raises(ImaginaryResidueError, match="mirrored"):
+        truncate_multi_rank(x, L, [2, 1, 2, 2, 2])
+
+
+@pytest.mark.parametrize("L", [Transform.dft((5,)), Transform.dft((3,)),
+                               Transform.explicit([np.eye(3)])])
+def test_truncate_rejects_transform_of_another_trailing_shape(L):
+    # the mirror check must not index the target with another shape's map
+    x = rng().standard_normal((4, 4, 4))
+    with pytest.raises(ValueError, match="does not match"):
+        truncate_multi_rank(x, L, [2, 1, 2, 1])
 
 
 def test_truncate_validates_target():
