@@ -26,25 +26,14 @@ from .synth import (
     corrupt_tensor,
     desk_multirank,
     generate,
-    pattern_is_mirror_symmetric,
     protocol_hyperparams,
     r_err,
     run_benchmark,
     uniform_multirank,
     x_err,
 )
-from .tensor import (
-    bdiag,
-    fold,
-    frobenius_norm,
-    get_slice,
-    linear_to_slice,
-    mode_product,
-    set_slice,
-    slice_to_linear,
-    unfold,
-)
-from .transform import Transform, mirror_slice, real_part
+from .tensor import bdiag, frobenius_norm, linear_to_slice, slice_to_linear
+from .transform import Transform, real_part
 from .tsvd import (
     TSVDResult,
     conj_transpose,
@@ -67,11 +56,10 @@ __all__ = [
     "read_tensor", "write_tensor",
     "RunReport",
     "SynthConfig", "SynthInstance", "corrupt_tensor", "desk_multirank",
-    "generate", "pattern_is_mirror_symmetric", "protocol_hyperparams",
-    "r_err", "run_benchmark", "uniform_multirank", "x_err",
-    "bdiag", "fold", "frobenius_norm", "get_slice", "linear_to_slice",
-    "mode_product", "set_slice", "slice_to_linear", "unfold",
-    "Transform", "mirror_slice", "real_part",
+    "generate", "protocol_hyperparams", "r_err", "run_benchmark",
+    "uniform_multirank", "x_err",
+    "bdiag", "frobenius_norm", "linear_to_slice", "slice_to_linear",
+    "Transform", "real_part",
     "TSVDResult", "conj_transpose", "facewise_product", "factorize_lemma1",
     "identity_tensor", "multi_rank", "t_product", "t_svd",
     "truncate_multi_rank", "tubal_rank",

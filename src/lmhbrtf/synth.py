@@ -28,7 +28,6 @@ __all__ = [
     "SynthInstance",
     "uniform_multirank",
     "desk_multirank",
-    "pattern_is_mirror_symmetric",
     "generate",
     "r_err",
     "x_err",
@@ -136,12 +135,6 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
     )
 
 
-def pattern_is_mirror_symmetric(pattern, trailing) -> bool:
-    """True when conjugate-mirrored DFT slices carry equal ranks."""
-    pattern = np.asarray(pattern)
-    return np.array_equal(pattern[Transform.dft(trailing).mirror], pattern)
-
-
 def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     """Draw one synthetic instance; deterministic given cfg.seed.
 
@@ -166,7 +159,7 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     rng_f = np.random.default_rng(np.random.SeedSequence([cfg.seed, _FACTOR_STREAM]))
     u = rng_f.standard_normal((shape[0], cfg.base_rank) + trailing)
     v = rng_f.standard_normal((shape[1], cfg.base_rank) + trailing)
-    x0 = t_product(u, conj_transpose(v), L)
+    x0 = t_product(u, conj_transpose(v, L), L)
     x_gt = truncate_multi_rank(x0, L, cfg.multirank)
 
     rng_s = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SPARSE_STREAM]))

@@ -1,10 +1,10 @@
-"""Dense order-d tensor basics: layout, unfolding, mode products, slicing.
+"""Dense order-d tensor basics: layout, slice indexing and slice stacks.
 
 A tensor here is a plain :class:`numpy.ndarray` of ``float64`` or
 ``complex128`` with ``ndim >= 3``.  The canonical flat layout is
 column-major (Fortran order, first index fastest); every reshape in this
-package uses ``order='F'`` so that linear indices, unfolding columns and
-the slice enumeration below all agree with that single convention.
+package uses ``order='F'`` so that linear indices and the slice
+enumeration below agree with that single convention.
 
 Mode-1/mode-2 slices ``X[:, :, i3, ..., id]`` are enumerated by the linear
 index ``j = i3 + I3*(i4 + I4*(...))`` (0-based; the first trailing index
@@ -20,14 +20,9 @@ import numpy as np
 __all__ = [
     "as_tensor",
     "num_slices",
-    "unfold",
-    "fold",
-    "mode_product",
     "frobenius_norm",
     "slice_to_linear",
     "linear_to_slice",
-    "get_slice",
-    "set_slice",
     "to_slice_stack",
     "from_slice_stack",
     "bdiag",
@@ -53,43 +48,6 @@ def as_tensor(x, min_order: int = 3) -> np.ndarray:
 def num_slices(shape) -> int:
     """Number of mode-1/mode-2 slices, J = I3 * ... * Id."""
     return int(math.prod(shape[2:]))
-
-
-def unfold(x: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-*mode* unfolding (0-based mode index).
-
-    Row i of the result is the slice of *x* with index i along *mode*;
-    columns enumerate the remaining indices in column-major order
-    (earlier modes vary fastest).  ``fold(unfold(x, m), m, x.shape)``
-    recovers *x* exactly.
-    """
-    if not 0 <= mode < x.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{x.ndim} tensor")
-    return np.moveaxis(x, mode, 0).reshape((x.shape[mode], -1), order="F")
-
-
-def fold(mat: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for a tensor of the given *shape*."""
-    shape = tuple(shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
-    rest = shape[:mode] + shape[mode + 1:]
-    expected = (mat.shape[0] if mat.ndim else 0, math.prod(rest))
-    if mat.shape != (shape[mode], expected[1]):
-        raise ValueError(f"matrix shape {mat.shape} does not fold into {shape}")
-    return np.moveaxis(mat.reshape((shape[mode],) + rest, order="F"), 0, mode)
-
-
-def mode_product(x: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-*mode* product: fold(u @ unfold(x, mode)). *u* is (m, I_mode)."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[1] != x.shape[mode]:
-        raise ValueError(
-            f"matrix of shape {u.shape} cannot multiply mode {mode} "
-            f"of size {x.shape[mode]}"
-        )
-    new_shape = x.shape[:mode] + (u.shape[0],) + x.shape[mode + 1:]
-    return fold(u @ unfold(x, mode), mode, new_shape)
 
 
 def frobenius_norm(x: np.ndarray) -> float:
@@ -122,26 +80,6 @@ def linear_to_slice(j: int, shape) -> tuple:
         out.append(j % n)
         j //= n
     return tuple(out)
-
-
-def get_slice(x: np.ndarray, index) -> np.ndarray:
-    """The mode-1/mode-2 slice X[:, :, i3, ..., id] by tuple or linear index."""
-    if np.isscalar(index):
-        index = linear_to_slice(int(index), x.shape)
-    else:
-        index = tuple(int(i) for i in index)
-        linear_to_slice(slice_to_linear(index, x.shape), x.shape)  # range check
-    return x[(slice(None), slice(None)) + index]
-
-
-def set_slice(x: np.ndarray, index, value) -> None:
-    """In-place setter matching :func:`get_slice`."""
-    if np.isscalar(index):
-        index = linear_to_slice(int(index), x.shape)
-    else:
-        index = tuple(int(i) for i in index)
-        linear_to_slice(slice_to_linear(index, x.shape), x.shape)
-    x[(slice(None), slice(None)) + index] = value
 
 
 def to_slice_stack(x: np.ndarray) -> np.ndarray:

@@ -28,6 +28,12 @@ permutation per trailing mode (i -> -i mod I_k for the DFT, the row
 permutation that conjugation applies to an explicit matrix), and
 :attr:`Transform.mirror` combines them into the conjugate of each of the
 J slices; every per-slice rank of a real tensor is checked against it.
+
+For every invertible transform, real-safe or not, the transform also
+stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
+the conjugated, mode-1/2-swapped tensor gives its tensor conjugate
+transpose (``tsvd.conj_transpose``): L(x^H) = L(x)^H slice by slice.
+Under the DFT each C_k is the permutation i -> -i mod I_k.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import ImaginaryResidueError
 
-__all__ = ["Transform", "real_part", "real_if_close", "mirror_slice"]
+__all__ = ["Transform", "real_part", "real_if_close"]
 
 _RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
@@ -128,6 +134,9 @@ class Transform:
     # per trailing mode, p with conj(m) = m[p], or None where conjugation
     # does not permute the rows of m
     _conj_perms: tuple = field(default=(), repr=False)
+    # per trailing mode, C = m^-1 conj(m): sweeping C over the conjugated,
+    # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
+    _conj_mixers: tuple = field(default=(), repr=False)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":
@@ -136,10 +145,12 @@ class Transform:
         if len(trailing) < 1 or any(n < 1 for n in trailing):
             raise ValueError(f"invalid trailing shape {trailing}")
         mats = tuple(_dft_matrix(n) for n in trailing)
+        perms = tuple(-np.arange(n) % n for n in trailing)
         return cls(kind="dft", trailing=trailing,
                    phi=float(np.prod(trailing)), matrices=mats,
                    _inverses=tuple(m.conj() / m.shape[0] for m in mats),
-                   _conj_perms=tuple(-np.arange(n) % n for n in trailing))
+                   _conj_perms=perms,
+                   _conj_mixers=tuple(np.eye(p.size)[p] for p in perms))
 
     @classmethod
     def explicit(cls, matrices) -> "Transform":
@@ -153,7 +164,7 @@ class Transform:
         if not mats:
             raise ValueError("explicit transform needs at least one matrix")
         phi = 1.0
-        inverses, perms = [], []
+        inverses, perms, mixers = [], [], []
         for m in mats:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"transform matrix must be square, got {m.shape}")
@@ -173,6 +184,7 @@ class Transform:
                 )
             phi *= c
             inverses.append(np.linalg.inv(m))
+            mixers.append(inverses[-1] @ m.conj())
             # conj(m) = q m; real results need q to be a permutation
             q = m.conj() @ m.conj().T / c
             p = np.abs(q).argmax(axis=1)
@@ -181,7 +193,7 @@ class Transform:
             perms.append(p if permutes else None)
         return cls(kind="explicit", trailing=tuple(m.shape[0] for m in mats),
                    phi=phi, matrices=mats, _inverses=tuple(inverses),
-                   _conj_perms=tuple(perms))
+                   _conj_perms=tuple(perms), _conj_mixers=tuple(mixers))
 
     @property
     def real_safe(self) -> bool:
@@ -195,9 +207,10 @@ class Transform:
         """Linear index of the conjugate of each of the J slices.
 
         For a real X, slice ``mirror[j]`` of L(X) is the conjugate of
-        slice j.  Under the DFT this is :func:`mirror_slice`; under a
-        real matrix every slice is its own mirror.  A per-slice rank of a
-        real tensor's transform must be equal on j and ``mirror[j]``.
+        slice j.  Under the DFT each trailing index i maps to -i mod I_k;
+        under a real matrix every slice is its own mirror.  A per-slice
+        rank of a real tensor's transform must be equal on j and
+        ``mirror[j]``.
         """
         if not self.real_safe:
             raise ValueError("conjugation does not permute the slices of a "
@@ -325,10 +338,3 @@ class Transform:
             return real_part(out, rel_tol)
         return out.real.copy(order="K") if half else out
 
-
-def mirror_slice(index, trailing) -> tuple:
-    """Trailing index whose DFT slice is the conjugate of the given one.
-
-    Per mode, index 0 maps to itself and i > 0 maps to I - i.
-    """
-    return tuple((n - i) % n for i, n in zip(index, trailing))

@@ -18,7 +18,7 @@ from .tensor import (
     num_slices,
     to_slice_stack,
 )
-from .transform import Transform, real_if_close
+from .transform import Transform, _mode_product, real_if_close, real_part
 
 __all__ = [
     "TSVDResult",
@@ -39,7 +39,7 @@ DEFAULT_RANK_TOL = 1e-8
 
 @dataclass
 class TSVDResult:
-    """t-SVD factors in the original domain: x = u * s * conj_transpose(v).
+    """t-SVD factors in the original domain: x = u * s * conj_transpose(v, L).
 
     ``u`` is I1 x I1 (or I1 x r for the skinny form), ``s`` is f-diagonal
     with nonincreasing nonnegative diagonals per transform slice, ``v``
@@ -90,28 +90,35 @@ def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
     return L.inverse(zbar, assert_real=want_real)
 
 
-def conj_transpose(x: np.ndarray) -> np.ndarray:
-    """Tensor conjugate transpose in the original domain.
+def _check_trailing(x: np.ndarray, L: Transform) -> None:
+    if x.shape[2:] != L.trailing:
+        raise ValueError(f"tensor shape {x.shape} does not match transform "
+                         f"trailing shape {L.trailing}")
 
-    Conjugate-transpose every slice, then reverse the order of slices
-    2..I_k along each trailing mode k.  Its forward transform equals the
-    slice-wise conjugate transpose of the forward transform of *x*.
+
+def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
+    """Tensor conjugate transpose x^H under L: L(x^H) = L(x)^H slice by slice.
+
+    Conjugate *x* and swap modes 1 and 2, then multiply each trailing
+    mode k by C_k = M_k^-1 conj(M_k); under the DFT this reverses the
+    order of slices 2..I_k.  A real *x* under a real-safe transform
+    gives a real result, after its imaginary residue is checked.
     """
     x = as_tensor(x)
+    _check_trailing(x, L)
     out = np.swapaxes(np.conj(x), 0, 1)
+    flat, shape = np.ravel(out, order="F"), out.shape
     for axis in range(2, out.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return np.ascontiguousarray(out)
+        flat, shape = _mode_product(flat, shape, axis, L._conj_mixers[axis - 2])
+    out = flat.reshape(shape, order="F")
+    return real_part(out) if L.real_safe and not np.iscomplexobj(x) else out
 
 
-def identity_tensor(size: int, trailing, L: Transform) -> np.ndarray:
+def identity_tensor(size: int, L: Transform) -> np.ndarray:
     """Tensor acting as identity for the t-product: every transform slice is I."""
-    trailing = tuple(int(n) for n in trailing)
-    j = int(np.prod(trailing))
-    eye = np.broadcast_to(np.eye(size, dtype=np.complex128)[:, :, None],
-                          (size, size, j))
-    ibar = from_slice_stack(np.array(eye), (size, size) + trailing)
-    return L.inverse(ibar, assert_real=L.real_safe)
+    shape = (size, size) + L.trailing
+    eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * len(L.trailing))
+    return L.inverse(np.broadcast_to(eye, shape), assert_real=L.real_safe)
 
 
 def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
@@ -205,9 +212,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     ``forward(x, half=True)`` keeps only.
     """
     x = as_tensor(x)
-    if x.shape[2:] != L.trailing:
-        raise ValueError(f"tensor shape {x.shape} does not match transform "
-                         f"trailing shape {L.trailing}")
+    _check_trailing(x, L)
     target = np.asarray(target, dtype=np.int64)
     j = num_slices(x.shape)
     m = min(x.shape[0], x.shape[1])
@@ -232,7 +237,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
                      tol: float = DEFAULT_RANK_TOL):
-    """Split x into factors (u, v) of width r with x = u * conj_transpose(v).
+    """Split x into factors (u, v) of width r with x = u * conj_transpose(v, L).
 
     Per transform slice the skinny SVD is balanced into the two factors:
     u^(k) = U0 sqrt(S0), v^(k) = V0 sqrt(S0).  Requires r at least the

@@ -95,10 +95,10 @@ def test_criterion_2_bdiag_oracle_equivalence():
         z = t_product(x, y, L)
         worst = max(worst, rel(bdiag(L.forward(z)),
                                bdiag(L.forward(x)) @ bdiag(L.forward(y))))
-        worst = max(worst, rel(bdiag(L.forward(conj_transpose(x))),
+        worst = max(worst, rel(bdiag(L.forward(conj_transpose(x, L))),
                                bdiag(L.forward(x)).conj().T))
-        eye_r = identity_tensor(inner, trailing, L)
-        eye_l = identity_tensor(i1, trailing, L)
+        eye_r = identity_tensor(inner, L)
+        eye_l = identity_tensor(i1, L)
         worst = max(worst, rel(t_product(x, eye_r, L), x))
         worst = max(worst, rel(t_product(eye_l, x, L), x))
     elapsed = time.perf_counter() - t0
@@ -119,7 +119,7 @@ def test_criterion_3_tsvd_contract():
         x = rng.standard_normal(shape)
         L = Transform.dft(shape[2:])
         res = t_svd(x, L)
-        recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v), L)
+        recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v, L), L)
         worst_recon = max(worst_recon,
                           frobenius_norm(np.real(recon) - x) / frobenius_norm(x))
 

@@ -23,12 +23,10 @@ from lmhbrtf.model import (
 from lmhbrtf.synth import (
     SynthConfig,
     generate,
-    pattern_is_mirror_symmetric,
     r_err,
     x_err,
 )
-from lmhbrtf.tensor import linear_to_slice, slice_to_linear
-from lmhbrtf.transform import Transform, mirror_slice
+from lmhbrtf.transform import Transform
 
 
 SMALL_PATTERN = np.array([3, 2, 2, 3, 3, 3, 2, 2])  # mirror-symmetric on 8 slices
@@ -77,12 +75,13 @@ def test_multirank_covers_all_slices_and_is_mirror_symmetric():
     # the model stores 5 of the 8 DFT slices; the reported multi-rank and
     # every trace record still give one rank per slice
     cfg, inst = small_instance(rho=0.1, sigma_sq=1e-2, seed=6)
-    result = run(inst.y, Transform.dft((8,)), small_hp(max_iter=40), seed=1)
+    L = Transform.dft((8,))
+    result = run(inst.y, L, small_hp(max_iter=40), seed=1)
     assert result.multirank.shape == (8,)
-    assert pattern_is_mirror_symmetric(result.multirank, (8,))
+    assert np.array_equal(result.multirank[L.mirror], result.multirank)
     for rec in result.trace.records:
         assert len(rec.multirank) == 8
-        assert pattern_is_mirror_symmetric(rec.multirank, (8,))
+        assert np.array_equal(np.asarray(rec.multirank)[L.mirror], rec.multirank)
 
 
 def _enter(entry, y):
@@ -199,13 +198,10 @@ def test_conjugate_symmetry_preserved_every_iteration():
     cfg = SynthConfig(shape=shape, base_rank=3, multirank=pattern,
                       rho=0.1, sigma_sq=1e-2, seed=12)
     inst = generate(cfg)
-    state = init_state(inst.y, Transform.dft(trailing), small_hp(), seed=1)
-    pairs = []
-    for k in range(state.n_slices):
-        idx = linear_to_slice(k, shape)
-        km = slice_to_linear(mirror_slice(idx, trailing), shape)
-        if km < state.n_slices:
-            pairs.append((k, km))
+    L = Transform.dft(trailing)
+    state = init_state(inst.y, L, small_hp(), seed=1)
+    pairs = [(k, L.mirror[k]) for k in range(state.n_slices)
+             if L.mirror[k] < state.n_slices]
     assert sum(k != km for k, km in pairs) == 4
     for _ in range(25):
         manual_iteration(state)

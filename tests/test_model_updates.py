@@ -283,7 +283,6 @@ def test_update_s_absorbs_outliers_when_tau_dominates():
     outliers[1, 2, 0] = 10.0
     outliers[4, 0, 0] = -9.0
     state.y = state.y + outliers
-    state.ybar = to_slice_stack(state.transform.forward(state.y))
     state.noise.tau_a = 1e6
     state.noise.tau_b = 1.0
     state.sparse.beta_a = 1.0

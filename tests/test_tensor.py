@@ -1,4 +1,4 @@
-"""Layout, unfolding, mode products, slice indexing and the bdiag oracle."""
+"""Layout, the mode-product kernel, slice indexing and the bdiag oracle."""
 
 import itertools
 
@@ -8,16 +8,12 @@ import pytest
 from lmhbrtf.tensor import (
     as_tensor,
     bdiag,
-    fold,
     frobenius_norm,
-    get_slice,
     linear_to_slice,
-    mode_product,
-    set_slice,
     slice_to_linear,
     to_slice_stack,
-    unfold,
 )
+from lmhbrtf.transform import _mode_product
 
 
 def rng():
@@ -28,47 +24,17 @@ def random_shapes():
     return [(4, 3, 2), (2, 5, 3, 2), (3, 2, 2, 2, 2)]
 
 
+def mode_product(x, u, mode):
+    """The transforms' kernel on a whole tensor: fold(u @ unfold(x, mode))."""
+    flat, shape = _mode_product(np.ravel(x, order="F"), x.shape, mode, u)
+    return flat.reshape(shape, order="F")
+
+
 def test_as_tensor_rejects_low_order():
     with pytest.raises(ValueError):
         as_tensor(np.zeros((3, 3)))
     assert as_tensor(np.zeros((3, 3, 1))).dtype == np.float64
     assert as_tensor(np.zeros((3, 3, 1), dtype=complex)).dtype == np.complex128
-
-
-def test_unfold_matrix_is_identity():
-    m = rng().standard_normal((3, 4))
-    assert np.array_equal(unfold(m, 0), m)
-
-
-def test_unfold_zero_tensor():
-    z = np.zeros((2, 3, 2))
-    assert np.array_equal(unfold(z, 1), np.zeros((3, 4)))
-
-
-def test_unfold_layout_matches_brute_force():
-    # entries 1..8 in column-major order on a 2x2x2 tensor
-    x = np.arange(1.0, 9.0).reshape((2, 2, 2), order="F")
-    got = unfold(x, 0)
-    # oracle: enumerate remaining multi-indices, earlier modes fastest
-    cols = [x[:, j, k] for k, j in itertools.product(range(2), range(2))]
-    expected = np.stack(cols, axis=1)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(got, np.array([[1.0, 3.0, 5.0, 7.0],
-                                         [2.0, 4.0, 6.0, 8.0]]))
-
-
-@pytest.mark.parametrize("shape", random_shapes())
-def test_fold_unfold_roundtrip_every_mode(shape):
-    x = rng().standard_normal(shape)
-    for mode in range(len(shape)):
-        assert np.array_equal(fold(unfold(x, mode), mode, shape), x)
-
-
-def test_unfold_invalid_mode():
-    with pytest.raises(ValueError):
-        unfold(np.zeros((2, 2, 2)), 3)
-    with pytest.raises(ValueError):
-        unfold(np.zeros((2, 2, 2)), -1)
 
 
 def test_mode_product_identity_and_zero():
@@ -119,7 +85,7 @@ def test_frobenius_norm_unfolding_invariant(shape):
     x = rng().standard_normal(shape)
     ref = frobenius_norm(x) ** 2
     for mode in range(len(shape)):
-        other = frobenius_norm(unfold(x, mode)) ** 2
+        other = frobenius_norm(np.moveaxis(x, mode, 0).reshape(shape[mode], -1)) ** 2
         assert abs(other - ref) <= 1e-12 * ref
 
 
@@ -150,27 +116,12 @@ def test_slice_index_out_of_range():
         linear_to_slice(6, (2, 2, 3, 2))
 
 
-def test_get_slice_first_and_linear():
-    x = rng().standard_normal((2, 2, 2))
-    assert np.array_equal(get_slice(x, 0), x[:, :, 0])
-    assert np.array_equal(get_slice(x, (1,)), x[:, :, 1])
-    x4 = rng().standard_normal((2, 3, 2, 2))
-    assert np.array_equal(get_slice(x4, 3), x4[:, :, 1, 1])
-
-
-def test_set_slice_roundtrip():
-    x = np.zeros((2, 2, 3))
-    block = np.arange(4.0).reshape(2, 2)
-    set_slice(x, 2, block)
-    assert np.array_equal(get_slice(x, 2), block)
-    assert np.array_equal(get_slice(x, 0), np.zeros((2, 2)))
-
-
 def test_slice_stack_order_matches_linear_index():
     x = rng().standard_normal((2, 3, 2, 2))
     stack = to_slice_stack(x)
     for j in range(4):
-        assert np.array_equal(stack[:, :, j], get_slice(x, j))
+        i3, i4 = linear_to_slice(j, x.shape)
+        assert np.array_equal(stack[:, :, j], x[:, :, i3, i4])
 
 
 def test_bdiag_single_slice_and_zero():

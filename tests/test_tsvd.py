@@ -43,6 +43,46 @@ def random_multirank_tensor(shape, ranks, seed=5):
     return np.real(x) if np.linalg.norm(x.imag) < 1e-8 * np.linalg.norm(x) else x
 
 
+def dft_conj_transpose_reference(x):
+    """DFT-only conjugate transpose: conjugate-transpose every slice, then
+    reverse the order of slices 2..I_k along each trailing mode k."""
+    out = np.swapaxes(np.conj(x), 0, 1)
+    for axis in range(2, out.ndim):
+        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
+    return np.ascontiguousarray(out)
+
+
+def orthogonal(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def phased_dft(n, seed):
+    """diag(e^{i theta}) F with theta_{-i} = -theta_i: real-safe, but
+    C = M^-1 conj(M) is dense rather than the DFT's slice reversal."""
+    theta = np.random.default_rng(seed).standard_normal(n)
+    theta = (theta - theta[-np.arange(n) % n]) / 2
+    return np.exp(1j * theta)[:, None] * np.fft.fft(np.eye(n))
+
+
+# explicit transforms of orders 3 and 4; all real-safe except the phases
+EXPLICIT = {
+    "orthogonal-4": [orthogonal(4, 1)],
+    "orthogonal-4x3": [orthogonal(4, 2), orthogonal(3, 3)],
+    "dft-5": [np.fft.fft(np.eye(5))],
+    "dft-3x4": [np.fft.fft(np.eye(3)), np.fft.fft(np.eye(4), norm="ortho")],
+    "phased-dft-5": [phased_dft(5, 4)],
+    "phased-dft-5x4": [phased_dft(5, 5), phased_dft(4, 6)],
+    "phases-3": [np.diag(np.exp(1j * np.array([0.3, 1.1, -0.4])))],
+}
+
+
+def real_and_complex(shape, seed):
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(shape)
+    return x, x + 1j * r.standard_normal(shape)
+
+
 def test_facewise_identity_case():
     x = rng().standard_normal((3, 3, 2, 2))
     eye = np.zeros((3, 3, 2, 2))
@@ -74,9 +114,9 @@ def test_facewise_shape_errors():
 def test_t_product_identity_law():
     L = Transform.dft((2, 3))
     x = rng().standard_normal((4, 3, 2, 3))
-    eye = identity_tensor(3, (2, 3), L)
+    eye = identity_tensor(3, L)
     assert frobenius_norm(t_product(x, eye, L) - x) <= 1e-12 * frobenius_norm(x)
-    eye_left = identity_tensor(4, (2, 3), L)
+    eye_left = identity_tensor(4, L)
     assert frobenius_norm(t_product(eye_left, x, L) - x) <= 1e-12 * frobenius_norm(x)
 
 
@@ -109,14 +149,15 @@ def test_t_product_matches_bdiag_oracle_order4():
 
 def test_conj_transpose_single_slice():
     x = rng().standard_normal((3, 2, 1)) + 1j * rng().standard_normal((3, 2, 1))
-    xt = conj_transpose(x)
+    xt = conj_transpose(x, Transform.dft((1,)))
     assert xt.shape == (2, 3, 1)
     assert np.allclose(xt[:, :, 0], x[:, :, 0].conj().T, atol=0)
 
 
 def test_conj_transpose_involution():
     x = rng().standard_normal((3, 4, 3, 2))
-    assert np.allclose(conj_transpose(conj_transpose(x)), x, atol=0)
+    L = Transform.dft((3, 2))
+    assert np.allclose(conj_transpose(conj_transpose(x, L), L), x, atol=0)
 
 
 def test_conj_transpose_transform_domain_oracle():
@@ -124,16 +165,43 @@ def test_conj_transpose_transform_domain_oracle():
     for shape in [(3, 4, 5), (2, 3, 2, 4)]:
         L = Transform.dft(shape[2:])
         x = rng().standard_normal(shape)
-        lhs = to_slice_stack(L.forward(conj_transpose(x)))
+        lhs = to_slice_stack(L.forward(conj_transpose(x, L)))
         rhs = to_slice_stack(L.forward(x))
         for k in range(lhs.shape[2]):
             err = np.linalg.norm(lhs[:, :, k] - rhs[:, :, k].conj().T)
             assert err <= 1e-12 * max(np.linalg.norm(rhs[:, :, k]), 1e-300)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 3), (2, 2, 3, 2, 4), (3, 2, 1)])
+def test_conj_transpose_under_the_dft_is_the_slice_reversal_bitwise(shape):
+    L = Transform.dft(shape[2:])
+    for x in real_and_complex(shape, sum(shape)):
+        got = conj_transpose(x, L)
+        want = dft_conj_transpose_reference(x)
+        assert got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_conj_transpose_transform_domain_oracle_explicit(name):
+    # L(x^H) = L(x)^H slice by slice under any invertible transform
+    L = Transform.explicit(EXPLICIT[name])
+    assert L.real_safe == (name != "phases-3")
+    for x in real_and_complex((3, 4) + L.trailing, 21):
+        xt = conj_transpose(x, L)
+        assert np.isrealobj(xt) == (L.real_safe and np.isrealobj(x))
+        want = np.swapaxes(L.forward(x), 0, 1).conj()
+        assert frobenius_norm(L.forward(xt) - want) <= 1e-12 * frobenius_norm(want)
+
+
+def test_conj_transpose_rejects_transform_of_another_trailing_shape():
+    with pytest.raises(ValueError, match="does not match"):
+        conj_transpose(np.zeros((2, 3, 4)), Transform.dft((3,)))
+
+
 def test_identity_tensor_small_dft():
     L = Transform.dft((2,))
-    eye = identity_tensor(1, (2,), L)
+    eye = identity_tensor(1, L)
     assert np.allclose(eye.ravel(), [1.0, 0.0], atol=1e-15)
     ibar = to_slice_stack(L.forward(eye))
     for k in range(2):
@@ -142,8 +210,8 @@ def test_identity_tensor_small_dft():
 
 def test_identity_tensor_conj_transpose_symmetry():
     L = Transform.dft((3, 2))
-    eye = identity_tensor(3, (3, 2), L)
-    assert np.allclose(conj_transpose(eye), eye, atol=1e-12)
+    eye = identity_tensor(3, L)
+    assert np.allclose(conj_transpose(eye, L), eye, atol=1e-12)
 
 
 def test_t_svd_f_diagonal_input():
@@ -175,7 +243,7 @@ def test_t_svd_reconstruction_and_identities():
     L = Transform.dft(shape[2:])
     x = rng().standard_normal(shape)
     res = t_svd(x, L)
-    recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v), L)
+    recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v, L), L)
     assert frobenius_norm(np.real(recon) - x) <= 1e-10 * frobenius_norm(x)
 
     # first original-domain slice of s carries phi-scaled sums of the
@@ -203,7 +271,7 @@ def test_t_svd_slice_orthogonality():
 def test_multi_rank_zero_and_identity():
     L = Transform.dft((2,))
     assert np.array_equal(multi_rank(np.zeros((3, 3, 2)), L), [0, 0])
-    eye = identity_tensor(2, (2,), L)
+    eye = identity_tensor(2, L)
     assert np.array_equal(multi_rank(eye, L), [2, 2])
 
 
@@ -328,8 +396,9 @@ def test_factorize_lemma1_zero_and_rank_one():
     assert frobenius_norm(u) == 0.0 and frobenius_norm(v) == 0.0
 
     x = random_multirank_tensor((4, 4, 3), [1, 1, 1], seed=4)
-    u, v = factorize_lemma1(x, L=Transform.dft((3,)), r=1)
-    recon = t_product(u, conj_transpose(v), Transform.dft((3,)))
+    L = Transform.dft((3,))
+    u, v = factorize_lemma1(x, L=L, r=1)
+    recon = t_product(u, conj_transpose(v, L), L)
     assert frobenius_norm(np.real(recon) - x) <= 1e-10 * frobenius_norm(x)
 
 
@@ -339,7 +408,7 @@ def test_factorize_lemma1_exact_at_tubal_rank():
     x = random_multirank_tensor((6, 5, 2, 2), ranks, seed=12)
     r = max(ranks)
     u, v = factorize_lemma1(x, L, r)
-    recon = t_product(u, conj_transpose(v), L)
+    recon = t_product(u, conj_transpose(v, L), L)
     assert frobenius_norm(np.real(recon) - x) <= 1e-10 * frobenius_norm(x)
 
 
@@ -351,7 +420,7 @@ def test_t_svd_skinny_form():
     assert res.u.shape == (6, 3, 2, 2)
     assert res.s.shape == (3, 3, 2, 2)
     assert res.v.shape == (5, 3, 2, 2)
-    recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v), L)
+    recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v, L), L)
     assert frobenius_norm(np.real(recon) - x) <= 1e-10 * frobenius_norm(x)
     # orthonormal columns and zero-padded singular values per slice
     ubar = to_slice_stack(L.forward(res.u))
@@ -363,6 +432,29 @@ def test_t_svd_skinny_form():
         assert np.count_nonzero(diag > 1e-8 * max(diag.max(), 1e-300)) == ranks[k]
     with pytest.raises(ValueError, match="skinny width"):
         t_svd(x, L, rank=9)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_t_svd_reconstruction_under_explicit_transforms(name):
+    L = Transform.explicit(EXPLICIT[name])
+    for x in real_and_complex((5, 4) + L.trailing, 31):
+        res = t_svd(x, L)
+        recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v, L), L)
+        assert frobenius_norm(recon - x) <= 1e-12 * frobenius_norm(x)
+        low = t_product(x[:, :2], x[:2], L)  # tubal rank 2 under L
+        res = t_svd(low, L, rank=2)
+        recon = t_product(t_product(res.u, res.s, L), conj_transpose(res.v, L), L)
+        assert frobenius_norm(recon - low) <= 1e-12 * frobenius_norm(low)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_factorize_lemma1_under_explicit_transforms(name):
+    L = Transform.explicit(EXPLICIT[name])
+    for x in real_and_complex((5, 4) + L.trailing, 41):
+        low = t_product(x[:, :2], x[:2], L)  # tubal rank 2 under L
+        u, v = factorize_lemma1(low, L, 2)
+        recon = t_product(u, conj_transpose(v, L), L)
+        assert frobenius_norm(recon - low) <= 1e-12 * frobenius_norm(low)
 
 
 def test_factorize_lemma1_rejects_small_width():
