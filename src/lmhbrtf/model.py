@@ -368,42 +368,73 @@ def _slice_name(state: ModelState, k: int) -> str:
     return f"slice {k} (trailing index {linear_to_slice(k, state.shape)})"
 
 
-def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray:
-    """Stacked inverse of the posterior precisions, Hermitian and zero-padded.
+def _first_not_positive_definite(prec: np.ndarray) -> Optional[int]:
+    """Index of the first matrix in the stack without a Cholesky factor."""
+    for k, p in enumerate(prec):
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            return k
+    return None
 
-    Inactive entries are pinned to the identity for the inverse (so a
-    padded slice is not singular) and zeroed again afterwards.
+
+def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray:
+    """Stacked inverse of the posterior precisions, from their Cholesky factors.
+
+    With prec = C C^H, X = C^-1 comes from forward substitution, one row
+    per step for all slices at once, and the covariance is X^H X:
+    Hermitian positive semidefinite by construction.  Inactive entries
+    are pinned to the identity for the factorization (so a padded slice
+    is not singular) and their rows of X are zero, so the padding of the
+    covariance is exactly zero.
     """
-    pairs = _pair_mask(state.factors.active)
-    prec = np.where(pairs, prec, np.eye(prec.shape[-1]))
+    active = state.factors.active
+    if not active.all():
+        prec = np.where(_pair_mask(active), prec, np.eye(prec.shape[-1]))
     try:
-        cov = np.linalg.inv(prec)
+        chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
-        singular = np.flatnonzero(np.linalg.slogdet(prec)[0] == 0)
-        where = _slice_name(state, int(singular[0])) if singular.size else "a slice"
+        k = _first_not_positive_definite(prec)
+        where = "a slice" if k is None else _slice_name(state, k)
         raise NumericalBreakdownError(
             f"singular posterior precision of {side} on {where}: {exc}") from exc
-    return np.where(pairs, 0.5 * (cov + _hermitian_t(cov)), 0)
+    # reciprocal pivots; zero on padded rows keeps those rows of X zero
+    dinv = active / np.diagonal(chol, axis1=1, axis2=2).real
+    x = np.zeros_like(chol)
+    diag = np.arange(chol.shape[-1])
+    x[:, diag, diag] = dinv
+    neg = -dinv[:, :, None]
+    for i in range(1, diag.size):
+        np.multiply(chol[:, i:i + 1, :i] @ x[:, :i, :i], neg[:, i:i + 1],
+                    out=x[:, i:i + 1, :i])
+    return _hermitian_t(x) @ x
 
 
-def _update_factor(state: ModelState, side: str) -> FactorState:
+def _update_factor(state: ModelState, side: str,
+                   gram: Optional[np.ndarray]) -> FactorState:
     """Closed-form update of one factor's posterior on every slice.
 
     For U the precision is scale * <V^H V> + w * diag(lambda) and the
-    mean scale * R V Sigma_u, R = L(Y - S) the residual stack; V
-    mirrors it with R^H, read as (U^H R)^H so that R is not copied,
-    and the roles of U and V swapped.
+    mean scale * (R V) Sigma_u, R = L(Y - S) the residual stack; V
+    mirrors it with R^H, read as (U^H R)^H, and the roles of U and V
+    swapped.  The scale multiplies the (K, I, R) product, so the
+    residual stack is never copied.  *gram* is the other factor's mean
+    Gram matrix (V^H V for U), formed here when not given.
     """
     scale = state.noise.tau_mean / state.phi
     w = _refinement_weight(state)
     f = state.factors
     if side == "u":
         other, other_cov, rows = f.v_mean, f.sigma_v, state.shape[1]
-        proj = scale * state.resid @ other
+        proj = state.resid @ other
     else:
         other, other_cov, rows = f.u_mean, f.sigma_u, state.shape[0]
-        proj = scale * _hermitian_t(_hermitian_t(other) @ state.resid)
-    prec = scale * (rows * other_cov + _hermitian_t(other) @ other)
+        proj = _hermitian_t(other) @ state.resid
+        proj = np.conjugate(proj, out=proj).transpose(0, 2, 1)
+    proj *= scale
+    if gram is None:
+        gram = _hermitian_t(other) @ other
+    prec = scale * (rows * other_cov + gram)
     diag = np.arange(prec.shape[-1])
     prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
     cov = _posterior_cov(state, prec, side.upper())
@@ -415,14 +446,20 @@ def _update_factor(state: ModelState, side: str) -> FactorState:
     return f
 
 
-def update_u(state: ModelState) -> FactorState:
-    """Closed-form update of the left factor posterior."""
-    return _update_factor(state, "u")
+def update_u(state: ModelState, vtv: Optional[np.ndarray] = None) -> FactorState:
+    """Closed-form update of the left factor posterior.
+
+    *vtv* is V^H V of the current ``v_mean``, formed when not given.
+    """
+    return _update_factor(state, "u", vtv)
 
 
-def update_v(state: ModelState) -> FactorState:
-    """Closed-form update of the right factor posterior."""
-    return _update_factor(state, "v")
+def update_v(state: ModelState, utu: Optional[np.ndarray] = None) -> FactorState:
+    """Closed-form update of the right factor posterior.
+
+    *utu* is U^H U of the current ``u_mean``, formed when not given.
+    """
+    return _update_factor(state, "v", utu)
 
 
 def _column_sq_norms(m: np.ndarray) -> np.ndarray:
@@ -440,13 +477,19 @@ def _column_energy(state: ModelState) -> np.ndarray:
             + i2 * np.diagonal(f.sigma_v, axis1=1, axis2=2).real + _column_sq_norms(f.v_mean))
 
 
-def update_lambda(state: ModelState) -> NoiseState:
-    """Gamma update of the per-column ARD precisions."""
+def update_lambda(state: ModelState, energy: Optional[np.ndarray] = None) -> NoiseState:
+    """Gamma update of the per-column ARD precisions.
+
+    *energy* is the (K, R) column energy of the current factors,
+    computed when not given.
+    """
     i1, i2 = state.shape[:2]
     hp = state.hp
     noise = state.noise
+    if energy is None:
+        energy = _column_energy(state)
     noise.lambda_a = hp.a0_lambda + (i1 + i2) / 2
-    noise.lambda_b = hp.b0_lambda + _column_energy(state) / 2
+    noise.lambda_b = hp.b0_lambda + energy / 2
     return noise
 
 
@@ -505,15 +548,18 @@ def update_beta(state: ModelState) -> SparseState:
     return sp
 
 
-def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = None) -> float:
+def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = None,
+                         utu: Optional[np.ndarray] = None,
+                         vtv: Optional[np.ndarray] = None) -> float:
     """Expected squared transform-domain residual <||Ybar - U V^H - Sbar||^2>.
 
     Expands into the squared mean residual plus the factor-covariance
     cross terms and the transform-scaled sparse variances.  The sum runs
     over all J slices: each kept slice counts with its weight.
     *products* is the stack of slice products U V^H of the current
-    factors (``state.xbar`` right after :func:`update_s`); it is
-    computed from the factors when not given.
+    factors (``state.xbar`` right after :func:`update_s`), and *utu* and
+    *vtv* are the Gram stacks U^H U and V^H V of the current means; each
+    is computed from the factors when not given.
     """
     i1, i2 = state.shape[:2]
     f = state.factors
@@ -528,8 +574,12 @@ def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = Non
     parts = res.reshape(-1, order="F").view(np.float64).reshape(state.n_slices, -1)
     t = np.einsum("ki,ki->k", parts, parts)
     t += i1 * i2 * np.einsum("kij,kji->k", sv, su).real
-    t += i1 * np.einsum("kij,kji->k", su, _hermitian_t(mv) @ mv).real
-    t += i2 * np.einsum("kij,kji->k", sv, _hermitian_t(mu) @ mu).real
+    if utu is None:
+        utu = _hermitian_t(mu) @ mu
+    if vtv is None:
+        vtv = _hermitian_t(mv) @ mv
+    t += i1 * np.einsum("kij,kji->k", su, vtv).real
+    t += i2 * np.einsum("kij,kji->k", sv, utu).real
     return float(t @ state.transform.slice_weights
                  + state.phi * state.sparse.s_var.sum())
 
@@ -558,7 +608,8 @@ def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
     return state.noise.fit
 
 
-def prune_columns(state: ModelState, threshold: Optional[float] = None) -> np.ndarray:
+def prune_columns(state: ModelState, threshold: Optional[float] = None,
+                  energy: Optional[np.ndarray] = None) -> np.ndarray:
     """Drop factor columns whose relative energy fell below *threshold*.
 
     Column r of slice k is removed when its mean-plus-covariance energy
@@ -567,13 +618,17 @@ def prune_columns(state: ModelState, threshold: Optional[float] = None) -> np.nd
     unless the whole slice is exactly zero.  Survivors move to the front
     in their original order and the stacks shrink to the new largest
     rank.  Returns the new multi-rank, one rank for each of the J slices.
+    *energy* is the (K, R) column energy of the current factors, as
+    handed to :func:`update_lambda`; it is computed when not given.
     """
     if threshold is None:
         threshold = state.hp.prune_threshold
+    if energy is None:
+        energy = _column_energy(state)
     i1, i2 = state.shape[:2]
     f = state.factors
     noise = state.noise
-    energy = _column_energy(state) / (i1 + i2)
+    energy = energy / (i1 + i2)
     top = energy.max(axis=1, initial=0.0)[:, None]
     # padding has zero energy, so it never passes a positive threshold; an
     # all-zero slice keeps no column
@@ -648,17 +703,27 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
         return RunResult(x_prev, state.sparse.s_mean.copy(),
                          state.multirank, trace)
 
+    # the Grams and the column energy are formed once per iteration and handed
+    # on; V^H V carries over to the next update_u unless pruning replaced V
+    vtv = None
     for it in range(1, hp.max_iter + 1):
         try:
-            update_u(state)
-            update_v(state)
-            update_lambda(state)
+            f = update_u(state, vtv=vtv)
+            utu = _hermitian_t(f.u_mean) @ f.u_mean
+            update_v(state, utu=utu)
+            v_mean = f.v_mean
+            vtv = _hermitian_t(v_mean) @ v_mean
+            energy = _column_energy(state)
+            update_lambda(state, energy=energy)
             update_s(state)
             update_beta(state)
-            resid_sq = expected_residual_sq(state, products=state.xbar)
+            resid_sq = expected_residual_sq(state, products=state.xbar,
+                                            utu=utu, vtv=vtv)
             update_tau(state, resid_sq=resid_sq)
             compute_fit(state, resid_sq=resid_sq)
-            prune_columns(state)
+            prune_columns(state, energy=energy)
+            if state.factors.v_mean is not v_mean:
+                vtv = None
             _check_state_positive(state)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"iteration {it}: {exc}") from exc

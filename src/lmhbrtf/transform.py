@@ -230,7 +230,7 @@ class Transform:
         """Trailing shape of ``forward(x, half=True)``."""
         return self.trailing[:-1] + (self._kept,)
 
-    @property
+    @cached_property
     def _last_weights(self) -> np.ndarray:
         # a kept DFT index stands for itself and its dropped mirror n - i,
         # unless it is its own mirror (i = 0 or i = n/2)
@@ -238,6 +238,11 @@ class Transform:
         if self.kind != "dft":
             return np.ones(i.size)
         return np.where((2 * i) % self.trailing[-1] == 0, 1.0, 2.0)
+
+    @cached_property
+    def _self_paired(self) -> np.ndarray:
+        # kept indices of the last mode that are their own mirror (weight 1)
+        return np.flatnonzero(self._last_weights == 1)
 
     @cached_property
     def slice_weights(self) -> np.ndarray:
@@ -328,7 +333,7 @@ class Transform:
                 # the full inverse: (Im z_0 + (-1)^t Im z_{n/2}) / n; the
                 # strided dot products copy no row
                 sq = sum(float(np.dot(z[i].imag, z[i].imag))
-                         for i in np.flatnonzero(self._last_weights == 1))
+                         for i in self._self_paired)
                 residue = math.sqrt(sq / self.trailing[-1])
                 _check_residue(residue, float(np.linalg.norm(out)), rel_tol)
             return out

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from lmhbrtf import model
 from lmhbrtf.model import (
     HyperParams,
     compute_fit,
@@ -230,10 +231,19 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
         vtv = (b.shape[1] * b.factors.sigma_v[k]
                + b.factors.v_mean[k].conj().T @ b.factors.v_mean[k])
         prec = scale * vtv + np.diag(w * b.noise.lambda_mean(k))
-        cov = np.linalg.inv(prec)
-        cov = 0.5 * (cov + cov.conj().T)
+        # Sigma = X^H X with X = chol^-1 by forward substitution, row by row
+        chol = np.linalg.cholesky(prec)
+        dinv = 1.0 / np.diagonal(chol).real
+        x = np.zeros_like(chol)
+        x[0, 0] = dinv[0]
+        for i in range(1, len(x)):
+            x[i, :i] = (chol[i:i + 1, :i] @ x[:i, :i])[0] * -dinv[i]
+            x[i, i] = dinv[i]
+        cov = x.conj().T @ x
         b.factors.sigma_u[k] = cov
-        b.factors.u_mean[k] = scale * b.resid[k] @ b.factors.v_mean[k] @ cov
+        proj = b.resid[k] @ b.factors.v_mean[k]
+        proj *= scale
+        b.factors.u_mean[k] = proj @ cov
 
     for k in range(a.n_slices):
         assert a.factors.u_mean[k].tobytes() == b.factors.u_mean[k].tobytes()
@@ -255,3 +265,48 @@ def test_positivity_invariant_holds_through_noisy_run():
             if r:
                 assert np.diagonal(state.factors.sigma_u[k])[:r].real.min() > 0
                 assert np.diagonal(state.factors.sigma_v[k])[:r].real.min() > 0
+
+
+# The phases an external tracer hooks by replacing these module attributes
+# (bench/tracing.py): run() must look each up at call time, once per
+# iteration, with the state as the first positional argument.
+ITERATION_PHASES = ("update_u", "update_v", "update_lambda", "update_s",
+                    "reconstruct_x", "update_beta", "expected_residual_sq",
+                    "update_tau", "compute_fit", "prune_columns")
+
+
+def test_run_calls_each_phase_through_the_module_once_per_iteration(monkeypatch):
+    calls = []  # (name, type of the first positional argument, enclosing calls)
+    active = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, type(args[0]) if args else None, tuple(active)))
+            active.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    for name in ("init_state",) + ITERATION_PHASES:
+        monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+    _, inst = small_instance(rho=0.05, sigma_sq=1e-3, seed=13)
+    result = model.run(inst.y, Transform.dft((8,)), small_hp(max_iter=5), seed=2)
+    n = len(result.trace.records)
+    assert n == 5
+
+    assert all(first is model.ModelState
+               for name, first, _ in calls if name != "init_state")
+    top = [name for name, _, outer in calls if not outer]
+    nested = [(name, outer) for name, _, outer in calls
+              if outer and outer[0] != "init_state"]
+    # set-up and the initial reconstruction precede the loop; every later
+    # reconstruction is update_s's
+    assert top[:2] == ["init_state", "reconstruct_x"]
+    assert nested == [("reconstruct_x", ("update_s",))] * n
+    per_iteration = sorted(p for p in ITERATION_PHASES if p != "reconstruct_x")
+    starts = [i for i, name in enumerate(top) if name == "update_u"]
+    assert starts[0] == 2 and len(starts) == n
+    for a, b in zip(starts, starts[1:] + [len(top)]):
+        assert sorted(top[a:b]) == per_iteration

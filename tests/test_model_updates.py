@@ -643,6 +643,18 @@ def test_singular_precision_names_the_slice():
         update_u(state)
 
 
+def test_indefinite_precision_names_the_slice():
+    # a negative variance makes slice 2's precision of U indefinite but
+    # nonsingular: an inverse would succeed, the Cholesky factorization fails
+    state = make_state(shape=(4, 4, 5), r=2, seed=5)
+    state.factors.sigma_v[2][0, 0] = -1e3
+    assert np.linalg.eigvalsh(state.factors.sigma_v[2]).min() < 0
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"singular posterior precision of U on slice 2 "
+                             r"\(trailing index \(2,\)\)"):
+        update_u(state)
+
+
 def test_non_positive_lambda_b_names_the_slice():
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
     state.noise.lambda_b[2, 1] = 0.0
@@ -662,8 +674,8 @@ def test_breakdown_in_run_names_the_iteration(monkeypatch):
     original = model.update_lambda
     calls = []
 
-    def update_lambda_breaking_at_3(state):
-        original(state)
+    def update_lambda_breaking_at_3(state, energy=None):
+        original(state, energy=energy)
         calls.append(1)
         if len(calls) == 3:
             state.noise.lambda_b[1, 0] = -1.0
@@ -672,4 +684,22 @@ def test_breakdown_in_run_names_the_iteration(monkeypatch):
     with pytest.raises(NumericalBreakdownError,
                        match=r"^iteration 3: ARD Gamma rate lambda_b is not "
                              r"positive on slice 1 \(trailing index \(1,\)\)"):
+        run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
+
+
+def test_indefinite_precision_in_run_names_the_iteration(monkeypatch):
+    y = np.random.default_rng(3).standard_normal((5, 5, 4))
+    original = model.update_u
+    calls = []
+
+    def update_u_after_bad_variance_at_3(state, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            state.factors.sigma_v[1][0, 0] = -1e3
+        return original(state, **kwargs)
+
+    monkeypatch.setattr(model, "update_u", update_u_after_bad_variance_at_3)
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"^iteration 3: singular posterior precision of U "
+                             r"on slice 1 \(trailing index \(1,\)\)"):
         run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
