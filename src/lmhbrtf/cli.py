@@ -9,6 +9,7 @@ over --config file over built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,7 @@ _DEFAULTS = {
         "normalize": False,
     },
     "denoise": {
-        "transform": "dft", "transform_file": None, "init_rank": "auto",
+        "transform_file": None, "init_rank": "auto",
         "sigma0sq": 1e-7, "tol": 1e-4, "max_iter": 200, "gamma": "auto",
         "threshold": 1e-4, "report": None, "sparse_out": None, "threads": 0,
     },
@@ -74,9 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
+    # no prefix matching: a removed flag must not parse as a longer one
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic instance, recover it "
-                                     "and score the recovery")
+    p = add_parser("synth", help="generate a synthetic instance, recover it "
+                                 "and score the recovery")
     p.add_argument("--dims", required=True,
                    help="comma-separated tensor sizes, e.g. 50,50,5,5")
     p.add_argument("--rank", type=int, required=True, help="base rank R of the planted factors")
@@ -101,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("corrupt", help="outlier-corrupt a tensor file, optionally "
-                                       "normalize, then add Gaussian noise")
+    p = add_parser("corrupt", help="outlier-corrupt a tensor file, optionally "
+                                   "normalize, then add Gaussian noise")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -115,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("denoise", help="recover the low-rank and sparse parts of a tensor")
+    p = add_parser("denoise", help="recover the low-rank and sparse parts of a tensor")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output path for the low-rank estimate")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--transform", choices=["dft"], help="built-in transform (default dft)")
     p.add_argument("--transform-file", dest="transform_file", nargs="+",
-                   help="explicit transform: one NPY matrix per mode 3..d")
+                   help="explicit transform: one NPY matrix per mode 3..d "
+                        "(default: the DFT)")
     p.add_argument("--init-rank", dest="init_rank", help="starting rank per slice, or 'auto'")
     p.add_argument("--sigma0sq", type=float, help="initial sparse variance")
     p.add_argument("--tol", type=float)
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with default flag values")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("metrics", help="PSNR/SSIM/ERGAS/SAM between two tensor files")
+    p = add_parser("metrics", help="PSNR/SSIM/ERGAS/SAM between two tensor files")
     p.add_argument("--ref", required=True)
     p.add_argument("--est", required=True)
     p.add_argument("--out", required=True)
@@ -227,29 +230,30 @@ def _load_input_tensor(path) -> np.ndarray:
     return arr
 
 
-def cmd_synth(args) -> None:
-    opts = _resolve(args, "synth")
-    dims = _parse_dims(args.dims)
-    if opts["order"] is not None and int(opts["order"]) != len(dims):
-        raise UsageError(f"--order {opts['order']} contradicts --dims of order {len(dims)}")
-    if not 0.0 <= args.rho <= 1.0:
-        raise UsageError("--rho must lie in [0, 1]")
-    if args.sigma2 < 0:
-        raise UsageError("--sigma2 must be nonnegative")
-    pattern = _parse_pattern(opts["pattern"], dims, args.rank)
-    try:
-        cfg = SynthConfig(shape=dims, base_rank=args.rank, multirank=pattern,
-                          rho=args.rho, sigma_sq=args.sigma2, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    hp = HyperParams(
-        init_rank=_parse_init_rank(opts["init_rank"], dims),
+def _hyperparams(opts, shape) -> HyperParams:
+    """The model settings from the resolved options of synth or denoise."""
+    return HyperParams(
+        init_rank=_parse_init_rank(opts["init_rank"], shape),
         sigma0_sq=float(opts["sigma0sq"]),
         gamma=_parse_gamma(opts["gamma"]),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
         prune_threshold=float(opts["threshold"]),
     )
+
+
+def cmd_synth(args) -> None:
+    opts = _resolve(args, "synth")
+    dims = _parse_dims(args.dims)
+    if opts["order"] is not None and int(opts["order"]) != len(dims):
+        raise UsageError(f"--order {opts['order']} contradicts --dims of order {len(dims)}")
+    pattern = _parse_pattern(opts["pattern"], dims, args.rank)
+    try:
+        cfg = SynthConfig(shape=dims, base_rank=args.rank, multirank=pattern,
+                          rho=args.rho, sigma_sq=args.sigma2, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    hp = _hyperparams(opts, dims)
     saved = {}
 
     def keep_tensors(cfg_rep, inst, result):
@@ -324,14 +328,7 @@ def cmd_denoise(args) -> None:
         raise UsageError(
             f"transform trailing shape {transform.trailing} does not match "
             f"input {y.shape}")
-    hp = HyperParams(
-        init_rank=_parse_init_rank(opts["init_rank"], y.shape),
-        sigma0_sq=float(opts["sigma0sq"]),
-        gamma=_parse_gamma(opts["gamma"]),
-        tol=float(opts["tol"]),
-        max_iter=int(opts["max_iter"]),
-        prune_threshold=float(opts["threshold"]),
-    )
+    hp = _hyperparams(opts, y.shape)
     t0 = time.perf_counter()
     result = run(y, transform, hp, seed=args.seed)
     elapsed = time.perf_counter() - t0

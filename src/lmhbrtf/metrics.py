@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import to_slice_stack
+from .tensor import num_slices, to_slice_stack
 
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
 
@@ -76,9 +76,9 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
     hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
     refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
     values = []
-    for k in range(refs.shape[2]):
-        a = _frame_windows(hats[:, :, k], window)
-        b = _frame_windows(refs[:, :, k], window)
+    for hat, ref in zip(hats, refs):
+        a = _frame_windows(hat, window)
+        b = _frame_windows(ref, window)
         mu_a = a.mean(axis=1)
         mu_b = b.mean(axis=1)
         var_a = (a * a).mean(axis=1) - mu_a ** 2
@@ -95,10 +95,10 @@ def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:
     _check_shapes(x_hat, x_gt)
     hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
     refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
-    means = refs.mean(axis=(0, 1))
+    means = refs.mean(axis=(1, 2))
     if (means == 0.0).any():
         raise ValueError("a reference frame has zero mean; ratio undefined")
-    mse = ((hats - refs) ** 2).mean(axis=(0, 1))
+    mse = ((hats - refs) ** 2).mean(axis=(1, 2))
     return float(100.0 * scale * math.sqrt(float(np.mean(mse / means ** 2))))
 
 
@@ -109,16 +109,16 @@ def sam(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     an error.
     """
     _check_shapes(x_hat, x_gt)
-    a = to_slice_stack(np.asarray(x_hat, dtype=np.float64)).reshape(
-        x_gt.shape[0] * x_gt.shape[1], -1)
-    b = to_slice_stack(np.asarray(x_gt, dtype=np.float64)).reshape(
-        x_gt.shape[0] * x_gt.shape[1], -1)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    # column p of the (J, I1 * I2) slice stack is pixel p's spectral vector
+    j = num_slices(x_gt.shape)
+    a = to_slice_stack(np.asarray(x_hat, dtype=np.float64)).reshape(j, -1)
+    b = to_slice_stack(np.asarray(x_gt, dtype=np.float64)).reshape(j, -1)
+    na = np.linalg.norm(a, axis=0)
+    nb = np.linalg.norm(b, axis=0)
     keep = (na > 0) & (nb > 0)
     if not keep.any():
         raise ValueError("all pixel spectra are zero; angle undefined")
-    cosines = np.einsum("ij,ij->i", a[keep], b[keep]) / (na[keep] * nb[keep])
+    cosines = np.einsum("ji,ji->i", a[:, keep], b[:, keep]) / (na[keep] * nb[keep])
     angles = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
     return float(angles.mean())
 

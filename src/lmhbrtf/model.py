@@ -33,6 +33,7 @@ from .errors import NumericalBreakdownError
 from .tensor import (
     as_tensor,
     from_slice_stack,
+    hermitian_t,
     linear_to_slice,
     num_slices,
     to_slice_stack,
@@ -177,19 +178,16 @@ class ModelState:
     """Everything one inference iteration reads and writes.
 
     The sparse component enters the factor updates only through the
-    residual ``resid`` = L(Y - S), the (K, I1, I2) view of an (I1, I2, K)
-    stack laid out like ``ybar``.  ``ynorm`` is the weighted norm of Ybar
-    over all J slices.  ``xbar`` is the (I1, I2, K) stack of slice
-    products U V^H that ``x_hat`` was reconstructed from.
+    residual ``resid`` = L(Y - S), the (K, I1, I2) slice stack of the K
+    kept transform slices.  ``ynorm`` is the weighted norm of Ybar over
+    all J slices.  ``xbar`` is the (K, I1, I2) stack of slice products
+    U V^H that ``x_hat`` was reconstructed from.
     """
 
     y: np.ndarray
     transform: Transform
-    ybar: np.ndarray          # (I1, I2, K) stack of the K kept transform slices
     resid: np.ndarray
     hp: HyperParams
-    phi: float
-    gamma: float
     factors: FactorState
     sparse: SparseState
     noise: NoiseState
@@ -204,7 +202,7 @@ class ModelState:
     @property
     def n_slices(self) -> int:
         """Number of stored (kept) transform-domain slices."""
-        return self.ybar.shape[2]
+        return self.resid.shape[0]
 
     @property
     def multirank(self) -> np.ndarray:
@@ -278,7 +276,7 @@ def _pair_mask(active: np.ndarray) -> np.ndarray:
 
 def _residual_stack(y: np.ndarray, s_mean: np.ndarray, L: Transform) -> np.ndarray:
     """The (K, I1, I2) residual stack L(Y - S) of the kept slices."""
-    return to_slice_stack(L.forward(y - s_mean, half=True)).transpose(2, 0, 1)
+    return to_slice_stack(L.forward(y - s_mean, half=True))
 
 
 def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> ModelState:
@@ -314,16 +312,15 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
         )
 
     phi = L.phi
-    gamma = phi if hp.gamma is None else float(hp.gamma)
     ybar = to_slice_stack(L.forward(y, half=True))  # also checks the shape
     if not np.array_equal(ranks[L.mirror], ranks):
         raise ValueError("per-slice init_rank must be equal on "
                          "conjugate-mirrored slices")
-    ranks = ranks[:ybar.shape[2]]  # the kept slices are the first K: id varies slowest
+    ranks = ranks[:ybar.shape[0]]  # the kept slices are the first K: id varies slowest
     r_max = int(ranks.max())
 
     active = np.arange(r_max) < ranks[:, None]
-    u, s, vh = np.linalg.svd(ybar.transpose(2, 0, 1), full_matrices=False)
+    u, s, vh = np.linalg.svd(ybar, full_matrices=False)
     u_mean, v_mean = balanced_factors(u, s, vh, r_max)
     cov = np.where(_pair_mask(active), phi * np.eye(r_max, dtype=np.complex128), 0)
 
@@ -331,8 +328,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     s_mean = np.asfortranarray(
         rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape))
     state = ModelState(
-        y=y, transform=L, ybar=ybar, resid=_residual_stack(y, s_mean, L),
-        hp=hp, phi=phi, gamma=gamma,
+        y=y, transform=L, resid=_residual_stack(y, s_mean, L), hp=hp,
         factors=FactorState(
             u_mean=np.where(active[:, None, :], u_mean, 0),
             v_mean=np.where(active[:, None, :], v_mean, 0),
@@ -344,23 +340,19 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
         noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
                          lambda_a=1.0, lambda_b=np.full(active.shape, phi)),
         ynorm=math.sqrt(float(L.slice_weights
-                              @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(0, 1)))),
+                              @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(1, 2)))),
     )
     if y.any():
         compute_fit(state)
     return state
 
 
-def _hermitian_t(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return m.conj().transpose(0, 2, 1)
-
-
 def _refinement_weight(state: ModelState) -> float:
     # The ARD term enters the posterior precision, which must stay PSD;
     # the fit statistic can dip below zero while the artificial initial
     # covariances dominate the expected residual, so the weight floors at 0.
-    return max(state.noise.fit, 0.0) / state.gamma
+    gamma = state.transform.phi if state.hp.gamma is None else state.hp.gamma
+    return max(state.noise.fit, 0.0) / gamma
 
 
 def _slice_name(state: ModelState, k: int) -> str:
@@ -407,7 +399,7 @@ def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray
     for i in range(1, diag.size):
         np.multiply(chol[:, i:i + 1, :i] @ x[:, :i, :i], neg[:, i:i + 1],
                     out=x[:, i:i + 1, :i])
-    return _hermitian_t(x) @ x
+    return hermitian_t(x) @ x
 
 
 def _update_factor(state: ModelState, side: str,
@@ -421,7 +413,7 @@ def _update_factor(state: ModelState, side: str,
     residual stack is never copied.  *gram* is the other factor's mean
     Gram matrix (V^H V for U), formed here when not given.
     """
-    scale = state.noise.tau_mean / state.phi
+    scale = state.noise.tau_mean / state.transform.phi
     w = _refinement_weight(state)
     f = state.factors
     if side == "u":
@@ -429,11 +421,11 @@ def _update_factor(state: ModelState, side: str,
         proj = state.resid @ other
     else:
         other, other_cov, rows = f.u_mean, f.sigma_u, state.shape[0]
-        proj = _hermitian_t(other) @ state.resid
+        proj = hermitian_t(other) @ state.resid
         proj = np.conjugate(proj, out=proj).transpose(0, 2, 1)
     proj *= scale
     if gram is None:
-        gram = _hermitian_t(other) @ other
+        gram = hermitian_t(other) @ other
     prec = scale * (rows * other_cov + gram)
     diag = np.arange(prec.shape[-1])
     prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
@@ -494,17 +486,19 @@ def update_lambda(state: ModelState, energy: Optional[np.ndarray] = None) -> Noi
 
 
 def _factor_products(state: ModelState) -> np.ndarray:
-    """U V^H of every kept slice, as an (I1, I2, K) stack laid out like ybar."""
+    """U V^H of every kept slice, as a (K, I1, I2) stack."""
     f = state.factors
-    out = np.empty_like(state.ybar)
-    np.matmul(f.u_mean, _hermitian_t(f.v_mean), out=out.transpose(2, 0, 1))
+    # column-major, so reconstruct_x inverse-transforms it without a copy
+    shape = state.shape[:2] + state.transform.half_trailing
+    out = to_slice_stack(np.empty(shape, dtype=np.complex128, order="F"))
+    np.matmul(f.u_mean, hermitian_t(f.v_mean), out=out)
     return out
 
 
 def reconstruct_x(state: ModelState, products: Optional[np.ndarray] = None) -> np.ndarray:
     """Mean low-rank reconstruction, mapped back to the original domain.
 
-    *products* is the (I1, I2, K) stack of slice products U V^H, such
+    *products* is the (K, I1, I2) stack of slice products U V^H, such
     as ``state.xbar``; it is computed from the factors when not given.
     """
     if products is None:
@@ -569,19 +563,20 @@ def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = Non
         products = res = _factor_products(state)  # a fresh stack: subtract in place
     else:
         res = np.empty_like(products)
-    np.subtract(state.resid, products.transpose(2, 0, 1), out=res.transpose(2, 0, 1))
-    # each slice is contiguous in the column-major stack: as floats, one row
-    parts = res.reshape(-1, order="F").view(np.float64).reshape(state.n_slices, -1)
+    np.subtract(state.resid, products, out=res)
+    # one row of floats per slice, column by column (a view if column-major)
+    rows = np.ascontiguousarray(res.transpose(0, 2, 1)).reshape(state.n_slices, -1)
+    parts = rows.view(np.float64)
     t = np.einsum("ki,ki->k", parts, parts)
     t += i1 * i2 * np.einsum("kij,kji->k", sv, su).real
     if utu is None:
-        utu = _hermitian_t(mu) @ mu
+        utu = hermitian_t(mu) @ mu
     if vtv is None:
-        vtv = _hermitian_t(mv) @ mv
+        vtv = hermitian_t(mv) @ mv
     t += i1 * np.einsum("kij,kji->k", su, vtv).real
     t += i2 * np.einsum("kij,kji->k", sv, utu).real
     return float(t @ state.transform.slice_weights
-                 + state.phi * state.sparse.s_var.sum())
+                 + state.transform.phi * state.sparse.s_var.sum())
 
 
 def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseState:
@@ -590,7 +585,7 @@ def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseStat
         resid_sq = expected_residual_sq(state)
     hp = state.hp
     state.noise.tau_a = hp.a0_tau + state.y.size / 2
-    state.noise.tau_b = hp.b0_tau + resid_sq / (2 * state.phi)
+    state.noise.tau_b = hp.b0_tau + resid_sq / (2 * state.transform.phi)
     return state.noise
 
 
@@ -709,10 +704,10 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     for it in range(1, hp.max_iter + 1):
         try:
             f = update_u(state, vtv=vtv)
-            utu = _hermitian_t(f.u_mean) @ f.u_mean
+            utu = hermitian_t(f.u_mean) @ f.u_mean
             update_v(state, utu=utu)
             v_mean = f.v_mean
-            vtv = _hermitian_t(v_mean) @ v_mean
+            vtv = hermitian_t(v_mean) @ v_mean
             energy = _column_energy(state)
             update_lambda(state, energy=energy)
             update_s(state)

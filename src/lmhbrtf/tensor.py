@@ -8,7 +8,9 @@ enumeration below agree with that single convention.
 
 Mode-1/mode-2 slices ``X[:, :, i3, ..., id]`` are enumerated by the linear
 index ``j = i3 + I3*(i4 + I4*(...))`` (0-based; the first trailing index
-varies fastest).
+varies fastest).  A slice stack is the (J, I1, I2) array whose entry j is
+slice j, so every per-slice kernel is one batched matrix operation on it;
+for a column-major tensor it is a view of the same memory.
 """
 
 from __future__ import annotations
@@ -25,20 +27,23 @@ __all__ = [
     "linear_to_slice",
     "to_slice_stack",
     "from_slice_stack",
+    "hermitian_t",
     "bdiag",
 ]
 
+MIN_ORDER = 3
 
-def as_tensor(x, min_order: int = 3) -> np.ndarray:
+
+def as_tensor(x) -> np.ndarray:
     """Validate *x* as a dense tensor and return it as float64/complex128.
 
-    Inputs of order below *min_order* are rejected rather than padded;
-    callers that want padding (e.g. the CLI) must do it explicitly.
+    Inputs of order below :data:`MIN_ORDER` are rejected rather than
+    padded; callers that want padding (e.g. the CLI) must do it explicitly.
     """
     arr = np.asarray(x)
-    if arr.ndim < min_order:
+    if arr.ndim < MIN_ORDER:
         raise ValueError(
-            f"tensor must have order >= {min_order}, got order {arr.ndim}"
+            f"tensor must have order >= {MIN_ORDER}, got order {arr.ndim}"
         )
     if np.iscomplexobj(arr):
         return np.asarray(arr, dtype=np.complex128)
@@ -83,13 +88,18 @@ def linear_to_slice(j: int, shape) -> tuple:
 
 
 def to_slice_stack(x: np.ndarray) -> np.ndarray:
-    """Reshape to (I1, I2, J) with slices ordered by their linear index."""
-    return x.reshape((x.shape[0], x.shape[1], -1), order="F")
+    """The (J, I1, I2) stack of the slices in linear order; a view of column-major *x*."""
+    return x.reshape((x.shape[0], x.shape[1], -1), order="F").transpose(2, 0, 1)
 
 
 def from_slice_stack(stack: np.ndarray, shape) -> np.ndarray:
-    """Inverse of :func:`to_slice_stack`."""
-    return stack.reshape(tuple(shape), order="F")
+    """Inverse of :func:`to_slice_stack`: the tensor of *shape* from its stack."""
+    return stack.transpose(1, 2, 0).reshape(tuple(shape), order="F")
+
+
+def hermitian_t(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a (J, I1, I2) stack."""
+    return m.conj().transpose(0, 2, 1)
 
 
 def bdiag(x: np.ndarray) -> np.ndarray:
@@ -99,8 +109,8 @@ def bdiag(x: np.ndarray) -> np.ndarray:
     """
     i1, i2 = x.shape[:2]
     stack = to_slice_stack(x)
-    j = stack.shape[2]
+    j = stack.shape[0]
     out = np.zeros((i1 * j, i2 * j), dtype=stack.dtype)
     for k in range(j):
-        out[k * i1:(k + 1) * i1, k * i2:(k + 1) * i2] = stack[:, :, k]
+        out[k * i1:(k + 1) * i1, k * i2:(k + 1) * i2] = stack[k]
     return out

@@ -50,36 +50,37 @@ __all__ = ["Transform", "real_part", "real_if_close"]
 
 _RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
+# largest imaginary residue, relative in the Frobenius norm, dropped as roundoff
+RESIDUE_TOL = 1e-8
 
 
-def _check_residue(residue: float, real_norm: float, rel_tol: float) -> None:
+def _check_residue(residue: float, real_norm: float) -> None:
     total = math.hypot(real_norm, residue)
-    if residue > rel_tol * total:
+    if residue > RESIDUE_TOL * total:
         raise ImaginaryResidueError(
-            f"imaginary residue {residue:.3e} exceeds {rel_tol:g} * {total:.3e}"
+            f"imaginary residue {residue:.3e} exceeds {RESIDUE_TOL:g} * {total:.3e}"
         )
 
 
-def real_part(x: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def real_part(x: np.ndarray) -> np.ndarray:
     """Drop the imaginary part after checking it is negligible.
 
-    The check is relative in the Frobenius norm; failure signals an
-    inconsistent input (for a DFT-domain tensor: broken conjugate
-    symmetry) rather than roundoff.  The result keeps the memory
-    layout of *x*.
+    The check is relative in the Frobenius norm (:data:`RESIDUE_TOL`);
+    failure signals an inconsistent input (for a DFT-domain tensor:
+    broken conjugate symmetry) rather than roundoff.  The result keeps
+    the memory layout of *x*.
     """
     if not np.iscomplexobj(x):
         return np.asarray(x, dtype=np.float64)
     out = x.real.copy(order="K")
-    _check_residue(float(np.linalg.norm(x.imag)), float(np.linalg.norm(out)),
-                   rel_tol)
+    _check_residue(float(np.linalg.norm(x.imag)), float(np.linalg.norm(out)))
     return out
 
 
-def real_if_close(x: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def real_if_close(x: np.ndarray) -> np.ndarray:
     """Like :func:`real_part` but returns *x* unchanged when it is genuinely complex."""
     try:
-        return real_part(x, rel_tol)
+        return real_part(x)
     except ImaginaryResidueError:
         return x
 
@@ -303,12 +304,12 @@ class Transform:
         return flat.reshape(shape, order="F")
 
     def inverse(self, xbar: np.ndarray, assert_real: bool = False,
-                rel_tol: float = 1e-8, half: bool = False) -> np.ndarray:
+                half: bool = False) -> np.ndarray:
         """Apply L^-1 along modes 3..d.
 
         With ``assert_real`` the imaginary residue is checked against
-        *rel_tol* (relative Frobenius) and dropped; a residue above the
-        threshold raises :class:`ImaginaryResidueError`.
+        :data:`RESIDUE_TOL` (relative Frobenius) and dropped; a residue
+        above it raises :class:`ImaginaryResidueError`.
 
         With ``half`` the input holds the kept slices of a real tensor's
         transform, as returned by ``forward(x, half=True)``, and the
@@ -335,11 +336,11 @@ class Transform:
                 sq = sum(float(np.dot(z[i].imag, z[i].imag))
                          for i in self._self_paired)
                 residue = math.sqrt(sq / self.trailing[-1])
-                _check_residue(residue, float(np.linalg.norm(out)), rel_tol)
+                _check_residue(residue, float(np.linalg.norm(out)))
             return out
         flat, shape = _mode_product(flat, shape, last, self._inverses[-1])
         out = flat.reshape(shape, order="F")
         if assert_real:
-            return real_part(out, rel_tol)
+            return real_part(out)
         return out.real.copy(order="K") if half else out
 

@@ -15,6 +15,7 @@ from .errors import ImaginaryResidueError
 from .tensor import (
     as_tensor,
     from_slice_stack,
+    hermitian_t,
     num_slices,
     to_slice_stack,
 )
@@ -69,9 +70,7 @@ def facewise_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = as_tensor(x)
     y = as_tensor(y)
     _stacks_compatible(x, y)
-    xs = np.moveaxis(to_slice_stack(x), 2, 0)
-    ys = np.moveaxis(to_slice_stack(y), 2, 0)
-    zs = np.moveaxis(xs @ ys, 0, 2)
+    zs = to_slice_stack(x) @ to_slice_stack(y)
     return from_slice_stack(zs, (x.shape[0], y.shape[1]) + x.shape[2:])
 
 
@@ -124,11 +123,11 @@ def identity_tensor(size: int, L: Transform) -> np.ndarray:
 def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
     """Forward-transform *x* and SVD all its slices in one stacked call.
 
-    Returns the (I1, I2, J) slice stack (J kept slices with ``half``)
-    and ``np.linalg.svd`` of its (J, I1, I2) view.
+    Returns the (J, I1, I2) slice stack (J kept slices with ``half``)
+    and its ``np.linalg.svd``.
     """
     xbar = to_slice_stack(L.forward(as_tensor(x), half=half))
-    return xbar, np.linalg.svd(np.moveaxis(xbar, 2, 0), **svd_kw)
+    return xbar, np.linalg.svd(xbar, **svd_kw)
 
 
 def _ranks_from_svals(svals: np.ndarray, tol: float) -> np.ndarray:
@@ -149,7 +148,12 @@ def balanced_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray, width: int):
     approximations.
     """
     root = np.sqrt(s[:, None, :width])
-    return u[:, :, :width] * root, vh[:, :width].conj().transpose(0, 2, 1) * root
+    return u[:, :, :width] * root, hermitian_t(vh[:, :width]) * root
+
+
+def _original_domain(stack: np.ndarray, L: Transform) -> np.ndarray:
+    """Inverse transform of a (J, n1, n2) stack, real when it is real up to roundoff."""
+    return real_if_close(L.inverse(from_slice_stack(stack, stack.shape[1:] + L.trailing)))
 
 
 def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
@@ -164,23 +168,14 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     x = as_tensor(x)
     i1, i2 = x.shape[:2]
     m = min(i1, i2)
-    trailing = x.shape[2:]
-    j = num_slices(x.shape)
     if rank is not None and not 1 <= rank <= m:
         raise ValueError(f"skinny width {rank} out of range [1, {m}]")
-    if rank is None:
-        wu, wv, ws1, ws2 = i1, i2, i1, i2
-    else:
-        wu = wv = ws1 = ws2 = rank
-    _, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
-    diag = np.arange(m if rank is None else rank)
-    sbar = np.zeros((ws1, ws2, j), dtype=np.complex128)
-    sbar[diag, diag] = svals[:, :diag.size].T
-    ubar = np.moveaxis(u[:, :, :wu], 0, 2)
-    vbar = np.transpose(vh[:, :wv].conj(), (2, 1, 0))
-    u = real_if_close(L.inverse(from_slice_stack(ubar, (i1, wu) + trailing)))
-    s = real_if_close(L.inverse(from_slice_stack(sbar, (ws1, ws2) + trailing)))
-    v = real_if_close(L.inverse(from_slice_stack(vbar, (i2, wv) + trailing)))
+    wu, wv = (i1, i2) if rank is None else (rank, rank)
+    xbar, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
+    diag = np.arange(min(wu, wv))
+    sbar = np.zeros((xbar.shape[0], wu, wv), dtype=np.complex128)
+    sbar[:, diag, diag] = svals[:, :diag.size]
+    u, s, v = (_original_domain(f, L) for f in (u[:, :, :wu], sbar, hermitian_t(vh[:, :wv])))
     return TSVDResult(u=u, s=s, v=v, multirank=_ranks_from_svals(svals, tol))
 
 
@@ -226,11 +221,11 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
     xbar, (u, s, vh) = _slice_svds(x, L, half=want_real, full_matrices=False)
-    k = xbar.shape[2]
+    k = xbar.shape[0]
     r = int(target[:k].max(initial=0))
     s = np.where(np.arange(r) < target[:k, None], s[:, :r], 0.0)
-    out = np.empty_like(xbar)
-    np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=np.moveaxis(out, 2, 0))
+    out = np.empty_like(xbar)  # column-major like xbar
+    np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
     shape = x.shape[:2] + (L.half_trailing if want_real else L.trailing)
     return L.inverse(from_slice_stack(out, shape), assert_real=want_real, half=want_real)
 
@@ -245,7 +240,6 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     """
     x = as_tensor(x)
     i1, i2 = x.shape[:2]
-    trailing = x.shape[2:]
     if not 0 <= r <= min(i1, i2):
         raise ValueError(f"factor width {r} out of range [0, {min(i1, i2)}]")
     _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
@@ -254,7 +248,4 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
         raise ValueError(
             f"factor width {r} is below the tubal rank {int(ranks.max())}"
         )
-    ubar, vbar = (np.moveaxis(f, 0, 2) for f in balanced_factors(us, svals, vhs, r))
-    u = real_if_close(L.inverse(from_slice_stack(ubar, (i1, r) + trailing)))
-    v = real_if_close(L.inverse(from_slice_stack(vbar, (i2, r) + trailing)))
-    return u, v
+    return tuple(_original_domain(f, L) for f in balanced_factors(us, svals, vhs, r))

@@ -127,18 +127,18 @@ def test_criterion_3_tsvd_contract():
         vbar = to_slice_stack(L.forward(res.v))
         sbar = to_slice_stack(L.forward(res.s))
         i1, i2 = shape[:2]
-        for k in range(ubar.shape[2]):
+        for k in range(ubar.shape[0]):
             worst_orth = max(
                 worst_orth,
-                np.linalg.norm(ubar[:, :, k].conj().T @ ubar[:, :, k] - np.eye(i1)),
-                np.linalg.norm(vbar[:, :, k].conj().T @ vbar[:, :, k] - np.eye(i2)),
+                np.linalg.norm(ubar[k].conj().T @ ubar[k] - np.eye(i1)),
+                np.linalg.norm(vbar[k].conj().T @ vbar[k] - np.eye(i2)),
             )
 
         # first original-domain slice of s: phi-scaled sums, nonincreasing
         m = min(i1, i2)
         first = res.s[(slice(None), slice(None)) + (0,) * (len(shape) - 2)]
         diag = np.diagonal(np.real(first))[:m]
-        sums = np.diagonal(sbar.sum(axis=2)).real[:m] / L.phi
+        sums = np.diagonal(sbar.sum(axis=0)).real[:m] / L.phi
         denom = max(abs(sums[0]), 1e-300)
         worst_identity = max(worst_identity,
                              float(np.max(np.abs(diag - sums))) / denom)
@@ -295,7 +295,7 @@ def _tiny_state(seed, shape=(3, 3, 2), rank=2):
     state.sparse.beta_b = rng.uniform(0.5, 3.0, shape)
     state.noise.lambda_a = float(rng.uniform(0.5, 3.0))
     state.noise.lambda_b = rng.uniform(0.5, 3.0, (state.n_slices, rank))
-    state.noise.fit = state.gamma  # refinement weight exactly 1
+    state.noise.fit = state.hp.gamma  # refinement weight exactly 1
     return state, rng
 
 
@@ -312,7 +312,7 @@ def _factor_objective(state, side):
         for k in range(st.n_slices):
             target[k] = np.array(means[k])
             target_cov[k] = np.array(covs[k])
-        value = -(tau / st.phi) * expected_residual_sq(st)
+        value = -(tau / st.transform.phi) * expected_residual_sq(st)
         for k in range(st.n_slices):
             lam = st.noise.lambda_mean(k)
             m, c = means[k], covs[k]
@@ -434,7 +434,7 @@ def test_criterion_6_update_optimality():
         resid = expected_residual_sq(state)
         update_tau(state, resid_sq=resid)
         coef_log = state.hp.a0_tau + state.y.size / 2 - 1.0
-        coef_lin = state.hp.b0_tau + resid / (2 * state.phi)
+        coef_lin = state.hp.b0_tau + resid / (2 * state.transform.phi)
         a0, b0 = state.noise.tau_a, state.noise.tau_b
         base = _gamma_objective(np.array(a0), np.array(b0), coef_log, coef_lin)
         perturbed = []
@@ -468,8 +468,9 @@ def test_criterion_7_residual_expansion_monte_carlo():
             covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
     state.sparse.s_mean = rng.standard_normal(state.shape)
     state.sparse.s_var = rng.uniform(0.2, 1.0, state.shape)
+    ybar = to_slice_stack(state.transform.forward(state.y, half=True))  # (J, I1, I2)
     sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
-    state.resid = (state.ybar - sbar).transpose(2, 0, 1)
+    state.resid = ybar - sbar
 
     analytic = expected_residual_sq(state)
 
@@ -480,7 +481,6 @@ def test_criterion_7_residual_expansion_monte_carlo():
     chol_v = [np.linalg.cholesky(c) for c in state.factors.sigma_v]
     samples = np.empty(total)
     done = 0
-    ybar = np.moveaxis(state.ybar, 2, 0)  # (J, I1, I2)
     while done < total:
         n = min(chunk, total - done)
         resid_sq = np.zeros(n)

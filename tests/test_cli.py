@@ -63,6 +63,21 @@ def test_synth_has_no_threads_option(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_denoise_has_no_transform_option(tmp_path, capsys):
+    src, _ = make_lowrank_input(tmp_path)
+    argv = ["denoise", "--input", str(src), "--seed", "1",
+            "--out", str(tmp_path / "x.npy")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--transform", "dft"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"transform": "dft"}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown option" in capsys.readouterr().err
+    assert not (tmp_path / "x.npy").exists()
+
+
 def test_synth_order_mismatch_is_usage_error(tmp_path):
     code = main(["synth", "--order", "4", "--dims", "12,12,8", "--rank", "2",
                  "--rho", "0.0", "--sigma2", "0.0", "--seed", "1",
@@ -71,9 +86,10 @@ def test_synth_order_mismatch_is_usage_error(tmp_path):
 
 
 def test_synth_bad_rho_is_usage_error(tmp_path):
-    code = main(["synth", "--dims", "12,12,8", "--rank", "2", "--rho", "1.5",
-                 "--sigma2", "0.0", "--seed", "1", "--out", str(tmp_path / "r.json")])
-    assert code == 2
+    for rho, sigma2 in (("1.5", "0.0"), ("0.0", "-0.0001")):
+        code = main(["synth", "--dims", "12,12,8", "--rank", "2", "--rho", rho,
+                     "--sigma2", sigma2, "--seed", "1", "--out", str(tmp_path / "r.json")])
+        assert code == 2
 
 
 def test_synth_deterministic_reports(tmp_path):

@@ -225,8 +225,8 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
 
     # manual slice-by-slice recomputation in reverse order on b
     tau = b.noise.tau_mean
-    scale = tau / b.phi
-    w = max(b.noise.fit, 0.0) / b.gamma
+    scale = tau / b.transform.phi
+    w = max(b.noise.fit, 0.0) / b.hp.gamma
     for k in reversed(range(b.n_slices)):
         vtv = (b.shape[1] * b.factors.sigma_v[k]
                + b.factors.v_mean[k].conj().T @ b.factors.v_mean[k])
@@ -269,7 +269,8 @@ def test_positivity_invariant_holds_through_noisy_run():
 
 # The phases an external tracer hooks by replacing these module attributes
 # (bench/tracing.py): run() must look each up at call time, once per
-# iteration, with the state as the first positional argument.
+# iteration, with the state as the first positional argument.  The tracer
+# also times the slice-stack layout through model.to_slice_stack.
 ITERATION_PHASES = ("update_u", "update_v", "update_lambda", "update_s",
                     "reconstruct_x", "update_beta", "expected_residual_sq",
                     "update_tau", "compute_fit", "prune_columns")
@@ -289,13 +290,23 @@ def test_run_calls_each_phase_through_the_module_once_per_iteration(monkeypatch)
                 active.pop()
         return wrapper
 
-    for name in ("init_state",) + ITERATION_PHASES:
+    for name in ("init_state", "to_slice_stack") + ITERATION_PHASES:
         monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
     _, inst = small_instance(rho=0.05, sigma_sq=1e-3, seed=13)
     result = model.run(inst.y, Transform.dft((8,)), small_hp(max_iter=5), seed=2)
     n = len(result.trace.records)
     assert n == 5
 
+    # the layout hook fires in set-up (iteration 0) and in every iteration
+    it, layout_iterations = 0, set()
+    for name, _, outer in calls:
+        if name == "update_u" and not outer:
+            it += 1
+        elif name == "to_slice_stack":
+            layout_iterations.add(it)
+    assert layout_iterations == set(range(n + 1))
+
+    calls = [call for call in calls if call[0] != "to_slice_stack"]
     assert all(first is model.ModelState
                for name, first, _ in calls if name != "init_state")
     top = [name for name, _, outer in calls if not outer]

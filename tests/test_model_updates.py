@@ -21,7 +21,7 @@ from lmhbrtf.model import (
     update_u,
     update_v,
 )
-from lmhbrtf.tensor import to_slice_stack
+from lmhbrtf.tensor import from_slice_stack, to_slice_stack
 from lmhbrtf.transform import Transform
 
 
@@ -30,6 +30,11 @@ def make_state(shape=(4, 4, 2), r=2, seed=3, sigma0_sq=1.0, gamma=1.0):
     hp = HyperParams(init_rank=r, sigma0_sq=sigma0_sq, gamma=gamma,
                      tol=1e-6, max_iter=50)
     return init_state(y, Transform.dft(shape[2:]), hp, seed=seed)
+
+
+def ybar_of(state):
+    """The (K, I1, I2) stack of the kept transform slices of the observation."""
+    return to_slice_stack(state.transform.forward(state.y, half=True))
 
 
 def randomize_factors(state, seed=0):
@@ -75,13 +80,13 @@ def test_init_state_values():
     assert ((state.sparse.s_mean >= 0) & (state.sparse.s_mean < 1.0)).all()
     assert state.noise.tau_mean == pytest.approx(1.0)
     for k in range(state.n_slices):
-        assert np.allclose(state.noise.lambda_mean(k), 1.0 / state.phi)
+        assert np.allclose(state.noise.lambda_mean(k), 1.0 / state.transform.phi)
         assert np.allclose(state.factors.sigma_u[k],
-                           state.phi * np.eye(state.factors.ranks[k]))
+                           state.transform.phi * np.eye(state.factors.ranks[k]))
     # factor means reproduce the best rank-r approximation of each slice
-    ybar = state.ybar
+    ybar = ybar_of(state)
     for k in range(state.n_slices):
-        u, s, vh = np.linalg.svd(ybar[:, :, k], full_matrices=False)
+        u, s, vh = np.linalg.svd(ybar[k], full_matrices=False)
         best = (u[:, :2] * s[:2]) @ vh[:2]
         prod = state.factors.u_mean[k] @ state.factors.v_mean[k].conj().T
         assert np.linalg.norm(prod - best) <= 1e-10 * np.linalg.norm(best)
@@ -156,7 +161,7 @@ def test_init_state_rejects_transform_that_is_not_real_safe():
 
 def test_update_u_ard_limit_kills_columns():
     state = make_state()
-    state.noise.fit = state.gamma  # refinement weight exactly 1
+    state.noise.fit = state.hp.gamma  # refinement weight exactly 1
     state.noise.lambda_a = 1e12
     state.noise.lambda_b = np.ones_like(state.noise.lambda_b)
     update_u(state)
@@ -182,10 +187,10 @@ def test_update_u_single_slice_reduces_to_matrix_factorization():
     state.noise.fit = 0.8
     update_u(state)
     expected, cov = _reference_row_updates(
-        y=state.ybar[:, :, 0], s=state.ybar[:, :, 0] - state.resid[0],
+        y=ybar_of(state)[0], s=ybar_of(state)[0] - state.resid[0],
         vm=state.factors.v_mean[0], sv=state.factors.sigma_v[0],
         lam=state.noise.lambda_mean(0), tau=state.noise.tau_mean,
-        weight=0.8 / state.gamma,
+        weight=0.8 / state.hp.gamma,
     )
     assert np.allclose(state.factors.u_mean[0], expected, rtol=1e-12, atol=1e-12)
     assert np.allclose(state.factors.sigma_u[0], cov, rtol=1e-10, atol=1e-12)
@@ -196,13 +201,13 @@ def test_update_v_single_slice_mirror():
     state.noise.fit = 0.8
     update_u(state)
     update_v(state)
-    y = state.ybar[:, :, 0]
+    y = ybar_of(state)[0]
     s = y - state.resid[0]
     expected, cov = _reference_row_updates(
         y=y.conj().T, s=s.conj().T,
         vm=state.factors.u_mean[0], sv=state.factors.sigma_u[0],
         lam=state.noise.lambda_mean(0), tau=state.noise.tau_mean,
-        weight=0.8 / state.gamma,
+        weight=0.8 / state.hp.gamma,
     )
     assert np.allclose(state.factors.v_mean[0], expected, rtol=1e-12, atol=1e-12)
     assert np.allclose(state.factors.sigma_v[0], cov, rtol=1e-10, atol=1e-12)
@@ -331,15 +336,15 @@ def _zero_out(state, with_s=True):
         state.sparse.s_mean = np.zeros(state.shape)
         state.sparse.s_var = np.zeros(state.shape)
         sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
-        state.resid = (state.ybar - sbar).transpose(2, 0, 1)
+        state.resid = ybar_of(state) - sbar
 
 
 def test_update_tau_cold_start():
     state = make_state(shape=(4, 4, 2), r=2, seed=13)
     _zero_out(state)
     update_tau(state)
-    ybar_sq = np.sum(np.abs(state.ybar) ** 2)
-    expected_b = state.hp.b0_tau + ybar_sq / (2 * state.phi)
+    ybar_sq = np.sum(np.abs(ybar_of(state)) ** 2)
+    expected_b = state.hp.b0_tau + ybar_sq / (2 * state.transform.phi)
     assert state.noise.tau_b == pytest.approx(expected_b, rel=1e-12)
     assert state.noise.tau_a == pytest.approx(state.hp.a0_tau + state.y.size / 2)
 
@@ -347,7 +352,7 @@ def test_update_tau_cold_start():
 def test_update_tau_perfect_fit_limit():
     state = make_state(shape=(4, 4, 1), r=4, seed=2)
     # factors reproducing ybar exactly, no uncertainty anywhere
-    state.factors.u_mean[0] = state.ybar[:, :, 0].astype(complex)
+    state.factors.u_mean[0] = ybar_of(state)[0].astype(complex)
     state.factors.v_mean[0] = np.eye(4, dtype=complex)
     state.factors.sigma_u[0] = np.zeros((4, 4), dtype=complex)
     state.factors.sigma_v[0] = np.zeros((4, 4), dtype=complex)
@@ -355,7 +360,7 @@ def test_update_tau_perfect_fit_limit():
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
-    state.resid = (state.ybar - sbar).transpose(2, 0, 1)
+    state.resid = ybar_of(state) - sbar
     update_tau(state)
     assert state.noise.tau_b == pytest.approx(state.hp.b0_tau, rel=1e-3)
     assert state.noise.tau_mean > 1e6
@@ -367,14 +372,14 @@ def test_compute_fit_limits():
     assert compute_fit(state) == pytest.approx(0.0, abs=1e-12)
 
     exact = make_state(shape=(4, 4, 1), r=4, seed=2)
-    exact.factors.u_mean[0] = exact.ybar[:, :, 0].astype(complex)
+    exact.factors.u_mean[0] = ybar_of(exact)[0].astype(complex)
     exact.factors.v_mean[0] = np.eye(4, dtype=complex)
     exact.factors.sigma_u[0] = np.zeros((4, 4), dtype=complex)
     exact.factors.sigma_v[0] = np.zeros((4, 4), dtype=complex)
     exact.sparse.s_mean = np.zeros(exact.shape)
     exact.sparse.s_var = np.zeros(exact.shape)
     sbar = to_slice_stack(exact.transform.forward(exact.sparse.s_mean))
-    exact.resid = (exact.ybar - sbar).transpose(2, 0, 1)
+    exact.resid = ybar_of(exact) - sbar
     assert compute_fit(exact) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -384,7 +389,7 @@ def test_expected_residual_additivity_of_variance_terms():
     base = expected_residual_sq(state)
     state.sparse.s_var = state.sparse.s_var + 1.0
     bumped = expected_residual_sq(state)
-    assert bumped - base == pytest.approx(state.phi * state.y.size, rel=1e-12)
+    assert bumped - base == pytest.approx(state.transform.phi * state.y.size, rel=1e-12)
 
 
 def test_prune_noop_below_threshold():
@@ -478,8 +483,8 @@ def _active(state, k):
 def test_mixed_rank_phases_match_per_slice_reference():
     state = mixed_rank_state()
     i1, i2 = state.shape[:2]
-    scale = state.noise.tau_mean / state.phi
-    weight = state.noise.fit / state.gamma
+    scale = state.noise.tau_mean / state.transform.phi
+    weight = state.noise.fit / state.hp.gamma
     resid = [state.resid[k] for k in range(3)]
     live = [k for k in range(3) if state.factors.ranks[k]]
 
@@ -514,11 +519,13 @@ def test_mixed_rank_phases_match_per_slice_reference():
 
     update_s(state)
     assert_padding_zero(state)
-    xbar = np.zeros_like(state.ybar)
+    xbar = np.zeros_like(state.resid)
     for k in live:
         mu, mv, _, _, _ = _active(state, k)
-        xbar[:, :, k] = mu @ mv.conj().T
-    expected_x = state.transform.inverse(xbar, assert_real=True, half=True)
+        xbar[k] = mu @ mv.conj().T
+    half_shape = state.shape[:2] + state.transform.half_trailing
+    expected_x = state.transform.inverse(from_slice_stack(xbar, half_shape),
+                                         assert_real=True, half=True)
     assert np.allclose(state.x_hat, expected_x, rtol=1e-12, atol=1e-14)
 
     update_beta(state)
@@ -531,7 +538,7 @@ def test_mixed_rank_phases_match_per_slice_reference():
                     + i1 * np.trace(su @ mv.conj().T @ mv).real
                     + i2 * np.trace(sv @ mu.conj().T @ mu).real)
     expected = (terms @ state.transform.slice_weights
-                + state.phi * state.sparse.s_var.sum())
+                + state.transform.phi * state.sparse.s_var.sum())
     assert expected_residual_sq(state) == pytest.approx(expected, rel=1e-12)
     update_tau(state)
     compute_fit(state)
@@ -570,20 +577,19 @@ def test_prune_compacts_survivors_in_order_and_shrinks_width():
 def test_ynorm_is_weighted_norm_of_stack():
     state = make_state(shape=(4, 3, 6), r=2, seed=12)
     w = state.transform.slice_weights
-    ybar = state.ybar
-    recomputed = np.sqrt(sum(w[k] * np.linalg.norm(ybar[:, :, k]) ** 2
+    ybar = ybar_of(state)
+    recomputed = np.sqrt(sum(w[k] * np.linalg.norm(ybar[k]) ** 2
                              for k in range(state.n_slices)))
     assert state.ynorm == pytest.approx(recomputed, rel=1e-14)
-    assert state.ynorm ** 2 == pytest.approx(state.phi * np.sum(state.y ** 2), rel=1e-12)
+    assert state.ynorm ** 2 == pytest.approx(state.transform.phi * np.sum(state.y ** 2), rel=1e-12)
 
 
 def test_initial_residual_stack_is_transform_of_y_minus_s():
-    # the state stores Rbar = L(Y - S) of the kept slices, laid out like ybar
+    # the state stores Rbar = L(Y - S) of the kept slices as a slice stack
     state = make_state(shape=(4, 3, 4), r=2, seed=8)
     L = state.transform
-    assert np.array_equal(state.ybar, to_slice_stack(L.forward(state.y, half=True)))
     direct = to_slice_stack(L.forward(state.y - state.sparse.s_mean, half=True))
-    assert np.array_equal(state.resid, direct.transpose(2, 0, 1))
+    assert np.array_equal(state.resid, direct)
 
 
 def test_update_s_sets_residual_to_transform_of_y_minus_s():
@@ -591,9 +597,9 @@ def test_update_s_sets_residual_to_transform_of_y_minus_s():
     update_s(state)
     L = state.transform
     direct = to_slice_stack(L.forward(state.y - state.sparse.s_mean, half=True))
-    assert np.array_equal(state.resid, direct.transpose(2, 0, 1))
-    via_sbar = state.ybar - to_slice_stack(L.forward(state.sparse.s_mean, half=True))
-    assert (np.linalg.norm(state.resid.transpose(1, 2, 0) - via_sbar)
+    assert np.array_equal(state.resid, direct)
+    via_sbar = ybar_of(state) - to_slice_stack(L.forward(state.sparse.s_mean, half=True))
+    assert (np.linalg.norm(state.resid - via_sbar)
             <= 1e-12 * np.linalg.norm(via_sbar))
 
 
@@ -625,6 +631,18 @@ def test_update_s_keeps_the_products_behind_x_hat():
     update_beta(state)
     kept = expected_residual_sq(state, products=state.xbar)
     assert kept == expected_residual_sq(state)
+
+
+def test_expected_residual_sq_sums_each_slice_in_any_products_layout():
+    # state.xbar is column-major; a C-ordered copy keeps the slice axis
+    # slowest in memory, a Fortran-ordered one makes it fastest
+    state = mixed_rank_state()
+    update_s(state)
+    update_beta(state)
+    want = expected_residual_sq(state, products=state.xbar)
+    for copy in (np.ascontiguousarray, np.asfortranarray):
+        got = expected_residual_sq(state, products=copy(state.xbar))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

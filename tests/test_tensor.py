@@ -9,6 +9,7 @@ from lmhbrtf.tensor import (
     as_tensor,
     bdiag,
     frobenius_norm,
+    from_slice_stack,
     linear_to_slice,
     slice_to_linear,
     to_slice_stack,
@@ -121,7 +122,21 @@ def test_slice_stack_order_matches_linear_index():
     stack = to_slice_stack(x)
     for j in range(4):
         i3, i4 = linear_to_slice(j, x.shape)
-        assert np.array_equal(stack[:, :, j], x[:, :, i3, i4])
+        assert np.array_equal(stack[j], x[:, :, i3, i4])
+
+
+@pytest.mark.parametrize("shape", random_shapes())
+def test_slice_stack_is_a_view_of_column_major_data(shape):
+    x = np.asfortranarray(rng().standard_normal(shape))
+    stack = to_slice_stack(x)
+    j = int(np.prod(shape[2:]))
+    assert stack.shape == (j,) + shape[:2]
+    assert np.shares_memory(stack, x)
+    for k in range(j):
+        idx = (slice(None), slice(None)) + linear_to_slice(k, shape)
+        assert np.array_equal(stack[k], x[idx])
+    assert np.array_equal(from_slice_stack(stack, shape), x)
+    assert np.array_equal(from_slice_stack(np.ascontiguousarray(stack), shape), x)
 
 
 def test_bdiag_single_slice_and_zero():

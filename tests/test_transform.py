@@ -164,18 +164,18 @@ def test_half_weighted_parseval_and_slice_map(shape):
     stack = to_slice_stack(L.forward(x, half=True))
     full = to_slice_stack(L.forward(x))
     w = L.slice_weights
-    assert w.shape == (stack.shape[2],) and w.sum() == full.shape[2]
-    lhs = float(w @ (np.abs(stack) ** 2).sum(axis=(0, 1)))
+    assert w.shape == (stack.shape[0],) and w.sum() == full.shape[0]
+    lhs = float(w @ (np.abs(stack) ** 2).sum(axis=(1, 2)))
     rhs = L.phi * frobenius_norm(x) ** 2
     assert abs(lhs - rhs) <= 1e-12 * rhs
     # every one of the J slices is a kept slice or the conjugate of one
     source, conj = L.slice_map
-    assert source.shape == conj.shape == (full.shape[2],)
-    assert set(source) == set(range(stack.shape[2]))
-    mapped = np.where(conj, stack[:, :, source].conj(), stack[:, :, source])
+    assert source.shape == conj.shape == (full.shape[0],)
+    assert set(source) == set(range(stack.shape[0]))
+    mapped = np.where(conj[:, None, None], stack[source].conj(), stack[source])
     assert frobenius_norm(mapped - full) <= 1e-13 * frobenius_norm(full)
     # a kept slice stands for two slices exactly when its mirror is dropped
-    counts = np.bincount(source, minlength=stack.shape[2])
+    counts = np.bincount(source, minlength=stack.shape[0])
     assert np.array_equal(counts, w)
 
 
@@ -216,7 +216,7 @@ def test_explicit_mirror_pairs_the_conjugate_slices():
     L = Transform.explicit([dft_matrix(3), dft_matrix(4, normalized=True)])
     assert np.array_equal(L.mirror, Transform.dft((3, 4)).mirror)
     full = to_slice_stack(L.forward(x))
-    assert frobenius_norm(full[:, :, L.mirror] - full.conj()) <= 1e-13 * frobenius_norm(full)
+    assert frobenius_norm(full[L.mirror] - full.conj()) <= 1e-13 * frobenius_norm(full)
     # conjugating a real matrix permutes nothing: every slice is its own mirror
     q, _ = np.linalg.qr(rng().standard_normal((4, 4)))
     real = Transform.explicit([np.array([[1.0, 1.0], [1.0, -1.0]]), q])

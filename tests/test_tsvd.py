@@ -30,7 +30,7 @@ def random_multirank_tensor(shape, ranks, seed=5):
     trailing = shape[2:]
     L = Transform.dft(trailing)
     j = int(np.prod(trailing))
-    stack = np.zeros((shape[0], shape[1], j), dtype=complex)
+    stack = np.zeros((j, shape[0], shape[1]), dtype=complex)
     u = r.standard_normal((shape[0], max(ranks) or 1) + trailing)
     v = r.standard_normal((shape[1], max(ranks) or 1) + trailing)
     ub = to_slice_stack(L.forward(u))
@@ -38,7 +38,7 @@ def random_multirank_tensor(shape, ranks, seed=5):
     for k in range(j):
         rk = ranks[k]
         if rk:
-            stack[:, :, k] = ub[:, :rk, k] @ vb[:, :rk, k].conj().T
+            stack[k] = ub[k, :, :rk] @ vb[k, :, :rk].conj().T
     x = L.inverse(from_slice_stack(stack, shape))
     return np.real(x) if np.linalg.norm(x.imag) < 1e-8 * np.linalg.norm(x) else x
 
@@ -167,9 +167,9 @@ def test_conj_transpose_transform_domain_oracle():
         x = rng().standard_normal(shape)
         lhs = to_slice_stack(L.forward(conj_transpose(x, L)))
         rhs = to_slice_stack(L.forward(x))
-        for k in range(lhs.shape[2]):
-            err = np.linalg.norm(lhs[:, :, k] - rhs[:, :, k].conj().T)
-            assert err <= 1e-12 * max(np.linalg.norm(rhs[:, :, k]), 1e-300)
+        for k in range(lhs.shape[0]):
+            err = np.linalg.norm(lhs[k] - rhs[k].conj().T)
+            assert err <= 1e-12 * max(np.linalg.norm(rhs[k]), 1e-300)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 3), (2, 2, 3, 2, 4), (3, 2, 1)])
@@ -205,7 +205,7 @@ def test_identity_tensor_small_dft():
     assert np.allclose(eye.ravel(), [1.0, 0.0], atol=1e-15)
     ibar = to_slice_stack(L.forward(eye))
     for k in range(2):
-        assert np.allclose(ibar[:, :, k], np.eye(1), atol=1e-12)
+        assert np.allclose(ibar[k], np.eye(1), atol=1e-12)
 
 
 def test_identity_tensor_conj_transpose_symmetry():
@@ -222,12 +222,12 @@ def test_t_svd_f_diagonal_input():
     values = np.array([[5.0, 2.0, 1.0], [4.0, 3.0, 0.5], [4.0, 3.0, 0.5]])
     # conjugate-mirrored slices share values so the tensor is real
     for k in range(3):
-        diag_stack[:, :, k] = np.diag(values[k])
+        diag_stack[k] = np.diag(values[k])
     x = L.inverse(from_slice_stack(diag_stack, (3, 3, 3)), assert_real=True)
     res = t_svd(x, L)
     sbar = to_slice_stack(L.forward(res.s))
     for k in range(3):
-        assert np.allclose(np.diagonal(sbar[:, :, k]).real,
+        assert np.allclose(np.diagonal(sbar[k]).real,
                            sorted(values[k], reverse=True), atol=1e-10)
 
 
@@ -251,7 +251,7 @@ def test_t_svd_reconstruction_and_identities():
     sbar = to_slice_stack(L.forward(res.s))
     first = np.real(res.s[:, :, 0, 0]) if np.isrealobj(res.s) else res.s[:, :, 0, 0].real
     diag = np.diagonal(first)
-    sums = np.diagonal(sbar.sum(axis=2)).real / L.phi
+    sums = np.diagonal(sbar.sum(axis=0)).real / L.phi
     m = min(shape[0], shape[1])
     assert np.allclose(diag[:m], sums[:m], rtol=1e-10, atol=1e-12)
     assert all(diag[i] >= diag[i + 1] - 1e-10 for i in range(m - 1))
@@ -263,9 +263,9 @@ def test_t_svd_slice_orthogonality():
     res = t_svd(rng().standard_normal(shape), L)
     ubar = to_slice_stack(L.forward(res.u))
     vbar = to_slice_stack(L.forward(res.v))
-    for k in range(ubar.shape[2]):
-        assert np.linalg.norm(ubar[:, :, k].conj().T @ ubar[:, :, k] - np.eye(3)) <= 1e-10
-        assert np.linalg.norm(vbar[:, :, k].conj().T @ vbar[:, :, k] - np.eye(5)) <= 1e-10
+    for k in range(ubar.shape[0]):
+        assert np.linalg.norm(ubar[k].conj().T @ ubar[k] - np.eye(3)) <= 1e-10
+        assert np.linalg.norm(vbar[k].conj().T @ vbar[k] - np.eye(5)) <= 1e-10
 
 
 def test_multi_rank_zero_and_identity():
@@ -327,8 +327,8 @@ def _truncate_full_reference(x, L, target):
     xbar = to_slice_stack(L.forward(x))
     out = np.zeros_like(xbar)
     for k, r in enumerate(target):
-        u, s, vh = np.linalg.svd(xbar[:, :, k], full_matrices=False)
-        out[:, :, k] = (u[:, :r] * s[:r]) @ vh[:r]
+        u, s, vh = np.linalg.svd(xbar[k], full_matrices=False)
+        out[k] = (u[:, :r] * s[:r]) @ vh[:r]
     return L.inverse(from_slice_stack(out, x.shape), assert_real=True)
 
 
@@ -426,9 +426,9 @@ def test_t_svd_skinny_form():
     ubar = to_slice_stack(L.forward(res.u))
     sbar = to_slice_stack(L.forward(res.s))
     for k in range(4):
-        gram = ubar[:, :, k].conj().T @ ubar[:, :, k]
+        gram = ubar[k].conj().T @ ubar[k]
         assert np.linalg.norm(gram - np.eye(3)) <= 1e-10
-        diag = np.diagonal(sbar[:, :, k]).real
+        diag = np.diagonal(sbar[k]).real
         assert np.count_nonzero(diag > 1e-8 * max(diag.max(), 1e-300)) == ranks[k]
     with pytest.raises(ValueError, match="skinny width"):
         t_svd(x, L, rank=9)
