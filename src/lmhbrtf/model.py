@@ -18,13 +18,18 @@ multi-ranks are reported for all J slices through ``Transform.slice_map``.
 
 The slice posteriors are independent given the shared scalars, so every
 phase updates all K kept slices at once on stacked, zero-padded arrays
-(see :class:`FactorState`): one batched numpy expression per phase.
+(see :class:`FactorState`): one batched numpy expression per phase.  The
+factors are immutable: a phase that changes one builds a new
+:class:`Factor`, so the statistics the other phases read from them (the
+Gram matrices, the column energy and the slice products) are each
+computed once per factor object and cannot go stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +48,7 @@ from .tsvd import balanced_factors
 
 __all__ = [
     "HyperParams",
+    "Factor",
     "FactorState",
     "SparseState",
     "NoiseState",
@@ -111,27 +117,90 @@ class HyperParams:
         return out
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _diag(m: np.ndarray) -> np.ndarray:
+    """(K, R) real diagonals of a (K, R, R) stack."""
+    return np.diagonal(m, axis1=1, axis2=2).real
+
+
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
+class Factor:
+    """Posterior of one factor on the K kept slices.
+
+    ``mean`` is (K, I, R) and ``cov`` (K, R, R); both are read-only, and
+    ``gram`` = mean^H mean is formed on first use and kept.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.mean)
+        _read_only(self.cov)
+
+    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
+        return Factor, (self.mean, self.cov)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(K, R, R) stack of the mean Gram matrices."""
+        return _read_only(hermitian_t(self.mean) @ self.mean)
+
+
+@dataclass(frozen=True, eq=False)
 class FactorState:
-    """Posterior factors of the K kept slices, stacked and zero-padded.
+    """Posterior factors ``u`` and ``v`` of the K kept slices, stacked and
+    zero-padded, and the read-only ``ranks``.
 
     ``u_mean`` is (K, I1, R), ``v_mean`` (K, I2, R) and ``sigma_u``/
     ``sigma_v`` (K, R, R), where R is the largest entry of ``ranks``.
     Slice k's active columns are its first ``ranks[k]``; its other
     columns of the means and rows/columns of the covariances are
-    exactly zero.
+    exactly zero.  The statistics derived from both factors (``energy``
+    and ``products``) are formed on first use and kept: a phase that
+    changes a factor builds a new FactorState.
     """
 
-    u_mean: np.ndarray
-    v_mean: np.ndarray
-    sigma_u: np.ndarray
-    sigma_v: np.ndarray
+    u: Factor
+    v: Factor
     ranks: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.ranks)
+
+    def __reduce__(self):
+        return FactorState, (self.u, self.v, self.ranks)
+
+    u_mean = property(lambda self: self.u.mean)
+    v_mean = property(lambda self: self.v.mean)
+    sigma_u = property(lambda self: self.u.cov)
+    sigma_v = property(lambda self: self.v.cov)
 
     @property
     def active(self) -> np.ndarray:
         """(K, R) mask of the active columns."""
-        return np.arange(self.u_mean.shape[2]) < self.ranks[:, None]
+        return np.arange(self.u.mean.shape[2]) < self.ranks[:, None]
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """(K, R) expected column energies, the diagonal of <U^H U> + <V^H V>."""
+        u, v = self.u, self.v
+        return _read_only(u.mean.shape[1] * _diag(u.cov) + _diag(u.gram)
+                          + v.mean.shape[1] * _diag(v.cov) + _diag(v.gram))
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """(K, I1, I2) stack of the slice products U V^H."""
+        k, i1 = self.u.mean.shape[:2]
+        # column-major, so reconstruct_x inverse-transforms it without a copy
+        out = to_slice_stack(np.empty((i1, self.v.mean.shape[1], k),
+                                      dtype=np.complex128, order="F"))
+        np.matmul(self.u.mean, hermitian_t(self.v.mean), out=out)
+        return _read_only(out)
 
 
 @dataclass
@@ -180,8 +249,9 @@ class ModelState:
     The sparse component enters the factor updates only through the
     residual ``resid`` = L(Y - S), the (K, I1, I2) slice stack of the K
     kept transform slices.  ``ynorm`` is the weighted norm of Ybar over
-    all J slices.  ``xbar`` is the (K, I1, I2) stack of slice products
-    U V^H that ``x_hat`` was reconstructed from.
+    all J slices.  ``x_hat`` is the reconstruction from the slice
+    products of the factors current at the last :func:`update_s`.
+    Statistics of the factors live on ``factors``, not here.
     """
 
     y: np.ndarray
@@ -193,7 +263,6 @@ class ModelState:
     noise: NoiseState
     ynorm: float
     x_hat: Optional[np.ndarray] = None
-    xbar: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -330,9 +399,9 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     state = ModelState(
         y=y, transform=L, resid=_residual_stack(y, s_mean, L), hp=hp,
         factors=FactorState(
-            u_mean=np.where(active[:, None, :], u_mean, 0),
-            v_mean=np.where(active[:, None, :], v_mean, 0),
-            sigma_u=cov, sigma_v=cov.copy(), ranks=ranks.copy()),
+            u=Factor(np.where(active[:, None, :], u_mean, 0), cov),
+            v=Factor(np.where(active[:, None, :], v_mean, 0), cov.copy()),
+            ranks=ranks.copy()),
         sparse=SparseState(
             s_mean=s_mean, s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
             beta_a=1.0, beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
@@ -391,7 +460,7 @@ def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray
         raise NumericalBreakdownError(
             f"singular posterior precision of {side} on {where}: {exc}") from exc
     # reciprocal pivots; zero on padded rows keeps those rows of X zero
-    dinv = active / np.diagonal(chol, axis1=1, axis2=2).real
+    dinv = active / _diag(chol)
     x = np.zeros_like(chol)
     diag = np.arange(chol.shape[-1])
     x[:, diag, diag] = dinv
@@ -402,121 +471,70 @@ def _posterior_cov(state: ModelState, prec: np.ndarray, side: str) -> np.ndarray
     return hermitian_t(x) @ x
 
 
-def _update_factor(state: ModelState, side: str,
-                   gram: Optional[np.ndarray]) -> FactorState:
+def _update_factor(state: ModelState, side: str) -> FactorState:
     """Closed-form update of one factor's posterior on every slice.
 
     For U the precision is scale * <V^H V> + w * diag(lambda) and the
     mean scale * (R V) Sigma_u, R = L(Y - S) the residual stack; V
     mirrors it with R^H, read as (U^H R)^H, and the roles of U and V
     swapped.  The scale multiplies the (K, I, R) product, so the
-    residual stack is never copied.  *gram* is the other factor's mean
-    Gram matrix (V^H V for U), formed here when not given.
+    residual stack is never copied.  Only the updated side is replaced:
+    the other keeps its Gram matrix.
     """
     scale = state.noise.tau_mean / state.transform.phi
     w = _refinement_weight(state)
     f = state.factors
     if side == "u":
-        other, other_cov, rows = f.v_mean, f.sigma_v, state.shape[1]
-        proj = state.resid @ other
+        other, rows = f.v, state.shape[1]
+        proj = state.resid @ other.mean
     else:
-        other, other_cov, rows = f.u_mean, f.sigma_u, state.shape[0]
-        proj = hermitian_t(other) @ state.resid
+        other, rows = f.u, state.shape[0]
+        proj = hermitian_t(other.mean) @ state.resid
         proj = np.conjugate(proj, out=proj).transpose(0, 2, 1)
     proj *= scale
-    if gram is None:
-        gram = hermitian_t(other) @ other
-    prec = scale * (rows * other_cov + gram)
+    prec = scale * (rows * other.cov + other.gram)
     diag = np.arange(prec.shape[-1])
     prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
     cov = _posterior_cov(state, prec, side.upper())
-    mean = proj @ cov
-    if side == "u":
-        f.sigma_u, f.u_mean = cov, mean
-    else:
-        f.sigma_v, f.v_mean = cov, mean
-    return f
+    state.factors = replace(f, **{side: Factor(proj @ cov, cov)})
+    return state.factors
 
 
-def update_u(state: ModelState, vtv: Optional[np.ndarray] = None) -> FactorState:
-    """Closed-form update of the left factor posterior.
-
-    *vtv* is V^H V of the current ``v_mean``, formed when not given.
-    """
-    return _update_factor(state, "u", vtv)
+def update_u(state: ModelState) -> FactorState:
+    """Closed-form update of the left factor posterior."""
+    return _update_factor(state, "u")
 
 
-def update_v(state: ModelState, utu: Optional[np.ndarray] = None) -> FactorState:
-    """Closed-form update of the right factor posterior.
-
-    *utu* is U^H U of the current ``u_mean``, formed when not given.
-    """
-    return _update_factor(state, "v", utu)
+def update_v(state: ModelState) -> FactorState:
+    """Closed-form update of the right factor posterior."""
+    return _update_factor(state, "v")
 
 
-def _column_sq_norms(m: np.ndarray) -> np.ndarray:
-    """(K, R) squared norms of the columns of a (K, I, R) complex stack."""
-    # real and imaginary parts interleave in the last axis of the float view
-    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-    return np.einsum("kir,kir->kr", parts, parts).reshape(m.shape[0], -1, 2).sum(axis=2)
-
-
-def _column_energy(state: ModelState) -> np.ndarray:
-    """(K, R) expected column energies, the diagonal of <U^H U> + <V^H V>."""
-    i1, i2 = state.shape[:2]
-    f = state.factors
-    return (i1 * np.diagonal(f.sigma_u, axis1=1, axis2=2).real + _column_sq_norms(f.u_mean)
-            + i2 * np.diagonal(f.sigma_v, axis1=1, axis2=2).real + _column_sq_norms(f.v_mean))
-
-
-def update_lambda(state: ModelState, energy: Optional[np.ndarray] = None) -> NoiseState:
-    """Gamma update of the per-column ARD precisions.
-
-    *energy* is the (K, R) column energy of the current factors,
-    computed when not given.
-    """
+def update_lambda(state: ModelState) -> NoiseState:
+    """Gamma update of the per-column ARD precisions."""
     i1, i2 = state.shape[:2]
     hp = state.hp
     noise = state.noise
-    if energy is None:
-        energy = _column_energy(state)
     noise.lambda_a = hp.a0_lambda + (i1 + i2) / 2
-    noise.lambda_b = hp.b0_lambda + energy / 2
+    noise.lambda_b = hp.b0_lambda + state.factors.energy / 2
     return noise
 
 
-def _factor_products(state: ModelState) -> np.ndarray:
-    """U V^H of every kept slice, as a (K, I1, I2) stack."""
-    f = state.factors
-    # column-major, so reconstruct_x inverse-transforms it without a copy
-    shape = state.shape[:2] + state.transform.half_trailing
-    out = to_slice_stack(np.empty(shape, dtype=np.complex128, order="F"))
-    np.matmul(f.u_mean, hermitian_t(f.v_mean), out=out)
-    return out
-
-
-def reconstruct_x(state: ModelState, products: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mean low-rank reconstruction, mapped back to the original domain.
-
-    *products* is the (K, I1, I2) stack of slice products U V^H, such
-    as ``state.xbar``; it is computed from the factors when not given.
-    """
-    if products is None:
-        products = _factor_products(state)
+def reconstruct_x(state: ModelState) -> np.ndarray:
+    """Mean low-rank reconstruction from the slice products of the
+    factors, mapped back to the original domain."""
     L = state.transform
-    half = from_slice_stack(products, state.shape[:2] + L.half_trailing)
+    half = from_slice_stack(state.factors.products, state.shape[:2] + L.half_trailing)
     return L.inverse(half, assert_real=True, half=True)
 
 
 def update_s(state: ModelState) -> SparseState:
     """Gaussian update of the sparse component from the current residual.
 
-    Writes ``s_mean`` and ``s_var`` in place, then sets the residual
-    stack to L(Y - S) and keeps the slice products behind ``x_hat`` in
-    ``state.xbar``.
+    Sets ``x_hat`` from the current factors, writes ``s_mean`` and
+    ``s_var`` in place, then sets the residual stack to L(Y - S).
     """
-    state.xbar = _factor_products(state)
-    state.x_hat = reconstruct_x(state, state.xbar)
+    state.x_hat = reconstruct_x(state)
     tau = state.noise.tau_mean
     sp = state.sparse
     # s_var holds denom = <beta> + tau until the last step
@@ -542,39 +560,25 @@ def update_beta(state: ModelState) -> SparseState:
     return sp
 
 
-def expected_residual_sq(state: ModelState, products: Optional[np.ndarray] = None,
-                         utu: Optional[np.ndarray] = None,
-                         vtv: Optional[np.ndarray] = None) -> float:
+def expected_residual_sq(state: ModelState) -> float:
     """Expected squared transform-domain residual <||Ybar - U V^H - Sbar||^2>.
 
     Expands into the squared mean residual plus the factor-covariance
     cross terms and the transform-scaled sparse variances.  The sum runs
     over all J slices: each kept slice counts with its weight.
-    *products* is the stack of slice products U V^H of the current
-    factors (``state.xbar`` right after :func:`update_s`), and *utu* and
-    *vtv* are the Gram stacks U^H U and V^H V of the current means; each
-    is computed from the factors when not given.
     """
     i1, i2 = state.shape[:2]
     f = state.factors
-    mu, mv = f.u_mean, f.v_mean
     su, sv = f.sigma_u, f.sigma_v
-    if products is None:
-        products = res = _factor_products(state)  # a fresh stack: subtract in place
-    else:
-        res = np.empty_like(products)
-    np.subtract(state.resid, products, out=res)
+    res = np.empty_like(f.products)
+    np.subtract(state.resid, f.products, out=res)
     # one row of floats per slice, column by column (a view if column-major)
     rows = np.ascontiguousarray(res.transpose(0, 2, 1)).reshape(state.n_slices, -1)
     parts = rows.view(np.float64)
     t = np.einsum("ki,ki->k", parts, parts)
     t += i1 * i2 * np.einsum("kij,kji->k", sv, su).real
-    if utu is None:
-        utu = hermitian_t(mu) @ mu
-    if vtv is None:
-        vtv = hermitian_t(mv) @ mv
-    t += i1 * np.einsum("kij,kji->k", su, vtv).real
-    t += i2 * np.einsum("kij,kji->k", sv, utu).real
+    t += i1 * np.einsum("kij,kji->k", su, f.v.gram).real
+    t += i2 * np.einsum("kij,kji->k", sv, f.u.gram).real
     return float(t @ state.transform.slice_weights
                  + state.transform.phi * state.sparse.s_var.sum())
 
@@ -603,43 +607,39 @@ def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
     return state.noise.fit
 
 
-def prune_columns(state: ModelState, threshold: Optional[float] = None,
-                  energy: Optional[np.ndarray] = None) -> np.ndarray:
-    """Drop factor columns whose relative energy fell below *threshold*.
+def prune_columns(state: ModelState) -> np.ndarray:
+    """Drop factor columns whose relative energy fell below the threshold.
 
     Column r of slice k is removed when its mean-plus-covariance energy
-    (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below threshold times the
-    largest column energy of that slice.  The strongest column survives
-    unless the whole slice is exactly zero.  Survivors move to the front
-    in their original order and the stacks shrink to the new largest
-    rank.  Returns the new multi-rank, one rank for each of the J slices.
-    *energy* is the (K, R) column energy of the current factors, as
-    handed to :func:`update_lambda`; it is computed when not given.
+    (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below ``hp.prune_threshold``
+    times the largest column energy of that slice.  The strongest column
+    survives unless the whole slice is exactly zero.  Survivors move to
+    the front in their original order and the stacks shrink to the new
+    largest rank.  Returns the new multi-rank, one rank for each of the
+    J slices.
     """
-    if threshold is None:
-        threshold = state.hp.prune_threshold
-    if energy is None:
-        energy = _column_energy(state)
     i1, i2 = state.shape[:2]
     f = state.factors
     noise = state.noise
-    energy = energy / (i1 + i2)
+    energy = f.energy / (i1 + i2)
     top = energy.max(axis=1, initial=0.0)[:, None]
     # padding has zero energy, so it never passes a positive threshold; an
     # all-zero slice keeps no column
-    keep = (energy >= threshold * top) & (top > 0.0)
+    keep = (energy >= state.hp.prune_threshold * top) & (top > 0.0)
     if np.array_equal(keep, f.active):
         return state.multirank
-    f.ranks = np.count_nonzero(keep, axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :f.ranks.max(initial=0)]
-    active = np.arange(order.shape[1]) < f.ranks[:, None]
+    ranks = np.count_nonzero(keep, axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :ranks.max(initial=0)]
+    active = np.arange(order.shape[1]) < ranks[:, None]
     cols = order[:, None, :]
-    f.u_mean = np.where(active[:, None, :], np.take_along_axis(f.u_mean, cols, 2), 0)
-    f.v_mean = np.where(active[:, None, :], np.take_along_axis(f.v_mean, cols, 2), 0)
     pairs = _pair_mask(active)
-    for name in ("sigma_u", "sigma_v"):
-        cov = np.take_along_axis(getattr(f, name), order[:, :, None], 1)
-        setattr(f, name, np.where(pairs, np.take_along_axis(cov, cols, 2), 0))
+
+    def compact(factor: Factor) -> Factor:
+        cov = np.take_along_axis(factor.cov, order[:, :, None], 1)
+        return Factor(np.where(active[:, None, :], np.take_along_axis(factor.mean, cols, 2), 0),
+                      np.where(pairs, np.take_along_axis(cov, cols, 2), 0))
+
+    state.factors = FactorState(compact(f.u), compact(f.v), ranks)
     noise.lambda_b = np.take_along_axis(noise.lambda_b, order, 1)
     return state.multirank
 
@@ -654,10 +654,8 @@ def _check_state_positive(state: ModelState) -> None:
     active = f.active
     for name, values in (
             ("ARD Gamma rate lambda_b", noise.lambda_b),
-            ("posterior variance diag(Sigma_u)",
-             np.diagonal(f.sigma_u, axis1=1, axis2=2).real),
-            ("posterior variance diag(Sigma_v)",
-             np.diagonal(f.sigma_v, axis1=1, axis2=2).real)):
+            ("posterior variance diag(Sigma_u)", _diag(f.sigma_u)),
+            ("posterior variance diag(Sigma_v)", _diag(f.sigma_v))):
         bad = np.flatnonzero((active & ~(values > 0)).any(axis=1))
         if bad.size:
             raise NumericalBreakdownError(
@@ -698,27 +696,17 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
         return RunResult(x_prev, state.sparse.s_mean.copy(),
                          state.multirank, trace)
 
-    # the Grams and the column energy are formed once per iteration and handed
-    # on; V^H V carries over to the next update_u unless pruning replaced V
-    vtv = None
     for it in range(1, hp.max_iter + 1):
         try:
-            f = update_u(state, vtv=vtv)
-            utu = hermitian_t(f.u_mean) @ f.u_mean
-            update_v(state, utu=utu)
-            v_mean = f.v_mean
-            vtv = hermitian_t(v_mean) @ v_mean
-            energy = _column_energy(state)
-            update_lambda(state, energy=energy)
+            update_u(state)
+            update_v(state)
+            update_lambda(state)
             update_s(state)
             update_beta(state)
-            resid_sq = expected_residual_sq(state, products=state.xbar,
-                                            utu=utu, vtv=vtv)
+            resid_sq = expected_residual_sq(state)
             update_tau(state, resid_sq=resid_sq)
             compute_fit(state, resid_sq=resid_sq)
-            prune_columns(state, energy=energy)
-            if state.factors.v_mean is not v_mean:
-                vtv = None
+            prune_columns(state)
             _check_state_positive(state)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(f"iteration {it}: {exc}") from exc

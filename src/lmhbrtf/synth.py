@@ -197,17 +197,15 @@ def x_err(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     return float(np.linalg.norm(np.ravel(x_hat - x_gt)) / denom)
 
 
-def protocol_hyperparams(shape, init_rank: Optional[int] = None,
-                         max_iter: int = 2500) -> HyperParams:
+def protocol_hyperparams(shape) -> HyperParams:
     """Inference settings for the synthetic benchmark.
 
     Initial rank half the slice size, unit initial sparse variance,
-    refinement divisor 1 and a 1e-6 convergence threshold.
+    refinement divisor 1, a 1e-6 convergence threshold and at most
+    2,500 iterations.
     """
-    if init_rank is None:
-        init_rank = min(shape[0], shape[1]) // 2
-    return HyperParams(init_rank=init_rank, sigma0_sq=1.0, gamma=1.0,
-                       tol=1e-6, max_iter=max_iter)
+    return HyperParams(init_rank=min(shape[0], shape[1]) // 2, sigma0_sq=1.0,
+                       gamma=1.0, tol=1e-6, max_iter=2500)
 
 
 def run_benchmark(configs, hp: Optional[HyperParams] = None,

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 import scipy.special as sps
+from factor_edits import edited_factors
 
 from lmhbrtf.metrics import psnr
 from lmhbrtf.model import (
@@ -307,11 +308,12 @@ def _factor_objective(state, side):
 
     def evaluate(means, covs):
         st = copy.deepcopy(state)
-        target = st.factors.u_mean if side == "u" else st.factors.v_mean
-        target_cov = st.factors.sigma_u if side == "u" else st.factors.sigma_v
-        for k in range(st.n_slices):
-            target[k] = np.array(means[k])
-            target_cov[k] = np.array(covs[k])
+        with edited_factors(st) as f:
+            target = f.u_mean if side == "u" else f.v_mean
+            target_cov = f.sigma_u if side == "u" else f.sigma_v
+            for k in range(st.n_slices):
+                target[k] = np.array(means[k])
+                target_cov[k] = np.array(covs[k])
         value = -(tau / st.transform.phi) * expected_residual_sq(st)
         for k in range(st.n_slices):
             lam = st.noise.lambda_mean(k)
@@ -459,13 +461,13 @@ def test_criterion_6_update_optimality():
 def test_criterion_7_residual_expansion_monte_carlo():
     state, rng = _tiny_state(7, shape=(3, 3, 2), rank=2)
     # make the posterior genuinely random (complex means, dense covariances)
-    for k in range(state.n_slices):
-        f = state.factors
-        f.u_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        f.v_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        for covs in (f.sigma_u, f.sigma_v):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
+    with edited_factors(state) as f:
+        for k in range(state.n_slices):
+            f.u_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            f.v_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            for covs in (f.sigma_u, f.sigma_v):
+                a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
     state.sparse.s_mean = rng.standard_normal(state.shape)
     state.sparse.s_var = rng.uniform(0.2, 1.0, state.shape)
     ybar = to_slice_stack(state.transform.forward(state.y, half=True))  # (J, I1, I2)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from factor_edits import edited_factors
 
 from lmhbrtf import model
 from lmhbrtf.model import (
@@ -227,23 +228,24 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
     tau = b.noise.tau_mean
     scale = tau / b.transform.phi
     w = max(b.noise.fit, 0.0) / b.hp.gamma
-    for k in reversed(range(b.n_slices)):
-        vtv = (b.shape[1] * b.factors.sigma_v[k]
-               + b.factors.v_mean[k].conj().T @ b.factors.v_mean[k])
-        prec = scale * vtv + np.diag(w * b.noise.lambda_mean(k))
-        # Sigma = X^H X with X = chol^-1 by forward substitution, row by row
-        chol = np.linalg.cholesky(prec)
-        dinv = 1.0 / np.diagonal(chol).real
-        x = np.zeros_like(chol)
-        x[0, 0] = dinv[0]
-        for i in range(1, len(x)):
-            x[i, :i] = (chol[i:i + 1, :i] @ x[:i, :i])[0] * -dinv[i]
-            x[i, i] = dinv[i]
-        cov = x.conj().T @ x
-        b.factors.sigma_u[k] = cov
-        proj = b.resid[k] @ b.factors.v_mean[k]
-        proj *= scale
-        b.factors.u_mean[k] = proj @ cov
+    with edited_factors(b) as f:
+        for k in reversed(range(b.n_slices)):
+            vtv = (b.shape[1] * f.sigma_v[k]
+                   + f.v_mean[k].conj().T @ f.v_mean[k])
+            prec = scale * vtv + np.diag(w * b.noise.lambda_mean(k))
+            # Sigma = X^H X with X = chol^-1 by forward substitution, row by row
+            chol = np.linalg.cholesky(prec)
+            dinv = 1.0 / np.diagonal(chol).real
+            x = np.zeros_like(chol)
+            x[0, 0] = dinv[0]
+            for i in range(1, len(x)):
+                x[i, :i] = (chol[i:i + 1, :i] @ x[:i, :i])[0] * -dinv[i]
+                x[i, i] = dinv[i]
+            cov = x.conj().T @ x
+            f.sigma_u[k] = cov
+            proj = b.resid[k] @ f.v_mean[k]
+            proj *= scale
+            f.u_mean[k] = proj @ cov
 
     for k in range(a.n_slices):
         assert a.factors.u_mean[k].tobytes() == b.factors.u_mean[k].tobytes()
@@ -270,7 +272,9 @@ def test_positivity_invariant_holds_through_noisy_run():
 # The phases an external tracer hooks by replacing these module attributes
 # (bench/tracing.py): run() must look each up at call time, once per
 # iteration, with the state as the first positional argument.  The tracer
-# also times the slice-stack layout through model.to_slice_stack.
+# also times the slice-stack layout through model.to_slice_stack.  Only the
+# scalar expected residual is handed from phase to phase: every other
+# statistic lives on the factor objects.
 ITERATION_PHASES = ("update_u", "update_v", "update_lambda", "update_s",
                     "reconstruct_x", "update_beta", "expected_residual_sq",
                     "update_tau", "compute_fit", "prune_columns")
@@ -278,11 +282,14 @@ ITERATION_PHASES = ("update_u", "update_v", "update_lambda", "update_s",
 
 def test_run_calls_each_phase_through_the_module_once_per_iteration(monkeypatch):
     calls = []  # (name, type of the first positional argument, enclosing calls)
+    more_than_state = set()  # phases given an argument besides the state
     active = []
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
             calls.append((name, type(args[0]) if args else None, tuple(active)))
+            if len(args) + len(kwargs) > 1:
+                more_than_state.add(name)
             active.append(name)
             try:
                 return original(*args, **kwargs)
@@ -309,6 +316,7 @@ def test_run_calls_each_phase_through_the_module_once_per_iteration(monkeypatch)
     calls = [call for call in calls if call[0] != "to_slice_stack"]
     assert all(first is model.ModelState
                for name, first, _ in calls if name != "init_state")
+    assert more_than_state == {"init_state", "update_tau", "compute_fit"}
     top = [name for name, _, outer in calls if not outer]
     nested = [(name, outer) for name, _, outer in calls
               if outer and outer[0] != "init_state"]
@@ -321,3 +329,32 @@ def test_run_calls_each_phase_through_the_module_once_per_iteration(monkeypatch)
     assert starts[0] == 2 and len(starts) == n
     for a, b in zip(starts, starts[1:] + [len(top)]):
         assert sorted(top[a:b]) == per_iteration
+
+
+def test_run_forms_each_statistic_once_per_factor_object(monkeypatch):
+    # per iteration: X^H X for each posterior covariance, U^H R in update_v,
+    # one mean Gram per factor and the V^H of the slice products; a phase
+    # that recomputed a Gram would add a call
+    counts = []  # hermitian_t calls in set-up, then in each iteration
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            counts[-1] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def opening_an_iteration(original):
+        def wrapper(*args, **kwargs):
+            counts.append(0)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "hermitian_t", counting(model.hermitian_t))
+    monkeypatch.setattr(model, "update_u", opening_an_iteration(model.update_u))
+    counts.append(0)
+    y = np.random.default_rng(4).standard_normal((10, 9, 4))
+    result = model.run(y, Transform.dft((4,)),
+                       small_hp(init_rank=2, tol=1e-30, max_iter=12), seed=0)
+    assert len(result.trace.records) == 12
+    assert all(r.multirank == [2] * 4 for r in result.trace.records)  # no pruning
+    assert counts[1:] == [6] * 12

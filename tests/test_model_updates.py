@@ -1,7 +1,11 @@
 """Closed-form posterior updates checked against limits and recompute oracles."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from factor_edits import edited_factors
 
 from lmhbrtf import model
 from lmhbrtf.errors import NumericalBreakdownError
@@ -43,16 +47,16 @@ def randomize_factors(state, seed=0):
     Only the active columns of each slice are drawn; the padding stays 0.
     """
     r = np.random.default_rng(seed)
-    f = state.factors
-    for k in range(state.n_slices):
-        rk = f.ranks[k]
-        i1, i2 = state.shape[:2]
-        f.u_mean[k, :, :rk] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
-        f.v_mean[k, :, :rk] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
-        for covs in (f.sigma_u, f.sigma_v):
-            a = r.standard_normal((rk, rk)) + 1j * r.standard_normal((rk, rk))
-            covs[k, :rk, :rk] = a @ a.conj().T + 0.5 * np.eye(rk)
-        state.noise.lambda_b[k, :rk] = r.uniform(0.5, 2.0, rk)
+    with edited_factors(state) as f:
+        for k in range(state.n_slices):
+            rk = f.ranks[k]
+            i1, i2 = state.shape[:2]
+            f.u_mean[k, :, :rk] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
+            f.v_mean[k, :, :rk] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
+            for covs in (f.sigma_u, f.sigma_v):
+                a = r.standard_normal((rk, rk)) + 1j * r.standard_normal((rk, rk))
+                covs[k, :rk, :rk] = a @ a.conj().T + 0.5 * np.eye(rk)
+            state.noise.lambda_b[k, :rk] = r.uniform(0.5, 2.0, rk)
     state.noise.lambda_a = 1.5
     state.noise.tau_a = 3.0
     state.noise.tau_b = 1.5
@@ -219,7 +223,8 @@ def test_update_u_slice_locality():
     a = make_state(shape=(4, 4, 5), r=2, seed=5)
     b = make_state(shape=(4, 4, 5), r=2, seed=5)
     assert b.n_slices == 3
-    b.factors.v_mean[2] = b.factors.v_mean[2] * 2.0
+    with edited_factors(b) as f:
+        f.v_mean[2] = f.v_mean[2] * 2.0
     b.noise.lambda_b[2] = b.noise.lambda_b[2] * 3.0
     update_u(a)
     update_u(b)
@@ -230,12 +235,13 @@ def test_update_u_slice_locality():
 
 def test_update_lambda_zero_factors():
     state = make_state(shape=(4, 3, 2), r=2)
-    for k in range(state.n_slices):
-        rk = state.factors.ranks[k]
-        state.factors.u_mean[k] = np.zeros((4, rk), dtype=complex)
-        state.factors.v_mean[k] = np.zeros((3, rk), dtype=complex)
-        state.factors.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
-        state.factors.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
+    with edited_factors(state) as f:
+        for k in range(state.n_slices):
+            rk = f.ranks[k]
+            f.u_mean[k] = np.zeros((4, rk), dtype=complex)
+            f.v_mean[k] = np.zeros((3, rk), dtype=complex)
+            f.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
+            f.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
     update_lambda(state)
     hp = state.hp
     expected = (hp.a0_lambda + (4 + 3) / 2) / hp.b0_lambda
@@ -325,13 +331,14 @@ def test_update_beta_matches_recompute_oracle():
 
 
 def _zero_out(state, with_s=True):
-    for k in range(state.n_slices):
-        rk = state.factors.ranks[k]
-        i1, i2 = state.shape[:2]
-        state.factors.u_mean[k] = np.zeros((i1, rk), dtype=complex)
-        state.factors.v_mean[k] = np.zeros((i2, rk), dtype=complex)
-        state.factors.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
-        state.factors.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
+    with edited_factors(state) as f:
+        for k in range(state.n_slices):
+            rk = f.ranks[k]
+            i1, i2 = state.shape[:2]
+            f.u_mean[k] = np.zeros((i1, rk), dtype=complex)
+            f.v_mean[k] = np.zeros((i2, rk), dtype=complex)
+            f.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
+            f.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
     if with_s:
         state.sparse.s_mean = np.zeros(state.shape)
         state.sparse.s_var = np.zeros(state.shape)
@@ -352,11 +359,12 @@ def test_update_tau_cold_start():
 def test_update_tau_perfect_fit_limit():
     state = make_state(shape=(4, 4, 1), r=4, seed=2)
     # factors reproducing ybar exactly, no uncertainty anywhere
-    state.factors.u_mean[0] = ybar_of(state)[0].astype(complex)
-    state.factors.v_mean[0] = np.eye(4, dtype=complex)
-    state.factors.sigma_u[0] = np.zeros((4, 4), dtype=complex)
-    state.factors.sigma_v[0] = np.zeros((4, 4), dtype=complex)
-    state.factors.ranks[:] = 4
+    with edited_factors(state) as f:
+        f.u_mean[0] = ybar_of(state)[0].astype(complex)
+        f.v_mean[0] = np.eye(4, dtype=complex)
+        f.sigma_u[0] = np.zeros((4, 4), dtype=complex)
+        f.sigma_v[0] = np.zeros((4, 4), dtype=complex)
+        f.ranks[:] = 4
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
@@ -372,10 +380,11 @@ def test_compute_fit_limits():
     assert compute_fit(state) == pytest.approx(0.0, abs=1e-12)
 
     exact = make_state(shape=(4, 4, 1), r=4, seed=2)
-    exact.factors.u_mean[0] = ybar_of(exact)[0].astype(complex)
-    exact.factors.v_mean[0] = np.eye(4, dtype=complex)
-    exact.factors.sigma_u[0] = np.zeros((4, 4), dtype=complex)
-    exact.factors.sigma_v[0] = np.zeros((4, 4), dtype=complex)
+    with edited_factors(exact) as f:
+        f.u_mean[0] = ybar_of(exact)[0].astype(complex)
+        f.v_mean[0] = np.eye(4, dtype=complex)
+        f.sigma_u[0] = np.zeros((4, 4), dtype=complex)
+        f.sigma_v[0] = np.zeros((4, 4), dtype=complex)
     exact.sparse.s_mean = np.zeros(exact.shape)
     exact.sparse.s_var = np.zeros(exact.shape)
     sbar = to_slice_stack(exact.transform.forward(exact.sparse.s_mean))
@@ -395,7 +404,8 @@ def test_expected_residual_additivity_of_variance_terms():
 def test_prune_noop_below_threshold():
     state = make_state(shape=(4, 4, 2), r=2, seed=3)
     before = [m.copy() for m in state.factors.u_mean]
-    ranks = prune_columns(state, threshold=1e-12)
+    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-12)
+    ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
         assert np.array_equal(state.factors.u_mean[k], before[k])
@@ -403,15 +413,17 @@ def test_prune_noop_below_threshold():
 
 def test_prune_drops_zero_column():
     state = make_state(shape=(4, 4, 2), r=3, seed=3)
-    for k in range(state.n_slices):
-        state.factors.u_mean[k][:, 1] = 0.0
-        state.factors.v_mean[k][:, 1] = 0.0
-        cov = state.factors.sigma_u[k].copy()
-        cov[1, :] = 0.0
-        cov[:, 1] = 0.0
-        state.factors.sigma_u[k] = cov
-        state.factors.sigma_v[k] = cov.copy()
-    ranks = prune_columns(state, threshold=1e-4)
+    with edited_factors(state) as f:
+        for k in range(state.n_slices):
+            f.u_mean[k][:, 1] = 0.0
+            f.v_mean[k][:, 1] = 0.0
+            cov = f.sigma_u[k].copy()
+            cov[1, :] = 0.0
+            cov[:, 1] = 0.0
+            f.sigma_u[k] = cov
+            f.sigma_v[k] = cov.copy()
+    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-4)
+    ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
         assert state.factors.u_mean[k].shape == (4, 2)
@@ -421,8 +433,35 @@ def test_prune_drops_zero_column():
 
 def test_prune_keeps_strongest_column():
     state = make_state(shape=(4, 4, 1), r=2, seed=3)
-    ranks = prune_columns(state, threshold=0.999999)
+    state.hp = dataclasses.replace(state.hp, prune_threshold=0.999999)
+    ranks = prune_columns(state)
     assert ranks[0] >= 1
+
+
+def test_factor_arrays_and_their_statistics_are_read_only():
+    state = make_state(shape=(4, 4, 5), r=2, seed=5)
+    f = state.factors
+    for array in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v, f.ranks,
+                  f.u.gram, f.v.gram, f.energy, f.products):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # a deep copy is rebuilt read-only, with nothing cached
+    g = copy.deepcopy(state).factors
+    assert g is not f and "gram" not in vars(g.u) and "products" not in vars(g)
+    assert np.array_equal(g.u_mean, f.u_mean) and np.array_equal(g.ranks, f.ranks)
+    for array in (g.u_mean, g.v_mean, g.sigma_u, g.sigma_v, g.ranks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_update_u_replaces_only_u_and_keeps_the_gram_of_v():
+    state = make_state(shape=(4, 4, 5), r=2, seed=5)
+    v = state.factors.v
+    gram = v.gram
+    update_u(state)
+    assert state.factors.v is v and state.factors.v.gram is gram
+    update_v(state)
+    assert state.factors.v is not v
 
 
 def test_reconstruct_zero_factors_and_single_slice():
@@ -459,13 +498,13 @@ def mixed_rank_state():
     assert np.array_equal(state.factors.ranks, [3, 2, 1])
     assert_padding_zero(state)
     randomize_factors(state, seed=4)
-    f = state.factors
-    for stack in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v):
-        stack[0] = stack[0].real  # slice 0 is self-paired: real under the DFT
-    f.u_mean[2] = 0.0
-    f.v_mean[2] = 0.0
-    f.sigma_u[2] = 0.0
-    f.sigma_v[2] = 0.0
+    with edited_factors(state) as f:
+        for stack in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v):
+            stack[0] = stack[0].real  # slice 0 is self-paired: real under the DFT
+        f.u_mean[2] = 0.0
+        f.v_mean[2] = 0.0
+        f.sigma_u[2] = 0.0
+        f.sigma_v[2] = 0.0
     assert np.array_equal(prune_columns(state), [3, 2, 0, 0, 2])
     assert_padding_zero(state)
     state.noise.fit = 0.4
@@ -551,17 +590,19 @@ def test_prune_compacts_survivors_in_order_and_shrinks_width():
     state = init_state(y, Transform.dft((5,)),
                        HyperParams(init_rank=[3, 2, 1, 1, 2]), seed=2)
     randomize_factors(state, seed=9)
-    f = state.factors
     # slice 0 loses its first column and slice 1 its second: width 3 -> 2
-    for k, col in ((0, 0), (1, 1)):
-        f.u_mean[k][:, col] = 0.0
-        f.v_mean[k][:, col] = 0.0
-        for cov in (f.sigma_u[k], f.sigma_v[k]):
-            cov[col, :] = 0.0
-            cov[:, col] = 0.0
+    with edited_factors(state) as f:
+        for k, col in ((0, 0), (1, 1)):
+            f.u_mean[k][:, col] = 0.0
+            f.v_mean[k][:, col] = 0.0
+            for cov in (f.sigma_u[k], f.sigma_v[k]):
+                cov[col, :] = 0.0
+                cov[:, col] = 0.0
     old_u, old_sv = f.u_mean.copy(), f.sigma_v.copy()
     old_lb = state.noise.lambda_b.copy()
-    ranks = prune_columns(state, threshold=1e-4)
+    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-4)
+    ranks = prune_columns(state)
+    f = state.factors
     assert np.array_equal(ranks, [2, 1, 1, 1, 1])
     assert f.u_mean.shape == (3, 5, 2) and f.sigma_v.shape == (3, 2, 2)
     assert state.noise.lambda_b.shape == (3, 2)
@@ -627,22 +668,12 @@ def test_update_s_keeps_the_products_behind_x_hat():
     state = mixed_rank_state()
     update_s(state)
     assert np.array_equal(state.x_hat, reconstruct_x(state))
-    assert np.array_equal(state.x_hat, reconstruct_x(state, state.xbar))
     update_beta(state)
-    kept = expected_residual_sq(state, products=state.xbar)
+    kept = expected_residual_sq(state)
+    with edited_factors(state):
+        pass  # the same factors, with nothing cached
+    assert np.array_equal(state.x_hat, reconstruct_x(state))
     assert kept == expected_residual_sq(state)
-
-
-def test_expected_residual_sq_sums_each_slice_in_any_products_layout():
-    # state.xbar is column-major; a C-ordered copy keeps the slice axis
-    # slowest in memory, a Fortran-ordered one makes it fastest
-    state = mixed_rank_state()
-    update_s(state)
-    update_beta(state)
-    want = expected_residual_sq(state, products=state.xbar)
-    for copy in (np.ascontiguousarray, np.asfortranarray):
-        got = expected_residual_sq(state, products=copy(state.xbar))
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -651,9 +682,9 @@ def test_expected_residual_sq_sums_each_slice_in_any_products_layout():
 
 def test_singular_precision_names_the_slice():
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
-    f = state.factors
-    f.v_mean[1] = 0.0
-    f.sigma_v[1] = 0.0
+    with edited_factors(state) as f:
+        f.v_mean[1] = 0.0
+        f.sigma_v[1] = 0.0
     state.noise.fit = 0.0  # no ARD term: slice 1's precision block is zero
     with pytest.raises(NumericalBreakdownError,
                        match=r"singular posterior precision of U on slice 1 "
@@ -665,7 +696,8 @@ def test_indefinite_precision_names_the_slice():
     # a negative variance makes slice 2's precision of U indefinite but
     # nonsingular: an inverse would succeed, the Cholesky factorization fails
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
-    state.factors.sigma_v[2][0, 0] = -1e3
+    with edited_factors(state) as f:
+        f.sigma_v[2][0, 0] = -1e3
     assert np.linalg.eigvalsh(state.factors.sigma_v[2]).min() < 0
     with pytest.raises(NumericalBreakdownError,
                        match=r"singular posterior precision of U on slice 2 "
@@ -682,7 +714,8 @@ def test_non_positive_lambda_b_names_the_slice():
         _check_state_positive(state)
     # an inactive entry is padding, not a parameter: it is not checked
     state.noise.lambda_b[2, 1] = 1.0
-    state.factors.ranks[2] = 1
+    with edited_factors(state) as f:
+        f.ranks[2] = 1
     state.noise.lambda_b[2, 1] = -1.0
     _check_state_positive(state)
 
@@ -692,8 +725,8 @@ def test_breakdown_in_run_names_the_iteration(monkeypatch):
     original = model.update_lambda
     calls = []
 
-    def update_lambda_breaking_at_3(state, energy=None):
-        original(state, energy=energy)
+    def update_lambda_breaking_at_3(state):
+        original(state)
         calls.append(1)
         if len(calls) == 3:
             state.noise.lambda_b[1, 0] = -1.0
@@ -710,11 +743,12 @@ def test_indefinite_precision_in_run_names_the_iteration(monkeypatch):
     original = model.update_u
     calls = []
 
-    def update_u_after_bad_variance_at_3(state, **kwargs):
+    def update_u_after_bad_variance_at_3(state):
         calls.append(1)
         if len(calls) == 3:
-            state.factors.sigma_v[1][0, 0] = -1e3
-        return original(state, **kwargs)
+            with edited_factors(state) as f:
+                f.sigma_v[1][0, 0] = -1e3
+        return original(state)
 
     monkeypatch.setattr(model, "update_u", update_u_after_bad_variance_at_3)
     with pytest.raises(NumericalBreakdownError,
