@@ -42,6 +42,7 @@ from .tsvd import (
     identity_tensor,
     multi_rank,
     t_product,
+    t_qr,
     t_svd,
     truncate_multi_rank,
     tubal_rank,
@@ -61,6 +62,6 @@ __all__ = [
     "bdiag", "frobenius_norm", "linear_to_slice", "slice_to_linear",
     "Transform", "real_part",
     "TSVDResult", "conj_transpose", "facewise_product", "factorize_lemma1",
-    "identity_tensor", "multi_rank", "t_product", "t_svd",
+    "identity_tensor", "multi_rank", "t_product", "t_qr", "t_svd",
     "truncate_multi_rank", "tubal_rank",
 ]

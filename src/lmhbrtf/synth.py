@@ -3,9 +3,11 @@
 An instance is built as Y = X_gt + S_gt + E_gt: a low-multi-rank part
 from the t-product of standard-Gaussian factor tensors truncated to a
 prescribed per-slice rank pattern, a sparse part with a fixed count of
-uniform outliers, and dense Gaussian noise.  Recovery quality is scored
-by the mean absolute per-slice rank deviation (rank error) and the
-relative Frobenius error of the recovered low-rank part.
+uniform outliers, and dense Gaussian noise.  The truncation runs on the
+R x R cores of the factors' thin t-QRs, never on an I1 x I2 slice.
+Recovery quality is scored by the mean absolute per-slice rank
+deviation (rank error) and the relative Frobenius error of the
+recovered low-rank part.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .model import HyperParams, run
 from .report import RunReport
 from .tensor import num_slices
 from .transform import Transform
-from .tsvd import conj_transpose, t_product, truncate_multi_rank
+from .tsvd import conj_transpose, t_product, t_qr, truncate_multi_rank
 
 __all__ = [
     "SynthConfig",
@@ -59,6 +61,8 @@ class SynthConfig:
         self.multirank = np.asarray(self.multirank, dtype=np.int64)
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
+        if self.base_rank < 1:
+            raise ValueError(f"base_rank must be at least 1, got {self.base_rank}")
         j = num_slices(self.shape)
         if self.multirank.shape != (j,):
             raise ValueError(f"multirank pattern must have length {j}")
@@ -138,10 +142,13 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
 def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     """Draw one synthetic instance; deterministic given cfg.seed.
 
-    Factor tensors are sampled i.i.d. standard normal in the original
-    domain, multiplied under the t-product and truncated to the rank
-    pattern.  Exactly floor(rho * numel) entries of the sparse part are
-    set to Uniform[-10, 10]; the noise part is i.i.d. N(0, sigma_sq).
+    Factor tensors u (I1 x R) and v (I2 x R) are sampled i.i.d. standard
+    normal in the original domain; X_gt is u * v^H truncated to the rank
+    pattern.  With the thin t-QRs u = q_u * r_u and v = q_v * r_v, every
+    slice of u * v^H is Q_u (R_u R_v^H) Q_v^H with orthonormal Q_u, Q_v,
+    so only the R x R core r_u * r_v^H is truncated.  Exactly
+    floor(rho * numel) entries of the sparse part are set to
+    Uniform[-10, 10]; the noise part is i.i.d. N(0, sigma_sq).
     """
     if L is None:
         L = Transform.dft(cfg.shape[2:])
@@ -159,8 +166,9 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     rng_f = np.random.default_rng(np.random.SeedSequence([cfg.seed, _FACTOR_STREAM]))
     u = rng_f.standard_normal((shape[0], cfg.base_rank) + trailing)
     v = rng_f.standard_normal((shape[1], cfg.base_rank) + trailing)
-    x0 = t_product(u, conj_transpose(v, L), L)
-    x_gt = truncate_multi_rank(x0, L, cfg.multirank)
+    (qu, ru), (qv, rv) = t_qr(u, L), t_qr(v, L)
+    core = truncate_multi_rank(t_product(ru, conj_transpose(rv, L), L), L, cfg.multirank)
+    x_gt = t_product(t_product(qu, core, L), conj_transpose(qv, L), L)
 
     rng_s = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SPARSE_STREAM]))
     n = int(np.prod(shape))

@@ -3,6 +3,10 @@
 All products and factorizations act slice-wise in the transform domain:
 a tensor is transformed along modes 3..d, each mode-1/mode-2 slice is
 treated as an ordinary complex matrix, and the result is mapped back.
+For real inputs under a real-safe transform, ``t_product``, ``t_qr``,
+``multi_rank`` and ``truncate_multi_rank`` work on the slices that
+``forward(x, half=True)`` keeps and map back with the complex-to-real
+inverse.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "TSVDResult",
     "facewise_product",
     "t_product",
+    "t_qr",
     "conj_transpose",
     "identity_tensor",
     "t_svd",
@@ -65,6 +70,17 @@ def _stacks_compatible(x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def _check_trailing(x: np.ndarray, L: Transform) -> None:
+    if x.shape[2:] != L.trailing:
+        raise ValueError(f"tensor shape {x.shape} does not match transform "
+                         f"trailing shape {L.trailing}")
+
+
+def _half_spectrum(L: Transform, *tensors) -> bool:
+    """Whether real *tensors* under a real-safe L are handled on their kept slices."""
+    return L.real_safe and not any(np.iscomplexobj(t) for t in tensors)
+
+
 def facewise_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slice-wise matrix product Z^(k) = X^(k) Y^(k) for every slice k."""
     x = as_tensor(x)
@@ -78,21 +94,34 @@ def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
     """t-product x * y: facewise product in the transform domain.
 
     For real inputs under a real-safe transform (DFT, real matrices)
-    the result is real; its imaginary residue is checked and dropped.
+    the result is real: only the kept slices of ``forward(., half=True)``
+    are multiplied, and the complex-to-real inverse checks and drops the
+    imaginary residue.
     """
     x = as_tensor(x)
     y = as_tensor(y)
     _stacks_compatible(x, y)
-    zbar = facewise_product(L.forward(x), L.forward(y))
-    want_real = (L.real_safe and not np.iscomplexobj(x)
-                 and not np.iscomplexobj(y))
-    return L.inverse(zbar, assert_real=want_real)
+    half = _half_spectrum(L, x, y)
+    zbar = facewise_product(L.forward(x, half=half), L.forward(y, half=half))
+    return L.inverse(zbar, assert_real=half, half=half)
 
 
-def _check_trailing(x: np.ndarray, L: Transform) -> None:
-    if x.shape[2:] != L.trailing:
-        raise ValueError(f"tensor shape {x.shape} does not match transform "
-                         f"trailing shape {L.trailing}")
+def t_qr(x: np.ndarray, L: Transform):
+    """Thin t-QR x = q * r (Kilmer & Martin, LAA 435, 2011).
+
+    For an I1 x I2 x ... tensor with m = min(I1, I2), every transform
+    slice of the I1 x m factor ``q`` has orthonormal columns and every
+    slice of the m x I2 factor ``r`` is upper triangular.  A real *x*
+    under a real-safe transform is factored on its kept slices and gives
+    real factors.
+    """
+    x = as_tensor(x)
+    _check_trailing(x, L)
+    half = _half_spectrum(L, x)
+    q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
+    trailing = L.half_trailing if half else L.trailing
+    return tuple(L.inverse(from_slice_stack(f, f.shape[1:] + trailing),
+                           assert_real=half, half=half) for f in (q, r))
 
 
 def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
@@ -184,12 +213,18 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
 
     A singular value counts toward the rank when it exceeds ``tol``
     times the largest singular value of the whole tensor (over all
-    slices), so a slice that is zero up to roundoff has rank 0.
+    slices), so a slice that is zero up to roundoff has rank 0.  A real
+    *x* under a real-safe transform is decomposed on its kept slices
+    only; a mirrored slice has the singular values of its conjugate, so
+    each of the J ranks is read through :attr:`Transform.slice_map`.
     """
     if tol < 0:
         raise ValueError("rank tolerance must be nonnegative")
-    _, svals = _slice_svds(x, L, compute_uv=False)
-    return _ranks_from_svals(svals, tol)
+    x = as_tensor(x)
+    half = _half_spectrum(L, x)
+    _, svals = _slice_svds(x, L, half=half, compute_uv=False)
+    ranks = _ranks_from_svals(svals, tol)
+    return ranks[L.slice_map[0]] if half else ranks
 
 
 def tubal_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -215,7 +250,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
         raise ValueError(f"target multi-rank must have length {j}, got {target.shape}")
     if (target < 0).any() or (target > m).any():
         raise ValueError(f"target multi-rank entries must lie in [0, {m}]")
-    want_real = L.real_safe and not np.iscomplexobj(x)
+    want_real = _half_spectrum(L, x)
     if want_real and not np.array_equal(target[L.mirror], target):
         raise ImaginaryResidueError(
             "target multi-rank differs on conjugate-mirrored slices, so the "

@@ -92,6 +92,15 @@ def test_synth_bad_rho_is_usage_error(tmp_path):
         assert code == 2
 
 
+def test_synth_rank_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["synth", "--dims", "8,8,4", "--rank", "0", "--pattern", "0,0,0,0",
+                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "base_rank" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_reports(tmp_path):
     out = tmp_path / "a.json"
     args = ["synth", "--dims", "12,12,8", "--rank", "2",

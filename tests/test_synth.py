@@ -7,6 +7,7 @@ import pytest
 
 from lmhbrtf.report import strip_timing
 from lmhbrtf.synth import (
+    _FACTOR_STREAM,
     SynthConfig,
     corrupt_tensor,
     desk_multirank,
@@ -17,7 +18,7 @@ from lmhbrtf.synth import (
     x_err,
 )
 from lmhbrtf.transform import Transform
-from lmhbrtf.tsvd import multi_rank
+from lmhbrtf.tsvd import conj_transpose, multi_rank, t_product, truncate_multi_rank
 
 
 def small_cfg(rho=0.05, sigma_sq=1e-4, seed=3):
@@ -110,6 +111,79 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(shape=(12, 12, 4), base_rank=2, multirank=[2, 2, 2, 2],
                     rho=1.5, sigma_sq=0.0, seed=0)
+
+
+@pytest.mark.parametrize("base_rank", [0, -1])
+def test_config_rejects_base_rank_below_one(base_rank):
+    # a rank-0 factor used to pass the entry checks and fail inside generate
+    with pytest.raises(ValueError, match="base_rank"):
+        SynthConfig(shape=(8, 8, 4), base_rank=base_rank, multirank=[0, 0, 0, 0],
+                    rho=0.0, sigma_sq=0.0, seed=0)
+
+
+def _dense_truncation(cfg, L):
+    """The planted low-rank part by the dense route: the t-product of the
+    same factor draws, truncated by an SVD of every I1 x I2 slice."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _FACTOR_STREAM]))
+    trailing = cfg.shape[2:]
+    u = rng.standard_normal((cfg.shape[0], cfg.base_rank) + trailing)
+    v = rng.standard_normal((cfg.shape[1], cfg.base_rank) + trailing)
+    return truncate_multi_rank(t_product(u, conj_transpose(v, L), L), L, cfg.multirank)
+
+
+def _matrix(kind, n):
+    r = np.random.default_rng(5)
+    a = r.standard_normal((n, n))
+    if kind == "unitary":
+        a = a + 1j * r.standard_normal((n, n))
+    return np.linalg.qr(a)[0]
+
+
+@pytest.mark.parametrize("shape, pattern, transform", [
+    ((9, 8, 7), desk_multirank((7,), 4), None),
+    ((9, 8, 6), [4, 2, 0, 1, 0, 2], None),
+    ((9, 8, 5, 5), desk_multirank((5, 5), 4), None),
+    ((9, 8, 3, 3, 3), desk_multirank((3, 3, 3), 4), None),
+    ((9, 8, 6), [0] * 6, None),
+    ((9, 8, 4), [4, 1, 0, 2], "orthogonal"),
+    ((9, 8, 4), [4, 1, 0, 2], "unitary"),
+], ids=["dft-7", "dft-6-zero-slices", "dft-5x5", "dft-3x3x3", "all-zero",
+        "real-orthogonal", "complex-unitary"])
+def test_generate_matches_the_dense_truncation(shape, pattern, transform):
+    cfg = SynthConfig(shape=shape, base_rank=4, multirank=pattern,
+                      rho=0.0, sigma_sq=0.0, seed=13)
+    trailing = shape[2:]
+    L = (Transform.dft(trailing) if transform is None
+         else Transform.explicit([_matrix(transform, trailing[0])]))
+    x_gt = generate(cfg, L).x_gt
+    dense = _dense_truncation(cfg, L)
+    assert x_gt.shape == dense.shape and x_gt.dtype == dense.dtype
+    # the unitary transform is not real-safe: its planted tensor is complex
+    assert np.iscomplexobj(x_gt) == (transform == "unitary")
+    if not any(pattern):
+        assert not x_gt.any()
+    else:
+        assert np.linalg.norm(x_gt - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert np.array_equal(multi_rank(x_gt, L), pattern)
+
+
+def test_generate_decomposes_no_dense_slice(monkeypatch):
+    # the truncation works on the base_rank x base_rank cores, never on
+    # the I1 x I2 transform slices
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cfg = SynthConfig(shape=(20, 18, 5, 5), base_rank=3,
+                      multirank=desk_multirank((5, 5), 3),
+                      rho=0.0, sigma_sq=0.0, seed=4)
+    generate(cfg)
+    assert seen
+    assert all(m <= 3 and n <= 3 for m, n in seen), seen
 
 
 def test_desk_patterns_are_symmetric_and_sized():

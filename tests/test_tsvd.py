@@ -14,6 +14,7 @@ from lmhbrtf.tsvd import (
     identity_tensor,
     multi_rank,
     t_product,
+    t_qr,
     t_svd,
     truncate_multi_rank,
     tubal_rank,
@@ -145,6 +146,55 @@ def test_t_product_matches_bdiag_oracle_order4():
     lhs = bdiag(L.forward(z))
     rhs = bdiag(L.forward(x)) @ bdiag(L.forward(y))
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5), (3, 4, 6), (4, 3, 3, 4),
+                                   (3, 5, 2, 3, 4)])
+def test_t_product_half_spectrum_matches_full_facewise_product(shape):
+    # real inputs under the DFT multiply only the kept slices
+    x, _ = real_and_complex(shape, 31)
+    y, _ = real_and_complex((shape[1], 2) + shape[2:], 32)
+    L = Transform.dft(shape[2:])
+    got = t_product(x, y, L)
+    full = L.inverse(facewise_product(L.forward(x), L.forward(y)), assert_real=True)
+    assert np.isrealobj(got) and got.shape == full.shape
+    assert frobenius_norm(got - full) <= 1e-13 * frobenius_norm(full)
+
+
+def _unitary(n, seed):
+    r = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
+    return q
+
+
+# (shape, transform, complex input); the unitary transform is not real-safe
+T_QR_CASES = {
+    "dft-3": ((7, 4, 5), None, False),
+    "dft-3-wide": ((3, 5, 6), None, False),
+    "dft-3-complex": ((6, 4, 4), None, True),
+    "dft-4": ((6, 3, 4, 3), None, False),
+    "dft-5": ((5, 4, 3, 2, 4), None, False),
+    "orthogonal-4": ((6, 3, 4), [orthogonal(4, 1)], False),
+    "unitary-4": ((6, 3, 4), [_unitary(4, 2)], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_QR_CASES))
+def test_t_qr_contract(name):
+    shape, mats, complex_input = T_QR_CASES[name]
+    L = Transform.dft(shape[2:]) if mats is None else Transform.explicit(mats)
+    x = real_and_complex(shape, 41)[complex_input]
+    q, r = t_qr(x, L)
+    m = min(shape[:2])
+    assert q.shape == (shape[0], m) + shape[2:]
+    assert r.shape == (m, shape[1]) + shape[2:]
+    assert np.isrealobj(q) == np.isrealobj(r) == (L.real_safe and not complex_input)
+    assert frobenius_norm(t_product(q, r, L) - x) <= 1e-12 * frobenius_norm(x)
+    eye = identity_tensor(m, L)
+    gram = t_product(conj_transpose(q, L), q, L)
+    assert frobenius_norm(gram - eye) <= 1e-12 * frobenius_norm(eye)
+    rbar = to_slice_stack(L.forward(r))
+    assert np.linalg.norm(np.tril(rbar, k=-1)) <= 1e-12 * np.linalg.norm(rbar)
 
 
 def test_conj_transpose_single_slice():
@@ -320,6 +370,42 @@ def test_multi_rank_is_zero_on_slices_zero_up_to_roundoff():
     target = np.zeros(12, dtype=int)
     target[0] = 4
     assert np.array_equal(multi_rank(truncate_multi_rank(x, L, target), L), target)
+
+
+def _full_spectrum_ranks(x, L, tol=tsvd.DEFAULT_RANK_TOL):
+    """Per-slice rank counts over all J slices of the full transform."""
+    svals = np.linalg.svd(to_slice_stack(L.forward(x)), compute_uv=False)
+    return np.count_nonzero(svals > tol * svals.max(), axis=1)
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 7), (5, 6, 8), (5, 4, 3, 4),
+                                   (4, 5, 4, 3), (4, 3, 3, 2, 5)])
+def test_multi_rank_half_spectrum_matches_full_count(shape):
+    # real input under the DFT: only the kept slices are decomposed, and
+    # each dropped slice reads the rank of its mirror
+    r = np.random.default_rng(sum(shape) + 1)
+    x = r.standard_normal(shape)
+    L = Transform.dft(shape[2:])
+    assert np.array_equal(multi_rank(x, L), _full_spectrum_ranks(x, L))
+    target = r.integers(0, min(shape[:2]) + 1, size=int(np.prod(shape[2:])))
+    target = np.minimum(target, target[L.mirror])  # mirror-symmetric
+    cut = truncate_multi_rank(x, L, target)
+    assert np.array_equal(multi_rank(cut, L), target)
+    assert np.array_equal(multi_rank(cut, L), _full_spectrum_ranks(cut, L))
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_multi_rank_under_explicit_transforms_matches_full_count(name):
+    L = Transform.explicit(EXPLICIT[name])
+    r = np.random.default_rng(17)
+    x = r.standard_normal((5, 4) + L.trailing)
+    assert np.array_equal(multi_rank(x, L), _full_spectrum_ranks(x, L))
+    target = r.integers(0, 5, size=int(np.prod(L.trailing)))
+    if L.real_safe:
+        target = np.minimum(target, target[L.mirror])
+    cut = truncate_multi_rank(x, L, target)
+    assert np.array_equal(multi_rank(cut, L), target)
+    assert np.array_equal(multi_rank(cut, L), _full_spectrum_ranks(cut, L))
 
 
 def _truncate_full_reference(x, L, target):
