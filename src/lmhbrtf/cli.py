@@ -27,6 +27,7 @@ from .synth import (
     SynthConfig,
     corrupt_tensor,
     desk_multirank,
+    protocol_hyperparams,
     run_benchmark,
     uniform_multirank,
 )
@@ -41,8 +42,7 @@ _DEFAULTS = {
     "synth": {
         "pattern": "desk", "repeats": 1, "init_rank": "auto",
         "sigma0sq": 1.0, "gamma": "1.0", "tol": 1e-6, "max_iter": 2500,
-        "threshold": 1e-4, "model_seed": 11, "save_tensors": None,
-        "order": None,
+        "model_seed": 11, "save_tensors": None,
     },
     "corrupt": {
         "rho": 0.2, "sigma2": 1e-4, "low": 0.0, "high": 255.0,
@@ -51,7 +51,7 @@ _DEFAULTS = {
     "denoise": {
         "transform_file": None, "init_rank": "auto",
         "sigma0sq": 1e-7, "tol": 1e-4, "max_iter": 200, "gamma": "auto",
-        "threshold": 1e-4, "report": None, "sparse_out": None, "threads": 0,
+        "report": None, "sparse_out": None, "threads": 0,
     },
     "metrics": {"window": 8, "scale": 1.0},
 }
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float, required=True, help="dense noise variance")
     p.add_argument("--seed", type=int, required=True, help="data seed")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--order", type=int, help="expected tensor order (cross-check of --dims)")
     p.add_argument("--pattern", help="'desk', 'uniform:N' or an explicit comma list of"
                                      " per-slice ranks (default desk)")
     p.add_argument("--repeats", type=int, help="rerun with shifted data seeds and average")
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", help="refinement divisor, or 'auto' for phi")
     p.add_argument("--tol", type=float, help="convergence threshold")
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--threshold", type=float, help="column pruning threshold")
     p.add_argument("--model-seed", dest="model_seed", type=int,
                    help="seed of the inference initialization")
     p.add_argument("--save-tensors", dest="save_tensors",
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--gamma", help="refinement divisor, or 'auto' for phi")
-    p.add_argument("--threshold", type=float, help="column pruning threshold")
     p.add_argument("--report", help="optional report JSON path")
     p.add_argument("--sparse-out", dest="sparse_out", help="optional path for the sparse estimate")
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
@@ -207,7 +204,7 @@ def _parse_pattern(spec, dims: tuple, rank: int) -> np.ndarray:
 
 def _parse_init_rank(value, shape) -> int:
     if value == "auto":
-        return max(1, min(shape[0], shape[1]) // 2)
+        return protocol_hyperparams(shape).init_rank
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -238,15 +235,12 @@ def _hyperparams(opts, shape) -> HyperParams:
         gamma=_parse_gamma(opts["gamma"]),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
-        prune_threshold=float(opts["threshold"]),
     )
 
 
 def cmd_synth(args) -> None:
     opts = _resolve(args, "synth")
     dims = _parse_dims(args.dims)
-    if opts["order"] is not None and int(opts["order"]) != len(dims):
-        raise UsageError(f"--order {opts['order']} contradicts --dims of order {len(dims)}")
     pattern = _parse_pattern(opts["pattern"], dims, args.rank)
     try:
         cfg = SynthConfig(shape=dims, base_rank=args.rank, multirank=pattern,

@@ -47,6 +47,8 @@ from .transform import Transform
 from .tsvd import balanced_factors
 
 __all__ = [
+    "GAMMA_PRIOR",
+    "PRUNE_THRESHOLD",
     "HyperParams",
     "Factor",
     "FactorState",
@@ -73,41 +75,43 @@ __all__ = [
 # fixed sub-stream labels so every draw is reproducible from one user seed
 SPARSE_INIT_STREAM = 3
 
+# Shape and rate of every Gamma hyper-prior (ARD lambda, sparse beta, noise
+# tau): the non-informative setting of Bayesian CP with automatic rank
+# determination (Zhao, Zhang & Cichocki, TPAMI 2015).
+GAMMA_PRIOR = 1e-6
+# A column is pruned when its energy falls below this fraction of the
+# strongest column energy of its slice.
+PRUNE_THRESHOLD = 1e-4
+
 
 @dataclass
 class HyperParams:
     """Model and loop configuration.
 
     ``init_rank`` is the starting column count per slice (an int for a
-    uniform start or one value per slice).  ``gamma`` is the refinement
-    divisor; None selects the transform constant phi.  ``sigma0_sq`` is
-    the initial variance of the sparse component.
+    uniform start or one value per slice).  ``sigma0_sq`` is the initial
+    variance of the sparse component.  ``gamma`` is the refinement
+    divisor; None selects the transform constant phi.  The loop stops
+    when the relative change falls below ``tol`` or after ``max_iter``
+    iterations.  The Gamma hyper-priors and the prune threshold are the
+    module constants :data:`GAMMA_PRIOR` and :data:`PRUNE_THRESHOLD`.
     """
 
     init_rank: Union[int, Sequence[int]]
-    a0_lambda: float = 1e-6
-    b0_lambda: float = 1e-6
-    a0_beta: float = 1e-6
-    b0_beta: float = 1e-6
-    a0_tau: float = 1e-6
-    b0_tau: float = 1e-6
     sigma0_sq: float = 1.0
     gamma: Optional[float] = None
     tol: float = 1e-4
     max_iter: int = 200
-    prune_threshold: float = 1e-4
 
     def __post_init__(self):
-        for name in ("a0_lambda", "b0_lambda", "a0_beta", "b0_beta",
-                     "a0_tau", "b0_tau", "sigma0_sq", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be strictly positive")
+        checked = ("sigma0_sq", "tol") if self.gamma is None else ("sigma0_sq", "gamma", "tol")
+        for name in checked:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and strictly positive, "
+                                 f"got {value}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if not 0 < self.prune_threshold < 1:
-            raise ValueError("prune_threshold must lie in (0, 1)")
 
     def as_dict(self) -> dict:
         """The settings as a report echo (a per-slice array as a list of ints)."""
@@ -406,7 +410,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
             s_mean=s_mean, s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
             beta_a=1.0, beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
         ),
-        noise=NoiseState(tau_a=hp.a0_tau, tau_b=hp.b0_tau,
+        noise=NoiseState(tau_a=GAMMA_PRIOR, tau_b=GAMMA_PRIOR,
                          lambda_a=1.0, lambda_b=np.full(active.shape, phi)),
         ynorm=math.sqrt(float(L.slice_weights
                               @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(1, 2)))),
@@ -513,10 +517,9 @@ def update_v(state: ModelState) -> FactorState:
 def update_lambda(state: ModelState) -> NoiseState:
     """Gamma update of the per-column ARD precisions."""
     i1, i2 = state.shape[:2]
-    hp = state.hp
     noise = state.noise
-    noise.lambda_a = hp.a0_lambda + (i1 + i2) / 2
-    noise.lambda_b = hp.b0_lambda + state.factors.energy / 2
+    noise.lambda_a = GAMMA_PRIOR + (i1 + i2) / 2
+    noise.lambda_b = GAMMA_PRIOR + state.factors.energy / 2
     return noise
 
 
@@ -525,7 +528,7 @@ def reconstruct_x(state: ModelState) -> np.ndarray:
     factors, mapped back to the original domain."""
     L = state.transform
     half = from_slice_stack(state.factors.products, state.shape[:2] + L.half_trailing)
-    return L.inverse(half, assert_real=True, half=True)
+    return L.inverse(half, half=True)
 
 
 def update_s(state: ModelState) -> SparseState:
@@ -550,13 +553,12 @@ def update_s(state: ModelState) -> SparseState:
 
 def update_beta(state: ModelState) -> SparseState:
     """Gamma update of the per-element sparsity precisions (``beta_b`` in place)."""
-    hp = state.hp
     sp = state.sparse
-    sp.beta_a = hp.a0_beta + 0.5
+    sp.beta_a = GAMMA_PRIOR + 0.5
     np.square(sp.s_mean, out=sp.beta_b)
     sp.beta_b += sp.s_var
     sp.beta_b *= 0.5
-    sp.beta_b += hp.b0_beta
+    sp.beta_b += GAMMA_PRIOR
     return sp
 
 
@@ -587,9 +589,8 @@ def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseStat
     """Gamma update of the shared noise precision."""
     if resid_sq is None:
         resid_sq = expected_residual_sq(state)
-    hp = state.hp
-    state.noise.tau_a = hp.a0_tau + state.y.size / 2
-    state.noise.tau_b = hp.b0_tau + resid_sq / (2 * state.transform.phi)
+    state.noise.tau_a = GAMMA_PRIOR + state.y.size / 2
+    state.noise.tau_b = GAMMA_PRIOR + resid_sq / (2 * state.transform.phi)
     return state.noise
 
 
@@ -611,7 +612,7 @@ def prune_columns(state: ModelState) -> np.ndarray:
     """Drop factor columns whose relative energy fell below the threshold.
 
     Column r of slice k is removed when its mean-plus-covariance energy
-    (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below ``hp.prune_threshold``
+    (<U^H U> + <V^H V>)_rr / (I1 + I2) drops below :data:`PRUNE_THRESHOLD`
     times the largest column energy of that slice.  The strongest column
     survives unless the whole slice is exactly zero.  Survivors move to
     the front in their original order and the stacks shrink to the new
@@ -625,7 +626,7 @@ def prune_columns(state: ModelState) -> np.ndarray:
     top = energy.max(axis=1, initial=0.0)[:, None]
     # padding has zero energy, so it never passes a positive threshold; an
     # all-zero slice keeps no column
-    keep = (energy >= state.hp.prune_threshold * top) & (top > 0.0)
+    keep = (energy >= PRUNE_THRESHOLD * top) & (top > 0.0)
     if np.array_equal(keep, f.active):
         return state.multirank
     ranks = np.count_nonzero(keep, axis=1)

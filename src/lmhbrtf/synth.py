@@ -208,12 +208,12 @@ def x_err(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
 def protocol_hyperparams(shape) -> HyperParams:
     """Inference settings for the synthetic benchmark.
 
-    Initial rank half the slice size, unit initial sparse variance,
-    refinement divisor 1, a 1e-6 convergence threshold and at most
-    2,500 iterations.
+    Initial rank half the smaller slice side (at least 1), unit initial
+    sparse variance, refinement divisor 1, a 1e-6 convergence threshold
+    and at most 2,500 iterations.
     """
-    return HyperParams(init_rank=min(shape[0], shape[1]) // 2, sigma0_sq=1.0,
-                       gamma=1.0, tol=1e-6, max_iter=2500)
+    return HyperParams(init_rank=max(1, min(shape[0], shape[1]) // 2),
+                       sigma0_sq=1.0, gamma=1.0, tol=1e-6, max_iter=2500)
 
 
 def run_benchmark(configs, hp: Optional[HyperParams] = None,

@@ -307,16 +307,17 @@ class Transform:
                 half: bool = False) -> np.ndarray:
         """Apply L^-1 along modes 3..d.
 
-        With ``assert_real`` the imaginary residue is checked against
-        :data:`RESIDUE_TOL` (relative Frobenius) and dropped; a residue
-        above it raises :class:`ImaginaryResidueError`.
+        With ``assert_real`` the imaginary residue of the full inverse is
+        checked against :data:`RESIDUE_TOL` (relative Frobenius) and
+        dropped; a residue above it raises :class:`ImaginaryResidueError`.
 
         With ``half`` the input holds the kept slices of a real tensor's
         transform, as returned by ``forward(x, half=True)``, and the
         result is real: the exact complex-to-real inverse.  Slices kept
         together with their mirror (the planes id = 0 and id = Id/2) are
-        not conjugate-symmetric by construction, so ``assert_real`` still
-        checks the imaginary residue the full inverse would have there.
+        not conjugate-symmetric by construction, so the imaginary residue
+        the full inverse would have there is always checked, as under
+        ``assert_real``.
         """
         xbar = np.asarray(xbar)
         self._check_shape(xbar, self.half_trailing if half else self.trailing)
@@ -329,18 +330,15 @@ class Transform:
             z = flat.reshape(self._kept, -1)
             out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
             out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
-            if assert_real:
-                # only self-paired rows (weight 1) add an imaginary part to
-                # the full inverse: (Im z_0 + (-1)^t Im z_{n/2}) / n; the
-                # strided dot products copy no row
-                sq = sum(float(np.dot(z[i].imag, z[i].imag))
-                         for i in self._self_paired)
-                residue = math.sqrt(sq / self.trailing[-1])
-                _check_residue(residue, float(np.linalg.norm(out)))
+            # only self-paired rows (weight 1) add an imaginary part to the
+            # full inverse: (Im z_0 + (-1)^t Im z_{n/2}) / n; the strided
+            # dot products copy no row
+            sq = sum(float(np.dot(z[i].imag, z[i].imag))
+                     for i in self._self_paired)
+            residue = math.sqrt(sq / self.trailing[-1])
+            _check_residue(residue, float(np.linalg.norm(out)))
             return out
         flat, shape = _mode_product(flat, shape, last, self._inverses[-1])
         out = flat.reshape(shape, order="F")
-        if assert_real:
-            return real_part(out)
-        return out.real.copy(order="K") if half else out
+        return real_part(out) if assert_real or half else out
 

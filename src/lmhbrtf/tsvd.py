@@ -103,7 +103,7 @@ def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
     _stacks_compatible(x, y)
     half = _half_spectrum(L, x, y)
     zbar = facewise_product(L.forward(x, half=half), L.forward(y, half=half))
-    return L.inverse(zbar, assert_real=half, half=half)
+    return L.inverse(zbar, half=half)
 
 
 def t_qr(x: np.ndarray, L: Transform):
@@ -120,8 +120,8 @@ def t_qr(x: np.ndarray, L: Transform):
     half = _half_spectrum(L, x)
     q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
     trailing = L.half_trailing if half else L.trailing
-    return tuple(L.inverse(from_slice_stack(f, f.shape[1:] + trailing),
-                           assert_real=half, half=half) for f in (q, r))
+    return tuple(L.inverse(from_slice_stack(f, f.shape[1:] + trailing), half=half)
+                 for f in (q, r))
 
 
 def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
@@ -262,7 +262,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     out = np.empty_like(xbar)  # column-major like xbar
     np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
     shape = x.shape[:2] + (L.half_trailing if want_real else L.trailing)
-    return L.inverse(from_slice_stack(out, shape), assert_real=want_real, half=want_real)
+    return L.inverse(from_slice_stack(out, shape), half=want_real)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,

@@ -17,6 +17,7 @@ from factor_edits import edited_factors
 
 from lmhbrtf.metrics import psnr
 from lmhbrtf.model import (
+    GAMMA_PRIOR,
     HyperParams,
     expected_residual_sq,
     init_state,
@@ -375,14 +376,13 @@ def test_criterion_6_update_optimality():
         # -- ARD precision update
         update_lambda(state)
         i1, i2 = state.shape[:2]
-        hp = state.hp
         for k in range(state.n_slices):
             f = state.factors
             utu = i1 * f.sigma_u[k] + f.u_mean[k].conj().T @ f.u_mean[k]
             vtv = i2 * f.sigma_v[k] + f.v_mean[k].conj().T @ f.v_mean[k]
             d = 0.5 * np.diagonal(utu + vtv).real
-            coef_log = hp.a0_lambda + (i1 + i2) / 2 - 1.0
-            coef_lin = hp.b0_lambda + d
+            coef_log = GAMMA_PRIOR + (i1 + i2) / 2 - 1.0
+            coef_lin = GAMMA_PRIOR + d
             a0, b0 = state.noise.lambda_a, state.noise.lambda_b[k]
             base = _gamma_objective(a0, b0, coef_log, coef_lin)
             perturbed = []
@@ -419,8 +419,8 @@ def test_criterion_6_update_optimality():
         # -- sparsity precision update
         update_beta(state)
         s_sq = state.sparse.s_mean ** 2 + state.sparse.s_var
-        coef_log = state.hp.a0_beta + 0.5 - 1.0
-        coef_lin = state.hp.b0_beta + 0.5 * s_sq
+        coef_log = GAMMA_PRIOR + 0.5 - 1.0
+        coef_lin = GAMMA_PRIOR + 0.5 * s_sq
         a0, b0 = state.sparse.beta_a, state.sparse.beta_b
         base = _gamma_objective(a0, b0, coef_log, coef_lin)
         perturbed = []
@@ -435,8 +435,8 @@ def test_criterion_6_update_optimality():
         # -- noise precision update
         resid = expected_residual_sq(state)
         update_tau(state, resid_sq=resid)
-        coef_log = state.hp.a0_tau + state.y.size / 2 - 1.0
-        coef_lin = state.hp.b0_tau + resid / (2 * state.transform.phi)
+        coef_log = GAMMA_PRIOR + state.y.size / 2 - 1.0
+        coef_lin = GAMMA_PRIOR + resid / (2 * state.transform.phi)
         a0, b0 = state.noise.tau_a, state.noise.tau_b
         base = _gamma_objective(np.array(a0), np.array(b0), coef_log, coef_lin)
         perturbed = []

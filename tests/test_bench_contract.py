@@ -4,8 +4,8 @@
 (``synth.t_product``, ``model.update_u``, ...) while a ``Tracer`` is
 active, and ``summarize`` raises when an expected layer never fired.  A
 refactor that calls one of these by another route would break every
-traced benchmark run; this test catches it without running the
-benchmark.  Nothing under ``bench/`` is edited: only ``tracing`` and
+traced benchmark run; these tests catch it, the second by running the
+CLI workload once.  Nothing under ``bench/`` is edited: only ``tracing`` and
 ``workloads`` are imported from it.
 """
 
@@ -44,3 +44,15 @@ def test_generate_and_run_fire_every_hooked_layer(bench_modules):
     out = tracing.summarize(tracer.spans,
                             workloads.MODEL_LAYERS + workloads.SETUP_LAYERS)
     assert out["model.update_u.calls"] == 3
+
+
+def test_denoise_video_workload_runs_traced(bench_modules, tmp_path):
+    # the benchmark's own corrupt/denoise/metrics command lines, hooks included
+    tracing, workloads = bench_modules
+    w = workloads.WORKLOADS["denoise_video"]
+    with tracing.Tracer() as tracer:
+        prepared = w.setup(0, str(tmp_path))
+        raw = w.solve(prepared, 0, str(tmp_path))
+    solves = w.check(prepared, raw)
+    assert [s.failed for s in solves] == [[]]
+    tracing.summarize(tracer.spans, w.layers)

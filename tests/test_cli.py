@@ -52,14 +52,16 @@ def test_synth_missing_dims_usage_error(capsys):
 def test_synth_has_no_threads_option(tmp_path, capsys):
     argv = ["synth", "--dims", "12,12,8", "--rank", "2", "--rho", "0.0",
             "--sigma2", "0.0", "--seed", "1", "--out", str(tmp_path / "r.json")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--threads", "1"])
-    assert exc.value.code == 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 1}))
-    capsys.readouterr()
-    assert main(argv + ["--config", str(cfg)]) == 2
-    assert "unknown option" in capsys.readouterr().err
+    # --threshold (a constant now) and --order (len(--dims)) went too
+    for key, value in (("threads", 1), ("threshold", 1e-4), ("order", 3)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--{key}", str(value)])
+        assert exc.value.code == 2
+        cfg.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "unknown option" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -67,22 +69,16 @@ def test_denoise_has_no_transform_option(tmp_path, capsys):
     src, _ = make_lowrank_input(tmp_path)
     argv = ["denoise", "--input", str(src), "--seed", "1",
             "--out", str(tmp_path / "x.npy")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--transform", "dft"])
-    assert exc.value.code == 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"transform": "dft"}))
-    capsys.readouterr()
-    assert main(argv + ["--config", str(cfg)]) == 2
-    assert "unknown option" in capsys.readouterr().err
+    for key, value in (("transform", "dft"), ("threshold", 1e-4)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--{key}", str(value)])
+        assert exc.value.code == 2
+        cfg.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "unknown option" in capsys.readouterr().err
     assert not (tmp_path / "x.npy").exists()
-
-
-def test_synth_order_mismatch_is_usage_error(tmp_path):
-    code = main(["synth", "--order", "4", "--dims", "12,12,8", "--rank", "2",
-                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 2
 
 
 def test_synth_bad_rho_is_usage_error(tmp_path):
@@ -233,6 +229,18 @@ def test_denoise_rejects_bad_input_exit_code_1(tmp_path, capsys, bad, message):
                  "--init-rank", "2", "--max-iter", "5", "--out", str(out)])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--sigma0sq", "--gamma", "--tol"])
+def test_denoise_rejects_non_finite_setting_exit_code_1(tmp_path, capsys, flag, value):
+    src, _ = make_lowrank_input(tmp_path)
+    out = tmp_path / "xhat.npy"
+    code = main(["denoise", "--input", str(src), "--seed", "1", "--init-rank", "2",
+                 "--max-iter", "5", "--out", str(out), flag, value])
+    assert code == 1
+    assert "lmhbrtf: error: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -64,9 +65,13 @@ def randomize_factors(state, seed=0):
 
 
 def test_hyperparam_defaults_all_six_small():
-    hp = HyperParams(init_rank=2)
-    assert (hp.a0_lambda, hp.b0_lambda, hp.a0_beta, hp.b0_beta,
-            hp.a0_tau, hp.b0_tau) == (1e-6,) * 6
+    # one constant is the shape and the rate of the lambda, beta and tau priors
+    assert model.GAMMA_PRIOR == 1e-6
+
+
+def test_hyperparams_holds_only_the_five_varied_settings():
+    assert [f.name for f in dataclasses.fields(HyperParams)] == [
+        "init_rank", "sigma0_sq", "gamma", "tol", "max_iter"]
 
 
 def test_hyperparam_validation():
@@ -74,8 +79,13 @@ def test_hyperparam_validation():
         HyperParams(init_rank=2, sigma0_sq=0.0)
     with pytest.raises(ValueError):
         HyperParams(init_rank=2, gamma=-1.0)
-    with pytest.raises(ValueError):
-        HyperParams(init_rank=2, prune_threshold=2.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["sigma0_sq", "gamma", "tol"])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HyperParams(init_rank=2, **{name: value})
 
 
 def test_init_state_values():
@@ -243,10 +253,9 @@ def test_update_lambda_zero_factors():
             f.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
             f.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
     update_lambda(state)
-    hp = state.hp
-    expected = (hp.a0_lambda + (4 + 3) / 2) / hp.b0_lambda
+    expected = (model.GAMMA_PRIOR + (4 + 3) / 2) / model.GAMMA_PRIOR
     for k in range(state.n_slices):
-        assert np.allclose(state.noise.lambda_b[k], hp.b0_lambda)
+        assert np.allclose(state.noise.lambda_b[k], model.GAMMA_PRIOR)
         assert np.allclose(state.noise.lambda_mean(k), expected)
         assert expected > 1e6  # huge precision: columns are prunable
 
@@ -254,7 +263,7 @@ def test_update_lambda_zero_factors():
 def test_update_lambda_shape_term():
     state = make_state(shape=(6, 5, 2), r=2)
     update_lambda(state)
-    assert state.noise.lambda_a == pytest.approx(state.hp.a0_lambda + (6 + 5) / 2,
+    assert state.noise.lambda_a == pytest.approx(model.GAMMA_PRIOR + (6 + 5) / 2,
                                                  rel=1e-15)
 
 
@@ -267,7 +276,7 @@ def test_update_lambda_matches_recompute_oracle():
     for k in range(state.n_slices):
         utu = i1 * f.sigma_u[k] + f.u_mean[k].conj().T @ f.u_mean[k]
         vtv = i2 * f.sigma_v[k] + f.v_mean[k].conj().T @ f.v_mean[k]
-        expected_b = state.hp.b0_lambda + 0.5 * np.diagonal(utu + vtv).real
+        expected_b = model.GAMMA_PRIOR + 0.5 * np.diagonal(utu + vtv).real
         assert np.allclose(state.noise.lambda_b[k], expected_b, rtol=1e-12)
 
 
@@ -309,8 +318,7 @@ def test_update_beta_zero_and_unit_cases():
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     update_beta(state)
-    hp = state.hp
-    assert np.allclose(state.sparse.beta_mean, (hp.a0_beta + 0.5) / hp.b0_beta)
+    assert np.allclose(state.sparse.beta_mean, (model.GAMMA_PRIOR + 0.5) / model.GAMMA_PRIOR)
     assert state.sparse.beta_mean.min() > 1e5
 
     state.sparse.s_mean = np.ones(state.shape)
@@ -325,9 +333,9 @@ def test_update_beta_matches_recompute_oracle():
     state.sparse.s_mean = r.standard_normal(state.shape)
     state.sparse.s_var = r.uniform(0.1, 2.0, state.shape)
     update_beta(state)
-    expected = state.hp.b0_beta + 0.5 * (state.sparse.s_mean ** 2 + state.sparse.s_var)
+    expected = model.GAMMA_PRIOR + 0.5 * (state.sparse.s_mean ** 2 + state.sparse.s_var)
     assert np.allclose(state.sparse.beta_b, expected, rtol=1e-14)
-    assert np.allclose(state.sparse.beta_a, state.hp.a0_beta + 0.5, rtol=0)
+    assert np.allclose(state.sparse.beta_a, model.GAMMA_PRIOR + 0.5, rtol=0)
 
 
 def _zero_out(state, with_s=True):
@@ -351,9 +359,9 @@ def test_update_tau_cold_start():
     _zero_out(state)
     update_tau(state)
     ybar_sq = np.sum(np.abs(ybar_of(state)) ** 2)
-    expected_b = state.hp.b0_tau + ybar_sq / (2 * state.transform.phi)
+    expected_b = model.GAMMA_PRIOR + ybar_sq / (2 * state.transform.phi)
     assert state.noise.tau_b == pytest.approx(expected_b, rel=1e-12)
-    assert state.noise.tau_a == pytest.approx(state.hp.a0_tau + state.y.size / 2)
+    assert state.noise.tau_a == pytest.approx(model.GAMMA_PRIOR + state.y.size / 2)
 
 
 def test_update_tau_perfect_fit_limit():
@@ -370,7 +378,7 @@ def test_update_tau_perfect_fit_limit():
     sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
     state.resid = ybar_of(state) - sbar
     update_tau(state)
-    assert state.noise.tau_b == pytest.approx(state.hp.b0_tau, rel=1e-3)
+    assert state.noise.tau_b == pytest.approx(model.GAMMA_PRIOR, rel=1e-3)
     assert state.noise.tau_mean > 1e6
 
 
@@ -401,10 +409,10 @@ def test_expected_residual_additivity_of_variance_terms():
     assert bumped - base == pytest.approx(state.transform.phi * state.y.size, rel=1e-12)
 
 
-def test_prune_noop_below_threshold():
+def test_prune_noop_below_threshold(monkeypatch):
     state = make_state(shape=(4, 4, 2), r=2, seed=3)
     before = [m.copy() for m in state.factors.u_mean]
-    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-12)
+    monkeypatch.setattr(model, "PRUNE_THRESHOLD", 1e-12)
     ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
@@ -422,7 +430,6 @@ def test_prune_drops_zero_column():
             cov[:, 1] = 0.0
             f.sigma_u[k] = cov
             f.sigma_v[k] = cov.copy()
-    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-4)
     ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
@@ -431,9 +438,9 @@ def test_prune_drops_zero_column():
         assert state.factors.sigma_u[k].shape == (2, 2)
 
 
-def test_prune_keeps_strongest_column():
+def test_prune_keeps_strongest_column(monkeypatch):
     state = make_state(shape=(4, 4, 1), r=2, seed=3)
-    state.hp = dataclasses.replace(state.hp, prune_threshold=0.999999)
+    monkeypatch.setattr(model, "PRUNE_THRESHOLD", 0.999999)
     ranks = prune_columns(state)
     assert ranks[0] >= 1
 
@@ -554,7 +561,7 @@ def test_mixed_rank_phases_match_per_slice_reference():
         energy = np.diagonal(i1 * su + mu.conj().T @ mu + i2 * sv + mv.conj().T @ mv).real
         r = state.factors.ranks[k]
         assert np.allclose(state.noise.lambda_b[k, :r],
-                           state.hp.b0_lambda + energy / 2, rtol=1e-12)
+                           model.GAMMA_PRIOR + energy / 2, rtol=1e-12)
 
     update_s(state)
     assert_padding_zero(state)
@@ -563,8 +570,7 @@ def test_mixed_rank_phases_match_per_slice_reference():
         mu, mv, _, _, _ = _active(state, k)
         xbar[k] = mu @ mv.conj().T
     half_shape = state.shape[:2] + state.transform.half_trailing
-    expected_x = state.transform.inverse(from_slice_stack(xbar, half_shape),
-                                         assert_real=True, half=True)
+    expected_x = state.transform.inverse(from_slice_stack(xbar, half_shape), half=True)
     assert np.allclose(state.x_hat, expected_x, rtol=1e-12, atol=1e-14)
 
     update_beta(state)
@@ -600,7 +606,6 @@ def test_prune_compacts_survivors_in_order_and_shrinks_width():
                 cov[:, col] = 0.0
     old_u, old_sv = f.u_mean.copy(), f.sigma_v.copy()
     old_lb = state.noise.lambda_b.copy()
-    state.hp = dataclasses.replace(state.hp, prune_threshold=1e-4)
     ranks = prune_columns(state)
     f = state.factors
     assert np.array_equal(ranks, [2, 1, 1, 1, 1])
@@ -659,8 +664,8 @@ def test_sparse_phase_updates_in_place_and_matches_reference_formulas():
     assert np.array_equal(sp.s_mean, tau * z / denom)
     update_beta(state)
     assert np.array_equal(sp.beta_b,
-                          state.hp.b0_beta + 0.5 * (sp.s_mean ** 2 + sp.s_var))
-    assert sp.beta_a == state.hp.a0_beta + 0.5
+                          model.GAMMA_PRIOR + 0.5 * (sp.s_mean ** 2 + sp.s_var))
+    assert sp.beta_a == model.GAMMA_PRIOR + 0.5
     assert all(a is b for a, b in zip((sp.s_mean, sp.s_var, sp.beta_b), arrays))
 
 

@@ -12,6 +12,7 @@ from lmhbrtf.synth import (
     corrupt_tensor,
     desk_multirank,
     generate,
+    protocol_hyperparams,
     r_err,
     run_benchmark,
     uniform_multirank,
@@ -273,6 +274,15 @@ def test_corrupt_tensor_validation():
 def test_run_benchmark_empty_grid():
     report = run_benchmark([])
     assert report.results["cells"] == []
+
+
+def test_run_benchmark_protocol_starts_at_rank_one_on_thin_slices():
+    # min(I1, I2) // 2 is 0 for 1 x 8 slices; the protocol, like the CLI's
+    # --init-rank auto, starts at rank 1 there
+    cfg = SynthConfig((1, 8, 4), 1, uniform_multirank((4,), 1), 0.0, 0.0, 3)
+    assert protocol_hyperparams(cfg.shape).init_rank == 1
+    report = run_benchmark([cfg])
+    assert report.results["cells"][0]["r_err_mean"] == 0.0
 
 
 def test_run_benchmark_deterministic_modulo_timing():

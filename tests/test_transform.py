@@ -150,7 +150,7 @@ def test_half_forward_matches_rfftn(shape):
     ref = np.fft.rfftn(x, axes=tuple(range(2, x.ndim)))
     assert half.shape == shape[:2] + L.half_trailing == ref.shape
     assert frobenius_norm(half - ref) <= 1e-13 * frobenius_norm(ref)
-    back = L.inverse(half, assert_real=True, half=True)
+    back = L.inverse(half, half=True)
     assert back.dtype == np.float64
     ref_back = np.fft.irfftn(ref, s=shape[2:], axes=tuple(range(2, x.ndim)))
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
@@ -188,9 +188,12 @@ def test_explicit_transform_keeps_all_slices_at_weight_one():
     assert np.array_equal(source, np.arange(12)) and not conj.any()
     x = rng().standard_normal((3, 2, 4, 3))
     assert np.array_equal(L.forward(x, half=True), L.forward(x))
-    back = L.inverse(L.forward(x, half=True), assert_real=True, half=True)
+    back = L.inverse(L.forward(x, half=True), half=True)
     assert back.dtype == np.float64
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
+    # the half inverse of an explicit transform checks the imaginary residue too
+    with pytest.raises(ImaginaryResidueError):
+        L.inverse(L.forward(x, half=True) + 0.5j, half=True)
 
 
 def test_explicit_real_safe_means_conjugation_permutes_rows():
@@ -237,11 +240,11 @@ def test_half_inverse_checks_stored_mirror_pairs(trailing, pair):
     xbar = L.forward(rng().standard_normal(shape), half=True)
     xbar[(slice(None), slice(None)) + pair[0]] += 0.5j
     with pytest.raises(ImaginaryResidueError):
-        L.inverse(xbar, assert_real=True, half=True)
+        L.inverse(xbar, half=True)
     if len(pair) == 2:
         # the conjugate change on the partner restores the symmetry
         xbar[(slice(None), slice(None)) + pair[1]] -= 0.5j
-        L.inverse(xbar, assert_real=True, half=True)
+        L.inverse(xbar, half=True)
 
 
 def test_half_inverse_unchecked_on_slices_with_dropped_mirror():
@@ -250,7 +253,7 @@ def test_half_inverse_unchecked_on_slices_with_dropped_mirror():
     L = Transform.dft((3, 4))
     xbar = L.forward(rng().standard_normal((3, 2, 3, 4)), half=True)
     xbar[:, :, 1, 1] += 0.5j
-    back = L.inverse(xbar, assert_real=True, half=True)
+    back = L.inverse(xbar, half=True)
     assert np.allclose(L.forward(back, half=True), xbar, atol=1e-12)
 
 
