@@ -336,7 +336,7 @@ def cmd_denoise(args) -> None:
                 "argv": _echo_argv(args),
                 "input": str(args.input),
                 "shape": list(y.shape),
-                "transform": transform.kind,
+                "transform": "explicit" if opts.get("transform_file") else "dft",
                 "phi": transform.phi,
                 "seed": int(args.seed),
                 "hyperparams": hp.as_dict(),

@@ -34,6 +34,8 @@ class MetricReport:
 
 
 def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:
+    if np.iscomplexobj(x_hat) or np.iscomplexobj(x_gt):
+        raise ValueError("metrics need real tensors, got a complex one")
     if x_hat.shape != x_gt.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
 

@@ -9,7 +9,7 @@ domain.  All posteriors are updated in closed form by coordinate ascent
 on the mean-field objective, with a refinement weight that delays the
 ARD regularization until the reconstruction fits the data.
 
-The observation is real, so under the DFT its transform-domain slices
+The observation is real, so under a real-safe transform its slices
 come in conjugate-mirrored pairs whose posteriors are conjugates of each
 other.  The model stores and updates only the slices the transform keeps
 (``Transform.forward(y, half=True)``) and counts each with its weight
@@ -28,6 +28,7 @@ computed once per factor object and cannot go stale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
@@ -110,8 +111,10 @@ class HyperParams:
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and strictly positive, "
                                  f"got {value}")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
+        if np.asarray(self.init_rank).dtype.kind not in "iu":
+            raise ValueError(f"init_rank entries must be integers, got {self.init_rank!r}")
 
     def as_dict(self) -> dict:
         """The settings as a report echo (a per-slice array as a list of ints)."""
@@ -389,7 +392,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     if not np.array_equal(ranks[L.mirror], ranks):
         raise ValueError("per-slice init_rank must be equal on "
                          "conjugate-mirrored slices")
-    ranks = ranks[:ybar.shape[0]]  # the kept slices are the first K: id varies slowest
+    ranks = ranks[L.kept_slices]
     r_max = int(ranks.max())
 
     active = np.arange(r_max) < ranks[:, None]
@@ -429,8 +432,8 @@ def _refinement_weight(state: ModelState) -> float:
 
 
 def _slice_name(state: ModelState, k: int) -> str:
-    # the kept slices are the first K of the J slices in linear order
-    return f"slice {k} (trailing index {linear_to_slice(k, state.shape)})"
+    j = int(state.transform.kept_slices[k])
+    return f"slice {j} (trailing index {linear_to_slice(j, state.shape)})"
 
 
 def _first_not_positive_definite(prec: np.ndarray) -> Optional[int]:

@@ -284,6 +284,8 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
         raise ValueError("corruption range must satisfy high > low")
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
+    if np.iscomplexobj(x):
+        raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CORRUPT_STREAM]))
     out = np.array(x, dtype=np.float64)
     n = out.size

@@ -6,28 +6,28 @@ beyond the first two (forward has no scaling, the inverse carries the
 I3 * ... * Id.  Explicit matrix transforms are supported but restricted
 to scaled-unitary matrices so that phi is well defined.
 
-Both kinds run on one kernel: a product with one small dense matrix per
+Every transform runs on one kernel: a product with one small dense matrix per
 trailing mode, done as a BLAS matrix product on a reshaped view of the
 column-major data.  A sweep over all trailing modes costs
 O(I1 * I2 * J * (I3 + ... + Id)) operations, where J = I3 * ... * Id,
 and O(I3^2 + ... + Id^2) memory for the matrices; no J x J matrix is
 ever formed.
 
-The slices of a real tensor's DFT come in conjugate-mirrored pairs, so
-only the first floor(Id / 2) + 1 indices of the last trailing mode (the
-slice set of ``numpy.fft.rfftn``) are independent.  ``forward(x,
-half=True)`` returns just these and ``inverse(..., half=True)`` is the
-exact complex-to-real inverse; :attr:`Transform.slice_weights` counts
-how many of the J slices each kept slice stands for and
-:attr:`Transform.slice_map` says where each of the J slices is kept.
-An explicit transform keeps all J slices at weight 1.
-
 Under a real-safe transform the slices of a real tensor's transform
 pair up under conjugation.  The transform stores one conjugation
-permutation per trailing mode (i -> -i mod I_k for the DFT, the row
+permutation p per trailing mode (i -> -i mod I_k for the DFT, the row
 permutation that conjugation applies to an explicit matrix), and
 :attr:`Transform.mirror` combines them into the conjugate of each of the
 J slices; every per-slice rank of a real tensor is checked against it.
+
+The same permutations give the half spectrum: along the last trailing
+mode it keeps the smaller index of each conjugation orbit, the rows i
+with i <= p[i] (0..floor(Id / 2) for the DFT, the slice set of
+``numpy.fft.rfftn``; every row of a real matrix).  ``forward(x,
+half=True)`` returns the kept slices and ``inverse(xbar, half=True)`` is
+the exact complex-to-real inverse; :attr:`Transform.slice_weights` (1
+for a row that is its own mirror, else 2), :attr:`Transform.kept_slices`
+and :attr:`Transform.slice_map` relate them to the J slices.
 
 For every invertible transform, real-safe or not, the transform also
 stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
@@ -119,15 +119,13 @@ class Transform:
     """The invertible linear transform L applied along modes 3..d.
 
     Attributes:
-        kind: "dft" or "explicit".
         trailing: sizes (I3, ..., Id) the transform acts on.
-        matrices: one matrix per trailing mode (for "dft" the
+        matrices: one matrix per trailing mode (for :meth:`dft` the
             unnormalized DFT matrices).
         phi: energy constant relating original- and transform-domain
             squared Frobenius norms.
     """
 
-    kind: str
     trailing: tuple
     phi: float
     matrices: tuple = field(default=(), repr=False)
@@ -147,7 +145,7 @@ class Transform:
             raise ValueError(f"invalid trailing shape {trailing}")
         mats = tuple(_dft_matrix(n) for n in trailing)
         perms = tuple(-np.arange(n) % n for n in trailing)
-        return cls(kind="dft", trailing=trailing,
+        return cls(trailing=trailing,
                    phi=float(np.prod(trailing)), matrices=mats,
                    _inverses=tuple(m.conj() / m.shape[0] for m in mats),
                    _conj_perms=perms,
@@ -192,7 +190,7 @@ class Transform:
             permutes = (np.array_equal(np.sort(p), np.arange(n))
                         and np.linalg.norm(q - np.eye(n)[p]) <= _SCALE_TOL * np.sqrt(n))
             perms.append(p if permutes else None)
-        return cls(kind="explicit", trailing=tuple(m.shape[0] for m in mats),
+        return cls(trailing=tuple(m.shape[0] for m in mats),
                    phi=phi, matrices=mats, _inverses=tuple(inverses),
                    _conj_perms=tuple(perms), _conj_mixers=tuple(mixers))
 
@@ -220,30 +218,33 @@ class Transform:
         conj = tuple(p[i] for p, i in zip(self._conj_perms, idx))
         return np.ravel_multi_index(conj, self.trailing, order="F")
 
-    @property
-    def _kept(self) -> int:
-        """How many indices of the last trailing mode the half-spectrum form keeps."""
-        n = self.trailing[-1]
-        return n // 2 + 1 if self.kind == "dft" else n
+    @cached_property
+    def _kept_rows(self) -> np.ndarray:
+        # the smaller index of each conjugation orbit of the last mode
+        if not self.real_safe:
+            raise ValueError("the half spectrum needs a real-safe transform")
+        p = self._conj_perms[-1]
+        return np.flatnonzero(np.arange(p.size) <= p)
 
     @property
     def half_trailing(self) -> tuple:
         """Trailing shape of ``forward(x, half=True)``."""
-        return self.trailing[:-1] + (self._kept,)
+        return self.trailing[:-1] + (self._kept_rows.size,)
 
     @cached_property
     def _last_weights(self) -> np.ndarray:
-        # a kept DFT index stands for itself and its dropped mirror n - i,
-        # unless it is its own mirror (i = 0 or i = n/2)
-        i = np.arange(self._kept)
-        if self.kind != "dft":
-            return np.ones(i.size)
-        return np.where((2 * i) % self.trailing[-1] == 0, 1.0, 2.0)
+        # a kept row also stands for its dropped mirror, if it has one
+        kept = self._kept_rows
+        return np.where(self._conj_perms[-1][kept] == kept, 1.0, 2.0)
 
     @cached_property
-    def _self_paired(self) -> np.ndarray:
-        # kept indices of the last mode that are their own mirror (weight 1)
-        return np.flatnonzero(self._last_weights == 1)
+    def _residue_rows(self) -> list:
+        # only kept rows that are their own mirror add an imaginary part to
+        # the full inverse, through their real, mutually orthogonal inverse
+        # columns: (row, squared column norm), the norm^2 1/n for the DFT
+        g = self._inverses[-1][:, self._kept_rows]
+        rows = np.flatnonzero(self._last_weights == 1)
+        return [(i, np.vdot(g[:, i], g[:, i]).real) for i in rows]
 
     @cached_property
     def slice_weights(self) -> np.ndarray:
@@ -255,24 +256,32 @@ class Transform:
         return np.repeat(self._last_weights, math.prod(self.trailing[:-1]))
 
     @cached_property
+    def kept_slices(self) -> np.ndarray:
+        """Linear index among the J slices of each kept slice, in the
+        order ``forward(x, half=True)`` stores them (the last trailing
+        index varies slowest)."""
+        block = math.prod(self.trailing[:-1])
+        return (self._kept_rows[:, None] * block + np.arange(block)).ravel()
+
+    @cached_property
     def slice_map(self) -> tuple:
         """Where each of the J slices of a real tensor's transform is kept.
 
         Returns ``(source, conj)``: slice j (linear index) equals kept
-        slice ``source[j]``, conjugated where ``conj[j]`` is True.  The
-        kept slices are the first K in linear order (the last trailing
-        index varies slowest), so a dropped slice is held by its mirror.
+        slice ``source[j]``, conjugated where ``conj[j]`` is True.  A
+        dropped slice is held by its mirror, which is always kept.
         """
-        j = np.arange(math.prod(self.trailing))
-        dropped = j >= math.prod(self.half_trailing)
-        return np.where(dropped, self.mirror, j), dropped
+        position = np.full(math.prod(self.trailing), -1)
+        position[self.kept_slices] = np.arange(self.kept_slices.size)
+        dropped = position < 0
+        return np.where(dropped, position[self.mirror], position), dropped
 
     @cached_property
     def _c2r(self) -> np.ndarray:
-        # x = Re(G z) over the kept rows z of the last mode, with G the
-        # inverse DFT's kept columns times their weights; as one real
-        # product with the stacked parts [Re z; Im z] this is [Re G, -Im G]
-        g = self._inverses[-1][:, :self._kept] * self._last_weights
+        # x = Re(G z) over the kept rows z of the last mode, G the inverse's
+        # kept columns times their weights, in C order (the last bits depend
+        # on it); as one real product with [Re z; Im z] this is [Re G, -Im G]
+        g = np.take(self._inverses[-1], self._kept_rows, axis=1) * self._last_weights
         return np.concatenate([g.real, -g.imag], axis=1)
 
     def _check_shape(self, x: np.ndarray, trailing: tuple) -> None:
@@ -299,25 +308,21 @@ class Transform:
         for axis in range(last, 1, -1):
             m = self.matrices[axis - 2]
             if half and axis == last:
-                m = m[:self._kept]
+                m = m[self._kept_rows]
             flat, shape = _mode_product(flat, shape, axis, m)
         return flat.reshape(shape, order="F")
 
-    def inverse(self, xbar: np.ndarray, assert_real: bool = False,
-                half: bool = False) -> np.ndarray:
-        """Apply L^-1 along modes 3..d.
-
-        With ``assert_real`` the imaginary residue of the full inverse is
-        checked against :data:`RESIDUE_TOL` (relative Frobenius) and
-        dropped; a residue above it raises :class:`ImaginaryResidueError`.
+    def inverse(self, xbar: np.ndarray, half: bool = False) -> np.ndarray:
+        """Apply L^-1 along modes 3..d; the result is complex128.
 
         With ``half`` the input holds the kept slices of a real tensor's
         transform, as returned by ``forward(x, half=True)``, and the
-        result is real: the exact complex-to-real inverse.  Slices kept
-        together with their mirror (the planes id = 0 and id = Id/2) are
-        not conjugate-symmetric by construction, so the imaginary residue
-        the full inverse would have there is always checked, as under
-        ``assert_real``.
+        result is real: the exact complex-to-real inverse.  Kept rows
+        that are their own mirror (id = 0 and id = Id/2 under the DFT)
+        are not conjugate-symmetric by construction, so the imaginary
+        residue the full inverse would have there is checked as
+        :func:`real_part` checks it.  ``real_part(L.inverse(xbar))``
+        checks the full inverse.
         """
         xbar = np.asarray(xbar)
         self._check_shape(xbar, self.half_trailing if half else self.trailing)
@@ -326,19 +331,13 @@ class Transform:
         last = xbar.ndim - 1
         for axis in range(2, last):
             flat, shape = _mode_product(flat, shape, axis, self._inverses[axis - 2])
-        if half and self.kind == "dft":
-            z = flat.reshape(self._kept, -1)
-            out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
-            out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
-            # only self-paired rows (weight 1) add an imaginary part to the
-            # full inverse: (Im z_0 + (-1)^t Im z_{n/2}) / n; the strided
-            # dot products copy no row
-            sq = sum(float(np.dot(z[i].imag, z[i].imag))
-                     for i in self._self_paired)
-            residue = math.sqrt(sq / self.trailing[-1])
-            _check_residue(residue, float(np.linalg.norm(out)))
-            return out
-        flat, shape = _mode_product(flat, shape, last, self._inverses[-1])
-        out = flat.reshape(shape, order="F")
-        return real_part(out) if assert_real or half else out
-
+        if not half:
+            flat, shape = _mode_product(flat, shape, last, self._inverses[-1])
+            return flat.reshape(shape, order="F")
+        z = flat.reshape(self._kept_rows.size, -1)
+        out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
+        out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
+        # the strided dot products copy no row
+        sq = sum(w * float(np.dot(z[i].imag, z[i].imag)) for i, w in self._residue_rows)
+        _check_residue(math.sqrt(sq), float(np.linalg.norm(out)))
+        return out

@@ -144,9 +144,9 @@ def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
 
 def identity_tensor(size: int, L: Transform) -> np.ndarray:
     """Tensor acting as identity for the t-product: every transform slice is I."""
-    shape = (size, size) + L.trailing
+    shape = (size, size) + (L.half_trailing if L.real_safe else L.trailing)
     eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * len(L.trailing))
-    return L.inverse(np.broadcast_to(eye, shape), assert_real=L.real_safe)
+    return L.inverse(np.broadcast_to(eye, shape), half=L.real_safe)
 
 
 def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
@@ -256,9 +256,9 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
     xbar, (u, s, vh) = _slice_svds(x, L, half=want_real, full_matrices=False)
-    k = xbar.shape[0]
-    r = int(target[:k].max(initial=0))
-    s = np.where(np.arange(r) < target[:k, None], s[:, :r], 0.0)
+    kept = target[L.kept_slices] if want_real else target
+    r = int(kept.max(initial=0))
+    s = np.where(np.arange(r) < kept[:, None], s[:, :r], 0.0)
     out = np.empty_like(xbar)  # column-major like xbar
     np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
     shape = x.shape[:2] + (L.half_trailing if want_real else L.trailing)

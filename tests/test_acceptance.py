@@ -40,7 +40,7 @@ from lmhbrtf.synth import (
     uniform_multirank,
 )
 from lmhbrtf.tensor import bdiag, frobenius_norm, to_slice_stack
-from lmhbrtf.transform import Transform
+from lmhbrtf.transform import Transform, real_part
 from lmhbrtf.tsvd import conj_transpose, facewise_product, identity_tensor, t_product, t_svd
 
 
@@ -66,7 +66,7 @@ def test_criterion_1_transform_roundtrip():
         shape = _random_shape(rng)
         x = rng.standard_normal(shape)
         L = Transform.dft(shape[2:])
-        back = L.inverse(L.forward(x), assert_real=True)
+        back = real_part(L.inverse(L.forward(x)))
         worst = max(worst, frobenius_norm(back - x) / frobenius_norm(x))
     elapsed = time.perf_counter() - t0
     _report("criterion 1 (transform round trip)",

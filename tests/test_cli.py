@@ -167,6 +167,7 @@ def test_denoise_clean_input_and_report(tmp_path):
     assert report.results["multirank"] == [2, 1, 1, 2, 2, 2, 1, 1]
     assert report.results["converged"]
     assert report.config["phi"] == 8.0
+    assert report.config["transform"] == "dft"
     assert len(report.trace) == report.results["iterations"]
 
 
@@ -204,11 +205,13 @@ def test_denoise_transform_file_matches_builtin_dft(tmp_path):
     common = ["--seed", "4", "--init-rank", "4", "--sigma0sq", "1.0",
               "--gamma", "1.0", "--tol", "1e-5", "--max-iter", "40"]
     out_fft, out_mat = tmp_path / "fft.npy", tmp_path / "mat.npy"
+    rep = tmp_path / "mat.json"
     assert main(["denoise", "--input", str(src), "--out", str(out_fft)] + common) == 0
     assert main(["denoise", "--input", str(src), "--out", str(out_mat),
-                 "--transform-file", str(mpath)] + common) == 0
+                 "--report", str(rep), "--transform-file", str(mpath)] + common) == 0
     a, b = read_tensor(out_fft), read_tensor(out_mat)
     assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a)
+    assert RunReport.load(rep).config["transform"] == "explicit"
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -292,6 +295,28 @@ def test_metrics_shape_mismatch_exit_code_1(tmp_path):
     code = main(["metrics", "--ref", str(a), "--est", str(b),
                  "--out", str(tmp_path / "m.json")])
     assert code == 1
+
+
+def test_metrics_rejects_complex_estimate_exit_code_1(tmp_path, capsys):
+    x = np.random.default_rng(0).uniform(0, 1, (10, 10, 2))
+    ref, est = tmp_path / "x.npy", tmp_path / "c.npy"
+    write_tensor(ref, x)
+    write_tensor(est, x + 1j)
+    out = tmp_path / "m.json"
+    code = main(["metrics", "--ref", str(ref), "--est", str(est), "--out", str(out)])
+    assert code == 1
+    assert "complex" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corrupt_rejects_complex_input_exit_code_1(tmp_path, capsys):
+    src, out = tmp_path / "c.npy", tmp_path / "o.npy"
+    write_tensor(src, np.ones((4, 4, 2)) + 1j)
+    code = main(["corrupt", "--input", str(src), "--rho", "0.1", "--sigma2", "0",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "complex" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path):

@@ -33,6 +33,14 @@ def test_psnr_monotone_in_error():
     assert values[0] > values[1] > values[2]
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim, ergas, sam, compute_all])
+def test_metrics_reject_complex_input(metric):
+    x = rng().uniform(0, 1, (8, 8, 2))
+    for est, ref in ((x + 1j, x), (x, x + 0j)):
+        with pytest.raises(ValueError, match="complex"):
+            metric(est, ref)
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))

@@ -30,6 +30,11 @@ from lmhbrtf.tensor import from_slice_stack, to_slice_stack
 from lmhbrtf.transform import Transform
 
 
+# conjugation pairs rows 0 and 1 and leaves rows 2 and 3 alone: the kept
+# rows 0, 2, 3 are not a prefix
+REORDERED_DFT_4 = np.fft.fft(np.eye(4))[[3, 1, 2, 0]]
+
+
 def make_state(shape=(4, 4, 2), r=2, seed=3, sigma0_sq=1.0, gamma=1.0):
     y = np.random.default_rng(seed).standard_normal(shape)
     hp = HyperParams(init_rank=r, sigma0_sq=sigma0_sq, gamma=gamma,
@@ -79,6 +84,19 @@ def test_hyperparam_validation():
         HyperParams(init_rank=2, sigma0_sq=0.0)
     with pytest.raises(ValueError):
         HyperParams(init_rank=2, gamma=-1.0)
+
+
+@pytest.mark.parametrize("value", [3.5, 3.0, "3", None])
+def test_hyperparams_reject_non_integer_max_iter(value):
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        HyperParams(init_rank=2, max_iter=value)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, [3, 2.5, 3], np.array([2.0, 3.0]), "auto"])
+def test_hyperparams_reject_non_integer_init_rank(value):
+    with pytest.raises(ValueError, match="init_rank entries must be integers"):
+        HyperParams(init_rank=value)
+    HyperParams(init_rank=np.int64(2), max_iter=np.int32(3))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -143,8 +161,10 @@ def test_init_state_rejects_mirror_asymmetric_init_rank():
     # order 4: slices 1 and 2, trailing (1, 0) and (2, 0), are mirrors and
     # both kept in the i4 = 0 plane
     ((6, 6, 3, 4), Transform.dft((3, 4)), [3, 2] + [3] * 10),
-    # explicit DFT matrices keep every slice: 1 and 4 are mirrors
-    ((6, 6, 5), Transform.explicit([np.fft.fft(np.eye(5))]), [3, 2, 3, 3, 3]),
+    # row-reordered DFT matrices keep rows 0, 2, 3 of mode 4: slices 7 and
+    # 8, trailing (1, 2) and (2, 2), are mirrors and both kept in row 2
+    ((6, 6, 3, 4), Transform.explicit([np.fft.fft(np.eye(3)), REORDERED_DFT_4]),
+     [3] * 7 + [2] + [3] * 4),
 ])
 def test_init_state_rejects_init_rank_asymmetric_on_a_kept_mirror_pair(shape, L, init_rank):
     y = np.random.default_rng(1).standard_normal(shape)
@@ -164,6 +184,14 @@ def test_hyperparams_as_dict_echoes_every_field_as_plain_values():
     assert {k: v for k, v in echo.items() if k != "init_rank"} == {
         k: v for k, v in vars(hp).items() if k != "init_rank"}
     assert HyperParams(init_rank=4).as_dict()["init_rank"] == 4
+
+
+def test_init_state_stores_the_kept_slices_when_they_are_not_a_prefix():
+    y = np.random.default_rng(0).standard_normal((4, 4, 4))
+    L = Transform.explicit([REORDERED_DFT_4])
+    state = init_state(y, L, HyperParams(init_rank=[3, 3, 1, 2]), seed=0)
+    assert np.array_equal(state.factors.ranks, [3, 1, 2])
+    assert np.array_equal(state.multirank, [3, 3, 1, 2])
 
 
 def test_init_state_rejects_transform_that_is_not_real_safe():
@@ -723,6 +751,18 @@ def test_non_positive_lambda_b_names_the_slice():
         f.ranks[2] = 1
     state.noise.lambda_b[2, 1] = -1.0
     _check_state_positive(state)
+
+
+def test_breakdown_names_the_j_index_when_kept_slices_are_not_a_prefix():
+    # stored slice 1 is kept row 2: slice 2 of the J
+    y = np.random.default_rng(5).standard_normal((4, 4, 4))
+    state = init_state(y, Transform.explicit([REORDERED_DFT_4]),
+                       HyperParams(init_rank=2), seed=5)
+    state.noise.lambda_b[1, 1] = 0.0
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"lambda_b is not positive on slice 2 "
+                             r"\(trailing index \(2,\)\)"):
+        _check_state_positive(state)
 
 
 def test_breakdown_in_run_names_the_iteration(monkeypatch):

@@ -271,6 +271,12 @@ def test_corrupt_tensor_validation():
         corrupt_tensor(x, rho=0.1, low=1.0, high=1.0, sigma_sq=0.0, seed=0)
 
 
+def test_corrupt_tensor_rejects_complex_input():
+    with pytest.raises(ValueError, match="complex"):
+        corrupt_tensor(np.ones((3, 3, 2)) + 1j, rho=0.1, low=0.0, high=1.0,
+                       sigma_sq=0.0, seed=0)
+
+
 def test_run_benchmark_empty_grid():
     report = run_benchmark([])
     assert report.results["cells"] == []

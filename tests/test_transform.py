@@ -35,7 +35,7 @@ def test_two_point_dft_example():
     L = Transform.dft((2,))
     xbar = L.forward(x)
     assert np.allclose(xbar.ravel(), [4.0, -2.0], atol=1e-14)
-    back = L.inverse(xbar, assert_real=True)
+    back = real_part(L.inverse(xbar))
     assert np.allclose(back, x, atol=1e-14)
 
 
@@ -54,7 +54,7 @@ def test_roundtrip_and_linearity(shape):
     L = Transform.dft(shape[2:])
     x = r.standard_normal(shape)
     y = r.standard_normal(shape)
-    back = L.inverse(L.forward(x), assert_real=True)
+    back = real_part(L.inverse(L.forward(x)))
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
     a, b = 0.3, -1.7
     lin = L.forward(a * x + b * y) - (a * L.forward(x) + b * L.forward(y))
@@ -125,7 +125,7 @@ def test_inverse_flags_inconsistent_input():
     L = Transform.dft((3,))
     bad = rng().standard_normal((2, 2, 3)) + 1j * rng().standard_normal((2, 2, 3))
     with pytest.raises(ImaginaryResidueError):
-        L.inverse(bad, assert_real=True)
+        real_part(L.inverse(bad))
 
 
 def test_real_part_threshold():
@@ -157,10 +157,7 @@ def test_half_forward_matches_rfftn(shape):
     assert frobenius_norm(back - ref_back) <= 1e-12 * frobenius_norm(x)
 
 
-@pytest.mark.parametrize("shape", HALF_SHAPES)
-def test_half_weighted_parseval_and_slice_map(shape):
-    x = rng().standard_normal(shape)
-    L = Transform.dft(shape[2:])
+def check_weighted_parseval_and_slice_map(L, x):
     stack = to_slice_stack(L.forward(x, half=True))
     full = to_slice_stack(L.forward(x))
     w = L.slice_weights
@@ -179,21 +176,97 @@ def test_half_weighted_parseval_and_slice_map(shape):
     assert np.array_equal(counts, w)
 
 
-def test_explicit_transform_keeps_all_slices_at_weight_one():
-    L = Transform.explicit([dft_matrix(4), dft_matrix(3)])
-    assert L.real_safe
-    assert L.half_trailing == L.trailing == (4, 3)
-    assert np.array_equal(L.slice_weights, np.ones(12))
-    source, conj = L.slice_map
-    assert np.array_equal(source, np.arange(12)) and not conj.any()
+@pytest.mark.parametrize("shape", HALF_SHAPES)
+def test_half_weighted_parseval_and_slice_map(shape):
+    check_weighted_parseval_and_slice_map(Transform.dft(shape[2:]),
+                                          rng().standard_normal(shape))
+
+
+# row-reordered DFT matrices: real-safe, but the kept rows of the last mode
+# (the smaller index of each conjugation orbit) are not a prefix
+REORDERED = {
+    "dft-4[0,1,3,2]": ((3, 2, 4), [dft_matrix(4)[[0, 1, 3, 2]]], [0, 1, 3]),
+    "dft-4[3,1,2,0]": ((3, 2, 4), [dft_matrix(4)[[3, 1, 2, 0]]], [0, 2, 3]),
+    "dft-3,dft-5[1,4,0,2,3]": ((2, 3, 3, 5), [dft_matrix(3), dft_matrix(5)[[1, 4, 0, 2, 3]]],
+                               [0, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REORDERED))
+def test_half_spectrum_under_reordered_dft_matrices(name):
+    shape, mats, kept = REORDERED[name]
+    L = Transform.explicit(mats)
+    x = rng().standard_normal(shape)
+    block = int(np.prod(shape[2:-1]))
+    assert L.half_trailing == shape[2:-1] + (len(kept),)
+    assert np.array_equal(L.kept_slices,
+                          (np.array(kept)[:, None] * block + np.arange(block)).ravel())
+    half = L.forward(x, half=True)
+    full = L.forward(x)[..., kept]
+    assert frobenius_norm(half - full) <= 1e-13 * frobenius_norm(full)
+    back = L.inverse(half, half=True)
+    assert back.dtype == np.float64
+    assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
+    check_weighted_parseval_and_slice_map(L, x)
+
+
+def test_half_inverse_checks_the_self_mirrored_rows_of_a_reordered_dft():
+    # kept rows 0, 2, 3: row 0 pairs with the dropped row 1, rows 2 and 3
+    # are their own mirror and must stay real
+    L = Transform.explicit([dft_matrix(4)[[3, 1, 2, 0]]])
+    assert np.array_equal(L.slice_weights, [2, 1, 1])
+    xbar = L.forward(rng().standard_normal((3, 2, 4)), half=True)
+    for k in (1, 2):
+        bad = xbar.copy()
+        bad[:, :, k] += 0.5j
+        with pytest.raises(ImaginaryResidueError):
+            L.inverse(bad, half=True)
+    xbar[:, :, 0] += 0.5j
+    back = L.inverse(xbar, half=True)
+    assert np.allclose(L.forward(back, half=True), xbar, atol=1e-12)
+
+
+def test_explicit_transform_half_spectrum_follows_conjugation_orbits():
+    # explicit DFT matrices pair their slices as the DFT does
     x = rng().standard_normal((3, 2, 4, 3))
-    assert np.array_equal(L.forward(x, half=True), L.forward(x))
+    L = Transform.explicit([dft_matrix(4), dft_matrix(3)])
+    dft = Transform.dft((4, 3))
+    assert L.half_trailing == dft.half_trailing == (4, 2)
+    assert np.array_equal(L.slice_weights, dft.slice_weights)
+    ref = dft.forward(x, half=True)
+    assert frobenius_norm(L.forward(x, half=True) - ref) <= 1e-13 * frobenius_norm(ref)
     back = L.inverse(L.forward(x, half=True), half=True)
     assert back.dtype == np.float64
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
-    # the half inverse of an explicit transform checks the imaginary residue too
+    # every row of a real matrix is its own mirror: all J slices are kept
+    # at weight 1, and the imaginary residue is checked on all of them
+    q, _ = np.linalg.qr(rng().standard_normal((3, 3)))
+    R = Transform.explicit([np.array([[1.0, 1.0], [1.0, -1.0]]), q])
+    assert R.half_trailing == R.trailing == (2, 3)
+    assert np.array_equal(R.slice_weights, np.ones(6))
+    source, conj = R.slice_map
+    assert np.array_equal(source, np.arange(6)) and not conj.any()
+    x = rng().standard_normal((3, 2, 2, 3))
+    assert np.array_equal(R.forward(x, half=True), R.forward(x))
+    back = R.inverse(R.forward(x, half=True), half=True)
+    assert back.dtype == np.float64
+    assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
     with pytest.raises(ImaginaryResidueError):
-        L.inverse(L.forward(x, half=True) + 0.5j, half=True)
+        R.inverse(R.forward(x, half=True) + 0.5j, half=True)
+
+
+@pytest.mark.parametrize("mats", [
+    [np.eye(3), np.diag([1.0, 1j])],   # last mode not real-safe
+    [np.diag([1.0, 1j]), np.eye(3)],   # an earlier mode not real-safe
+])
+def test_half_spectrum_rejects_transform_that_is_not_real_safe(mats):
+    L = Transform.explicit(mats)
+    x = rng().standard_normal((2, 2) + L.trailing)
+    for half_form in (lambda: L.forward(x, half=True), lambda: L.half_trailing,
+                      lambda: L.slice_weights, lambda: L.kept_slices,
+                      lambda: L.inverse(L.forward(x), half=True)):
+        with pytest.raises(ValueError, match="real-safe"):
+            half_form()
 
 
 def test_explicit_real_safe_means_conjugation_permutes_rows():

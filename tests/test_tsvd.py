@@ -6,7 +6,7 @@ import pytest
 from lmhbrtf import tsvd
 from lmhbrtf.errors import ImaginaryResidueError
 from lmhbrtf.tensor import bdiag, frobenius_norm, from_slice_stack, to_slice_stack
-from lmhbrtf.transform import Transform
+from lmhbrtf.transform import Transform, real_part
 from lmhbrtf.tsvd import (
     conj_transpose,
     facewise_product,
@@ -75,6 +75,10 @@ EXPLICIT = {
     "phased-dft-5": [phased_dft(5, 4)],
     "phased-dft-5x4": [phased_dft(5, 5), phased_dft(4, 6)],
     "phases-3": [np.diag(np.exp(1j * np.array([0.3, 1.1, -0.4])))],
+    # row-reordered DFT matrices: the kept rows 0, 2, 3 of the last mode
+    # are not a prefix
+    "reordered-dft-4": [np.fft.fft(np.eye(4))[[3, 1, 2, 0]]],
+    "reordered-dft-3x5": [np.fft.fft(np.eye(3)), np.fft.fft(np.eye(5))[[1, 4, 0, 2, 3]]],
 }
 
 
@@ -156,9 +160,20 @@ def test_t_product_half_spectrum_matches_full_facewise_product(shape):
     y, _ = real_and_complex((shape[1], 2) + shape[2:], 32)
     L = Transform.dft(shape[2:])
     got = t_product(x, y, L)
-    full = L.inverse(facewise_product(L.forward(x), L.forward(y)), assert_real=True)
+    full = real_part(L.inverse(facewise_product(L.forward(x), L.forward(y))))
     assert np.isrealobj(got) and got.shape == full.shape
     assert frobenius_norm(got - full) <= 1e-13 * frobenius_norm(full)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_t_product_under_explicit_transforms_matches_full_facewise_product(name):
+    L = Transform.explicit(EXPLICIT[name])
+    x, _ = real_and_complex((4, 3) + L.trailing, 33)
+    y, _ = real_and_complex((3, 2) + L.trailing, 34)
+    got = t_product(x, y, L)
+    full = L.inverse(facewise_product(L.forward(x), L.forward(y)))
+    assert np.isrealobj(got) == L.real_safe
+    assert frobenius_norm(got - full) <= 1e-12 * frobenius_norm(full)
 
 
 def _unitary(n, seed):
@@ -273,7 +288,7 @@ def test_t_svd_f_diagonal_input():
     # conjugate-mirrored slices share values so the tensor is real
     for k in range(3):
         diag_stack[k] = np.diag(values[k])
-    x = L.inverse(from_slice_stack(diag_stack, (3, 3, 3)), assert_real=True)
+    x = real_part(L.inverse(from_slice_stack(diag_stack, (3, 3, 3))))
     res = t_svd(x, L)
     sbar = to_slice_stack(L.forward(res.s))
     for k in range(3):
@@ -415,7 +430,7 @@ def _truncate_full_reference(x, L, target):
     for k, r in enumerate(target):
         u, s, vh = np.linalg.svd(xbar[k], full_matrices=False)
         out[k] = (u[:, :r] * s[:r]) @ vh[:r]
-    return L.inverse(from_slice_stack(out, x.shape), assert_real=True)
+    return real_part(L.inverse(from_slice_stack(out, x.shape)))
 
 
 @pytest.mark.parametrize("shape", [(6, 5, 7), (6, 5, 8), (5, 6, 3, 4),
