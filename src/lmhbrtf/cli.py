@@ -25,6 +25,7 @@ from .npyio import read_tensor, write_tensor
 from .report import RunReport
 from .synth import (
     SynthConfig,
+    check_corruption,
     corrupt_tensor,
     desk_multirank,
     protocol_hyperparams,
@@ -279,12 +280,10 @@ def cmd_corrupt(args) -> None:
     opts = _resolve(args, "corrupt")
     rho, sigma2 = float(opts["rho"]), float(opts["sigma2"])
     low, high = float(opts["low"]), float(opts["high"])
-    if not 0.0 <= rho <= 1.0:
-        raise UsageError("--rho must lie in [0, 1]")
-    if sigma2 < 0:
-        raise UsageError("--sigma2 must be nonnegative")
-    if high <= low:
-        raise UsageError(f"--low/--high range [{low}, {high}] is empty")
+    try:
+        check_corruption(rho, sigma2, low, high)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     x = _load_input_tensor(args.input)
     y = corrupt_tensor(x, rho=rho, low=low, high=high, sigma_sq=sigma2,
                        seed=args.seed, normalize=bool(opts["normalize"]))

@@ -9,7 +9,6 @@ pixel's values across all trailing indices as its spectral vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +17,12 @@ from .tensor import num_slices, to_slice_stack
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
 
 
-@dataclass
 class MetricReport:
     """Bundle of the four metrics; psnr is +inf for identical inputs,
     sam is reported in degrees."""
 
-    psnr: float
-    ssim: float
-    ergas: float
-    sam: float
+    def __init__(self, psnr: float, ssim: float, ergas: float, sam: float):
+        self.psnr, self.ssim, self.ergas, self.sam = psnr, ssim, ergas, sam
 
     def as_dict(self) -> dict:
         return {"psnr": self.psnr, "ssim": self.ssim,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -44,7 +43,7 @@ from .tensor import (
     num_slices,
     to_slice_stack,
 )
-from .transform import Transform
+from .transform import Transform, _Frozen
 from .tsvd import balanced_factors
 
 __all__ = [
@@ -85,7 +84,6 @@ GAMMA_PRIOR = 1e-6
 PRUNE_THRESHOLD = 1e-4
 
 
-@dataclass
 class HyperParams:
     """Model and loop configuration.
 
@@ -98,23 +96,23 @@ class HyperParams:
     module constants :data:`GAMMA_PRIOR` and :data:`PRUNE_THRESHOLD`.
     """
 
-    init_rank: Union[int, Sequence[int]]
-    sigma0_sq: float = 1.0
-    gamma: Optional[float] = None
-    tol: float = 1e-4
-    max_iter: int = 200
-
-    def __post_init__(self):
-        checked = ("sigma0_sq", "tol") if self.gamma is None else ("sigma0_sq", "gamma", "tol")
+    def __init__(self, init_rank: Union[int, Sequence[int]], sigma0_sq: float = 1.0,
+                 gamma: Optional[float] = None, tol: float = 1e-4, max_iter: int = 200):
+        self.init_rank, self.sigma0_sq, self.gamma = init_rank, sigma0_sq, gamma
+        self.tol, self.max_iter = tol, max_iter
+        checked = ("sigma0_sq", "tol") if gamma is None else ("sigma0_sq", "gamma", "tol")
         for name in checked:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and strictly positive, "
                                  f"got {value}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
-            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
-        if np.asarray(self.init_rank).dtype.kind not in "iu":
-            raise ValueError(f"init_rank entries must be integers, got {self.init_rank!r}")
+        if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+            raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+        if np.asarray(init_rank).dtype.kind not in "iu":
+            raise ValueError(f"init_rank entries must be integers, got {init_rank!r}")
+
+    def __repr__(self) -> str:
+        return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def as_dict(self) -> dict:
         """The settings as a report echo (a per-slice array as a list of ints)."""
@@ -134,20 +132,15 @@ def _diag(m: np.ndarray) -> np.ndarray:
     return np.diagonal(m, axis1=1, axis2=2).real
 
 
-@dataclass(frozen=True, eq=False)  # array fields: compare by identity
-class Factor:
+class Factor(_Frozen):
     """Posterior of one factor on the K kept slices.
 
     ``mean`` is (K, I, R) and ``cov`` (K, R, R); both are read-only, and
     ``gram`` = mean^H mean is formed on first use and kept.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self.mean)
-        _read_only(self.cov)
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        vars(self).update(mean=_read_only(mean), cov=_read_only(cov))
 
     def __reduce__(self):  # copies and unpickled objects are read-only, uncached
         return Factor, (self.mean, self.cov)
@@ -158,8 +151,7 @@ class Factor:
         return _read_only(hermitian_t(self.mean) @ self.mean)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorState:
+class FactorState(_Frozen):
     """Posterior factors ``u`` and ``v`` of the K kept slices, stacked and
     zero-padded, and the read-only ``ranks``.
 
@@ -172,12 +164,8 @@ class FactorState:
     changes a factor builds a new FactorState.
     """
 
-    u: Factor
-    v: Factor
-    ranks: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self.ranks)
+    def __init__(self, u: Factor, v: Factor, ranks: np.ndarray):
+        vars(self).update(u=u, v=v, ranks=_read_only(ranks))
 
     def __reduce__(self):
         return FactorState, (self.u, self.v, self.ranks)
@@ -210,24 +198,21 @@ class FactorState:
         return _read_only(out)
 
 
-@dataclass
 class SparseState:
     """Posterior of the sparse component and its per-element Gamma precisions.
 
     The Gamma shape ``beta_a`` is the same for every element.
     """
 
-    s_mean: np.ndarray
-    s_var: np.ndarray
-    beta_a: float
-    beta_b: np.ndarray
+    def __init__(self, s_mean: np.ndarray, s_var: np.ndarray, beta_a: float,
+                 beta_b: np.ndarray):
+        self.s_mean, self.s_var, self.beta_a, self.beta_b = s_mean, s_var, beta_a, beta_b
 
     @property
     def beta_mean(self) -> np.ndarray:
         return self.beta_a / self.beta_b
 
 
-@dataclass
 class NoiseState:
     """Noise precision, ARD precisions and the fit statistic.
 
@@ -235,11 +220,10 @@ class NoiseState:
     ``lambda_b`` is (K, R), laid out like the factor columns.
     """
 
-    tau_a: float
-    tau_b: float
-    lambda_a: float
-    lambda_b: np.ndarray
-    fit: float = 0.0
+    def __init__(self, tau_a: float, tau_b: float, lambda_a: float,
+                 lambda_b: np.ndarray, fit: float = 0.0):
+        self.tau_a, self.tau_b, self.lambda_a, self.lambda_b = tau_a, tau_b, lambda_a, lambda_b
+        self.fit = fit
 
     @property
     def tau_mean(self) -> float:
@@ -249,7 +233,6 @@ class NoiseState:
         return self.lambda_a / self.lambda_b[k]
 
 
-@dataclass
 class ModelState:
     """Everything one inference iteration reads and writes.
 
@@ -261,15 +244,12 @@ class ModelState:
     Statistics of the factors live on ``factors``, not here.
     """
 
-    y: np.ndarray
-    transform: Transform
-    resid: np.ndarray
-    hp: HyperParams
-    factors: FactorState
-    sparse: SparseState
-    noise: NoiseState
-    ynorm: float
-    x_hat: Optional[np.ndarray] = None
+    def __init__(self, y: np.ndarray, transform: Transform, resid: np.ndarray,
+                 hp: HyperParams, factors: FactorState, sparse: SparseState,
+                 noise: NoiseState, ynorm: float, x_hat: Optional[np.ndarray] = None):
+        self.y, self.transform, self.resid, self.hp = y, transform, resid, hp
+        self.factors, self.sparse, self.noise = factors, sparse, noise
+        self.ynorm, self.x_hat = ynorm, x_hat
 
     @property
     def shape(self) -> tuple:
@@ -294,13 +274,16 @@ class IterationRecord(NamedTuple):
     tau_mean: float
 
 
-@dataclass
 class RunTrace:
-    """Per-iteration history plus the final convergence verdict."""
+    """Per-iteration history plus the final convergence verdict.
 
-    records: list = field(default_factory=list)
-    converged: bool = False
-    message: str = ""
+    ``records`` defaults to a new empty list.
+    """
+
+    def __init__(self, records: Optional[list] = None, converged: bool = False,
+                 message: str = ""):
+        self.records = [] if records is None else records
+        self.converged, self.message = converged, message
 
     def as_dicts(self) -> list:
         return [r._asdict() for r in self.records]
@@ -320,11 +303,18 @@ def _sub_rng(seed: int, stream: int) -> np.random.Generator:
 def _check_observation(y) -> np.ndarray:
     """The observation as a real float64 tensor, or a ValueError.
 
-    Rejects complex and non-finite entries (naming the first bad index
-    in column-major order) and a nonzero tensor whose sum of squares
-    underflows to 0 or overflows to inf in float64.
+    Rejects slices with one row or one column (every such slice has full
+    rank 1, so the low-rank part is not identifiable), complex and
+    non-finite entries (naming the first bad index in column-major
+    order) and a nonzero tensor whose sum of squares underflows to 0 or
+    overflows to inf in float64.
     """
     y = as_tensor(y)
+    if min(y.shape[:2]) < 2:
+        raise ValueError(
+            f"observation of shape {y.shape} has {y.shape[0]} x {y.shape[1]} "
+            "slices, each full rank at rank 1, so the low-rank part is not "
+            "identifiable; I1 and I2 must be at least 2")
     if np.iscomplexobj(y):
         raise ValueError("observation tensor must be real")
     finite = np.isfinite(y)
@@ -503,7 +493,9 @@ def _update_factor(state: ModelState, side: str) -> FactorState:
     diag = np.arange(prec.shape[-1])
     prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
     cov = _posterior_cov(state, prec, side.upper())
-    state.factors = replace(f, **{side: Factor(proj @ cov, cov)})
+    new = Factor(proj @ cov, cov)
+    state.factors = (FactorState(new, f.v, f.ranks) if side == "u"
+                     else FactorState(f.u, new, f.ranks))
     return state.factors
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import Optional
 
 __all__ = ["RunReport", "strip_timing"]
 
@@ -47,23 +47,26 @@ def _decode(value):
     return value
 
 
-@dataclass
 class RunReport:
-    """Configuration echo plus results of one tool invocation."""
+    """Configuration echo plus results of one tool invocation.
 
-    command: str
-    config: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
-    timing: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
-    tool: str = "lmhbrtf"
-    version: str = ""
+    ``config``, ``results``, ``trace`` and ``timing`` default to new empty
+    containers; an empty ``version`` is the package version.
+    """
 
-    def __post_init__(self):
-        if not self.version:
+    def __init__(self, command: str, config: Optional[dict] = None,
+                 results: Optional[dict] = None, trace: Optional[list] = None,
+                 timing: Optional[dict] = None, schema_version: int = SCHEMA_VERSION,
+                 tool: str = "lmhbrtf", version: str = ""):
+        if not version:
             from . import __version__
-            self.version = __version__
+            version = __version__
+        self.command = command
+        self.config = {} if config is None else config
+        self.results = {} if results is None else results
+        self.trace = [] if trace is None else trace
+        self.timing = {} if timing is None else timing
+        self.schema_version, self.tool, self.version = schema_version, tool, version
 
     def as_dict(self) -> dict:
         return {

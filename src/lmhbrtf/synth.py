@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = [
     "protocol_hyperparams",
     "run_benchmark",
     "corrupt_tensor",
+    "check_corruption",
 ]
 
 # sub-stream labels under the user seed; fixed so runs are reproducible
@@ -45,22 +45,42 @@ _NOISE_STREAM = 2
 _CORRUPT_STREAM = 4
 
 
-@dataclass
+def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
+                     high: float = 10.0) -> None:
+    """Reject corruption levels that are out of range or not finite.
+
+    ``rho`` (the outlier fraction) must lie in [0, 1], ``sigma_sq`` (the
+    noise variance) must be finite and nonnegative, and the outlier range
+    [``low``, ``high``) must be finite and nonempty; by default it is the
+    generator's [-10, 10).
+    """
+    if not 0.0 <= rho <= 1.0:  # NaN fails too
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if not 0.0 <= sigma_sq < math.inf:
+        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
+    if not -math.inf < low < high < math.inf:
+        raise ValueError(f"corruption range [{low}, {high}] must be finite "
+                         "and satisfy high > low")
+
+
 class SynthConfig:
-    """One synthetic scenario: shape, planted ranks and corruption levels."""
+    """One synthetic scenario: shape, planted ranks and corruption levels.
 
-    shape: tuple
-    base_rank: int
-    multirank: np.ndarray
-    rho: float
-    sigma_sq: float
-    seed: int
+    Outliers are drawn from Uniform[-10, 10]; slices must be at least
+    2 x 2, because a 1 x n or n x 1 slice is full rank at rank 1.
+    """
 
-    def __post_init__(self):
-        self.shape = tuple(int(n) for n in self.shape)
-        self.multirank = np.asarray(self.multirank, dtype=np.int64)
+    def __init__(self, shape: tuple, base_rank: int, multirank: np.ndarray,
+                 rho: float, sigma_sq: float, seed: int):
+        self.shape = tuple(int(n) for n in shape)
+        self.base_rank = base_rank
+        self.multirank = np.asarray(multirank, dtype=np.int64)
+        self.rho, self.sigma_sq, self.seed = rho, sigma_sq, seed
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
+        if min(self.shape[:2]) < 2:
+            raise ValueError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
+                             "slices; the low-rank part needs I1 and I2 >= 2")
         if self.base_rank < 1:
             raise ValueError(f"base_rank must be at least 1, got {self.base_rank}")
         j = num_slices(self.shape)
@@ -70,10 +90,10 @@ class SynthConfig:
             raise ValueError("pattern entries must lie in [0, base_rank]")
         if self.base_rank > min(self.shape[:2]):
             raise ValueError("base_rank must not exceed min(I1, I2)")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        if self.sigma_sq < 0.0:
-            raise ValueError("sigma_sq must be nonnegative")
+        check_corruption(rho, sigma_sq)
+
+    def __repr__(self) -> str:
+        return f"SynthConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def as_dict(self) -> dict:
         return {
@@ -86,15 +106,13 @@ class SynthConfig:
         }
 
 
-@dataclass
 class SynthInstance:
     """Generated tensors: y = x_gt + s_gt + e_gt."""
 
-    y: np.ndarray
-    x_gt: np.ndarray
-    s_gt: np.ndarray
-    e_gt: np.ndarray
-    multirank_gt: np.ndarray
+    def __init__(self, y: np.ndarray, x_gt: np.ndarray, s_gt: np.ndarray,
+                 e_gt: np.ndarray, multirank_gt: np.ndarray):
+        self.y, self.x_gt, self.s_gt, self.e_gt = y, x_gt, s_gt, e_gt
+        self.multirank_gt = multirank_gt
 
 
 def uniform_multirank(trailing, rank: int) -> np.ndarray:
@@ -224,7 +242,9 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
     With repeats > 1 each config is rerun with shifted data seeds and
     the mean errors are reported alongside the per-repeat rows.  The
     optional *on_cell* callback receives (config, instance, result) for
-    every completed run, e.g. to persist tensors.
+    every completed run, e.g. to persist tensors.  Each per-repeat row
+    holds ``noise_var``, the noise variance 1/tau estimated at the last
+    iteration (None when no iteration ran).
     """
     cells = []
     for cfg in configs:
@@ -245,6 +265,8 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
                 "seed": int(cfg_rep.seed),
                 "r_err": r_err(result.multirank, inst.multirank_gt),
                 "x_err": x_err(result.x_hat, inst.x_gt),
+                "noise_var": (1.0 / result.trace.records[-1].tau_mean
+                              if result.trace.records else None),
                 "multirank": [int(r) for r in result.multirank],
                 "iterations": len(result.trace.records),
                 "converged": result.trace.converged,
@@ -278,12 +300,7 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     finally i.i.d. N(0, sigma_sq) noise is added to every entry.  The
     steps run in exactly this order.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if high <= low:
-        raise ValueError("corruption range must satisfy high > low")
-    if sigma_sq < 0:
-        raise ValueError("sigma_sq must be nonnegative")
+    check_corruption(rho, sigma_sq, low, high)
     if np.iscomplexobj(x):
         raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CORRUPT_STREAM]))

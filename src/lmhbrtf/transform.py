@@ -39,7 +39,6 @@ Under the DFT each C_k is the permutation i -> -i mod I_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -114,8 +113,18 @@ def _mode_product(flat: np.ndarray, shape: tuple, axis: int, m: np.ndarray):
     return out.reshape(-1), shape[:axis] + (rows,) + shape[axis + 1:]
 
 
-@dataclass(frozen=True, eq=False)  # array fields: compare by identity
-class Transform:
+class _Frozen:
+    """Base of immutable objects: ``__init__`` sets every attribute once,
+    through ``vars(self)``; ``functools.cached_property`` still caches."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Transform(_Frozen):
     """The invertible linear transform L applied along modes 3..d.
 
     Attributes:
@@ -126,16 +135,16 @@ class Transform:
             squared Frobenius norms.
     """
 
-    trailing: tuple
-    phi: float
-    matrices: tuple = field(default=(), repr=False)
-    _inverses: tuple = field(default=(), repr=False)
-    # per trailing mode, p with conj(m) = m[p], or None where conjugation
-    # does not permute the rows of m
-    _conj_perms: tuple = field(default=(), repr=False)
-    # per trailing mode, C = m^-1 conj(m): sweeping C over the conjugated,
-    # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
-    _conj_mixers: tuple = field(default=(), repr=False)
+    def __init__(self, trailing: tuple, phi: float, matrices: tuple = (),
+                 _inverses: tuple = (), _conj_perms: tuple = (),
+                 _conj_mixers: tuple = ()):
+        # _conj_perms: per trailing mode, p with conj(m) = m[p], or None where
+        # conjugation does not permute the rows of m.  _conj_mixers: per
+        # trailing mode, C = m^-1 conj(m): sweeping C over the conjugated,
+        # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
+        vars(self).update(trailing=trailing, phi=phi, matrices=matrices,
+                          _inverses=_inverses, _conj_perms=_conj_perms,
+                          _conj_mixers=_conj_mixers)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":

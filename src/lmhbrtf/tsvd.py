@@ -11,8 +11,6 @@ inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ImaginaryResidueError
@@ -43,7 +41,6 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-8
 
 
-@dataclass
 class TSVDResult:
     """t-SVD factors in the original domain: x = u * s * conj_transpose(v, L).
 
@@ -53,10 +50,9 @@ class TSVDResult:
     ranks of the input.
     """
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    multirank: np.ndarray
+    def __init__(self, u: np.ndarray, s: np.ndarray, v: np.ndarray,
+                 multirank: np.ndarray):
+        self.u, self.s, self.v, self.multirank = u, s, v, multirank
 
 
 def _stacks_compatible(x: np.ndarray, y: np.ndarray) -> None:

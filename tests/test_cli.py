@@ -148,6 +148,52 @@ def test_corrupt_unreadable_input_runtime_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--rho", "--sigma2", "--low", "--high"])
+def test_corrupt_rejects_non_finite_level_before_reading(tmp_path, capsys, flag, value):
+    # the input is missing: exit 2, not the read error's 1, shows that the
+    # levels are checked before any file is touched
+    out = tmp_path / "o.npy"
+    code = main(["corrupt", "--input", str(tmp_path / "missing.npy"), "--seed", "1",
+                 "--out", str(out), f"{flag}={value}"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--rho", "--sigma2"])
+def test_synth_rejects_non_finite_level(tmp_path, capsys, flag, value):
+    levels = {"--rho": "0.0", "--sigma2": "0.0", flag: value}
+    out = tmp_path / "r.json"
+    code = main(["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "uniform:2",
+                 "--seed", "1", "--out", str(out)] + [f"{k}={v}" for k, v in levels.items()])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", ["1,8,4", "8,1,4"])
+def test_synth_rejects_thin_slices(tmp_path, capsys, dims):
+    out, saved = tmp_path / "r.json", tmp_path / "tensors"
+    code = main(["synth", "--dims", dims, "--rank", "1", "--pattern", "uniform:1",
+                 "--rho", "0", "--sigma2", "0", "--seed", "3", "--out", str(out),
+                 "--save-tensors", str(saved)])
+    assert code == 2
+    assert f"shape ({dims.replace(',', ', ')}) has" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 4), (8, 1, 4)])
+def test_denoise_rejects_thin_slices_exit_code_1(tmp_path, capsys, shape):
+    src, out = tmp_path / "y.npy", tmp_path / "x.npy"
+    write_tensor(src, np.random.default_rng(3).standard_normal(shape))
+    code = main(["denoise", "--input", str(src), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert f"observation of shape {shape}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_clean_input_and_report(tmp_path):
     src, inst = make_lowrank_input(tmp_path)
     out = tmp_path / "xhat.npy"

@@ -112,12 +112,29 @@ def test_out_of_range_scale_rejected(entry, scale, word):
         _enter(entry, y)
 
 
+@pytest.mark.parametrize("entry", ["run", "init_state"])
+@pytest.mark.parametrize("shape", [(1, 8, 4), (8, 1, 4)])
+def test_thin_slices_rejected(entry, shape):
+    # a clean rank-1 cell of this shape used to report converged with x_err
+    # 0.80 (1 x 8) and 0.54 (8 x 1): every slice is full rank at rank 1
+    y = np.random.default_rng(3).standard_normal(shape)
+    with pytest.raises(ValueError, match=re.escape(f"observation of shape {shape}")):
+        {"run": run, "init_state": init_state}[entry](
+            y, Transform.dft((4,)), small_hp(init_rank=1), seed=0)
+
+
 def test_zero_input_trivial_convergence():
     result = run(np.zeros((5, 5, 3)), Transform.dft((3,)), small_hp(init_rank=2), seed=0)
     assert result.trace.converged
     assert "zero" in result.trace.message
     assert np.array_equal(result.x_hat, np.zeros((5, 5, 3)))
     assert np.array_equal(result.multirank, np.zeros(3, dtype=np.int64))
+
+
+def test_default_traces_share_no_list():
+    a, b = model.RunTrace(), model.RunTrace()
+    a.records.append(1)
+    assert b.records == [] and not b.converged and b.message == ""
 
 
 def test_run_deterministic_bitwise():

@@ -1,8 +1,9 @@
 """Closed-form posterior updates checked against limits and recompute oracles."""
 
 import copy
-import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,8 +76,10 @@ def test_hyperparam_defaults_all_six_small():
 
 
 def test_hyperparams_holds_only_the_five_varied_settings():
-    assert [f.name for f in dataclasses.fields(HyperParams)] == [
+    assert list(inspect.signature(HyperParams).parameters) == [
         "init_rank", "sigma0_sq", "gamma", "tol", "max_iter"]
+    assert repr(HyperParams(3, tol=1e-5)) == (
+        "HyperParams(init_rank=3, sigma0_sq=1.0, gamma=None, tol=1e-05, max_iter=200)")
 
 
 def test_hyperparam_validation():
@@ -487,6 +490,30 @@ def test_factor_arrays_and_their_statistics_are_read_only():
     for array in (g.u_mean, g.v_mean, g.sigma_u, g.sigma_v, g.ranks):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_factors_are_frozen():
+    f = make_state(shape=(4, 4, 5), r=2, seed=5).factors
+    for obj, name in ((f.u, "mean"), (f.u, "cov"), (f.u, "gram"), (f, "u"),
+                      (f, "ranks"), (f, "products"), (f.u, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_factors_are_read_only_and_uncached(clone):
+    f = make_state(shape=(4, 4, 5), r=2, seed=5).factors
+    f.energy, f.products, f.u.gram, f.v.gram  # fill every cache
+    g, u = clone(f), clone(f.u)
+    assert type(g) is model.FactorState and type(u) is model.Factor
+    assert set(vars(g)) == {"u", "v", "ranks"} and set(vars(u)) == {"mean", "cov"}
+    assert set(vars(g.u)) == set(vars(g.v)) == {"mean", "cov"}
+    assert np.array_equal(g.products, f.products) and np.array_equal(u.gram, f.u.gram)
+    for array in (g.u_mean, g.v_mean, g.sigma_u, g.sigma_v, g.ranks, u.mean, u.cov):
+        assert not array.flags.writeable
 
 
 def test_update_u_replaces_only_u_and_keeps_the_gram_of_v():

@@ -8,6 +8,13 @@ import pytest
 from lmhbrtf.report import RunReport, strip_timing
 
 
+def test_default_reports_share_no_container():
+    a, b = RunReport(command="x"), RunReport(command="x")
+    for name in ("config", "results", "trace", "timing"):
+        assert getattr(a, name) is not getattr(b, name)
+        assert not getattr(b, name)
+
+
 def test_roundtrip_lossless(tmp_path):
     report = RunReport(
         command="denoise",

@@ -1,6 +1,7 @@
 """Generator reproducibility, planted structure and scoring functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lmhbrtf.synth import (
     corrupt_tensor,
     desk_multirank,
     generate,
-    protocol_hyperparams,
     r_err,
     run_benchmark,
     uniform_multirank,
@@ -112,6 +112,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(shape=(12, 12, 4), base_rank=2, multirank=[2, 2, 2, 2],
                     rho=1.5, sigma_sq=0.0, seed=0)
+
+
+def test_config_repr_lists_the_settings():
+    text = repr(small_cfg())
+    assert text.startswith("SynthConfig(shape=(12, 12, 8), base_rank=2, multirank=array(")
+    assert text.endswith("rho=0.05, sigma_sq=0.0001, seed=3)")
 
 
 @pytest.mark.parametrize("base_rank", [0, -1])
@@ -282,13 +288,36 @@ def test_run_benchmark_empty_grid():
     assert report.results["cells"] == []
 
 
-def test_run_benchmark_protocol_starts_at_rank_one_on_thin_slices():
-    # min(I1, I2) // 2 is 0 for 1 x 8 slices; the protocol, like the CLI's
-    # --init-rank auto, starts at rank 1 there
-    cfg = SynthConfig((1, 8, 4), 1, uniform_multirank((4,), 1), 0.0, 0.0, 3)
-    assert protocol_hyperparams(cfg.shape).init_rank == 1
-    report = run_benchmark([cfg])
-    assert report.results["cells"][0]["r_err_mean"] == 0.0
+@pytest.mark.parametrize("shape", [(1, 8, 4), (8, 1, 4)])
+def test_config_rejects_thin_slices(shape):
+    # every 1 x n slice is full rank at rank 1: run_benchmark used to report
+    # these clean rank-1 cells converged with x_err 0.80 and 0.54
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} has")):
+        SynthConfig(shape, 1, uniform_multirank((4,), 1), 0.0, 0.0, 3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rho", "sigma_sq", "low", "high"])
+def test_non_finite_corruption_levels_rejected(name, value):
+    levels = dict(rho=0.1, sigma_sq=0.0, low=0.0, high=1.0)
+    levels[name] = value
+    with pytest.raises(ValueError, match="rho|sigma_sq|range"):
+        corrupt_tensor(np.zeros((3, 3, 2)), seed=0, **levels)
+    if name in ("rho", "sigma_sq"):
+        with pytest.raises(ValueError, match=name):
+            SynthConfig((4, 4, 2), 1, [1, 1], levels["rho"], levels["sigma_sq"], 0)
+
+
+@pytest.mark.parametrize("max_iter", [0, 40])
+def test_run_benchmark_reports_the_estimated_noise_variance(max_iter):
+    from lmhbrtf.model import HyperParams
+    hp = HyperParams(init_rank=4, sigma0_sq=1.0, gamma=1.0, tol=1e-5, max_iter=max_iter)
+    row, = run_benchmark([small_cfg(rho=0.05, sigma_sq=1e-4, seed=21)],
+                         hp=hp).results["cells"][0]["repeats"]
+    if max_iter:
+        assert row["noise_var"] == 1.0 / row["trace"][-1]["tau_mean"]
+    else:
+        assert row["trace"] == [] and row["noise_var"] is None
 
 
 def test_run_benchmark_deterministic_modulo_timing():

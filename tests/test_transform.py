@@ -30,6 +30,19 @@ def dft_mirror_index(index, trailing):
     return tuple((n - i) % n for i, n in zip(index, trailing))
 
 
+def test_transform_is_frozen_but_caches():
+    L = Transform.dft((4, 3))
+    assert "mirror" not in vars(L)
+    mirror = L.mirror
+    assert L.mirror is mirror and vars(L)["mirror"] is mirror
+    for name in ("trailing", "phi", "matrices", "mirror", "other"):
+        with pytest.raises(AttributeError):
+            setattr(L, name, None)
+        with pytest.raises(AttributeError):
+            delattr(L, name)
+    assert L.trailing == (4, 3) and L.phi == 12.0
+
+
 def test_two_point_dft_example():
     x = np.array([1.0, 3.0]).reshape((1, 1, 2))
     L = Transform.dft((2,))
