@@ -9,8 +9,8 @@ over --config file over built-in default.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import math
 import os
 import sys
 import time
@@ -39,32 +39,118 @@ class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-_DEFAULTS = {
-    "synth": {
-        "pattern": "desk", "repeats": 1, "init_rank": "auto",
-        "sigma0sq": 1.0, "gamma": "1.0", "tol": 1e-6, "max_iter": 2500,
-        "model_seed": 11, "save_tensors": None,
-    },
-    "corrupt": {
-        "rho": 0.2, "sigma2": 1e-4, "low": 0.0, "high": 255.0,
-        "normalize": False,
-    },
-    "denoise": {
-        "transform_file": None, "init_rank": "auto",
-        "sigma0sq": 1e-7, "tol": 1e-4, "max_iter": 200, "gamma": "auto",
-        "report": None, "sparse_out": None, "threads": 0,
-    },
-    "metrics": {"window": 8, "scale": 1.0},
+def _at_least(low: int):
+    """The parse function of an integer option with values from *low* up."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _positive(text) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _or_auto(parse):
+    """The parse function of an option that takes a number or 'auto'."""
+    def number_or_auto(text):
+        return text if text == "auto" else parse(text)
+    return number_or_auto
+
+
+def _dims(text) -> tuple:
+    dims = tuple(int(part) for part in text.split(","))
+    if len(dims) < 3 or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"must name an order >= 3 tensor, got {dims}")
+    return dims
+
+
+def _switch(value) -> bool:
+    """A config file's value of a switch; the flag itself sets True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {json.dumps(value)}")
+    return value
+
+
+def _paths(value) -> list:
+    """A config file's list of paths; the flag takes them as separate words."""
+    if not (isinstance(value, list) and value and all(isinstance(p, str) for p in value)):
+        raise ValueError(f"must be a list of paths, got {json.dumps(value)}")
+    return value
+
+
+_REQUIRED = object()  # the default of a flag that every call must give
+
+
+def _model_options(sigma0sq, gamma, tol, max_iter) -> tuple:
+    """The rows of the model settings that synth and denoise share."""
+    return (
+        ("init_rank", _or_auto(int), "auto", "starting rank per slice, or 'auto'"),
+        ("sigma0sq", float, sigma0sq, "initial sparse variance"),
+        ("gamma", _or_auto(float), gamma, "refinement divisor, or 'auto' for phi"),
+        ("tol", float, tol, "convergence threshold on the relative change"),
+        ("max_iter", int, max_iter, "iteration budget"),
+    )
+
+
+# One table per subcommand: its help and its option rows (name, parse
+# function, default, help).  The flag is the name with '-' for '_'.
+# build_parser() makes the flags from the rows, and _resolve() parses a
+# --config value with the same function as the flag's text.
+_OPTIONS = {
+    "synth": ("generate a synthetic instance, recover it and score the recovery", (
+        ("dims", _dims, _REQUIRED, "comma-separated tensor sizes, e.g. 50,50,5,5"),
+        ("rank", int, _REQUIRED, "base rank R of the planted factors"),
+        ("rho", float, _REQUIRED, "fraction of outlier entries"),
+        ("sigma2", float, _REQUIRED, "dense noise variance"),
+        ("seed", _at_least(0), _REQUIRED, "data seed"),
+        ("out", str, _REQUIRED, "report JSON path"),
+        ("pattern", str, "desk",
+         "'desk', 'uniform:N' or an explicit comma list of per-slice ranks "
+         "(default desk)"),
+        ("repeats", _at_least(1), 1, "rerun with shifted data seeds and average"),
+        *_model_options(sigma0sq=1.0, gamma=1.0, tol=1e-6, max_iter=2500),
+        ("model_seed", _at_least(0), 11, "seed of the inference initialization"),
+        ("save_tensors", str, None, "directory for the generated/recovered tensors"),
+    )),
+    "corrupt": ("outlier-corrupt a tensor file, optionally normalize, then add "
+                "Gaussian noise", (
+        ("input", str, _REQUIRED, "input tensor path"),
+        ("out", str, _REQUIRED, "output tensor path"),
+        ("seed", _at_least(0), _REQUIRED, "corruption seed"),
+        ("rho", float, 0.2, "fraction of outlier entries"),
+        ("sigma2", float, 1e-4, "dense noise variance"),
+        ("low", float, 0.0, "lower end of the outlier range"),
+        ("high", float, 255.0, "upper end of the outlier range"),
+        ("normalize", _switch, False,
+         "map to [0,1] via (x - low)/(high - low) before adding noise"),
+    )),
+    "denoise": ("recover the low-rank and sparse parts of a tensor", (
+        ("input", str, _REQUIRED, "observed tensor path"),
+        ("out", str, _REQUIRED, "output path for the low-rank estimate"),
+        ("seed", _at_least(0), _REQUIRED, "seed of the inference initialization"),
+        ("transform_file", _paths, None,
+         "explicit transform: one NPY matrix per mode 3..d (default: the DFT)"),
+        *_model_options(sigma0sq=1e-7, gamma="auto", tol=1e-4, max_iter=200),
+        ("report", str, None, "optional report JSON path"),
+        ("sparse_out", str, None, "optional path for the sparse estimate"),
+        # slice updates are batched, so there are no slice threads; the flag
+        # parses only because the benchmark's denoise workload passes it
+        ("threads", int, 0, "ignored (no-op): slice updates are batched"),
+    )),
+    "metrics": ("PSNR/SSIM/ERGAS/SAM between two tensor files", (
+        ("ref", str, _REQUIRED, "reference tensor path"),
+        ("est", str, _REQUIRED, "estimate tensor path"),
+        ("out", str, _REQUIRED, "report JSON path"),
+        ("window", _at_least(1), 8, "SSIM window size"),
+        ("scale", _positive, 1.0, "ERGAS scale factor"),
+    )),
 }
-
-
-# Slice threads were removed: every phase updates all slices in one batched
-# expression.  denoise --threads (and its "threads" config key) still parse,
-# as a no-op, because the benchmark's denoise workload (bench/workloads.py)
-# passes --threads 1; the flag can go with the benchmark change that drops it.
-_THREADS_HELP = ("ignored (no-op): slice updates are batched, there are no "
-                 "slice threads; accepted so that existing command lines, such "
-                 "as the benchmark's denoise workload, still parse")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,149 +162,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
-    # no prefix matching: a removed flag must not parse as a longer one
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add_parser("synth", help="generate a synthetic instance, recover it "
-                                 "and score the recovery")
-    p.add_argument("--dims", required=True,
-                   help="comma-separated tensor sizes, e.g. 50,50,5,5")
-    p.add_argument("--rank", type=int, required=True, help="base rank R of the planted factors")
-    p.add_argument("--rho", type=float, required=True, help="fraction of outlier entries")
-    p.add_argument("--sigma2", type=float, required=True, help="dense noise variance")
-    p.add_argument("--seed", type=int, required=True, help="data seed")
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--pattern", help="'desk', 'uniform:N' or an explicit comma list of"
-                                     " per-slice ranks (default desk)")
-    p.add_argument("--repeats", type=int, help="rerun with shifted data seeds and average")
-    p.add_argument("--init-rank", dest="init_rank", help="starting rank per slice, or 'auto'")
-    p.add_argument("--sigma0sq", type=float, help="initial sparse variance")
-    p.add_argument("--gamma", help="refinement divisor, or 'auto' for phi")
-    p.add_argument("--tol", type=float, help="convergence threshold")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--model-seed", dest="model_seed", type=int,
-                   help="seed of the inference initialization")
-    p.add_argument("--save-tensors", dest="save_tensors",
-                   help="directory for the generated/recovered tensors")
-    p.add_argument("--config", help="JSON file with default flag values")
-    p.set_defaults(func=cmd_synth)
-
-    p = add_parser("corrupt", help="outlier-corrupt a tensor file, optionally "
-                                   "normalize, then add Gaussian noise")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--low", type=float)
-    p.add_argument("--high", type=float)
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="map to [0,1] via (x - low)/(high - low) before adding noise")
-    p.add_argument("--config", help="JSON file with default flag values")
-    p.set_defaults(func=cmd_corrupt)
-
-    p = add_parser("denoise", help="recover the low-rank and sparse parts of a tensor")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True, help="output path for the low-rank estimate")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--transform-file", dest="transform_file", nargs="+",
-                   help="explicit transform: one NPY matrix per mode 3..d "
-                        "(default: the DFT)")
-    p.add_argument("--init-rank", dest="init_rank", help="starting rank per slice, or 'auto'")
-    p.add_argument("--sigma0sq", type=float, help="initial sparse variance")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--gamma", help="refinement divisor, or 'auto' for phi")
-    p.add_argument("--report", help="optional report JSON path")
-    p.add_argument("--sparse-out", dest="sparse_out", help="optional path for the sparse estimate")
-    p.add_argument("--threads", type=int, help=_THREADS_HELP)
-    p.add_argument("--config", help="JSON file with default flag values")
-    p.set_defaults(func=cmd_denoise)
-
-    p = add_parser("metrics", help="PSNR/SSIM/ERGAS/SAM between two tensor files")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--est", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, help="SSIM window size")
-    p.add_argument("--scale", type=float, help="ERGAS scale factor")
-    p.add_argument("--config", help="JSON file with default flag values")
-    p.set_defaults(func=cmd_metrics)
-
+    # looked up on every call: the benchmark's tracer replaces these names
+    commands = {"synth": cmd_synth, "corrupt": cmd_corrupt,
+                "denoise": cmd_denoise, "metrics": cmd_metrics}
+    for command, (summary, rows) in _OPTIONS.items():
+        # no prefix matching: a removed flag must not parse as a longer one
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for name, parse, default, text in rows:
+            flag = "--" + name.replace("_", "-")
+            if parse is _switch:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, type=str if parse is _paths else parse,
+                               nargs="+" if parse is _paths else None,
+                               required=default is _REQUIRED, help=text)
+        p.add_argument("--config", help="JSON file with default option values")
+        p.set_defaults(func=commands[command])
     return parser
 
 
-def _resolve(args, command: str) -> dict:
-    """Merge CLI values over config-file values over built-in defaults."""
-    merged = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _config_value(parse, value):
+    """A config file's value, parsed as its flag's text would be."""
+    if parse in (_switch, _paths):
+        return parse(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and parse is not str:
+        value = repr(value)  # the JSON number's exact text
+    if not isinstance(value, str):
+        raise ValueError(f"must be {'text' if parse is str else 'a number'}, "
+                         f"got {json.dumps(value)}")
+    return parse(value)
+
+
+def _resolve(args) -> dict:
+    """Every option of the command: its flag over the config file over its default."""
+    rows = _OPTIONS[args.subcommand][1]
+    merged = {name: default for name, _, default, _ in rows}
+    settable = {name: parse for name, parse, default, _ in rows if default is not _REQUIRED}
+    if args.config:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}")
+            raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(from_file, dict):
-            raise UsageError(f"config file {config_path} must hold a JSON object")
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         for key, value in from_file.items():
             key = key.replace("-", "_")
-            if key not in merged:
-                raise UsageError(f"config file {config_path}: unknown option {key!r}")
-            merged[key] = value
+            if key not in settable:
+                raise UsageError(f"config file {args.config}: unknown option {key!r}")
+            try:
+                merged[key] = _config_value(settable[key], value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config file {args.config}: option {key!r}: {exc}")
     for key in merged:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
 
 
-def _parse_dims(text: str) -> tuple:
-    try:
-        dims = tuple(int(part) for part in str(text).split(","))
-    except ValueError:
-        raise UsageError(f"--dims must be comma-separated integers, got {text!r}")
-    if len(dims) < 3 or any(n < 1 for n in dims):
-        raise UsageError(f"--dims must name an order >= 3 tensor, got {dims}")
-    return dims
-
-
-def _parse_pattern(spec, dims: tuple, rank: int) -> np.ndarray:
+def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
     j = int(np.prod(dims[2:]))
     if spec == "desk":
         try:
             return desk_multirank(dims[2:], rank)
         except ValueError as exc:
             raise UsageError(str(exc))
-    text = str(spec)
-    if text.startswith("uniform:"):
+    if spec.startswith("uniform:"):
         try:
-            return uniform_multirank(dims[2:], int(text.split(":", 1)[1]))
+            return uniform_multirank(dims[2:], int(spec.split(":", 1)[1]))
         except ValueError:
             raise UsageError(f"bad uniform pattern {spec!r}")
     try:
-        pattern = np.array([int(p) for p in text.split(",")], dtype=np.int64)
+        pattern = np.array([int(p) for p in spec.split(",")], dtype=np.int64)
     except ValueError:
         raise UsageError(f"--pattern must be 'desk', 'uniform:N' or a comma list, got {spec!r}")
     if pattern.size != j:
         raise UsageError(f"--pattern lists {pattern.size} ranks but the tensor has {j} slices")
     return pattern
-
-
-def _parse_init_rank(value, shape) -> int:
-    if value == "auto":
-        return protocol_hyperparams(shape).init_rank
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--init-rank must be an integer or 'auto', got {value!r}")
-
-
-def _parse_gamma(value):
-    if value == "auto" or value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--gamma must be a number or 'auto', got {value!r}")
 
 
 def _load_input_tensor(path) -> np.ndarray:
@@ -230,22 +251,20 @@ def _load_input_tensor(path) -> np.ndarray:
 
 def _hyperparams(opts, shape) -> HyperParams:
     """The model settings from the resolved options of synth or denoise."""
-    return HyperParams(
-        init_rank=_parse_init_rank(opts["init_rank"], shape),
-        sigma0_sq=float(opts["sigma0sq"]),
-        gamma=_parse_gamma(opts["gamma"]),
-        tol=float(opts["tol"]),
-        max_iter=int(opts["max_iter"]),
-    )
+    init_rank, gamma = opts["init_rank"], opts["gamma"]
+    if init_rank == "auto":
+        init_rank = protocol_hyperparams(shape).init_rank
+    return HyperParams(init_rank=init_rank, sigma0_sq=opts["sigma0sq"],
+                       gamma=None if gamma == "auto" else gamma,
+                       tol=opts["tol"], max_iter=opts["max_iter"])
 
 
-def cmd_synth(args) -> None:
-    opts = _resolve(args, "synth")
-    dims = _parse_dims(args.dims)
-    pattern = _parse_pattern(opts["pattern"], dims, args.rank)
+def cmd_synth(opts: dict, argv: list) -> None:
+    dims = opts["dims"]
+    pattern = _parse_pattern(opts["pattern"], dims, opts["rank"])
     try:
-        cfg = SynthConfig(shape=dims, base_rank=args.rank, multirank=pattern,
-                          rho=args.rho, sigma_sq=args.sigma2, seed=args.seed)
+        cfg = SynthConfig(shape=dims, base_rank=opts["rank"], multirank=pattern,
+                          rho=opts["rho"], sigma_sq=opts["sigma2"], seed=opts["seed"])
     except ValueError as exc:
         raise UsageError(str(exc))
     hp = _hyperparams(opts, dims)
@@ -261,83 +280,73 @@ def cmd_synth(args) -> None:
                 write_tensor(os.path.join(outdir, f"{name}.npy"), arr)
             saved["done"] = True
 
-    report = run_benchmark([cfg], hp=hp, model_seed=int(opts["model_seed"]),
-                           repeats=int(opts["repeats"]),
-                           on_cell=keep_tensors)
+    report = run_benchmark([cfg], hp=hp, model_seed=opts["model_seed"],
+                           repeats=opts["repeats"], on_cell=keep_tensors)
     report.command = "synth"
     report.config.update({
-        "argv": _echo_argv(args),
+        "argv": argv,
         "dims": list(dims),
         "pattern": [int(p) for p in pattern],
     })
-    report.save(args.out)
+    report.save(opts["out"])
     cell = report.results["cells"][0]
     print(f"r_err={cell['r_err_mean']:g} x_err={cell['x_err_mean']:.6e} "
-          f"-> {args.out}")
+          f"-> {opts['out']}")
 
 
-def cmd_corrupt(args) -> None:
-    opts = _resolve(args, "corrupt")
-    rho, sigma2 = float(opts["rho"]), float(opts["sigma2"])
-    low, high = float(opts["low"]), float(opts["high"])
+def cmd_corrupt(opts: dict, argv: list) -> None:
+    rho, sigma2, low, high = opts["rho"], opts["sigma2"], opts["low"], opts["high"]
     try:
         check_corruption(rho, sigma2, low, high)
     except ValueError as exc:
         raise UsageError(str(exc))
-    x = _load_input_tensor(args.input)
+    x = _load_input_tensor(opts["input"])
     y = corrupt_tensor(x, rho=rho, low=low, high=high, sigma_sq=sigma2,
-                       seed=args.seed, normalize=bool(opts["normalize"]))
-    write_tensor(args.out, y)
-    print(f"corrupted {args.input} -> {args.out}")
+                       seed=opts["seed"], normalize=opts["normalize"])
+    write_tensor(opts["out"], y)
+    print(f"corrupted {opts['input']} -> {opts['out']}")
 
 
-def _build_transform(opts, trailing) -> Transform:
-    if opts.get("transform_file"):
-        paths = opts["transform_file"]
-        if isinstance(paths, str):
-            paths = paths.split(",")
-        mats = []
-        for path in paths:
-            m = read_tensor(path)
-            m = np.squeeze(m)
-            if m.ndim != 2:
-                raise UsageError(f"{path}: transform file must hold a matrix")
-            mats.append(m)
-        if len(mats) != len(trailing):
-            raise UsageError(
-                f"got {len(mats)} transform matrices for {len(trailing)} trailing modes")
-        try:
-            return Transform.explicit(mats)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    return Transform.dft(trailing)
+def _build_transform(paths, trailing) -> Transform:
+    if not paths:
+        return Transform.dft(trailing)
+    if len(paths) != len(trailing):
+        raise UsageError(
+            f"got {len(paths)} transform matrices for {len(trailing)} trailing modes")
+    mats = [np.squeeze(read_tensor(path)) for path in paths]
+    for path, m in zip(paths, mats):
+        if m.ndim != 2:
+            raise UsageError(f"{path}: transform file must hold a matrix")
+    try:
+        return Transform.explicit(mats)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
-def cmd_denoise(args) -> None:
-    opts = _resolve(args, "denoise")
-    y = _load_input_tensor(args.input)
-    transform = _build_transform(opts, y.shape[2:])
+def cmd_denoise(opts: dict, argv: list) -> None:
+    y = _load_input_tensor(opts["input"])
+    transform = _build_transform(opts["transform_file"], y.shape[2:])
     if transform.trailing != y.shape[2:]:
         raise UsageError(
             f"transform trailing shape {transform.trailing} does not match "
             f"input {y.shape}")
     hp = _hyperparams(opts, y.shape)
     t0 = time.perf_counter()
-    result = run(y, transform, hp, seed=args.seed)
+    result = run(y, transform, hp, seed=opts["seed"])
     elapsed = time.perf_counter() - t0
-    write_tensor(args.out, result.x_hat)
+    write_tensor(opts["out"], result.x_hat)
     if opts["sparse_out"]:
         write_tensor(opts["sparse_out"], result.s_hat)
     if opts["report"]:
         report = RunReport(
             command="denoise",
             config={
-                "argv": _echo_argv(args),
-                "input": str(args.input),
+                "argv": argv,
+                "input": opts["input"],
                 "shape": list(y.shape),
-                "transform": "explicit" if opts.get("transform_file") else "dft",
+                "transform": "explicit" if opts["transform_file"] else "dft",
                 "phi": transform.phi,
-                "seed": int(args.seed),
+                "seed": opts["seed"],
                 "hyperparams": hp.as_dict(),
             },
             results={
@@ -350,45 +359,35 @@ def cmd_denoise(args) -> None:
             timing={"run_s": elapsed},
         )
         report.save(opts["report"])
-    print(f"denoised {args.input} -> {args.out} "
+    print(f"denoised {opts['input']} -> {opts['out']} "
           f"(iterations={len(result.trace.records)}, "
           f"converged={result.trace.converged})")
 
 
-def cmd_metrics(args) -> None:
-    opts = _resolve(args, "metrics")
-    ref = _load_input_tensor(args.ref)
-    est = _load_input_tensor(args.est)
-    reportable = compute_all(est, ref, window=int(opts["window"]),
-                             scale=float(opts["scale"]))
+def cmd_metrics(opts: dict, argv: list) -> None:
+    ref = _load_input_tensor(opts["ref"])
+    est = _load_input_tensor(opts["est"])
+    reportable = compute_all(est, ref, window=opts["window"], scale=opts["scale"])
     report = RunReport(
         command="metrics",
-        config={"argv": _echo_argv(args), "ref": str(args.ref),
-                "est": str(args.est), "window": int(opts["window"]),
-                "scale": float(opts["scale"])},
+        config={"argv": argv, "ref": opts["ref"], "est": opts["est"],
+                "window": opts["window"], "scale": opts["scale"]},
         results=reportable.as_dict(),
     )
-    report.save(args.out)
+    report.save(opts["out"])
     print(f"psnr={reportable.psnr:.3f} ssim={reportable.ssim:.4f} "
-          f"ergas={reportable.ergas:.4f} sam={reportable.sam:.4f} -> {args.out}")
-
-
-def _echo_argv(args) -> list:
-    echo = getattr(args, "_argv_echo", None)
-    return list(echo) if echo is not None else []
+          f"ergas={reportable.ergas:.4f} sam={reportable.sam:.4f} -> {opts['out']}")
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help(file=sys.stderr)
         return 2
-    args._argv_echo = list(argv)
     try:
-        args.func(args)
+        args.func(_resolve(args), argv)
     except UsageError as exc:
         print(f"lmhbrtf: usage error: {exc}", file=sys.stderr)
         return 2

@@ -60,9 +60,12 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
 
     Uses a uniform window (default 8x8) with biased moments and the
     constants C1 = (0.01 R)^2, C2 = (0.03 R)^2 where R is the value
-    range of the reference.  Frames smaller than the window are an error.
+    range of the reference.  A window below 1, or frames smaller than the
+    window, are an error.
     """
     _check_shapes(x_hat, x_gt)
+    if window < 1:
+        raise ValueError(f"SSIM window must be at least 1, got {window}")
     i1, i2 = x_gt.shape[:2]
     if i1 < window or i2 < window:
         raise ValueError(f"frame size {(i1, i2)} is smaller than the {window}x{window} window")
@@ -89,8 +92,13 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
 
 
 def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:
-    """100 * scale * sqrt(mean over frames of MSE_f / mean_f^2)."""
+    """100 * scale * sqrt(mean over frames of MSE_f / mean_f^2).
+
+    The scale must be finite and positive.
+    """
     _check_shapes(x_hat, x_gt)
+    if not 0.0 < scale < math.inf:  # NaN fails too
+        raise ValueError(f"ERGAS scale must be finite and positive, got {scale}")
     hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
     refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
     means = refs.mean(axis=(1, 2))

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalBreakdownError
+from .errors import ImaginaryResidueError, NumericalBreakdownError
 from .tensor import (
     as_tensor,
     from_slice_stack,
@@ -674,7 +674,8 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     change of the reconstruction drops below ``hp.tol`` or after
     ``hp.max_iter`` iterations; non-convergence is reported in the
     trace, not raised.  A numerical breakdown raises
-    :class:`NumericalBreakdownError` naming the iteration.
+    :class:`NumericalBreakdownError`, and a reconstruction that fails to
+    be real :class:`ImaginaryResidueError`, each naming the iteration.
     """
     y = _check_observation(y)
     trace = RunTrace()
@@ -704,8 +705,8 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
             compute_fit(state, resid_sq=resid_sq)
             prune_columns(state)
             _check_state_positive(state)
-        except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(f"iteration {it}: {exc}") from exc
+        except (NumericalBreakdownError, ImaginaryResidueError) as exc:
+            raise type(exc)(f"iteration {it}: {exc}") from exc
 
         x_hat = state.x_hat
         prev_norm = np.linalg.norm(x_prev)

@@ -239,18 +239,21 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
                   repeats: int = 1, on_cell=None) -> RunReport:
     """generate -> run -> score over a grid of configs.
 
-    With repeats > 1 each config is rerun with shifted data seeds and
-    the mean errors are reported alongside the per-repeat rows.  The
-    optional *on_cell* callback receives (config, instance, result) for
-    every completed run, e.g. to persist tensors.  Each per-repeat row
-    holds ``noise_var``, the noise variance 1/tau estimated at the last
-    iteration (None when no iteration ran).
+    *repeats* must be at least 1.  With repeats > 1 each config is rerun
+    with shifted data seeds and the mean errors are reported alongside
+    the per-repeat rows.  The optional *on_cell* callback receives
+    (config, instance, result) for every completed run, e.g. to persist
+    tensors.  Each per-repeat row holds ``noise_var``, the noise
+    variance 1/tau estimated at the last iteration (None when no
+    iteration ran).
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     cells = []
     for cfg in configs:
         hp_cell = hp if hp is not None else protocol_hyperparams(cfg.shape)
         rows = []
-        for rep in range(max(1, repeats)):
+        for rep in range(repeats):
             cfg_rep = SynthConfig(cfg.shape, cfg.base_rank, cfg.multirank,
                                   cfg.rho, cfg.sigma_sq, cfg.seed + rep)
             t0 = time.perf_counter()

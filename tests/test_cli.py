@@ -2,10 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lmhbrtf import cli
 from lmhbrtf.cli import main
 from lmhbrtf.npyio import read_tensor, write_tensor
 from lmhbrtf.report import RunReport, strip_timing
@@ -396,3 +399,126 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _argv_with_missing_input(command, tmp_path):
+    """A command line of *command* whose input files do not exist, so that
+    exit code 2 (not the read error's 1) shows a check ran before reading."""
+    missing = str(tmp_path / "missing.npy")
+    return {
+        "synth": ["synth", "--dims", "6,6,3", "--rank", "1", "--rho", "0",
+                  "--sigma2", "0", "--seed", "1"],
+        "corrupt": ["corrupt", "--input", missing, "--seed", "1"],
+        "denoise": ["denoise", "--input", missing, "--seed", "1"],
+        "metrics": ["metrics", "--ref", missing, "--est", missing],
+    }[command] + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("denoise", "max_iter", 2.5),
+    ("denoise", "max_iter", True),
+    ("corrupt", "rho", "abc"),
+    ("corrupt", "normalize", "false"),
+    ("corrupt", "normalize", 0),
+    ("denoise", "report", 5),
+    ("denoise", "transform_file", 5),
+    ("denoise", "transform_file", "a.npy,b.npy"),
+    ("denoise", "gamma", None),
+    ("synth", "save_tensors", 5),
+    ("synth", "repeats", 1.5),
+    ("synth", "repeats", 0),
+    ("synth", "model_seed", -1),
+    ("synth", "pattern", 3),
+    ("metrics", "window", 7.5),
+    ("metrics", "window", 0),
+    ("metrics", "scale", "nan"),
+    ("metrics", "scale", 0),
+])
+def test_config_value_of_wrong_type_or_range_is_usage_error(tmp_path, capsys,
+                                                            command, key, value):
+    argv = _argv_with_missing_input(command, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(key) in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("synth", "--seed", "-1"),
+    ("synth", "--model-seed", "-1"),
+    ("synth", "--repeats", "0"),
+    ("synth", "--repeats", "-1"),
+    ("corrupt", "--seed", "-1"),
+    ("denoise", "--seed", "-1"),
+    ("metrics", "--window", "0"),
+    ("metrics", "--scale", "nan"),
+    ("metrics", "--scale", "inf"),
+    ("metrics", "--scale", "0"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    argv = _argv_with_missing_input(command, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# one value per settable option: (the flag's words, the same value in JSON)
+_SAMPLES = {
+    "pattern": (["uniform:2"], "uniform:2"),
+    "repeats": (["3"], 3),
+    "init_rank": (["7"], 7),
+    "sigma0sq": (["1e-07"], 1e-7),
+    "gamma": (["0.30000000000000004"], 0.1 + 0.2),
+    "tol": (["2.2250738585072014e-308"], 2.2250738585072014e-308),
+    "max_iter": (["17"], 17),
+    "model_seed": (["123"], 123),
+    "save_tensors": (["tensors"], "tensors"),
+    "rho": (["0.1"], 0.1),
+    "sigma2": (["1e-4"], 1e-4),
+    "low": (["-3.5"], -3.5),
+    "high": (["254.99999999999997"], 254.99999999999997),
+    "normalize": ([], True),
+    "transform_file": (["a.npy", "b.npy"], ["a.npy", "b.npy"]),
+    "report": (["r.json"], "r.json"),
+    "sparse_out": (["s.npy"], "s.npy"),
+    "threads": (["3"], 3),
+    "window": (["5"], 5),
+    "scale": (["0.1"], 0.1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_config_value_resolves_to_what_its_flag_gives(tmp_path, command):
+    base = _argv_with_missing_input(command, tmp_path)
+    parser = cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    settable = [row[0] for row in cli._OPTIONS[command][1] if row[2] is not cli._REQUIRED]
+    assert settable and set(settable) <= set(_SAMPLES)
+    for key in settable:
+        words, value = _SAMPLES[key]
+        flag = "--" + key.replace("_", "-")
+        by_flag = cli._resolve(parser.parse_args(base + [flag] + words))
+        # the JSON value, and for a one-word flag also the flag's own text
+        for setting in [value] + (words if len(words) == 1 else []):
+            cfg.write_text(json.dumps({key: setting}))
+            by_config = cli._resolve(parser.parse_args(base + ["--config", str(cfg)]))
+            got, want = by_config[key], by_flag[key]
+            assert type(got) is type(want) and got == want, (key, setting)
+            if isinstance(want, float):
+                assert got.hex() == want.hex(), key
+
+
+def test_readme_cli_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("lmhbrtf ")]
+    assert len(lines) >= 4
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.func.__name__ == "cmd_" + args.subcommand

@@ -75,6 +75,12 @@ def test_ssim_window_larger_than_frame():
         ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=8)
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_ssim_rejects_window_below_one(window):
+    with pytest.raises(ValueError, match="SSIM window must be at least 1"):
+        ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=window)
+
+
 def test_ssim_frame_permutation_invariant():
     x = rng().uniform(0, 1, (12, 12, 4))
     y = rng().uniform(0, 1, (12, 12, 4))
@@ -90,6 +96,13 @@ def test_ergas_identical_and_unit_ratio():
     # MSE = 4 = mean^2 -> 100 * scale
     assert ergas(est, ref) == pytest.approx(100.0, rel=1e-12)
     assert ergas(est, ref, scale=0.25) == pytest.approx(25.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_ergas_rejects_scale_that_is_not_finite_and_positive(scale):
+    x = np.full((4, 4, 1), 2.0)
+    with pytest.raises(ValueError, match="ERGAS scale must be finite and positive"):
+        ergas(x, x, scale=scale)
 
 
 def test_ergas_matches_naive_two_loop_oracle():

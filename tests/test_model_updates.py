@@ -10,7 +10,7 @@ import pytest
 from factor_edits import edited_factors
 
 from lmhbrtf import model
-from lmhbrtf.errors import NumericalBreakdownError
+from lmhbrtf.errors import ImaginaryResidueError, NumericalBreakdownError
 from lmhbrtf.model import (
     HyperParams,
     _check_state_positive,
@@ -807,6 +807,22 @@ def test_breakdown_in_run_names_the_iteration(monkeypatch):
     with pytest.raises(NumericalBreakdownError,
                        match=r"^iteration 3: ARD Gamma rate lambda_b is not "
                              r"positive on slice 1 \(trailing index \(1,\)\)"):
+        run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
+
+
+def test_imaginary_residue_in_run_names_the_iteration(monkeypatch):
+    y = np.random.default_rng(3).standard_normal((5, 5, 4))
+    original = model.update_s
+    calls = []
+
+    def update_s_failing_at_3(state):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ImaginaryResidueError("imaginary residue 5e-06 exceeds 1e-08 * 10")
+        return original(state)
+
+    monkeypatch.setattr(model, "update_s", update_s_failing_at_3)
+    with pytest.raises(ImaginaryResidueError, match=r"^iteration 3: imaginary residue"):
         run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
 
 

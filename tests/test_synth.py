@@ -341,3 +341,6 @@ def test_run_benchmark_repeats():
     assert [row["seed"] for row in rows] == [40, 41]
     assert rows[0]["r_err"] == rows[1]["r_err"] == 0.0
     assert rows[0]["x_err"] != rows[1]["x_err"]  # different data draws
+    for repeats in (0, -1):
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            run_benchmark([cfg], hp=hp, repeats=repeats)
