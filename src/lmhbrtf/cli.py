@@ -250,10 +250,11 @@ def _load_input_tensor(path) -> np.ndarray:
 
 
 def _hyperparams(opts, shape) -> HyperParams:
-    """The model settings from the resolved options of synth or denoise."""
+    """The model settings from the resolved options of synth or denoise;
+    without a *shape*, as a check before the input is read ('auto' rank 1)."""
     init_rank, gamma = opts["init_rank"], opts["gamma"]
     if init_rank == "auto":
-        init_rank = protocol_hyperparams(shape).init_rank
+        init_rank = 1 if shape is None else protocol_hyperparams(shape).init_rank
     return HyperParams(init_rank=init_rank, sigma0_sq=opts["sigma0sq"],
                        gamma=None if gamma == "auto" else gamma,
                        tol=opts["tol"], max_iter=opts["max_iter"])
@@ -324,6 +325,7 @@ def _build_transform(paths, trailing) -> Transform:
 
 
 def cmd_denoise(opts: dict, argv: list) -> None:
+    _hyperparams(opts, None)  # bad settings fail before the read
     y = _load_input_tensor(opts["input"])
     transform = _build_transform(opts["transform_file"], y.shape[2:])
     if transform.trailing != y.shape[2:]:

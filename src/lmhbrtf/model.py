@@ -11,8 +11,10 @@ ARD regularization until the reconstruction fits the data.
 
 The observation is real, so under a real-safe transform its slices
 come in conjugate-mirrored pairs whose posteriors are conjugates of each
-other.  The model stores and updates only the slices the transform keeps
-(``Transform.forward(y, half=True)``) and counts each with its weight
+other.  The model stores and updates one slice of each pair, the slices
+the transform keeps (``Transform.forward(y, half=True)``), so the
+posteriors of a pair cannot drift apart: conjugate symmetry holds by
+construction.  Each kept slice counts with its weight
 (``Transform.slice_weights``) in the expected residual and the fit;
 multi-ranks are reported for all J slices through ``Transform.slice_map``.
 
@@ -110,6 +112,8 @@ class HyperParams:
             raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
         if np.asarray(init_rank).dtype.kind not in "iu":
             raise ValueError(f"init_rank entries must be integers, got {init_rank!r}")
+        if (np.asarray(init_rank) < 1).any():
+            raise ValueError(f"init_rank entries must be at least 1, got {init_rank!r}")
 
     def __repr__(self) -> str:
         return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"

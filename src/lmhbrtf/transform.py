@@ -20,14 +20,17 @@ permutation that conjugation applies to an explicit matrix), and
 :attr:`Transform.mirror` combines them into the conjugate of each of the
 J slices; every per-slice rank of a real tensor is checked against it.
 
-The same permutations give the half spectrum: along the last trailing
-mode it keeps the smaller index of each conjugation orbit, the rows i
-with i <= p[i] (0..floor(Id / 2) for the DFT, the slice set of
-``numpy.fft.rfftn``; every row of a real matrix).  ``forward(x,
-half=True)`` returns the kept slices and ``inverse(xbar, half=True)`` is
-the exact complex-to-real inverse; :attr:`Transform.slice_weights` (1
-for a row that is its own mirror, else 2), :attr:`Transform.kept_slices`
-and :attr:`Transform.slice_map` relate them to the J slices.
+The half spectrum keeps one slice per orbit of the mirror, the one with
+the smaller linear index (:attr:`Transform.kept_slices`), so a real
+tensor's kept slices determine all J and conjugate symmetry holds by
+construction.  ``forward(x, half=True)`` computes the last mode's kept
+rows (the i with i <= p[i]) and gathers the kept slices from them;
+``inverse(xbar, half=True)`` scatters them back, conjugating the dropped
+mirrors, and applies the exact complex-to-real inverse.  Under an
+order-3 transform the gather and the scatter are the identity and are
+skipped.  :attr:`Transform.slice_weights` (1 for a slice that is its own
+mirror, else 2) and :attr:`Transform.slice_map` relate the kept slices
+to the J slices.
 
 For every invertible transform, real-safe or not, the transform also
 stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
@@ -45,7 +48,7 @@ import numpy as np
 
 from .errors import ImaginaryResidueError
 
-__all__ = ["Transform", "real_part", "real_if_close"]
+__all__ = ["Transform", "real_part"]
 
 _RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
@@ -74,14 +77,6 @@ def real_part(x: np.ndarray) -> np.ndarray:
     out = x.real.copy(order="K")
     _check_residue(float(np.linalg.norm(x.imag)), float(np.linalg.norm(out)))
     return out
-
-
-def real_if_close(x: np.ndarray) -> np.ndarray:
-    """Like :func:`real_part` but returns *x* unchanged when it is genuinely complex."""
-    try:
-        return real_part(x)
-    except ImaginaryResidueError:
-        return x
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -235,25 +230,17 @@ class Transform(_Frozen):
         p = self._conj_perms[-1]
         return np.flatnonzero(np.arange(p.size) <= p)
 
+    @cached_property
+    def kept_slices(self) -> np.ndarray:
+        """Linear index among the J slices of each kept slice, ascending:
+        the smaller index of each orbit of :attr:`mirror`, in the order
+        ``forward(x, half=True)`` stores them."""
+        return np.flatnonzero(np.arange(self.mirror.size) <= self.mirror)
+
     @property
     def half_trailing(self) -> tuple:
-        """Trailing shape of ``forward(x, half=True)``."""
-        return self.trailing[:-1] + (self._kept_rows.size,)
-
-    @cached_property
-    def _last_weights(self) -> np.ndarray:
-        # a kept row also stands for its dropped mirror, if it has one
-        kept = self._kept_rows
-        return np.where(self._conj_perms[-1][kept] == kept, 1.0, 2.0)
-
-    @cached_property
-    def _residue_rows(self) -> list:
-        # only kept rows that are their own mirror add an imaginary part to
-        # the full inverse, through their real, mutually orthogonal inverse
-        # columns: (row, squared column norm), the norm^2 1/n for the DFT
-        g = self._inverses[-1][:, self._kept_rows]
-        rows = np.flatnonzero(self._last_weights == 1)
-        return [(i, np.vdot(g[:, i], g[:, i]).real) for i in rows]
+        """Trailing shape ``(K,)`` of ``forward(x, half=True)``, K kept slices."""
+        return (self.kept_slices.size,)
 
     @cached_property
     def slice_weights(self) -> np.ndarray:
@@ -262,15 +249,8 @@ class Transform(_Frozen):
         With these, sum_k w_k ||Xbar_k||_F^2 = phi * ||X||_F^2 for a
         real X, where Xbar = forward(X, half=True).
         """
-        return np.repeat(self._last_weights, math.prod(self.trailing[:-1]))
-
-    @cached_property
-    def kept_slices(self) -> np.ndarray:
-        """Linear index among the J slices of each kept slice, in the
-        order ``forward(x, half=True)`` stores them (the last trailing
-        index varies slowest)."""
-        block = math.prod(self.trailing[:-1])
-        return (self._kept_rows[:, None] * block + np.arange(block)).ravel()
+        kept = self.kept_slices
+        return np.where(self.mirror[kept] == kept, 1.0, 2.0)
 
     @cached_property
     def slice_map(self) -> tuple:
@@ -286,11 +266,40 @@ class Transform(_Frozen):
         return np.where(dropped, position[self.mirror], position), dropped
 
     @cached_property
+    def _row_layout(self):
+        # The mode products compute the slices on the last mode's kept rows;
+        # the kept slices are among them.  None where they are all of them
+        # (every order-3 transform); else the kept slices' positions among
+        # them, and per row slice its kept source and the conjugated ones.
+        last = np.arange(self.mirror.size) // math.prod(self.trailing[:-1])
+        rows = np.flatnonzero(last <= self._conj_perms[-1][last])
+        if rows.size == self.kept_slices.size:
+            return None
+        source, conj = self.slice_map
+        return np.searchsorted(rows, self.kept_slices), source[rows], np.flatnonzero(conj[rows])
+
+    @cached_property
+    def _residue_slices(self) -> list:
+        # Mirror pairs are conjugate by construction; a kept slice that is its
+        # own mirror adds its imaginary part to the full inverse through a
+        # real inverse column, orthogonal to every other: (position, squared
+        # norm of that column), 1/J for the DFT
+        own = np.flatnonzero(self.slice_weights == 1)
+        index = np.unravel_index(self.kept_slices[own], self.trailing, order="F")
+        sq = np.ones(own.size)
+        for g, i in zip(self._inverses, index):
+            sq *= (np.abs(g[:, i]) ** 2).sum(axis=0)
+        return list(zip(own.tolist(), sq.tolist()))
+
+    @cached_property
     def _c2r(self) -> np.ndarray:
         # x = Re(G z) over the kept rows z of the last mode, G the inverse's
-        # kept columns times their weights, in C order (the last bits depend
-        # on it); as one real product with [Re z; Im z] this is [Re G, -Im G]
-        g = np.take(self._inverses[-1], self._kept_rows, axis=1) * self._last_weights
+        # kept columns times their weights (2 where the mirror row is
+        # dropped), in C order (the last bits depend on it); as one real
+        # product with [Re z; Im z] this is [Re G, -Im G]
+        rows = self._kept_rows
+        weights = np.where(self._conj_perms[-1][rows] == rows, 1.0, 2.0)
+        g = np.take(self._inverses[-1], rows, axis=1) * weights
         return np.concatenate([g.real, -g.imag], axis=1)
 
     def _check_shape(self, x: np.ndarray, trailing: tuple) -> None:
@@ -303,9 +312,10 @@ class Transform(_Frozen):
     def forward(self, x: np.ndarray, half: bool = False) -> np.ndarray:
         """Apply L along modes 3..d; the result is complex128.
 
-        With ``half`` the input must be real and only the kept indices
-        of the last trailing mode are computed (shape
-        :attr:`half_trailing` beyond the first two modes).
+        With ``half`` the input must be real and only the kept slices are
+        returned, as an (I1, I2, K) tensor (:attr:`half_trailing`): the
+        last mode's kept rows are computed, then the kept slices gathered
+        from them.
         """
         x = np.asarray(x)
         self._check_shape(x, self.trailing)
@@ -319,6 +329,11 @@ class Transform(_Frozen):
             if half and axis == last:
                 m = m[self._kept_rows]
             flat, shape = _mode_product(flat, shape, axis, m)
+        if half:
+            if self._row_layout is not None:
+                gather = self._row_layout[0]
+                flat = flat.reshape(-1, shape[0] * shape[1])[gather].reshape(-1)
+            shape = shape[:2] + self.half_trailing
         return flat.reshape(shape, order="F")
 
     def inverse(self, xbar: np.ndarray, half: bool = False) -> np.ndarray:
@@ -326,18 +341,30 @@ class Transform(_Frozen):
 
         With ``half`` the input holds the kept slices of a real tensor's
         transform, as returned by ``forward(x, half=True)``, and the
-        result is real: the exact complex-to-real inverse.  Kept rows
-        that are their own mirror (id = 0 and id = Id/2 under the DFT)
-        are not conjugate-symmetric by construction, so the imaginary
-        residue the full inverse would have there is checked as
-        :func:`real_part` checks it.  ``real_part(L.inverse(xbar))``
-        checks the full inverse.
+        result is real: the dropped mirrors are filled in as conjugates
+        of their kept slices, then the exact complex-to-real inverse is
+        applied.  Only the kept slices that are their own mirror (every
+        trailing index 0 or I_k/2 under the DFT) can be other than the
+        transform of a real tensor, so the imaginary residue the full
+        inverse would have on them is checked as :func:`real_part`
+        checks it.  ``real_part(L.inverse(xbar))`` checks the full inverse.
         """
         xbar = np.asarray(xbar)
         self._check_shape(xbar, self.half_trailing if half else self.trailing)
         flat = np.ravel(xbar, order="F").astype(np.complex128, copy=False)
         shape = xbar.shape
-        last = xbar.ndim - 1
+        if half:
+            stack = flat.reshape(shape[2], -1)
+            # the strided dot products copy no slice
+            sq = sum(w * float(np.dot(stack[k].imag, stack[k].imag))
+                     for k, w in self._residue_slices)
+            if self._row_layout is not None:
+                _, source, conj = self._row_layout
+                stack = stack[source]
+                stack.imag[conj] *= -1
+                flat = stack.reshape(-1)
+            shape = shape[:2] + self.trailing[:-1] + self._kept_rows.shape
+        last = len(shape) - 1
         for axis in range(2, last):
             flat, shape = _mode_product(flat, shape, axis, self._inverses[axis - 2])
         if not half:
@@ -346,7 +373,5 @@ class Transform(_Frozen):
         z = flat.reshape(self._kept_rows.size, -1)
         out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
         out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
-        # the strided dot products copy no row
-        sq = sum(w * float(np.dot(z[i].imag, z[i].imag)) for i, w in self._residue_rows)
         _check_residue(math.sqrt(sq), float(np.linalg.norm(out)))
         return out

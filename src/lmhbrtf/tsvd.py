@@ -3,10 +3,10 @@
 All products and factorizations act slice-wise in the transform domain:
 a tensor is transformed along modes 3..d, each mode-1/mode-2 slice is
 treated as an ordinary complex matrix, and the result is mapped back.
-For real inputs under a real-safe transform, ``t_product``, ``t_qr``,
-``multi_rank`` and ``truncate_multi_rank`` work on the slices that
-``forward(x, half=True)`` keeps and map back with the complex-to-real
-inverse.
+For real inputs under a real-safe transform every routine here works on
+the slices that ``forward(x, half=True)`` keeps and maps back with the
+complex-to-real inverse, so its results are real; complex inputs, and
+any input under a transform that is not real-safe, take all J slices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .tensor import (
     num_slices,
     to_slice_stack,
 )
-from .transform import Transform, _mode_product, real_if_close, real_part
+from .transform import Transform, _mode_product, real_part
 
 __all__ = [
     "TSVDResult",
@@ -77,6 +77,12 @@ def _half_spectrum(L: Transform, *tensors) -> bool:
     return L.real_safe and not any(np.iscomplexobj(t) for t in tensors)
 
 
+def _inverse_stack(stack: np.ndarray, L: Transform, half: bool) -> np.ndarray:
+    """Inverse transform of a (J, n1, n2) stack, or of the K kept slices with *half*."""
+    shape = stack.shape[1:] + (L.half_trailing if half else L.trailing)
+    return L.inverse(from_slice_stack(stack, shape), half=half)
+
+
 def facewise_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slice-wise matrix product Z^(k) = X^(k) Y^(k) for every slice k."""
     x = as_tensor(x)
@@ -115,9 +121,7 @@ def t_qr(x: np.ndarray, L: Transform):
     _check_trailing(x, L)
     half = _half_spectrum(L, x)
     q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
-    trailing = L.half_trailing if half else L.trailing
-    return tuple(L.inverse(from_slice_stack(f, f.shape[1:] + trailing), half=half)
-                 for f in (q, r))
+    return tuple(_inverse_stack(f, L, half) for f in (q, r))
 
 
 def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
@@ -141,27 +145,37 @@ def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
 def identity_tensor(size: int, L: Transform) -> np.ndarray:
     """Tensor acting as identity for the t-product: every transform slice is I."""
     shape = (size, size) + (L.half_trailing if L.real_safe else L.trailing)
-    eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * len(L.trailing))
+    eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * (len(shape) - 2))
     return L.inverse(np.broadcast_to(eye, shape), half=L.real_safe)
 
 
-def _slice_svds(x: np.ndarray, L: Transform, half: bool = False, **svd_kw):
-    """Forward-transform *x* and SVD all its slices in one stacked call.
+def _slice_svds(x: np.ndarray, L: Transform, **svd_kw):
+    """Forward-transform *x* and SVD its slices in one stacked call.
 
-    Returns the (J, I1, I2) slice stack (J kept slices with ``half``)
-    and its ``np.linalg.svd``.
+    A real *x* under a real-safe L is decomposed on its kept slices, and
+    a kept slice that is its own mirror, real up to roundoff, as an
+    exactly real matrix: only then are its singular vectors real where
+    they are not unique (a repeated or zero singular value).  Returns
+    whether the kept slices were taken, the stack and its SVD.
     """
-    xbar = to_slice_stack(L.forward(as_tensor(x), half=half))
-    return xbar, np.linalg.svd(xbar, **svd_kw)
+    half = _half_spectrum(L, x)
+    xbar = to_slice_stack(L.forward(x, half=half))
+    if half:
+        own = L.slice_weights == 1
+        xbar[own] = xbar[own].real
+    return half, xbar, np.linalg.svd(xbar, **svd_kw)
 
 
-def _ranks_from_svals(svals: np.ndarray, tol: float) -> np.ndarray:
+def _ranks_from_svals(svals: np.ndarray, tol: float, L: Transform,
+                      half: bool) -> np.ndarray:
     """Per-slice count of the singular values above tol * sigma_max.
 
     sigma_max is the largest singular value over all slices, so a slice
-    that is zero up to roundoff has rank 0.
+    that is zero up to roundoff has rank 0.  With *half*, the J ranks
+    are read from the kept slices' through :attr:`Transform.slice_map`.
     """
-    return np.count_nonzero(svals > tol * svals.max(initial=0.0), axis=1).astype(np.int64)
+    ranks = np.count_nonzero(svals > tol * svals.max(initial=0.0), axis=1).astype(np.int64)
+    return ranks[L.slice_map[0]] if half else ranks
 
 
 def balanced_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray, width: int):
@@ -174,11 +188,6 @@ def balanced_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray, width: int):
     """
     root = np.sqrt(s[:, None, :width])
     return u[:, :, :width] * root, hermitian_t(vh[:, :width]) * root
-
-
-def _original_domain(stack: np.ndarray, L: Transform) -> np.ndarray:
-    """Inverse transform of a (J, n1, n2) stack, real when it is real up to roundoff."""
-    return real_if_close(L.inverse(from_slice_stack(stack, stack.shape[1:] + L.trailing)))
 
 
 def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
@@ -196,12 +205,13 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     if rank is not None and not 1 <= rank <= m:
         raise ValueError(f"skinny width {rank} out of range [1, {m}]")
     wu, wv = (i1, i2) if rank is None else (rank, rank)
-    xbar, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
+    half, xbar, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
     diag = np.arange(min(wu, wv))
     sbar = np.zeros((xbar.shape[0], wu, wv), dtype=np.complex128)
     sbar[:, diag, diag] = svals[:, :diag.size]
-    u, s, v = (_original_domain(f, L) for f in (u[:, :, :wu], sbar, hermitian_t(vh[:, :wv])))
-    return TSVDResult(u=u, s=s, v=v, multirank=_ranks_from_svals(svals, tol))
+    u, s, v = (_inverse_stack(f, L, half)
+               for f in (u[:, :, :wu], sbar, hermitian_t(vh[:, :wv])))
+    return TSVDResult(u=u, s=s, v=v, multirank=_ranks_from_svals(svals, tol, L, half))
 
 
 def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -211,16 +221,14 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     times the largest singular value of the whole tensor (over all
     slices), so a slice that is zero up to roundoff has rank 0.  A real
     *x* under a real-safe transform is decomposed on its kept slices
-    only; a mirrored slice has the singular values of its conjugate, so
-    each of the J ranks is read through :attr:`Transform.slice_map`.
+    only, and each of the J ranks is read through
+    :attr:`Transform.slice_map`.
     """
     if tol < 0:
         raise ValueError("rank tolerance must be nonnegative")
     x = as_tensor(x)
-    half = _half_spectrum(L, x)
-    _, svals = _slice_svds(x, L, half=half, compute_uv=False)
-    ranks = _ranks_from_svals(svals, tol)
-    return ranks[L.slice_map[0]] if half else ranks
+    half, _, svals = _slice_svds(x, L, compute_uv=False)
+    return _ranks_from_svals(svals, tol, L, half)
 
 
 def tubal_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -251,14 +259,15 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
         raise ImaginaryResidueError(
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
-    xbar, (u, s, vh) = _slice_svds(x, L, half=want_real, full_matrices=False)
+    # the truncation does not depend on the choice of singular vectors
+    xbar = to_slice_stack(L.forward(x, half=want_real))
+    u, s, vh = np.linalg.svd(xbar, full_matrices=False)
     kept = target[L.kept_slices] if want_real else target
     r = int(kept.max(initial=0))
     s = np.where(np.arange(r) < kept[:, None], s[:, :r], 0.0)
     out = np.empty_like(xbar)  # column-major like xbar
     np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
-    shape = x.shape[:2] + (L.half_trailing if want_real else L.trailing)
-    return L.inverse(from_slice_stack(out, shape), half=want_real)
+    return _inverse_stack(out, L, want_real)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
@@ -273,10 +282,8 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     i1, i2 = x.shape[:2]
     if not 0 <= r <= min(i1, i2):
         raise ValueError(f"factor width {r} out of range [0, {min(i1, i2)}]")
-    _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
-    ranks = _ranks_from_svals(svals, tol)
-    if ranks.max(initial=0) > r:
-        raise ValueError(
-            f"factor width {r} is below the tubal rank {int(ranks.max())}"
-        )
-    return tuple(_original_domain(f, L) for f in balanced_factors(us, svals, vhs, r))
+    half, _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
+    tubal = int(_ranks_from_svals(svals, tol, L, half).max(initial=0))
+    if tubal > r:
+        raise ValueError(f"factor width {r} is below the tubal rank {tubal}")
+    return tuple(_inverse_stack(f, L, half) for f in balanced_factors(us, svals, vhs, r))

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmhbrtf import cli
+from lmhbrtf import cli, transform
 from lmhbrtf.cli import main
 from lmhbrtf.npyio import read_tensor, write_tensor
 from lmhbrtf.report import RunReport, strip_timing
-from lmhbrtf.synth import SynthConfig, generate
+from lmhbrtf.synth import SynthConfig, corrupt_tensor, generate, uniform_multirank
 
 
 def make_lowrank_input(tmp_path, name="y.npy", rho=0.0, sigma_sq=0.0, seed=5):
@@ -294,6 +294,37 @@ def test_denoise_rejects_non_finite_setting_exit_code_1(tmp_path, capsys, flag, 
     assert code == 1
     assert "lmhbrtf: error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-iter", "-1", "max_iter"), ("--tol", "nan", "tol"),
+    ("--tol", "-1", "tol"), ("--init-rank", "0", "init_rank"),
+])
+def test_denoise_checks_model_settings_before_reading_input(tmp_path, capsys, flag,
+                                                            value, message):
+    out = tmp_path / "xhat.npy"
+    code = main(["denoise", "--input", str(tmp_path / "missing.npy"), "--seed", "1",
+                 "--out", str(out), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing.npy" not in err
+    assert not out.exists()
+
+
+def test_denoise_converges_where_mirror_slices_drifted_apart(tmp_path, capsys):
+    # when both slices of a mirror pair were stored and updated apart, this
+    # run exited 1 with an imaginary residue at iteration 106
+    assert transform.RESIDUE_TOL == 1e-8
+    cfg = SynthConfig((20, 20, 3, 4), 3, uniform_multirank((3, 4), 3), 0.0, 0.0, 0)
+    x = generate(cfg).x_gt
+    x = (x - x.min()) / (x.max() - x.min())
+    src, out = tmp_path / "y.npy", tmp_path / "xhat.npy"
+    write_tensor(src, corrupt_tensor(x, 0.2, 0, 1, 1e-4, seed=1))
+    code = main(["denoise", "--input", str(src), "--out", str(out), "--init-rank", "10",
+                 "--sigma0sq", "1", "--tol", "1e-6", "--max-iter", "400", "--seed", "902"])
+    assert code == 0, capsys.readouterr().err
+    assert "converged=True" in capsys.readouterr().out
+    assert read_tensor(out).dtype == np.float64
 
 
 def test_denoise_rejects_transform_that_is_not_real_safe(tmp_path, capsys):

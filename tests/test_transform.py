@@ -157,17 +157,22 @@ HALF_SHAPES = [(3, 4, 5), (3, 4, 6), (3, 4, 1), (3, 4, 2),
 
 @pytest.mark.parametrize("shape", HALF_SHAPES)
 def test_half_forward_matches_rfftn(shape):
+    # order 3 keeps the slices of rfftn; higher orders keep one slice per
+    # conjugate pair, so compare with fftn at the kept slices
     x = rng().standard_normal(shape)
     L = Transform.dft(shape[2:])
     half = L.forward(x, half=True)
-    ref = np.fft.rfftn(x, axes=tuple(range(2, x.ndim)))
-    assert half.shape == shape[:2] + L.half_trailing == ref.shape
-    assert frobenius_norm(half - ref) <= 1e-13 * frobenius_norm(ref)
+    axes = tuple(range(2, x.ndim))
+    ref = to_slice_stack(np.fft.fftn(x, axes=axes))[L.kept_slices]
+    assert half.shape == shape[:2] + L.half_trailing
+    assert frobenius_norm(to_slice_stack(half) - ref) <= 1e-13 * frobenius_norm(ref)
+    if x.ndim == 3:
+        rfft = np.fft.rfftn(x, axes=axes)
+        assert half.shape == rfft.shape
+        assert frobenius_norm(half - rfft) <= 1e-13 * frobenius_norm(rfft)
     back = L.inverse(half, half=True)
     assert back.dtype == np.float64
-    ref_back = np.fft.irfftn(ref, s=shape[2:], axes=tuple(range(2, x.ndim)))
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
-    assert frobenius_norm(back - ref_back) <= 1e-12 * frobenius_norm(x)
 
 
 def check_weighted_parseval_and_slice_map(L, x):
@@ -195,13 +200,15 @@ def test_half_weighted_parseval_and_slice_map(shape):
                                           rng().standard_normal(shape))
 
 
-# row-reordered DFT matrices: real-safe, but the kept rows of the last mode
-# (the smaller index of each conjugation orbit) are not a prefix
+# row-reordered DFT matrices: real-safe, but the kept slices (the smaller
+# index of each conjugation orbit) are not a prefix
 REORDERED = {
     "dft-4[0,1,3,2]": ((3, 2, 4), [dft_matrix(4)[[0, 1, 3, 2]]], [0, 1, 3]),
     "dft-4[3,1,2,0]": ((3, 2, 4), [dft_matrix(4)[[3, 1, 2, 0]]], [0, 2, 3]),
+    # last-mode rows 0 <-> 1 and 3 <-> 4 pair up and row 2 is its own
+    # mirror; on row 2 the DFT-3 pairs slices 1 <-> 2, so slice 8 is dropped
     "dft-3,dft-5[1,4,0,2,3]": ((2, 3, 3, 5), [dft_matrix(3), dft_matrix(5)[[1, 4, 0, 2, 3]]],
-                               [0, 2, 3]),
+                               [0, 1, 2, 6, 7, 9, 10, 11]),
 }
 
 
@@ -210,13 +217,11 @@ def test_half_spectrum_under_reordered_dft_matrices(name):
     shape, mats, kept = REORDERED[name]
     L = Transform.explicit(mats)
     x = rng().standard_normal(shape)
-    block = int(np.prod(shape[2:-1]))
-    assert L.half_trailing == shape[2:-1] + (len(kept),)
-    assert np.array_equal(L.kept_slices,
-                          (np.array(kept)[:, None] * block + np.arange(block)).ravel())
+    assert L.half_trailing == (len(kept),)
+    assert np.array_equal(L.kept_slices, kept)
     half = L.forward(x, half=True)
-    full = L.forward(x)[..., kept]
-    assert frobenius_norm(half - full) <= 1e-13 * frobenius_norm(full)
+    full = to_slice_stack(L.forward(x))[kept]
+    assert frobenius_norm(to_slice_stack(half) - full) <= 1e-13 * frobenius_norm(full)
     back = L.inverse(half, half=True)
     assert back.dtype == np.float64
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
@@ -244,7 +249,8 @@ def test_explicit_transform_half_spectrum_follows_conjugation_orbits():
     x = rng().standard_normal((3, 2, 4, 3))
     L = Transform.explicit([dft_matrix(4), dft_matrix(3)])
     dft = Transform.dft((4, 3))
-    assert L.half_trailing == dft.half_trailing == (4, 2)
+    assert L.half_trailing == dft.half_trailing == (7,)
+    assert np.array_equal(L.kept_slices, dft.kept_slices)
     assert np.array_equal(L.slice_weights, dft.slice_weights)
     ref = dft.forward(x, half=True)
     assert frobenius_norm(L.forward(x, half=True) - ref) <= 1e-13 * frobenius_norm(ref)
@@ -255,12 +261,14 @@ def test_explicit_transform_half_spectrum_follows_conjugation_orbits():
     # at weight 1, and the imaginary residue is checked on all of them
     q, _ = np.linalg.qr(rng().standard_normal((3, 3)))
     R = Transform.explicit([np.array([[1.0, 1.0], [1.0, -1.0]]), q])
-    assert R.half_trailing == R.trailing == (2, 3)
+    assert R.half_trailing == (6,)
+    assert np.array_equal(R.kept_slices, np.arange(6))
     assert np.array_equal(R.slice_weights, np.ones(6))
     source, conj = R.slice_map
     assert np.array_equal(source, np.arange(6)) and not conj.any()
     x = rng().standard_normal((3, 2, 2, 3))
-    assert np.array_equal(R.forward(x, half=True), R.forward(x))
+    assert np.array_equal(to_slice_stack(R.forward(x, half=True)),
+                          to_slice_stack(R.forward(x)))
     back = R.inverse(R.forward(x, half=True), half=True)
     assert back.dtype == np.float64
     assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
@@ -317,30 +325,91 @@ def test_explicit_mirror_pairs_the_conjugate_slices():
 @pytest.mark.parametrize("trailing,pair", [
     ((5,), [(0,)]),                      # the real DC slice
     ((6,), [(3,)]),                      # the real Nyquist slice
-    ((3, 4), [(1, 0), (2, 0)]),          # stored mirror pair, i4 = 0 plane
-    ((3, 4), [(1, 2), (2, 2)]),          # stored mirror pair, i4 = I4/2 plane
+    ((3, 4), [(1, 0), (2, 0)]),          # mirror pair, i4 = 0 plane
+    ((3, 4), [(1, 2), (2, 2)]),          # mirror pair, i4 = I4/2 plane
 ])
 def test_half_inverse_checks_stored_mirror_pairs(trailing, pair):
+    # only a slice that is its own mirror can break the symmetry: of a
+    # mirror pair one slice is stored, and the inverse conjugates it into
+    # the other, so any change to it is the transform of some real tensor
     shape = (3, 2) + trailing
     L = Transform.dft(trailing)
+    slices = [slice_to_linear(i, shape) for i in pair]
+    k = int(np.searchsorted(L.kept_slices, slices[0]))
+    assert L.kept_slices[k] == slices[0]
     xbar = L.forward(rng().standard_normal(shape), half=True)
-    xbar[(slice(None), slice(None)) + pair[0]] += 0.5j
-    with pytest.raises(ImaginaryResidueError):
-        L.inverse(xbar, half=True)
-    if len(pair) == 2:
-        # the conjugate change on the partner restores the symmetry
-        xbar[(slice(None), slice(None)) + pair[1]] -= 0.5j
-        L.inverse(xbar, half=True)
+    xbar[:, :, k] += 0.5j
+    if len(pair) == 1:
+        with pytest.raises(ImaginaryResidueError):
+            L.inverse(xbar, half=True)
+        return
+    assert slices[1] not in L.kept_slices
+    full = to_slice_stack(L.forward(L.inverse(xbar, half=True)))
+    assert np.allclose(full[slices[0]], xbar[:, :, k], atol=1e-12)
+    assert np.allclose(full[slices[1]], xbar[:, :, k].conj(), atol=1e-12)
 
 
 def test_half_inverse_unchecked_on_slices_with_dropped_mirror():
     # a slice whose mirror is dropped is real by construction: any value is
     # the transform of some real tensor
-    L = Transform.dft((3, 4))
-    xbar = L.forward(rng().standard_normal((3, 2, 3, 4)), half=True)
-    xbar[:, :, 1, 1] += 0.5j
+    shape = (3, 2, 3, 4)
+    L = Transform.dft(shape[2:])
+    xbar = L.forward(rng().standard_normal(shape), half=True)
+    unchecked = np.flatnonzero(L.slice_weights == 2)
+    assert unchecked.size == 5
+    xbar[:, :, unchecked] += 0.5j
     back = L.inverse(xbar, half=True)
     assert np.allclose(L.forward(back, half=True), xbar, atol=1e-12)
+
+
+def orthogonal(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def phased_dft(n, seed):
+    """diag(e^{i theta}) F with theta_{-i} = -theta_i: real-safe."""
+    theta = np.random.default_rng(seed).standard_normal(n)
+    theta = (theta - theta[-np.arange(n) % n]) / 2
+    return np.exp(1j * theta)[:, None] * dft_matrix(n)
+
+
+# every real-safe kind of transform: the DFT, row-reordered and phased DFT
+# matrices, real orthogonal matrices and mixtures of them
+ORBIT_TRANSFORMS = {
+    **{"dft-" + "x".join(map(str, s[2:])): Transform.dft(s[2:]) for s in HALF_SHAPES},
+    **{name: Transform.explicit(mats) for name, (_, mats, _) in REORDERED.items()},
+    "phased-5x4": Transform.explicit([phased_dft(5, 1), phased_dft(4, 2)]),
+    "phased-3x2x4": Transform.explicit([phased_dft(3, 3), phased_dft(2, 4), phased_dft(4, 5)]),
+    "orthogonal-4x3": Transform.explicit([orthogonal(4, 6), orthogonal(3, 7)]),
+    "dft-4,orthogonal-3": Transform.explicit([dft_matrix(4), orthogonal(3, 8)]),
+    "orthogonal-2,dft-5": Transform.explicit([orthogonal(2, 9), dft_matrix(5)]),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_TRANSFORMS)
+def test_one_kept_slice_per_conjugation_orbit(name):
+    L = ORBIT_TRANSFORMS[name]
+    j = int(np.prod(L.trailing))
+    kept, mirror = L.kept_slices, L.mirror
+    # one slice of each orbit: never a slice together with its mirror
+    assert np.array_equal(np.union1d(kept, mirror[kept]), np.arange(j))
+    assert np.array_equal(np.intersect1d(kept, mirror[kept]), kept[mirror[kept] == kept])
+    assert L.slice_weights.sum() == j
+    x = rng().standard_normal((3, 2) + L.trailing)
+    half = L.forward(x, half=True)
+    full = to_slice_stack(L.forward(x))
+    assert frobenius_norm(to_slice_stack(half) - full[kept]) <= 1e-13 * frobenius_norm(full)
+    assert frobenius_norm(L.inverse(half, half=True) - x) <= 1e-12 * frobenius_norm(x)
+    # an imaginary part on a slice that is its own mirror is no transform
+    # of a real tensor
+    own = np.flatnonzero(L.slice_weights == 1)
+    assert own.size
+    for k in own[[0, -1]]:
+        bad = half.copy()
+        bad[:, :, k] += 0.5j
+        with pytest.raises(ImaginaryResidueError):
+            L.inverse(bad, half=True)
 
 
 def test_half_form_rejects_complex_input_and_full_shape():

@@ -465,9 +465,9 @@ def test_truncate_rejects_asymmetric_target_before_any_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("slice SVDs ran before the target check")
 
-    monkeypatch.setattr(tsvd, "_slice_svds", no_svd)
     L = Transform.explicit([np.fft.fft(np.eye(5))])
     x = np.random.default_rng(7).standard_normal((4, 4, 5))
+    monkeypatch.setattr(tsvd.np.linalg, "svd", no_svd)
     with pytest.raises(ImaginaryResidueError, match="mirrored"):
         truncate_multi_rank(x, L, [2, 1, 2, 2, 2])
 
@@ -563,3 +563,24 @@ def test_factorize_lemma1_rejects_small_width():
     x = random_multirank_tensor((5, 5, 2), [3, 3], seed=6)
     with pytest.raises(ValueError, match="tubal rank"):
         factorize_lemma1(x, L, 2)
+
+
+@pytest.mark.parametrize("trailing", [(6,), (2, 2), (3, 4), (5, 5), (3, 10), (3, 3, 3)])
+def test_t_svd_and_lemma1_factors_of_a_real_tensor_are_real(trailing):
+    # both decompose the kept slices only; a slice that is its own mirror
+    # has real singular vectors, even where its rank deficit leaves them
+    # free (a full-spectrum SVD of the mirror pairs gave complex factors)
+    L = Transform.dft(trailing)
+    x = t_product(rng().standard_normal((6, 2) + trailing),
+                  rng().standard_normal((2, 5) + trailing), L)
+    res = t_svd(x, L)
+    skinny = t_svd(x, L, rank=3)
+    u, v = factorize_lemma1(x, L, 3)
+    for f in (res.u, res.s, res.v, skinny.u, skinny.s, skinny.v, u, v):
+        assert f.dtype == np.float64
+    assert np.array_equal(res.multirank, multi_rank(x, L))
+    assert np.array_equal(res.multirank, np.full(L.mirror.size, 2))
+    for a, b in ((t_product(res.u, res.s, L), res.v), (t_product(skinny.u, skinny.s, L), skinny.v),
+                 (u, v)):
+        recon = t_product(a, conj_transpose(b, L), L)
+        assert frobenius_norm(recon - x) <= 1e-12 * frobenius_norm(x)
