@@ -32,7 +32,7 @@ from .synth import (
     uniform_multirank,
     x_err,
 )
-from .tensor import bdiag, frobenius_norm, linear_to_slice, slice_to_linear
+from .tensor import bdiag, frobenius_norm, linear_to_slice
 from .transform import Transform, real_part
 from .tsvd import (
     TSVDResult,
@@ -45,7 +45,6 @@ from .tsvd import (
     t_qr,
     t_svd,
     truncate_multi_rank,
-    tubal_rank,
 )
 
 __all__ = [
@@ -59,9 +58,9 @@ __all__ = [
     "SynthConfig", "SynthInstance", "corrupt_tensor", "desk_multirank",
     "generate", "protocol_hyperparams", "r_err", "run_benchmark",
     "uniform_multirank", "x_err",
-    "bdiag", "frobenius_norm", "linear_to_slice", "slice_to_linear",
+    "bdiag", "frobenius_norm", "linear_to_slice",
     "Transform", "real_part",
     "TSVDResult", "conj_transpose", "facewise_product", "factorize_lemma1",
     "identity_tensor", "multi_rank", "t_product", "t_qr", "t_svd",
-    "truncate_multi_rank", "tubal_rank",
+    "truncate_multi_rank",
 ]

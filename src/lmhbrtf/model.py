@@ -46,7 +46,7 @@ from .tensor import (
     to_slice_stack,
 )
 from .transform import Transform, _Frozen
-from .tsvd import balanced_factors
+from .tsvd import _slice_svds, balanced_factors
 
 __all__ = [
     "GAMMA_PRIOR",
@@ -300,6 +300,11 @@ class RunResult(NamedTuple):
     trace: RunTrace
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _sub_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
@@ -362,6 +367,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     per-slice ``init_rank`` must therefore give conjugate-mirrored slices
     equal ranks.
     """
+    _check_seed(seed)
     y = np.asfortranarray(_check_observation(y))
     if not L.real_safe:
         raise ValueError(
@@ -382,7 +388,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
         )
 
     phi = L.phi
-    ybar = to_slice_stack(L.forward(y, half=True))  # also checks the shape
+    L._check_shape(y)
     if not np.array_equal(ranks[L.mirror], ranks):
         raise ValueError("per-slice init_rank must be equal on "
                          "conjugate-mirrored slices")
@@ -390,7 +396,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     r_max = int(ranks.max())
 
     active = np.arange(r_max) < ranks[:, None]
-    u, s, vh = np.linalg.svd(ybar, full_matrices=False)
+    _, ybar, (u, s, vh) = _slice_svds(y, L, full_matrices=False)
     u_mean, v_mean = balanced_factors(u, s, vh, r_max)
     cov = np.where(_pair_mask(active), phi * np.eye(r_max, dtype=np.complex128), 0)
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import HyperParams, run
+from .model import HyperParams, _check_seed, run
 from .report import RunReport
 from .tensor import num_slices
 from .transform import Transform
@@ -81,8 +81,10 @@ class SynthConfig:
         if min(self.shape[:2]) < 2:
             raise ValueError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
                              "slices; the low-rank part needs I1 and I2 >= 2")
-        if self.base_rank < 1:
-            raise ValueError(f"base_rank must be at least 1, got {self.base_rank}")
+        if not isinstance(self.base_rank, (int, np.integer)) or self.base_rank < 1:
+            raise ValueError(f"base_rank must be an integer of at least 1, got "
+                             f"{self.base_rank!r}")
+        _check_seed(seed)
         j = num_slices(self.shape)
         if self.multirank.shape != (j,):
             raise ValueError(f"multirank pattern must have length {j}")
@@ -304,6 +306,7 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     steps run in exactly this order.
     """
     check_corruption(rho, sigma_sq, low, high)
+    _check_seed(seed)
     if np.iscomplexobj(x):
         raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CORRUPT_STREAM]))

@@ -23,7 +23,6 @@ __all__ = [
     "as_tensor",
     "num_slices",
     "frobenius_norm",
-    "slice_to_linear",
     "linear_to_slice",
     "to_slice_stack",
     "from_slice_stack",
@@ -60,20 +59,6 @@ def frobenius_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.ravel(x)))
 
 
-def slice_to_linear(index, shape) -> int:
-    """Linear slice index j for a trailing multi-index (i3, ..., id), 0-based."""
-    trailing = shape[2:]
-    index = tuple(index)
-    if len(index) != len(trailing):
-        raise ValueError(f"slice index {index} does not match trailing shape {trailing}")
-    j = 0
-    for i, n in zip(reversed(index), reversed(trailing)):
-        if not 0 <= i < n:
-            raise IndexError(f"slice index {index} out of range for {trailing}")
-        j = j * n + i
-    return j
-
-
 def linear_to_slice(j: int, shape) -> tuple:
     """Trailing multi-index (i3, ..., id) for a linear slice index, 0-based."""
     trailing = shape[2:]
@@ -105,7 +90,8 @@ def hermitian_t(m: np.ndarray) -> np.ndarray:
 def bdiag(x: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix diag(X^0, ..., X^{J-1}) of the slices.
 
-    Intended as a small-problem oracle, not a computational kernel.
+    Intended as a small-problem oracle, not a computational kernel: the
+    t-product is the block-diagonal product of the transforms' slices.
     """
     i1, i2 = x.shape[:2]
     stack = to_slice_stack(x)

@@ -30,7 +30,11 @@ mirrors, and applies the exact complex-to-real inverse.  Under an
 order-3 transform the gather and the scatter are the identity and are
 skipped.  :attr:`Transform.slice_weights` (1 for a slice that is its own
 mirror, else 2) and :attr:`Transform.slice_map` relate the kept slices
-to the J slices.
+to the J slices.  A slice that is its own mirror is the conjugate of
+itself, a real matrix, and ``forward(x, half=True)`` returns it with an
+imaginary part of exactly 0: only then are its singular vectors real
+where they are not unique (a repeated or zero singular value), and
+every product of such slices stays exactly real.
 
 For every invertible transform, real-safe or not, the transform also
 stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
@@ -159,18 +163,21 @@ class Transform(_Frozen):
     def explicit(cls, matrices) -> "Transform":
         """Transform given by one invertible matrix per trailing mode.
 
-        Each matrix must be square, numerically invertible (reciprocal
-        condition number above 1e-10) and unitary up to a positive
-        scale c (U^H U = c I); the product of the scales is phi.
+        Each matrix must be square and finite, numerically invertible
+        (reciprocal condition number above 1e-10) and unitary up to a
+        positive scale c (U^H U = c I); the product of the scales is phi.
         """
         mats = tuple(np.asarray(m, dtype=np.complex128) for m in matrices)
         if not mats:
             raise ValueError("explicit transform needs at least one matrix")
         phi = 1.0
         inverses, perms, mixers = [], [], []
-        for m in mats:
+        for mode, m in enumerate(mats, 3):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"transform matrix must be square, got {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"transform matrix of mode {mode} has non-finite "
+                                 "entries")
             n = m.shape[0]
             sv = np.linalg.svd(m, compute_uv=False)
             if sv[0] == 0 or sv[-1] / sv[0] < _RCOND_MIN:
@@ -279,12 +286,17 @@ class Transform(_Frozen):
         return np.searchsorted(rows, self.kept_slices), source[rows], np.flatnonzero(conj[rows])
 
     @cached_property
+    def _own_mirror(self) -> np.ndarray:
+        # positions among the kept slices of the slices that are their own mirror
+        return np.flatnonzero(self.slice_weights == 1)
+
+    @cached_property
     def _residue_slices(self) -> list:
         # Mirror pairs are conjugate by construction; a kept slice that is its
         # own mirror adds its imaginary part to the full inverse through a
         # real inverse column, orthogonal to every other: (position, squared
         # norm of that column), 1/J for the DFT
-        own = np.flatnonzero(self.slice_weights == 1)
+        own = self._own_mirror
         index = np.unravel_index(self.kept_slices[own], self.trailing, order="F")
         sq = np.ones(own.size)
         for g, i in zip(self._inverses, index):
@@ -302,7 +314,8 @@ class Transform(_Frozen):
         g = np.take(self._inverses[-1], rows, axis=1) * weights
         return np.concatenate([g.real, -g.imag], axis=1)
 
-    def _check_shape(self, x: np.ndarray, trailing: tuple) -> None:
+    def _check_shape(self, x: np.ndarray, half: bool = False) -> None:
+        trailing = self.half_trailing if half else self.trailing
         if x.ndim != 2 + len(trailing) or x.shape[2:] != trailing:
             raise ValueError(
                 f"tensor shape {x.shape} does not match transform trailing "
@@ -315,10 +328,11 @@ class Transform(_Frozen):
         With ``half`` the input must be real and only the kept slices are
         returned, as an (I1, I2, K) tensor (:attr:`half_trailing`): the
         last mode's kept rows are computed, then the kept slices gathered
-        from them.
+        from them.  The kept slices that are their own mirror are real in
+        exact arithmetic; their imaginary roundoff is set to exactly 0.
         """
         x = np.asarray(x)
-        self._check_shape(x, self.trailing)
+        self._check_shape(x)
         if half and np.iscomplexobj(x):
             raise ValueError("the half-spectrum transform needs a real tensor")
         dtype = np.complex128 if np.iscomplexobj(x) else np.float64
@@ -330,10 +344,12 @@ class Transform(_Frozen):
                 m = m[self._kept_rows]
             flat, shape = _mode_product(flat, shape, axis, m)
         if half:
+            stack = flat.reshape(-1, shape[0] * shape[1])
             if self._row_layout is not None:
-                gather = self._row_layout[0]
-                flat = flat.reshape(-1, shape[0] * shape[1])[gather].reshape(-1)
-            shape = shape[:2] + self.half_trailing
+                stack = stack[self._row_layout[0]]
+            # a new array: the input is real, so the caller's data is not written
+            stack.imag[self._own_mirror] = 0.0
+            flat, shape = stack.reshape(-1), shape[:2] + self.half_trailing
         return flat.reshape(shape, order="F")
 
     def inverse(self, xbar: np.ndarray, half: bool = False) -> np.ndarray:
@@ -350,7 +366,7 @@ class Transform(_Frozen):
         checks it.  ``real_part(L.inverse(xbar))`` checks the full inverse.
         """
         xbar = np.asarray(xbar)
-        self._check_shape(xbar, self.half_trailing if half else self.trailing)
+        self._check_shape(xbar, half)
         flat = np.ravel(xbar, order="F").astype(np.complex128, copy=False)
         shape = xbar.shape
         if half:

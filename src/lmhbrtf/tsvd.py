@@ -7,6 +7,8 @@ For real inputs under a real-safe transform every routine here works on
 the slices that ``forward(x, half=True)`` keeps and maps back with the
 complex-to-real inverse, so its results are real; complex inputs, and
 any input under a transform that is not real-safe, take all J slices.
+Every factorization of transform slices, here and in the model's
+initialization, is one stacked SVD in :func:`_slice_svds`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "identity_tensor",
     "t_svd",
     "multi_rank",
-    "tubal_rank",
     "truncate_multi_rank",
     "factorize_lemma1",
     "balanced_factors",
@@ -64,12 +65,6 @@ def _stacks_compatible(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(
             f"inner dimensions differ: {x.shape[1]} vs {y.shape[0]}"
         )
-
-
-def _check_trailing(x: np.ndarray, L: Transform) -> None:
-    if x.shape[2:] != L.trailing:
-        raise ValueError(f"tensor shape {x.shape} does not match transform "
-                         f"trailing shape {L.trailing}")
 
 
 def _half_spectrum(L: Transform, *tensors) -> bool:
@@ -118,7 +113,7 @@ def t_qr(x: np.ndarray, L: Transform):
     real factors.
     """
     x = as_tensor(x)
-    _check_trailing(x, L)
+    L._check_shape(x)
     half = _half_spectrum(L, x)
     q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
     return tuple(_inverse_stack(f, L, half) for f in (q, r))
@@ -133,7 +128,7 @@ def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
     gives a real result, after its imaginary residue is checked.
     """
     x = as_tensor(x)
-    _check_trailing(x, L)
+    L._check_shape(x)
     out = np.swapaxes(np.conj(x), 0, 1)
     flat, shape = np.ravel(out, order="F"), out.shape
     for axis in range(2, out.ndim):
@@ -149,20 +144,20 @@ def identity_tensor(size: int, L: Transform) -> np.ndarray:
     return L.inverse(np.broadcast_to(eye, shape), half=L.real_safe)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
+
+
 def _slice_svds(x: np.ndarray, L: Transform, **svd_kw):
     """Forward-transform *x* and SVD its slices in one stacked call.
 
-    A real *x* under a real-safe L is decomposed on its kept slices, and
-    a kept slice that is its own mirror, real up to roundoff, as an
-    exactly real matrix: only then are its singular vectors real where
-    they are not unique (a repeated or zero singular value).  Returns
-    whether the kept slices were taken, the stack and its SVD.
+    A real *x* under a real-safe L is decomposed on its kept slices, of
+    which ``forward`` returns the self-mirrored ones exactly real.
+    Returns whether the kept slices were taken, the stack and its SVD.
     """
     half = _half_spectrum(L, x)
     xbar = to_slice_stack(L.forward(x, half=half))
-    if half:
-        own = L.slice_weights == 1
-        xbar[own] = xbar[own].real
     return half, xbar, np.linalg.svd(xbar, **svd_kw)
 
 
@@ -200,6 +195,7 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     values beyond the slice rank.
     """
     x = as_tensor(x)
+    _check_tol(tol)
     i1, i2 = x.shape[:2]
     m = min(i1, i2)
     if rank is not None and not 1 <= rank <= m:
@@ -224,16 +220,10 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     only, and each of the J ranks is read through
     :attr:`Transform.slice_map`.
     """
-    if tol < 0:
-        raise ValueError("rank tolerance must be nonnegative")
     x = as_tensor(x)
+    _check_tol(tol)
     half, _, svals = _slice_svds(x, L, compute_uv=False)
     return _ranks_from_svals(svals, tol, L, half)
-
-
-def tubal_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Largest entry of the multi-rank."""
-    return int(multi_rank(x, L, tol).max())
 
 
 def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
@@ -246,7 +236,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     ``forward(x, half=True)`` keeps only.
     """
     x = as_tensor(x)
-    _check_trailing(x, L)
+    L._check_shape(x)
     target = np.asarray(target, dtype=np.int64)
     j = num_slices(x.shape)
     m = min(x.shape[0], x.shape[1])
@@ -254,20 +244,18 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
         raise ValueError(f"target multi-rank must have length {j}, got {target.shape}")
     if (target < 0).any() or (target > m).any():
         raise ValueError(f"target multi-rank entries must lie in [0, {m}]")
-    want_real = _half_spectrum(L, x)
-    if want_real and not np.array_equal(target[L.mirror], target):
+    if _half_spectrum(L, x) and not np.array_equal(target[L.mirror], target):
         raise ImaginaryResidueError(
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
     # the truncation does not depend on the choice of singular vectors
-    xbar = to_slice_stack(L.forward(x, half=want_real))
-    u, s, vh = np.linalg.svd(xbar, full_matrices=False)
-    kept = target[L.kept_slices] if want_real else target
+    half, xbar, (u, s, vh) = _slice_svds(x, L, full_matrices=False)
+    kept = target[L.kept_slices] if half else target
     r = int(kept.max(initial=0))
     s = np.where(np.arange(r) < kept[:, None], s[:, :r], 0.0)
     out = np.empty_like(xbar)  # column-major like xbar
     np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
-    return _inverse_stack(out, L, want_real)
+    return _inverse_stack(out, L, half)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
@@ -279,6 +267,7 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     tubal rank of x, else the product could not reproduce x.
     """
     x = as_tensor(x)
+    _check_tol(tol)
     i1, i2 = x.shape[:2]
     if not 0 <= r <= min(i1, i2):
         raise ValueError(f"factor width {r} out of range [0, {min(i1, i2)}]")

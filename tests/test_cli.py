@@ -341,6 +341,20 @@ def test_denoise_rejects_transform_that_is_not_real_safe(tmp_path, capsys):
     assert "real-safe" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.diag([1.0, np.inf] + [1.0] * 6), np.full((8, 8), np.nan)])
+def test_denoise_rejects_non_finite_transform_matrix(tmp_path, capsys, bad):
+    # diag(1, inf, ...) used to exit 1 as "not real-safe", and an all-NaN
+    # matrix said only "SVD did not converge"
+    src, _ = make_lowrank_input(tmp_path)
+    mpath = tmp_path / "m3.npy"
+    write_tensor(mpath, bad)
+    code = main(["denoise", "--input", str(src), "--seed", "1",
+                 "--init-rank", "2", "--max-iter", "5",
+                 "--out", str(tmp_path / "x.npy"), "--transform-file", str(mpath)])
+    assert code == 2
+    assert "matrix of mode 3 has non-finite entries" in capsys.readouterr().err
+
+
 def test_denoise_pads_matrix_input(tmp_path):
     m = np.random.default_rng(0).standard_normal((6, 5))
     src = tmp_path / "m.npy"

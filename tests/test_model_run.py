@@ -232,6 +232,30 @@ def test_conjugate_symmetry_preserved_every_iteration():
         assert np.array_equal(state.multirank[L.mirror], state.multirank)
 
 
+def test_self_mirrored_slices_stay_exactly_real_every_iteration(monkeypatch):
+    # under the DFT of (4, 4) the four slices with trailing indices in
+    # {0, 2} are their own mirror, real matrices: the residual, both factor
+    # means and their products hold no imaginary roundoff on them
+    trailing = (4, 4)
+    cfg = SynthConfig((12, 12) + trailing, 3, uniform_multirank(trailing, 3),
+                      rho=0.1, sigma_sq=1e-2, seed=3)
+    L = Transform.dft(trailing)
+    own = L.slice_weights == 1
+    assert own.sum() == 4
+    seen = []
+
+    def checked_prune(state):
+        prune_columns(state)
+        f = state.factors
+        for stack in (state.resid, f.u.mean, f.v.mean, f.products):
+            assert np.all(stack[own].imag == 0)
+        seen.append(state.n_slices)
+
+    monkeypatch.setattr(model, "prune_columns", checked_prune)
+    result = run(generate(cfg).y, L, small_hp(max_iter=20, tol=1e-12), seed=4)
+    assert len(seen) == len(result.trace.records) == 20
+
+
 @pytest.mark.parametrize("shape", [(20, 20, 3, 4), (20, 20, 5, 5), (20, 20, 3, 3, 3)])
 def test_default_settings_converge_where_mirror_slices_drifted_apart(shape):
     # when both slices of a mirror pair were stored and updated apart, these

@@ -151,6 +151,28 @@ def test_init_state_rejects_complex_input():
         init_state(np.zeros((3, 3, 2), dtype=complex), Transform.dft((2,)), hp, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+def test_init_state_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    # run(..., seed=1.5) silently ran seed 1
+    y = np.random.default_rng(0).standard_normal((4, 4, 5))
+    for call in (init_state, run):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            call(y, Transform.dft((5,)), HyperParams(init_rank=2), seed)
+
+
+def test_init_state_checks_init_rank_before_any_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("slice SVDs ran before the init_rank checks")
+
+    y = np.random.default_rng(0).standard_normal((4, 4, 5))
+    L = Transform.dft((5,))
+    monkeypatch.setattr(model.np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match="mirrored"):
+        init_state(y, L, HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
+    with pytest.raises(ValueError, match="does not match"):
+        init_state(y, Transform.dft((4,)), HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
+
+
 def test_init_state_rejects_mirror_asymmetric_init_rank():
     y = np.random.default_rng(0).standard_normal((4, 4, 5))
     symmetric = HyperParams(init_rank=[3, 2, 1, 1, 2])

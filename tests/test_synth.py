@@ -128,6 +128,19 @@ def test_config_rejects_base_rank_below_one(base_rank):
                     rho=0.0, sigma_sq=0.0, seed=0)
 
 
+@pytest.mark.parametrize("name,value", [("base_rank", 2.5), ("base_rank", "2"),
+                                        ("seed", -1), ("seed", 1.5)])
+def test_config_rejects_settings_that_are_not_integers(name, value):
+    # these used to pass the entry checks and fail inside numpy in generate
+    settings = dict(shape=(8, 8, 4), base_rank=2, multirank=[2, 1, 2, 1],
+                    rho=0.0, sigma_sq=0.0, seed=0)
+    settings[name] = value
+    with pytest.raises(ValueError, match=name):
+        SynthConfig(**settings)
+    settings[name] = np.int64(2)
+    assert SynthConfig(**settings).as_dict()[name] == 2
+
+
 def _dense_truncation(cfg, L):
     """The planted low-rank part by the dense route: the t-product of the
     same factor draws, truncated by an SVD of every I1 x I2 slice."""
@@ -275,6 +288,14 @@ def test_corrupt_tensor_validation():
         corrupt_tensor(x, rho=2.0, low=0.0, high=1.0, sigma_sq=0.0, seed=0)
     with pytest.raises(ValueError):
         corrupt_tensor(x, rho=0.1, low=1.0, high=1.0, sigma_sq=0.0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_corrupt_tensor_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    # seed 1.5 silently drew seed 1's corruption
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        corrupt_tensor(np.zeros((3, 3, 2)), rho=0.2, low=0.0, high=1.0,
+                       sigma_sq=0.1, seed=seed)
 
 
 def test_corrupt_tensor_rejects_complex_input():

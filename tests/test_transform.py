@@ -9,7 +9,6 @@ from lmhbrtf.errors import ImaginaryResidueError
 from lmhbrtf.tensor import (
     frobenius_norm,
     linear_to_slice,
-    slice_to_linear,
     to_slice_stack,
 )
 from lmhbrtf.transform import Transform, real_part
@@ -118,6 +117,13 @@ def test_explicit_rejects_singular_matrix():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError, match="singular"):
         Transform.explicit([singular])
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.0, np.inf, 1.0]), np.full((3, 3), np.nan)])
+def test_explicit_rejects_non_finite_matrix(bad):
+    # diag(1, inf, 1) was accepted with phi = nan; all-NaN failed in the SVD
+    with pytest.raises(ValueError, match="matrix of mode 4 has non-finite entries"):
+        Transform.explicit([np.eye(2), bad])
 
 
 def test_explicit_rejects_non_scaled_unitary():
@@ -303,7 +309,8 @@ def test_explicit_real_safe_means_conjugation_permutes_rows():
 def test_mirror_is_the_dft_mirror_slice(trailing):
     L = Transform.dft(trailing)
     shape = (1, 1) + trailing
-    expected = [slice_to_linear(dft_mirror_index(linear_to_slice(j, shape), trailing), shape)
+    expected = [np.ravel_multi_index(dft_mirror_index(linear_to_slice(j, shape), trailing),
+                                     trailing, order="F")
                 for j in range(int(np.prod(trailing)))]
     assert np.array_equal(L.mirror, expected)
 
@@ -334,7 +341,7 @@ def test_half_inverse_checks_stored_mirror_pairs(trailing, pair):
     # the other, so any change to it is the transform of some real tensor
     shape = (3, 2) + trailing
     L = Transform.dft(trailing)
-    slices = [slice_to_linear(i, shape) for i in pair]
+    slices = [np.ravel_multi_index(i, trailing, order="F") for i in pair]
     k = int(np.searchsorted(L.kept_slices, slices[0]))
     assert L.kept_slices[k] == slices[0]
     xbar = L.forward(rng().standard_normal(shape), half=True)
@@ -410,6 +417,35 @@ def test_one_kept_slice_per_conjugation_orbit(name):
         bad[:, :, k] += 0.5j
         with pytest.raises(ImaginaryResidueError):
             L.inverse(bad, half=True)
+
+
+# DFT trailing shapes with an even mode, whose self-mirrored slices pick up
+# imaginary roundoff in the mode products, and DFT matrices in other row
+# orders or with phases
+EXACTLY_REAL = {
+    **{"dft-" + "x".join(map(str, t)): Transform.dft(t)
+       for t in [(6,), (3, 10), (4, 4), (2, 3, 4)]},
+    **{name: Transform.explicit(mats) for name, (_, mats, _) in REORDERED.items()
+       if name.startswith("dft-4")},
+    "dft-3,dft-4[3,1,2,0]": Transform.explicit([dft_matrix(3), dft_matrix(4)[[3, 1, 2, 0]]]),
+    "phased-5x4": ORBIT_TRANSFORMS["phased-5x4"],
+    "phased-3x2x4": ORBIT_TRANSFORMS["phased-3x2x4"],
+}
+
+
+@pytest.mark.parametrize("name", EXACTLY_REAL)
+def test_half_forward_self_mirrored_slices_exactly_real(name):
+    # a slice that is its own mirror is a real matrix: forward drops the
+    # imaginary roundoff, and only that, and leaves its input alone
+    L = EXACTLY_REAL[name]
+    x = rng().standard_normal((4, 3) + L.trailing)
+    before = x.copy()
+    half = to_slice_stack(L.forward(x, half=True))
+    full = to_slice_stack(L.forward(x))[L.kept_slices]
+    own = L.slice_weights == 1
+    assert own.any() and np.all(half[own].imag == 0)
+    assert np.linalg.norm(half - full) <= 1e-13 * np.linalg.norm(full)
+    assert np.array_equal(x, before)
 
 
 def test_half_form_rejects_complex_input_and_full_shape():

@@ -1,5 +1,7 @@
 """t-algebra contracts checked against the block-diagonal matrix oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from lmhbrtf.tsvd import (
     t_qr,
     t_svd,
     truncate_multi_rank,
-    tubal_rank,
 )
 
 
@@ -345,15 +346,6 @@ def test_multi_rank_recovers_construction():
     x = random_multirank_tensor((6, 5, 5), ranks)
     L = Transform.dft((5,))
     assert np.array_equal(multi_rank(x, L), ranks)
-    assert tubal_rank(x, L) == 3
-
-
-def test_tubal_rank_is_max():
-    assert int(np.max([5, 3, 5, 4])) == 5  # max law, trivial
-    x = random_multirank_tensor((5, 5, 2, 2), [2, 1, 1, 2], seed=8)
-    L = Transform.dft((2, 2))
-    assert tubal_rank(x, L) == int(multi_rank(x, L).max())
-    assert tubal_rank(np.zeros((3, 3, 4)), Transform.dft((4,))) == 0
 
 
 def test_truncate_noop_and_zero():
@@ -470,6 +462,22 @@ def test_truncate_rejects_asymmetric_target_before_any_svd(monkeypatch):
     monkeypatch.setattr(tsvd.np.linalg, "svd", no_svd)
     with pytest.raises(ImaginaryResidueError, match="mirrored"):
         truncate_multi_rank(x, L, [2, 1, 2, 2, 2])
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+def test_rank_tolerance_rejected_before_any_svd(tol, monkeypatch):
+    # NaN gave all-zero ranks, and a negative tol full ranks and a false
+    # "below the tubal rank"
+    def no_svd(*args, **kwargs):
+        raise AssertionError("slice SVDs ran before the tolerance check")
+
+    L = Transform.dft((4,))
+    x = random_multirank_tensor((5, 4, 4), [2, 1, 1, 1])
+    monkeypatch.setattr(tsvd.np.linalg, "svd", no_svd)
+    for call in (lambda: multi_rank(x, L, tol=tol), lambda: t_svd(x, L, tol=tol),
+                 lambda: factorize_lemma1(x, L, 2, tol=tol)):
+        with pytest.raises(ValueError, match="rank tolerance must be nonnegative"):
+            call()
 
 
 @pytest.mark.parametrize("L", [Transform.dft((5,)), Transform.dft((3,)),
