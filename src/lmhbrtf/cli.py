@@ -308,13 +308,20 @@ def cmd_corrupt(opts: dict, argv: list) -> None:
     print(f"corrupted {opts['input']} -> {opts['out']}")
 
 
+def _drop_extra_singletons(m: np.ndarray) -> np.ndarray:
+    """*m* without its size-1 axes beyond two: a size-1 mode's matrix is [[c]]."""
+    while m.ndim > 2 and 1 in m.shape:
+        m = m.squeeze(axis=m.shape.index(1))
+    return m
+
+
 def _build_transform(paths, trailing) -> Transform:
     if not paths:
         return Transform.dft(trailing)
     if len(paths) != len(trailing):
         raise UsageError(
             f"got {len(paths)} transform matrices for {len(trailing)} trailing modes")
-    mats = [np.squeeze(read_tensor(path)) for path in paths]
+    mats = [_drop_extra_singletons(read_tensor(path)) for path in paths]
     for path, m in zip(paths, mats):
         if m.ndim != 2:
             raise UsageError(f"{path}: transform file must hold a matrix")

@@ -39,7 +39,8 @@ def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:
 def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     """10 log10(numel * max|x_gt|^2 / ||x_hat - x_gt||_F^2), in dB.
 
-    Identical inputs give the +inf sentinel.
+    Identical inputs give the +inf sentinel; an all-zero reference with
+    any other estimate is an error.
     """
     _check_shapes(x_hat, x_gt)
     err = float(np.sum((np.asarray(x_hat, dtype=np.float64)
@@ -47,6 +48,8 @@ def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     if err == 0.0:
         return math.inf
     peak = float(np.max(np.abs(x_gt)))
+    if peak == 0.0:
+        raise ValueError("the reference is all zero; PSNR peak undefined")
     return 10.0 * math.log10(x_gt.size * peak * peak / err)
 
 

@@ -61,15 +61,10 @@ def frobenius_norm(x: np.ndarray) -> float:
 
 def linear_to_slice(j: int, shape) -> tuple:
     """Trailing multi-index (i3, ..., id) for a linear slice index, 0-based."""
-    trailing = shape[2:]
     total = num_slices(shape)
     if not 0 <= j < total:
         raise IndexError(f"linear slice index {j} out of range [0, {total})")
-    out = []
-    for n in trailing:
-        out.append(j % n)
-        j //= n
-    return tuple(out)
+    return tuple(int(i) for i in np.unravel_index(j, shape[2:], order="F"))
 
 
 def to_slice_stack(x: np.ndarray) -> np.ndarray:

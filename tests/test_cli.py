@@ -366,6 +366,22 @@ def test_denoise_pads_matrix_input(tmp_path):
     assert read_tensor(out).shape == (6, 5, 1)
 
 
+def test_denoise_transform_file_of_size_one_mode(tmp_path, capsys):
+    # [[c]] is the transform of a size-1 mode, as of every padded 2-d input
+    src = tmp_path / "y.npy"
+    write_tensor(src, np.random.default_rng(0).standard_normal((6, 5, 1)))
+    common = ["denoise", "--input", str(src), "--seed", "1", "--max-iter", "20"]
+    outs = {}
+    for name, matrix in (("dft", None), ("one", [[1.0]]), ("two", [[2.0]])):
+        outs[name] = tmp_path / f"{name}.out.npy"
+        argv = common + ["--out", str(outs[name])]
+        if matrix is not None:
+            write_tensor(tmp_path / f"{name}.npy", np.array(matrix))
+            argv += ["--transform-file", str(tmp_path / f"{name}.npy")]
+        assert main(argv) == 0, capsys.readouterr().err
+    assert np.array_equal(read_tensor(outs["one"]), read_tensor(outs["dft"]))
+
+
 def test_metrics_identical_inputs_sentinels(tmp_path):
     src, _ = make_lowrank_input(tmp_path)
     out = tmp_path / "m.json"
@@ -567,3 +583,27 @@ def test_readme_cli_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.func.__name__ == "cmd_" + args.subcommand
+
+
+@pytest.mark.parametrize("shape", ["5", "(2.5, 3)", "(-1, 3)"])
+@pytest.mark.parametrize("command", ["corrupt", "denoise", "transform", "metrics"])
+def test_bad_tensor_file_is_error_not_traceback(tmp_path, capsys, command, shape):
+    bad = tmp_path / "bad.npy"
+    header = f"{{'descr': '<f8', 'fortran_order': True, 'shape': {shape}, }}\n"
+    bad.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                    + header.encode("latin1") + bytes(48))
+    good, _ = make_lowrank_input(tmp_path)
+    out = tmp_path / "out.npy"
+    argv = {
+        "corrupt": ["corrupt", "--input", bad, "--seed", "1", "--out", out],
+        "denoise": ["denoise", "--input", bad, "--seed", "1", "--out", out],
+        "transform": ["denoise", "--input", good, "--seed", "1", "--out", out,
+                      "--transform-file", bad],
+        "metrics": ["metrics", "--ref", bad, "--est", good, "--out", out],
+    }[command]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("lmhbrtf: error:") and str(bad) in line
+               for line in err.splitlines())
+    assert not out.exists()

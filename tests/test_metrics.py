@@ -46,6 +46,14 @@ def test_psnr_shape_mismatch():
         psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
 
+def test_psnr_all_zero_reference():
+    zero = np.zeros((2, 2, 2))
+    assert psnr(zero, zero) == math.inf
+    # a peak of 0 would take log10(0)
+    with pytest.raises(ValueError, match="reference is all zero"):
+        psnr(np.ones((2, 2, 2)), zero)
+
+
 def test_ssim_identical_is_one():
     x = rng().uniform(0, 1, (16, 16, 3))
     assert ssim(x, x) == pytest.approx(1.0, abs=1e-12)

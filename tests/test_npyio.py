@@ -110,3 +110,84 @@ def test_matrix_and_vector_roundtrip(tmp_path):
     path = tmp_path / "m.npy"
     write_tensor(path, m)
     assert np.array_equal(read_tensor(path), m)
+
+
+def _npy_bytes(header, data):
+    """A v1.0 file: *header* text padded to a 64-byte data boundary, then *data*."""
+    pad = -(10 + len(header) + 1) % 64
+    text = (header + " " * pad + "\n").encode("latin1")
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + data
+
+
+@pytest.mark.parametrize("shape,message", [
+    ("5", "shape is not valid"),               # not a tuple
+    ("(2.5, 3)", "shape is not valid"),        # a float entry
+    ("(-2, 3)", "nonnegative"),
+    ("(True, 6)", "nonnegative"),              # a bool is no size
+])
+def test_rejects_shape_that_is_not_nonnegative_integers(tmp_path, shape, message):
+    path = tmp_path / "bad.npy"
+    header = f"{{'descr': '<f8', 'fortran_order': True, 'shape': {shape}, }}"
+    path.write_bytes(_npy_bytes(header, bytes(48)))
+    with pytest.raises(ValueError, match=message) as exc:
+        read_tensor(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("header", [
+    "{'descr': '<f8', 'fortran_order': 1, 'shape': (2, 3), }",
+    "{'descr': '<f8', 'fortran_order': True, 'shape': (2, 3), 'extra': 0, }",
+    "{'descr': '<f8', 'fortran_order': True, 'shape': (2, 3), ",   # unclosed
+    "{[1]: 2}",                                                    # unhashable key
+    "[1, 2]",
+])
+def test_rejects_malformed_header_naming_the_file(tmp_path, header):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(_npy_bytes(header, bytes(48)))
+    with pytest.raises(ValueError, match="not a valid NPY") as exc:
+        read_tensor(path)
+    assert str(path) in str(exc.value)
+
+
+def test_rejects_bytes_after_the_data(tmp_path):
+    good = tmp_path / "good.npy"
+    write_tensor(good, np.ones((2, 2, 2)))
+    bad = tmp_path / "long.npy"
+    bad.write_bytes(good.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="data size") as exc:
+        read_tensor(bad)
+    assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_reads_numpy_save_of_fortran_array_bitwise(tmp_path, complex_):
+    r = rng()
+    x = r.standard_normal((3, 4, 2)) + (1j * r.standard_normal((3, 4, 2)) if complex_ else 0)
+    path = tmp_path / "t.npy"
+    np.save(path, np.asfortranarray(x))
+    back = read_tensor(path)
+    assert back.dtype == x.dtype
+    assert back.tobytes(order="F") == x.tobytes(order="F")
+
+
+def test_reads_file_with_the_compact_64_byte_aligned_header_bitwise(tmp_path):
+    # files written by earlier versions of this package carry this header
+    x = rng().standard_normal((3, 4, 2))
+    path = tmp_path / "old.npy"
+    header = "{'descr': '<f8', 'fortran_order': True, 'shape': (3,4,2,), }"
+    path.write_bytes(_npy_bytes(header, x.tobytes(order="F")))
+    assert len(path.read_bytes()) == 128 + x.nbytes
+    assert read_tensor(path).tobytes(order="F") == x.tobytes(order="F")
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (5,), (4, 1, 1), (2, 0, 3)])
+def test_read_returns_column_major_array(tmp_path, shape):
+    x = rng().standard_normal(shape)
+    path = tmp_path / "t.npy"
+    write_tensor(path, x)
+    # 1-d and (n, 1, 1) arrays are both C- and F-contiguous; the header
+    # must still say Fortran order, or the reader rejects the file
+    assert b"'fortran_order': True" in path.read_bytes()
+    back = read_tensor(path)
+    assert back.flags.f_contiguous
+    assert np.array_equal(back, x)
