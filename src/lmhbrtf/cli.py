@@ -221,6 +221,22 @@ def _resolve(args) -> dict:
     return merged
 
 
+def _check_outputs(opts: dict) -> None:
+    """Fail before any input is read on an output path that cannot be written."""
+    for key in ("out", "report", "sparse_out", "save_tensors"):
+        path = opts.get(key)
+        if path is None:
+            continue
+        where = f"--{key.replace('_', '-')} {path!r}"
+        if key == "save_tensors":
+            if os.path.exists(path) and not os.path.isdir(path):
+                raise UsageError(f"{where} exists and is not a directory")
+        elif not path or os.path.isdir(path):
+            raise UsageError(f"{where} is not a file path")
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
+
+
 def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
     j = int(np.prod(dims[2:]))
     if spec == "desk":
@@ -396,7 +412,9 @@ def main(argv=None) -> int:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        args.func(_resolve(args), argv)
+        opts = _resolve(args)
+        _check_outputs(opts)
+        args.func(opts, argv)
     except UsageError as exc:
         print(f"lmhbrtf: usage error: {exc}", file=sys.stderr)
         return 2

@@ -96,34 +96,34 @@ class HyperParams:
     when the relative change falls below ``tol`` or after ``max_iter``
     iterations.  The Gamma hyper-priors and the prune threshold are the
     module constants :data:`GAMMA_PRIOR` and :data:`PRUNE_THRESHOLD`.
+    The settings are stored as plain ``int``, ``float`` and list-of-``int``
+    values, so a report echo of them is JSON.
     """
 
     def __init__(self, init_rank: Union[int, Sequence[int]], sigma0_sq: float = 1.0,
                  gamma: Optional[float] = None, tol: float = 1e-4, max_iter: int = 200):
-        self.init_rank, self.sigma0_sq, self.gamma = init_rank, sigma0_sq, gamma
-        self.tol, self.max_iter = tol, max_iter
-        checked = ("sigma0_sq", "tol") if gamma is None else ("sigma0_sq", "gamma", "tol")
-        for name in checked:
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
+        for name, value in (("sigma0_sq", sigma0_sq), ("gamma", gamma), ("tol", tol)):
+            if value is not None and not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and strictly positive, "
                                  f"got {value}")
-        if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+                or max_iter < 0):
             raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-        if np.asarray(init_rank).dtype.kind not in "iu":
+        ranks = np.asarray(init_rank)
+        if ranks.dtype.kind not in "iu":
             raise ValueError(f"init_rank entries must be integers, got {init_rank!r}")
-        if (np.asarray(init_rank) < 1).any():
+        if (ranks < 1).any():
             raise ValueError(f"init_rank entries must be at least 1, got {init_rank!r}")
+        self.init_rank, self.sigma0_sq = ranks.tolist(), float(sigma0_sq)
+        self.gamma = None if gamma is None else float(gamma)
+        self.tol, self.max_iter = float(tol), int(max_iter)
 
     def __repr__(self) -> str:
         return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def as_dict(self) -> dict:
-        """The settings as a report echo (a per-slice array as a list of ints)."""
-        out = dict(vars(self))
-        if isinstance(self.init_rank, np.ndarray):
-            out["init_rank"] = [int(r) for r in self.init_rank]
-        return out
+        """The settings as a report echo."""
+        return dict(vars(self))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -159,8 +159,8 @@ class FactorState(_Frozen):
     """Posterior factors ``u`` and ``v`` of the K kept slices, stacked and
     zero-padded, and the read-only ``ranks``.
 
-    ``u_mean`` is (K, I1, R), ``v_mean`` (K, I2, R) and ``sigma_u``/
-    ``sigma_v`` (K, R, R), where R is the largest entry of ``ranks``.
+    ``u.mean`` is (K, I1, R), ``v.mean`` (K, I2, R) and ``u.cov``/
+    ``v.cov`` (K, R, R), where R is the largest entry of ``ranks``.
     Slice k's active columns are its first ``ranks[k]``; its other
     columns of the means and rows/columns of the covariances are
     exactly zero.  The statistics derived from both factors (``energy``
@@ -173,11 +173,6 @@ class FactorState(_Frozen):
 
     def __reduce__(self):
         return FactorState, (self.u, self.v, self.ranks)
-
-    u_mean = property(lambda self: self.u.mean)
-    v_mean = property(lambda self: self.v.mean)
-    sigma_u = property(lambda self: self.u.cov)
-    sigma_v = property(lambda self: self.v.cov)
 
     @property
     def active(self) -> np.ndarray:
@@ -212,10 +207,6 @@ class SparseState:
                  beta_b: np.ndarray):
         self.s_mean, self.s_var, self.beta_a, self.beta_b = s_mean, s_var, beta_a, beta_b
 
-    @property
-    def beta_mean(self) -> np.ndarray:
-        return self.beta_a / self.beta_b
-
 
 class NoiseState:
     """Noise precision, ARD precisions and the fit statistic.
@@ -233,8 +224,9 @@ class NoiseState:
     def tau_mean(self) -> float:
         return self.tau_a / self.tau_b
 
-    def lambda_mean(self, k: int) -> np.ndarray:
-        return self.lambda_a / self.lambda_b[k]
+    @property
+    def lambda_mean(self) -> np.ndarray:
+        return self.lambda_a / self.lambda_b
 
 
 class ModelState:
@@ -419,7 +411,7 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
                               @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(1, 2)))),
     )
     if y.any():
-        compute_fit(state)
+        compute_fit(state, expected_residual_sq(state))
     return state
 
 
@@ -501,7 +493,7 @@ def _update_factor(state: ModelState, side: str) -> FactorState:
     proj *= scale
     prec = scale * (rows * other.cov + other.gram)
     diag = np.arange(prec.shape[-1])
-    prec[:, diag, diag] += w * (state.noise.lambda_a / state.noise.lambda_b)
+    prec[:, diag, diag] += w * state.noise.lambda_mean
     cov = _posterior_cov(state, prec, side.upper())
     new = Factor(proj @ cov, cov)
     state.factors = (FactorState(new, f.v, f.ranks) if side == "u"
@@ -576,7 +568,7 @@ def expected_residual_sq(state: ModelState) -> float:
     """
     i1, i2 = state.shape[:2]
     f = state.factors
-    su, sv = f.sigma_u, f.sigma_v
+    su, sv = f.u.cov, f.v.cov
     res = np.empty_like(f.products)
     np.subtract(state.resid, f.products, out=res)
     # one row of floats per slice, column by column (a view if column-major)
@@ -590,16 +582,14 @@ def expected_residual_sq(state: ModelState) -> float:
                  + state.transform.phi * state.sparse.s_var.sum())
 
 
-def update_tau(state: ModelState, resid_sq: Optional[float] = None) -> NoiseState:
+def update_tau(state: ModelState, resid_sq: float) -> NoiseState:
     """Gamma update of the shared noise precision."""
-    if resid_sq is None:
-        resid_sq = expected_residual_sq(state)
     state.noise.tau_a = GAMMA_PRIOR + state.y.size / 2
     state.noise.tau_b = GAMMA_PRIOR + resid_sq / (2 * state.transform.phi)
     return state.noise
 
 
-def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
+def compute_fit(state: ModelState, resid_sq: float) -> float:
     """Fit statistic 1 - sqrt(<residual^2>) / ||Ybar||, stored on the state.
 
     ||Ybar|| is the norm over all J slices, from the kept ones and their
@@ -607,8 +597,6 @@ def compute_fit(state: ModelState, resid_sq: Optional[float] = None) -> float:
     """
     if state.ynorm == 0:
         raise ValueError("fit is undefined for an identically zero observation")
-    if resid_sq is None:
-        resid_sq = expected_residual_sq(state)
     state.noise.fit = 1.0 - math.sqrt(resid_sq) / state.ynorm
     return state.noise.fit
 
@@ -660,8 +648,8 @@ def _check_state_positive(state: ModelState) -> None:
     active = f.active
     for name, values in (
             ("ARD Gamma rate lambda_b", noise.lambda_b),
-            ("posterior variance diag(Sigma_u)", _diag(f.sigma_u)),
-            ("posterior variance diag(Sigma_v)", _diag(f.sigma_v))):
+            ("posterior variance diag(Sigma_u)", _diag(f.u.cov)),
+            ("posterior variance diag(Sigma_v)", _diag(f.v.cov))):
         bad = np.flatnonzero((active & ~(values > 0)).any(axis=1))
         if bad.size:
             raise NumericalBreakdownError(
@@ -683,7 +671,9 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     dead factor columns are pruned.  The loop stops when the relative
     change of the reconstruction drops below ``hp.tol`` or after
     ``hp.max_iter`` iterations; non-convergence is reported in the
-    trace, not raised.  A numerical breakdown raises
+    trace, not raised.  A stop on the relative change whose final fit
+    is negative or whose reconstruction has norm 0 is degenerate and
+    reported as not converged.  A numerical breakdown raises
     :class:`NumericalBreakdownError`, and a reconstruction that fails to
     be real :class:`ImaginaryResidueError`, each naming the iteration.
     """
@@ -738,7 +728,15 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
             break
         x_prev = x_hat
 
-    if not trace.converged:
+    if trace.converged:
+        fit = state.noise.fit
+        degenerate = [f"the final fit {fit:.6g} is negative"] if fit < 0 else []
+        if np.linalg.norm(state.x_hat) == 0:
+            degenerate.append("the reconstruction has norm 0")
+        if degenerate:
+            trace.converged = False
+            trace.message = f"degenerate stop at iteration {it}: " + " and ".join(degenerate)
+    else:
         trace.message = (
             f"relative change still {trace.records[-1].rel_change:.3e} "
             f"after {hp.max_iter} iterations (tol {hp.tol:g})"

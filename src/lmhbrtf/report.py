@@ -81,10 +81,11 @@ class RunReport:
         }
 
     def save(self, path) -> None:
+        """Write the report whole: it is serialized before the file is opened."""
+        text = json.dumps(_encode(self.as_dict()), indent=2, sort_keys=True,
+                          allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_encode(self.as_dict()), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "RunReport":

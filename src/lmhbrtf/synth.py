@@ -90,6 +90,9 @@ class SynthConfig:
             raise ValueError(f"multirank pattern must have length {j}")
         if (self.multirank < 0).any() or (self.multirank > self.base_rank).any():
             raise ValueError("pattern entries must lie in [0, base_rank]")
+        if not self.multirank.any():
+            raise ValueError("pattern has no positive rank, so the planted "
+                             "low-rank tensor is zero")
         if self.base_rank > min(self.shape[:2]):
             raise ValueError("base_rank must not exceed min(I1, I2)")
         check_corruption(rho, sigma_sq)

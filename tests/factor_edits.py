@@ -10,16 +10,17 @@ from lmhbrtf.model import Factor, FactorState
 def edited_factors(state):
     """Yield writable copies of the factor arrays of *state*.
 
-    The namespace has ``u_mean``, ``v_mean``, ``sigma_u``, ``sigma_v``
-    and ``ranks``; edit them in place or rebind them.  On exit the state
-    gets a new :class:`FactorState` built from them, with no statistic
-    cached from the old factors.
+    The namespace mirrors :class:`FactorState`: ``u.mean``, ``u.cov``,
+    ``v.mean``, ``v.cov`` and ``ranks``; edit them in place or rebind
+    them.  On exit the state gets a new :class:`FactorState` built from
+    them, with no statistic cached from the old factors.
     """
     f = state.factors
-    edit = SimpleNamespace(u_mean=f.u_mean.copy(), v_mean=f.v_mean.copy(),
-                           sigma_u=f.sigma_u.copy(), sigma_v=f.sigma_v.copy(),
-                           ranks=f.ranks.copy())
+    edit = SimpleNamespace(
+        u=SimpleNamespace(mean=f.u.mean.copy(), cov=f.u.cov.copy()),
+        v=SimpleNamespace(mean=f.v.mean.copy(), cov=f.v.cov.copy()),
+        ranks=f.ranks.copy())
     yield edit
-    state.factors = FactorState(u=Factor(edit.u_mean, edit.sigma_u),
-                                v=Factor(edit.v_mean, edit.sigma_v),
+    state.factors = FactorState(u=Factor(edit.u.mean, edit.u.cov),
+                                v=Factor(edit.v.mean, edit.v.cov),
                                 ranks=edit.ranks)

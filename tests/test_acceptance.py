@@ -310,14 +310,14 @@ def _factor_objective(state, side):
     def evaluate(means, covs):
         st = copy.deepcopy(state)
         with edited_factors(st) as f:
-            target = f.u_mean if side == "u" else f.v_mean
-            target_cov = f.sigma_u if side == "u" else f.sigma_v
+            target = f.u.mean if side == "u" else f.v.mean
+            target_cov = f.u.cov if side == "u" else f.v.cov
             for k in range(st.n_slices):
                 target[k] = np.array(means[k])
                 target_cov[k] = np.array(covs[k])
         value = -(tau / st.transform.phi) * expected_residual_sq(st)
         for k in range(st.n_slices):
-            lam = st.noise.lambda_mean(k)
+            lam = st.noise.lambda_mean[k]
             m, c = means[k], covs[k]
             value -= float(np.sum(lam * (np.sum(np.abs(m) ** 2, axis=0)
                                          + rows * np.diagonal(c).real)))
@@ -356,8 +356,8 @@ def test_criterion_6_update_optimality():
         for side, update in (("u", update_u), ("v", update_v)):
             update(state)
             f = state.factors
-            means = [m.copy() for m in (f.u_mean if side == "u" else f.v_mean)]
-            covs = [c.copy() for c in (f.sigma_u if side == "u" else f.sigma_v)]
+            means = [m.copy() for m in (f.u.mean if side == "u" else f.v.mean)]
+            covs = [c.copy() for c in (f.u.cov if side == "u" else f.v.cov)]
             objective = _factor_objective(state, side)
             base = objective(means, covs)
             perturbed = []
@@ -378,8 +378,8 @@ def test_criterion_6_update_optimality():
         i1, i2 = state.shape[:2]
         for k in range(state.n_slices):
             f = state.factors
-            utu = i1 * f.sigma_u[k] + f.u_mean[k].conj().T @ f.u_mean[k]
-            vtv = i2 * f.sigma_v[k] + f.v_mean[k].conj().T @ f.v_mean[k]
+            utu = i1 * f.u.cov[k] + f.u.mean[k].conj().T @ f.u.mean[k]
+            vtv = i2 * f.v.cov[k] + f.v.mean[k].conj().T @ f.v.mean[k]
             d = 0.5 * np.diagonal(utu + vtv).real
             coef_log = GAMMA_PRIOR + (i1 + i2) / 2 - 1.0
             coef_lin = GAMMA_PRIOR + d
@@ -398,7 +398,7 @@ def test_criterion_6_update_optimality():
         update_s(state)
         z = state.y - state.x_hat
         tau = state.noise.tau_mean
-        beta = state.sparse.beta_mean
+        beta = state.sparse.beta_a / state.sparse.beta_b
 
         def s_objective(mean, var):
             return float(np.sum(-0.5 * tau * ((z - mean) ** 2 + var)
@@ -463,9 +463,9 @@ def test_criterion_7_residual_expansion_monte_carlo():
     # make the posterior genuinely random (complex means, dense covariances)
     with edited_factors(state) as f:
         for k in range(state.n_slices):
-            f.u_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-            f.v_mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-            for covs in (f.sigma_u, f.sigma_v):
+            f.u.mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            f.v.mean[k] = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            for covs in (f.u.cov, f.v.cov):
                 a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
     state.sparse.s_mean = rng.standard_normal(state.shape)
@@ -479,8 +479,8 @@ def test_criterion_7_residual_expansion_monte_carlo():
     total = 1_000_000
     chunk = 20_000
     mc_rng = np.random.default_rng(4242)
-    chol_u = [np.linalg.cholesky(c) for c in state.factors.sigma_u]
-    chol_v = [np.linalg.cholesky(c) for c in state.factors.sigma_v]
+    chol_u = [np.linalg.cholesky(c) for c in state.factors.u.cov]
+    chol_v = [np.linalg.cholesky(c) for c in state.factors.v.cov]
     samples = np.empty(total)
     done = 0
     while done < total:
@@ -496,8 +496,8 @@ def test_criterion_7_residual_expansion_monte_carlo():
                   + 1j * mc_rng.standard_normal((n, 3, 2))) / math.sqrt(2.0)
             zv = (mc_rng.standard_normal((n, 3, 2))
                   + 1j * mc_rng.standard_normal((n, 3, 2))) / math.sqrt(2.0)
-            u = state.factors.u_mean[k] + zu @ chol_u[k].conj().T
-            v = state.factors.v_mean[k] + zv @ chol_v[k].conj().T
+            u = state.factors.u.mean[k] + zu @ chol_u[k].conj().T
+            v = state.factors.v.mean[k] + zv @ chol_v[k].conj().T
             prod = u @ np.swapaxes(v.conj(), 1, 2)
             res = ybar[k] - prod - sbar[..., k]
             resid_sq += np.sum(np.abs(res) ** 2, axis=(1, 2))

@@ -607,3 +607,67 @@ def test_bad_tensor_file_is_error_not_traceback(tmp_path, capsys, command, shape
     assert any(line.startswith("lmhbrtf: error:") and str(bad) in line
                for line in err.splitlines())
     assert not out.exists()
+
+
+def _no_input_read(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read before the output paths were checked")
+    monkeypatch.setattr(cli, "read_tensor", fail)
+    monkeypatch.setattr(cli, "run_benchmark", fail)
+
+
+@pytest.mark.parametrize("kind", ["nodir", "isdir"])
+@pytest.mark.parametrize("command,flag", [
+    ("synth", "--out"), ("corrupt", "--out"), ("denoise", "--out"),
+    ("denoise", "--report"), ("denoise", "--sparse-out"), ("metrics", "--out"),
+])
+def test_bad_output_path_is_usage_error_before_any_input(tmp_path, capsys, monkeypatch,
+                                                         command, flag, kind):
+    _no_input_read(monkeypatch)
+    good = str(tmp_path / "good.out")
+    argv = {
+        "synth": ["synth", "--dims", "8,8,4", "--rank", "2", "--rho", "0.1",
+                  "--sigma2", "0.0", "--seed", "1", "--out", good],
+        "corrupt": ["corrupt", "--input", "x.npy", "--seed", "1", "--out", good],
+        "denoise": ["denoise", "--input", "y.npy", "--seed", "1", "--out", good],
+        "metrics": ["metrics", "--ref", "a.npy", "--est", "b.npy", "--out", good],
+    }[command]
+    # a path that cannot be written: in a missing directory, or a directory
+    path = str(tmp_path / "nodir" / "f") if kind == "nodir" else str(tmp_path)
+    assert main(argv + [flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lmhbrtf: usage error: {flag} {path!r}")
+    # the same check holds for a path from the config file
+    cfg = tmp_path / "cfg.json"
+    key = flag[2:].replace("-", "_")
+    if key != "out":
+        cfg.write_text(json.dumps({key: path}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"{flag} {path!r}" in capsys.readouterr().err
+    assert not (tmp_path / "good.out").exists()
+
+
+def test_synth_save_tensors_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    _no_input_read(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["synth", "--dims", "8,8,4", "--rank", "2", "--rho", "0.1", "--sigma2", "0.0",
+            "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv + ["--save-tensors", str(taken)]) == 2
+    assert f"--save-tensors {str(taken)!r}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"save_tensors": str(taken)}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"--save-tensors {str(taken)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_synth_all_zero_pattern_is_usage_error_before_generating(tmp_path, capsys,
+                                                                 monkeypatch):
+    _no_input_read(monkeypatch)
+    out = tmp_path / "r.json"
+    code = main(["synth", "--dims", "10,10,3", "--rank", "2", "--pattern", "uniform:0",
+                 "--rho", "0.1", "--sigma2", "1e-4", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "no positive rank" in capsys.readouterr().err
+    assert not out.exists()

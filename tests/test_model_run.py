@@ -26,6 +26,7 @@ from lmhbrtf.synth import (
     SynthConfig,
     corrupt_tensor,
     generate,
+    protocol_hyperparams,
     r_err,
     uniform_multirank,
     x_err,
@@ -170,6 +171,20 @@ def test_nonconvergence_reported_not_raised():
     assert len(result.trace.records) == 3
 
 
+def test_degenerate_stop_is_not_reported_as_converged():
+    # scaled by 2^-20 the run collapses: x_hat underflows until its norm
+    # reads 0, and the relative change 0/0 is read as 0
+    cfg = SynthConfig(shape=(20, 20, 5), base_rank=3, multirank=uniform_multirank((5,), 3),
+                      rho=0.1, sigma_sq=1e-4, seed=5)
+    y = generate(cfg).y * 2.0 ** -20
+    trace = run(y, Transform.dft((5,)), protocol_hyperparams(cfg.shape), seed=11).trace
+    assert len(trace.records) == 11  # the run still stops where it did
+    assert trace.records[-1].fit < 0
+    assert not trace.converged
+    assert trace.message.startswith("degenerate stop at iteration 11: the final fit -")
+    assert trace.message.endswith("is negative and the reconstruction has norm 0")
+
+
 def test_fit_increases_to_one_on_clean_data():
     cfg, inst = small_instance()
     result = run(inst.y, Transform.dft((8,)), small_hp(tol=1e-7, max_iter=60), seed=1)
@@ -202,7 +217,7 @@ def test_factor_product_reproduces_residual_on_clean_data():
     for _ in range(60):
         manual_iteration(state)
     for k in range(state.n_slices):
-        prod = state.factors.u_mean[k] @ state.factors.v_mean[k].conj().T
+        prod = state.factors.u.mean[k] @ state.factors.v.mean[k].conj().T
         target = state.resid[k]
         assert np.linalg.norm(prod - target) <= 1e-6 * np.linalg.norm(target)
 
@@ -289,9 +304,9 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
     w = max(b.noise.fit, 0.0) / b.hp.gamma
     with edited_factors(b) as f:
         for k in reversed(range(b.n_slices)):
-            vtv = (b.shape[1] * f.sigma_v[k]
-                   + f.v_mean[k].conj().T @ f.v_mean[k])
-            prec = scale * vtv + np.diag(w * b.noise.lambda_mean(k))
+            vtv = (b.shape[1] * f.v.cov[k]
+                   + f.v.mean[k].conj().T @ f.v.mean[k])
+            prec = scale * vtv + np.diag(w * b.noise.lambda_mean[k])
             # Sigma = X^H X with X = chol^-1 by forward substitution, row by row
             chol = np.linalg.cholesky(prec)
             dinv = 1.0 / np.diagonal(chol).real
@@ -301,14 +316,14 @@ def test_slice_updates_commute_with_shared_scalars_fixed():
                 x[i, :i] = (chol[i:i + 1, :i] @ x[:i, :i])[0] * -dinv[i]
                 x[i, i] = dinv[i]
             cov = x.conj().T @ x
-            f.sigma_u[k] = cov
-            proj = b.resid[k] @ f.v_mean[k]
+            f.u.cov[k] = cov
+            proj = b.resid[k] @ f.v.mean[k]
             proj *= scale
-            f.u_mean[k] = proj @ cov
+            f.u.mean[k] = proj @ cov
 
     for k in range(a.n_slices):
-        assert a.factors.u_mean[k].tobytes() == b.factors.u_mean[k].tobytes()
-        assert a.factors.sigma_u[k].tobytes() == b.factors.sigma_u[k].tobytes()
+        assert a.factors.u.mean[k].tobytes() == b.factors.u.mean[k].tobytes()
+        assert a.factors.u.cov[k].tobytes() == b.factors.u.cov[k].tobytes()
 
 
 def test_positivity_invariant_holds_through_noisy_run():
@@ -324,8 +339,8 @@ def test_positivity_invariant_holds_through_noisy_run():
         for k, r in enumerate(state.factors.ranks):
             assert (state.noise.lambda_b[k, :r] > 0).all()
             if r:
-                assert np.diagonal(state.factors.sigma_u[k])[:r].real.min() > 0
-                assert np.diagonal(state.factors.sigma_v[k])[:r].real.min() > 0
+                assert np.diagonal(state.factors.u.cov[k])[:r].real.min() > 0
+                assert np.diagonal(state.factors.v.cov[k])[:r].real.min() > 0
 
 
 # The phases an external tracer hooks by replacing these module attributes

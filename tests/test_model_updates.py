@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import json
 import math
 import pickle
 
@@ -58,9 +59,9 @@ def randomize_factors(state, seed=0):
         for k in range(state.n_slices):
             rk = f.ranks[k]
             i1, i2 = state.shape[:2]
-            f.u_mean[k, :, :rk] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
-            f.v_mean[k, :, :rk] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
-            for covs in (f.sigma_u, f.sigma_v):
+            f.u.mean[k, :, :rk] = r.standard_normal((i1, rk)) + 1j * r.standard_normal((i1, rk))
+            f.v.mean[k, :, :rk] = r.standard_normal((i2, rk)) + 1j * r.standard_normal((i2, rk))
+            for covs in (f.u.cov, f.v.cov):
                 a = r.standard_normal((rk, rk)) + 1j * r.standard_normal((rk, rk))
                 covs[k, :rk, :rk] = a @ a.conj().T + 0.5 * np.eye(rk)
             state.noise.lambda_b[k, :rk] = r.uniform(0.5, 2.0, rk)
@@ -89,7 +90,7 @@ def test_hyperparam_validation():
         HyperParams(init_rank=2, gamma=-1.0)
 
 
-@pytest.mark.parametrize("value", [3.5, 3.0, "3", None])
+@pytest.mark.parametrize("value", [3.5, 3.0, "3", None, True, False])
 def test_hyperparams_reject_non_integer_max_iter(value):
     with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
         HyperParams(init_rank=2, max_iter=value)
@@ -102,6 +103,19 @@ def test_hyperparams_reject_non_integer_init_rank(value):
     HyperParams(init_rank=np.int64(2), max_iter=np.int32(3))
 
 
+def test_hyperparams_store_plain_python_numbers():
+    # numpy scalars and arrays would make the report echo unserializable
+    hp = HyperParams(init_rank=np.array([2, 3], dtype=np.int32), sigma0_sq=np.float32(0.5),
+                     gamma=np.float64(2.0), tol=np.float16(0.25), max_iter=np.int32(3))
+    settings = hp.as_dict()
+    assert settings == {"init_rank": [2, 3], "sigma0_sq": 0.5, "gamma": 2.0,
+                        "tol": 0.25, "max_iter": 3}
+    assert [type(v) for v in settings.values()] == [list, float, float, float, int]
+    assert [type(r) for r in hp.init_rank] == [int, int]
+    assert type(HyperParams(init_rank=np.int64(4)).init_rank) is int
+    json.dumps(settings)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["sigma0_sq", "gamma", "tol"])
 def test_hyperparams_reject_non_finite(name, value):
@@ -111,19 +125,19 @@ def test_hyperparams_reject_non_finite(name, value):
 
 def test_init_state_values():
     state = make_state(sigma0_sq=1.0)
-    assert np.allclose(state.sparse.beta_mean, 1.0)
+    assert np.allclose(state.sparse.beta_a / state.sparse.beta_b, 1.0)
     assert ((state.sparse.s_mean >= 0) & (state.sparse.s_mean < 1.0)).all()
     assert state.noise.tau_mean == pytest.approx(1.0)
     for k in range(state.n_slices):
-        assert np.allclose(state.noise.lambda_mean(k), 1.0 / state.transform.phi)
-        assert np.allclose(state.factors.sigma_u[k],
+        assert np.allclose(state.noise.lambda_mean[k], 1.0 / state.transform.phi)
+        assert np.allclose(state.factors.u.cov[k],
                            state.transform.phi * np.eye(state.factors.ranks[k]))
     # factor means reproduce the best rank-r approximation of each slice
     ybar = ybar_of(state)
     for k in range(state.n_slices):
         u, s, vh = np.linalg.svd(ybar[k], full_matrices=False)
         best = (u[:, :2] * s[:2]) @ vh[:2]
-        prod = state.factors.u_mean[k] @ state.factors.v_mean[k].conj().T
+        prod = state.factors.u.mean[k] @ state.factors.v.mean[k].conj().T
         assert np.linalg.norm(prod - best) <= 1e-10 * np.linalg.norm(best)
 
 
@@ -132,8 +146,8 @@ def test_init_state_deterministic():
     b = make_state(seed=11)
     assert a.sparse.s_mean.tobytes() == b.sparse.s_mean.tobytes()
     for k in range(a.n_slices):
-        assert a.factors.u_mean[k].tobytes() == b.factors.u_mean[k].tobytes()
-        assert a.factors.v_mean[k].tobytes() == b.factors.v_mean[k].tobytes()
+        assert a.factors.u.mean[k].tobytes() == b.factors.u.mean[k].tobytes()
+        assert a.factors.v.mean[k].tobytes() == b.factors.v.mean[k].tobytes()
     assert a.noise.fit == b.noise.fit
 
 
@@ -233,8 +247,8 @@ def test_update_u_ard_limit_kills_columns():
     state.noise.lambda_b = np.ones_like(state.noise.lambda_b)
     update_u(state)
     for k in range(state.n_slices):
-        assert np.linalg.norm(state.factors.sigma_u[k]) <= 1e-9
-        assert np.linalg.norm(state.factors.u_mean[k]) <= 1e-6
+        assert np.linalg.norm(state.factors.u.cov[k]) <= 1e-9
+        assert np.linalg.norm(state.factors.u.mean[k]) <= 1e-6
 
 
 def _reference_row_updates(y, s, vm, sv, lam, tau, weight):
@@ -255,12 +269,12 @@ def test_update_u_single_slice_reduces_to_matrix_factorization():
     update_u(state)
     expected, cov = _reference_row_updates(
         y=ybar_of(state)[0], s=ybar_of(state)[0] - state.resid[0],
-        vm=state.factors.v_mean[0], sv=state.factors.sigma_v[0],
-        lam=state.noise.lambda_mean(0), tau=state.noise.tau_mean,
+        vm=state.factors.v.mean[0], sv=state.factors.v.cov[0],
+        lam=state.noise.lambda_mean[0], tau=state.noise.tau_mean,
         weight=0.8 / state.hp.gamma,
     )
-    assert np.allclose(state.factors.u_mean[0], expected, rtol=1e-12, atol=1e-12)
-    assert np.allclose(state.factors.sigma_u[0], cov, rtol=1e-10, atol=1e-12)
+    assert np.allclose(state.factors.u.mean[0], expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(state.factors.u.cov[0], cov, rtol=1e-10, atol=1e-12)
 
 
 def test_update_v_single_slice_mirror():
@@ -272,12 +286,12 @@ def test_update_v_single_slice_mirror():
     s = y - state.resid[0]
     expected, cov = _reference_row_updates(
         y=y.conj().T, s=s.conj().T,
-        vm=state.factors.u_mean[0], sv=state.factors.sigma_u[0],
-        lam=state.noise.lambda_mean(0), tau=state.noise.tau_mean,
+        vm=state.factors.u.mean[0], sv=state.factors.u.cov[0],
+        lam=state.noise.lambda_mean[0], tau=state.noise.tau_mean,
         weight=0.8 / state.hp.gamma,
     )
-    assert np.allclose(state.factors.v_mean[0], expected, rtol=1e-12, atol=1e-12)
-    assert np.allclose(state.factors.sigma_v[0], cov, rtol=1e-10, atol=1e-12)
+    assert np.allclose(state.factors.v.mean[0], expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(state.factors.v.cov[0], cov, rtol=1e-10, atol=1e-12)
 
 
 def test_update_u_slice_locality():
@@ -287,13 +301,13 @@ def test_update_u_slice_locality():
     b = make_state(shape=(4, 4, 5), r=2, seed=5)
     assert b.n_slices == 3
     with edited_factors(b) as f:
-        f.v_mean[2] = f.v_mean[2] * 2.0
+        f.v.mean[2] = f.v.mean[2] * 2.0
     b.noise.lambda_b[2] = b.noise.lambda_b[2] * 3.0
     update_u(a)
     update_u(b)
-    assert a.factors.u_mean[0].tobytes() == b.factors.u_mean[0].tobytes()
-    assert a.factors.sigma_u[1].tobytes() == b.factors.sigma_u[1].tobytes()
-    assert a.factors.u_mean[2].tobytes() != b.factors.u_mean[2].tobytes()
+    assert a.factors.u.mean[0].tobytes() == b.factors.u.mean[0].tobytes()
+    assert a.factors.u.cov[1].tobytes() == b.factors.u.cov[1].tobytes()
+    assert a.factors.u.mean[2].tobytes() != b.factors.u.mean[2].tobytes()
 
 
 def test_update_lambda_zero_factors():
@@ -301,15 +315,15 @@ def test_update_lambda_zero_factors():
     with edited_factors(state) as f:
         for k in range(state.n_slices):
             rk = f.ranks[k]
-            f.u_mean[k] = np.zeros((4, rk), dtype=complex)
-            f.v_mean[k] = np.zeros((3, rk), dtype=complex)
-            f.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
-            f.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
+            f.u.mean[k] = np.zeros((4, rk), dtype=complex)
+            f.v.mean[k] = np.zeros((3, rk), dtype=complex)
+            f.u.cov[k] = np.zeros((rk, rk), dtype=complex)
+            f.v.cov[k] = np.zeros((rk, rk), dtype=complex)
     update_lambda(state)
     expected = (model.GAMMA_PRIOR + (4 + 3) / 2) / model.GAMMA_PRIOR
     for k in range(state.n_slices):
         assert np.allclose(state.noise.lambda_b[k], model.GAMMA_PRIOR)
-        assert np.allclose(state.noise.lambda_mean(k), expected)
+        assert np.allclose(state.noise.lambda_mean[k], expected)
         assert expected > 1e6  # huge precision: columns are prunable
 
 
@@ -327,8 +341,8 @@ def test_update_lambda_matches_recompute_oracle():
     i1, i2 = state.shape[:2]
     f = state.factors
     for k in range(state.n_slices):
-        utu = i1 * f.sigma_u[k] + f.u_mean[k].conj().T @ f.u_mean[k]
-        vtv = i2 * f.sigma_v[k] + f.v_mean[k].conj().T @ f.v_mean[k]
+        utu = i1 * f.u.cov[k] + f.u.mean[k].conj().T @ f.u.mean[k]
+        vtv = i2 * f.v.cov[k] + f.v.mean[k].conj().T @ f.v.mean[k]
         expected_b = model.GAMMA_PRIOR + 0.5 * np.diagonal(utu + vtv).real
         assert np.allclose(state.noise.lambda_b[k], expected_b, rtol=1e-12)
 
@@ -371,13 +385,14 @@ def test_update_beta_zero_and_unit_cases():
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     update_beta(state)
-    assert np.allclose(state.sparse.beta_mean, (model.GAMMA_PRIOR + 0.5) / model.GAMMA_PRIOR)
-    assert state.sparse.beta_mean.min() > 1e5
+    assert np.allclose(state.sparse.beta_a / state.sparse.beta_b,
+                       (model.GAMMA_PRIOR + 0.5) / model.GAMMA_PRIOR)
+    assert (state.sparse.beta_a / state.sparse.beta_b).min() > 1e5
 
     state.sparse.s_mean = np.ones(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     update_beta(state)
-    assert np.allclose(state.sparse.beta_mean, 1.0, rtol=1e-5)
+    assert np.allclose(state.sparse.beta_a / state.sparse.beta_b, 1.0, rtol=1e-5)
 
 
 def test_update_beta_matches_recompute_oracle():
@@ -396,10 +411,10 @@ def _zero_out(state, with_s=True):
         for k in range(state.n_slices):
             rk = f.ranks[k]
             i1, i2 = state.shape[:2]
-            f.u_mean[k] = np.zeros((i1, rk), dtype=complex)
-            f.v_mean[k] = np.zeros((i2, rk), dtype=complex)
-            f.sigma_u[k] = np.zeros((rk, rk), dtype=complex)
-            f.sigma_v[k] = np.zeros((rk, rk), dtype=complex)
+            f.u.mean[k] = np.zeros((i1, rk), dtype=complex)
+            f.v.mean[k] = np.zeros((i2, rk), dtype=complex)
+            f.u.cov[k] = np.zeros((rk, rk), dtype=complex)
+            f.v.cov[k] = np.zeros((rk, rk), dtype=complex)
     if with_s:
         state.sparse.s_mean = np.zeros(state.shape)
         state.sparse.s_var = np.zeros(state.shape)
@@ -410,7 +425,7 @@ def _zero_out(state, with_s=True):
 def test_update_tau_cold_start():
     state = make_state(shape=(4, 4, 2), r=2, seed=13)
     _zero_out(state)
-    update_tau(state)
+    update_tau(state, expected_residual_sq(state))
     ybar_sq = np.sum(np.abs(ybar_of(state)) ** 2)
     expected_b = model.GAMMA_PRIOR + ybar_sq / (2 * state.transform.phi)
     assert state.noise.tau_b == pytest.approx(expected_b, rel=1e-12)
@@ -421,16 +436,16 @@ def test_update_tau_perfect_fit_limit():
     state = make_state(shape=(4, 4, 1), r=4, seed=2)
     # factors reproducing ybar exactly, no uncertainty anywhere
     with edited_factors(state) as f:
-        f.u_mean[0] = ybar_of(state)[0].astype(complex)
-        f.v_mean[0] = np.eye(4, dtype=complex)
-        f.sigma_u[0] = np.zeros((4, 4), dtype=complex)
-        f.sigma_v[0] = np.zeros((4, 4), dtype=complex)
+        f.u.mean[0] = ybar_of(state)[0].astype(complex)
+        f.v.mean[0] = np.eye(4, dtype=complex)
+        f.u.cov[0] = np.zeros((4, 4), dtype=complex)
+        f.v.cov[0] = np.zeros((4, 4), dtype=complex)
         f.ranks[:] = 4
     state.sparse.s_mean = np.zeros(state.shape)
     state.sparse.s_var = np.zeros(state.shape)
     sbar = to_slice_stack(state.transform.forward(state.sparse.s_mean))
     state.resid = ybar_of(state) - sbar
-    update_tau(state)
+    update_tau(state, expected_residual_sq(state))
     assert state.noise.tau_b == pytest.approx(model.GAMMA_PRIOR, rel=1e-3)
     assert state.noise.tau_mean > 1e6
 
@@ -438,19 +453,29 @@ def test_update_tau_perfect_fit_limit():
 def test_compute_fit_limits():
     state = make_state(shape=(4, 4, 2), r=2, seed=6)
     _zero_out(state)
-    assert compute_fit(state) == pytest.approx(0.0, abs=1e-12)
+    assert compute_fit(state, expected_residual_sq(state)) == pytest.approx(0.0, abs=1e-12)
 
     exact = make_state(shape=(4, 4, 1), r=4, seed=2)
     with edited_factors(exact) as f:
-        f.u_mean[0] = ybar_of(exact)[0].astype(complex)
-        f.v_mean[0] = np.eye(4, dtype=complex)
-        f.sigma_u[0] = np.zeros((4, 4), dtype=complex)
-        f.sigma_v[0] = np.zeros((4, 4), dtype=complex)
+        f.u.mean[0] = ybar_of(exact)[0].astype(complex)
+        f.v.mean[0] = np.eye(4, dtype=complex)
+        f.u.cov[0] = np.zeros((4, 4), dtype=complex)
+        f.v.cov[0] = np.zeros((4, 4), dtype=complex)
     exact.sparse.s_mean = np.zeros(exact.shape)
     exact.sparse.s_var = np.zeros(exact.shape)
     sbar = to_slice_stack(exact.transform.forward(exact.sparse.s_mean))
     exact.resid = ybar_of(exact) - sbar
-    assert compute_fit(exact) == pytest.approx(1.0, abs=1e-6)
+    assert compute_fit(exact, expected_residual_sq(exact)) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("phase", [update_tau, compute_fit])
+def test_noise_phases_take_the_expected_residual_as_a_required_argument(phase, monkeypatch):
+    state = make_state(shape=(4, 4, 2), r=2, seed=6)
+    with pytest.raises(TypeError):
+        phase(state)
+    resid_sq = expected_residual_sq(state)
+    monkeypatch.setattr(model, "expected_residual_sq", None)  # must not be called
+    phase(state, resid_sq)
 
 
 def test_expected_residual_additivity_of_variance_terms():
@@ -464,31 +489,31 @@ def test_expected_residual_additivity_of_variance_terms():
 
 def test_prune_noop_below_threshold(monkeypatch):
     state = make_state(shape=(4, 4, 2), r=2, seed=3)
-    before = [m.copy() for m in state.factors.u_mean]
+    before = [m.copy() for m in state.factors.u.mean]
     monkeypatch.setattr(model, "PRUNE_THRESHOLD", 1e-12)
     ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
-        assert np.array_equal(state.factors.u_mean[k], before[k])
+        assert np.array_equal(state.factors.u.mean[k], before[k])
 
 
 def test_prune_drops_zero_column():
     state = make_state(shape=(4, 4, 2), r=3, seed=3)
     with edited_factors(state) as f:
         for k in range(state.n_slices):
-            f.u_mean[k][:, 1] = 0.0
-            f.v_mean[k][:, 1] = 0.0
-            cov = f.sigma_u[k].copy()
+            f.u.mean[k][:, 1] = 0.0
+            f.v.mean[k][:, 1] = 0.0
+            cov = f.u.cov[k].copy()
             cov[1, :] = 0.0
             cov[:, 1] = 0.0
-            f.sigma_u[k] = cov
-            f.sigma_v[k] = cov.copy()
+            f.u.cov[k] = cov
+            f.v.cov[k] = cov.copy()
     ranks = prune_columns(state)
     assert np.array_equal(ranks, [2, 2])
     for k in range(2):
-        assert state.factors.u_mean[k].shape == (4, 2)
+        assert state.factors.u.mean[k].shape == (4, 2)
         assert state.noise.lambda_b[k].shape == (2,)
-        assert state.factors.sigma_u[k].shape == (2, 2)
+        assert state.factors.u.cov[k].shape == (2, 2)
 
 
 def test_prune_keeps_strongest_column(monkeypatch):
@@ -501,15 +526,15 @@ def test_prune_keeps_strongest_column(monkeypatch):
 def test_factor_arrays_and_their_statistics_are_read_only():
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
     f = state.factors
-    for array in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v, f.ranks,
+    for array in (f.u.mean, f.v.mean, f.u.cov, f.v.cov, f.ranks,
                   f.u.gram, f.v.gram, f.energy, f.products):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     # a deep copy is rebuilt read-only, with nothing cached
     g = copy.deepcopy(state).factors
     assert g is not f and "gram" not in vars(g.u) and "products" not in vars(g)
-    assert np.array_equal(g.u_mean, f.u_mean) and np.array_equal(g.ranks, f.ranks)
-    for array in (g.u_mean, g.v_mean, g.sigma_u, g.sigma_v, g.ranks):
+    assert np.array_equal(g.u.mean, f.u.mean) and np.array_equal(g.ranks, f.ranks)
+    for array in (g.u.mean, g.v.mean, g.u.cov, g.v.cov, g.ranks):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -534,7 +559,7 @@ def test_copied_factors_are_read_only_and_uncached(clone):
     assert set(vars(g)) == {"u", "v", "ranks"} and set(vars(u)) == {"mean", "cov"}
     assert set(vars(g.u)) == set(vars(g.v)) == {"mean", "cov"}
     assert np.array_equal(g.products, f.products) and np.array_equal(u.gram, f.u.gram)
-    for array in (g.u_mean, g.v_mean, g.sigma_u, g.sigma_v, g.ranks, u.mean, u.cov):
+    for array in (g.u.mean, g.v.mean, g.u.cov, g.v.cov, g.ranks, u.mean, u.cov):
         assert not array.flags.writeable
 
 
@@ -555,7 +580,7 @@ def test_reconstruct_zero_factors_and_single_slice():
 
     single = make_state(shape=(4, 3, 1), r=2, seed=10)
     got = reconstruct_x(single)
-    expected = (single.factors.u_mean[0] @ single.factors.v_mean[0].conj().T).real
+    expected = (single.factors.u.mean[0] @ single.factors.v.mean[0].conj().T).real
     assert np.allclose(got[:, :, 0], expected, rtol=1e-12, atol=1e-14)
 
 
@@ -566,11 +591,11 @@ def test_reconstruct_zero_factors_and_single_slice():
 def assert_padding_zero(state):
     """Columns and covariance rows/columns beyond each slice's rank are 0."""
     f = state.factors
-    assert f.u_mean.shape[2] == f.ranks.max(initial=0)
+    assert f.u.mean.shape[2] == f.ranks.max(initial=0)
     for k, r in enumerate(f.ranks):
-        assert not f.u_mean[k][:, r:].any()
-        assert not f.v_mean[k][:, r:].any()
-        for cov in (f.sigma_u[k], f.sigma_v[k]):
+        assert not f.u.mean[k][:, r:].any()
+        assert not f.v.mean[k][:, r:].any()
+        for cov in (f.u.cov[k], f.v.cov[k]):
             assert not cov[r:, :].any() and not cov[:, r:].any()
 
 
@@ -583,12 +608,12 @@ def mixed_rank_state():
     assert_padding_zero(state)
     randomize_factors(state, seed=4)
     with edited_factors(state) as f:
-        for stack in (f.u_mean, f.v_mean, f.sigma_u, f.sigma_v):
+        for stack in (f.u.mean, f.v.mean, f.u.cov, f.v.cov):
             stack[0] = stack[0].real  # slice 0 is self-paired: real under the DFT
-        f.u_mean[2] = 0.0
-        f.v_mean[2] = 0.0
-        f.sigma_u[2] = 0.0
-        f.sigma_v[2] = 0.0
+        f.u.mean[2] = 0.0
+        f.v.mean[2] = 0.0
+        f.u.cov[2] = 0.0
+        f.v.cov[2] = 0.0
     assert np.array_equal(prune_columns(state), [3, 2, 0, 0, 2])
     assert_padding_zero(state)
     state.noise.fit = 0.4
@@ -598,9 +623,9 @@ def mixed_rank_state():
 def _active(state, k):
     f = state.factors
     r = f.ranks[k]
-    return (f.u_mean[k][:, :r], f.v_mean[k][:, :r],
-            f.sigma_u[k][:r, :r], f.sigma_v[k][:r, :r],
-            state.noise.lambda_mean(k)[:r])
+    return (f.u.mean[k][:, :r], f.v.mean[k][:, :r],
+            f.u.cov[k][:r, :r], f.v.cov[k][:r, :r],
+            state.noise.lambda_mean[k][:r])
 
 
 def test_mixed_rank_phases_match_per_slice_reference():
@@ -662,8 +687,8 @@ def test_mixed_rank_phases_match_per_slice_reference():
     expected = (terms @ state.transform.slice_weights
                 + state.transform.phi * state.sparse.s_var.sum())
     assert expected_residual_sq(state) == pytest.approx(expected, rel=1e-12)
-    update_tau(state)
-    compute_fit(state)
+    update_tau(state, expected_residual_sq(state))
+    compute_fit(state, expected_residual_sq(state))
     prune_columns(state)
     assert_padding_zero(state)
 
@@ -676,23 +701,23 @@ def test_prune_compacts_survivors_in_order_and_shrinks_width():
     # slice 0 loses its first column and slice 1 its second: width 3 -> 2
     with edited_factors(state) as f:
         for k, col in ((0, 0), (1, 1)):
-            f.u_mean[k][:, col] = 0.0
-            f.v_mean[k][:, col] = 0.0
-            for cov in (f.sigma_u[k], f.sigma_v[k]):
+            f.u.mean[k][:, col] = 0.0
+            f.v.mean[k][:, col] = 0.0
+            for cov in (f.u.cov[k], f.v.cov[k]):
                 cov[col, :] = 0.0
                 cov[:, col] = 0.0
-    old_u, old_sv = f.u_mean.copy(), f.sigma_v.copy()
+    old_u, old_sv = f.u.mean.copy(), f.v.cov.copy()
     old_lb = state.noise.lambda_b.copy()
     ranks = prune_columns(state)
     f = state.factors
     assert np.array_equal(ranks, [2, 1, 1, 1, 1])
-    assert f.u_mean.shape == (3, 5, 2) and f.sigma_v.shape == (3, 2, 2)
+    assert f.u.mean.shape == (3, 5, 2) and f.v.cov.shape == (3, 2, 2)
     assert state.noise.lambda_b.shape == (3, 2)
     survivors = {0: [1, 2], 1: [0], 2: [0]}
     for k, cols in survivors.items():
         r = len(cols)
-        assert np.array_equal(f.u_mean[k][:, :r], old_u[k][:, cols])
-        assert np.array_equal(f.sigma_v[k][:r, :r], old_sv[k][np.ix_(cols, cols)])
+        assert np.array_equal(f.u.mean[k][:, :r], old_u[k][:, cols])
+        assert np.array_equal(f.v.cov[k][:r, :r], old_sv[k][np.ix_(cols, cols)])
         assert np.array_equal(state.noise.lambda_b[k, :r], old_lb[k, cols])
     assert_padding_zero(state)
 
@@ -765,8 +790,8 @@ def test_update_s_keeps_the_products_behind_x_hat():
 def test_singular_precision_names_the_slice():
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
     with edited_factors(state) as f:
-        f.v_mean[1] = 0.0
-        f.sigma_v[1] = 0.0
+        f.v.mean[1] = 0.0
+        f.v.cov[1] = 0.0
     state.noise.fit = 0.0  # no ARD term: slice 1's precision block is zero
     with pytest.raises(NumericalBreakdownError,
                        match=r"singular posterior precision of U on slice 1 "
@@ -779,8 +804,8 @@ def test_indefinite_precision_names_the_slice():
     # nonsingular: an inverse would succeed, the Cholesky factorization fails
     state = make_state(shape=(4, 4, 5), r=2, seed=5)
     with edited_factors(state) as f:
-        f.sigma_v[2][0, 0] = -1e3
-    assert np.linalg.eigvalsh(state.factors.sigma_v[2]).min() < 0
+        f.v.cov[2][0, 0] = -1e3
+    assert np.linalg.eigvalsh(state.factors.v.cov[2]).min() < 0
     with pytest.raises(NumericalBreakdownError,
                        match=r"singular posterior precision of U on slice 2 "
                              r"\(trailing index \(2,\)\)"):
@@ -857,7 +882,7 @@ def test_indefinite_precision_in_run_names_the_iteration(monkeypatch):
         calls.append(1)
         if len(calls) == 3:
             with edited_factors(state) as f:
-                f.sigma_v[1][0, 0] = -1e3
+                f.v.cov[1][0, 0] = -1e3
         return original(state)
 
     monkeypatch.setattr(model, "update_u", update_u_after_bad_variance_at_3)

@@ -61,6 +61,19 @@ def test_schema_version_checked(tmp_path):
         RunReport.load(path)
 
 
+def test_unserializable_report_leaves_no_file_and_keeps_an_old_one(tmp_path):
+    path = tmp_path / "r.json"
+    bad = RunReport(command="x", results={"when": object()})
+    with pytest.raises(TypeError):
+        bad.save(path)
+    assert not path.exists()
+    RunReport(command="x").save(path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        bad.save(path)
+    assert path.read_bytes() == before
+
+
 def test_strip_timing_removes_all_timing_fields():
     doc = {
         "timing": {"run_s": 1.0},
