@@ -90,7 +90,7 @@ _REQUIRED = object()  # the default of a flag that every call must give
 def _model_options(sigma0sq, gamma, tol, max_iter) -> tuple:
     """The rows of the model settings that synth and denoise share."""
     return (
-        ("init_rank", _or_auto(int), "auto", "starting rank per slice, or 'auto'"),
+        ("init_rank", _or_auto(int), "auto", "starting rank of every slice, or 'auto'"),
         ("sigma0sq", float, sigma0sq, "initial sparse variance"),
         ("gamma", _or_auto(float), gamma, "refinement divisor, or 'auto' for phi"),
         ("tol", float, tol, "convergence threshold on the relative change"),
@@ -229,8 +229,13 @@ def _check_outputs(opts: dict) -> None:
             continue
         where = f"--{key.replace('_', '-')} {path!r}"
         if key == "save_tensors":
-            if os.path.exists(path) and not os.path.isdir(path):
-                raise UsageError(f"{where} exists and is not a directory")
+            # the directories are made after the solve, under the nearest
+            # existing ancestor, which must therefore be a directory
+            existing = os.path.abspath(path)
+            while not os.path.exists(existing):
+                existing = os.path.dirname(existing)
+            if not os.path.isdir(existing):
+                raise UsageError(f"{where}: {existing!r} exists and is not a directory")
         elif not path or os.path.isdir(path):
             raise UsageError(f"{where} is not a file path")
         elif not os.path.isdir(os.path.dirname(path) or "."):

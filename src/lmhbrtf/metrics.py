@@ -67,7 +67,7 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
     window, are an error.
     """
     _check_shapes(x_hat, x_gt)
-    if window < 1:
+    if isinstance(window, bool) or window < 1:
         raise ValueError(f"SSIM window must be at least 1, got {window}")
     i1, i2 = x_gt.shape[:2]
     if i1 < window or i2 < window:
@@ -100,7 +100,7 @@ def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:
     The scale must be finite and positive.
     """
     _check_shapes(x_hat, x_gt)
-    if not 0.0 < scale < math.inf:  # NaN fails too
+    if isinstance(scale, bool) or not 0.0 < scale < math.inf:  # NaN fails too
         raise ValueError(f"ERGAS scale must be finite and positive, got {scale}")
     hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
     refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -89,32 +89,29 @@ PRUNE_THRESHOLD = 1e-4
 class HyperParams:
     """Model and loop configuration.
 
-    ``init_rank`` is the starting column count per slice (an int for a
-    uniform start or one value per slice).  ``sigma0_sq`` is the initial
-    variance of the sparse component.  ``gamma`` is the refinement
-    divisor; None selects the transform constant phi.  The loop stops
-    when the relative change falls below ``tol`` or after ``max_iter``
-    iterations.  The Gamma hyper-priors and the prune threshold are the
-    module constants :data:`GAMMA_PRIOR` and :data:`PRUNE_THRESHOLD`.
-    The settings are stored as plain ``int``, ``float`` and list-of-``int``
-    values, so a report echo of them is JSON.
+    ``init_rank`` is the starting column count of every slice, one
+    integer of at least 1; the ARD updates prune each slice down from
+    it.  ``sigma0_sq`` is the initial variance of the sparse component.
+    ``gamma`` is the refinement divisor; None selects the transform
+    constant phi.  The loop stops when the relative change falls below
+    ``tol`` or after ``max_iter`` iterations.  The Gamma hyper-priors and
+    the prune threshold are the module constants :data:`GAMMA_PRIOR` and
+    :data:`PRUNE_THRESHOLD`.  The settings are stored as plain ``int``
+    and ``float`` values, so a report echo of them is JSON.
     """
 
-    def __init__(self, init_rank: Union[int, Sequence[int]], sigma0_sq: float = 1.0,
+    def __init__(self, init_rank: int, sigma0_sq: float = 1.0,
                  gamma: Optional[float] = None, tol: float = 1e-4, max_iter: int = 200):
         for name, value in (("sigma0_sq", sigma0_sq), ("gamma", gamma), ("tol", tol)):
-            if value is not None and not 0 < value < math.inf:  # NaN fails too
+            if value is not None and (isinstance(value, bool)
+                                      or not 0 < value < math.inf):  # NaN fails too
                 raise ValueError(f"{name} must be finite and strictly positive, "
                                  f"got {value}")
-        if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
-                or max_iter < 0):
-            raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-        ranks = np.asarray(init_rank)
-        if ranks.dtype.kind not in "iu":
-            raise ValueError(f"init_rank entries must be integers, got {init_rank!r}")
-        if (ranks < 1).any():
-            raise ValueError(f"init_rank entries must be at least 1, got {init_rank!r}")
-        self.init_rank, self.sigma0_sq = ranks.tolist(), float(sigma0_sq)
+        for name, value, low, kind in (("init_rank", init_rank, 1, "positive"),
+                                       ("max_iter", max_iter, 0, "nonnegative")):
+            if not _is_integer(value) or value < low:
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        self.init_rank, self.sigma0_sq = int(init_rank), float(sigma0_sq)
         self.gamma = None if gamma is None else float(gamma)
         self.tol, self.max_iter = float(tol), int(max_iter)
 
@@ -292,8 +289,13 @@ class RunResult(NamedTuple):
     trace: RunTrace
 
 
+def _is_integer(value) -> bool:
+    """Whether *value* is an int or a numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -349,15 +351,12 @@ def _residual_stack(y: np.ndarray, s_mean: np.ndarray, L: Transform) -> np.ndarr
 def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> ModelState:
     """Build the starting posterior state from the observation.
 
-    Factor means come from the per-slice skinny SVD of the transformed
-    observation, split evenly between the two factors; covariances start
-    at phi * I, the sparse means are drawn uniformly on [0, sigma0) and
-    all Gamma means start at their prior values (tau at 1, ARD
-    precisions at 1/phi, beta at 1/sigma0^2).  Deterministic given seed.
-
-    Only the slices the transform keeps for a real tensor are stored; a
-    per-slice ``init_rank`` must therefore give conjugate-mirrored slices
-    equal ranks.
+    Every kept slice starts at rank ``hp.init_rank``: its factor means
+    are the balanced factors of the slice's skinny SVD, split evenly
+    between U and V, and both covariances start at phi * I.  The sparse
+    means are drawn uniformly on [0, sigma0) and all Gamma means start
+    at their prior values (tau at 1, ARD precisions at 1/phi, beta at
+    1/sigma0^2).  Deterministic given seed.
     """
     _check_seed(seed)
     y = np.asfortranarray(_check_observation(y))
@@ -366,31 +365,16 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
             "transform is not real-safe: its inverse does not map products of "
             "transforms of real tensors back to real tensors, which the model "
             "of a real observation needs")
-    i1, i2 = y.shape[:2]
-    j = num_slices(y.shape)
-    ranks = np.asarray(hp.init_rank, dtype=np.int64)
-    if ranks.ndim == 0:
-        ranks = np.full(j, int(ranks))
-    if ranks.shape != (j,):
-        raise ValueError(f"init_rank must be scalar or length {j}")
-    if (ranks < 1).any() or (ranks > min(i1, i2)).any():
-        raise ValueError(
-            f"init_rank entries must lie in [1, {min(i1, i2)}], got "
-            f"[{ranks.min()}, {ranks.max()}]"
-        )
-
-    phi = L.phi
+    r = hp.init_rank
+    if r > min(y.shape[:2]):
+        raise ValueError(f"init_rank {r} exceeds the smaller slice side "
+                         f"{min(y.shape[:2])}")
     L._check_shape(y)
-    if not np.array_equal(ranks[L.mirror], ranks):
-        raise ValueError("per-slice init_rank must be equal on "
-                         "conjugate-mirrored slices")
-    ranks = ranks[L.kept_slices]
-    r_max = int(ranks.max())
-
-    active = np.arange(r_max) < ranks[:, None]
+    phi = L.phi
     _, ybar, (u, s, vh) = _slice_svds(y, L, full_matrices=False)
-    u_mean, v_mean = balanced_factors(u, s, vh, r_max)
-    cov = np.where(_pair_mask(active), phi * np.eye(r_max, dtype=np.complex128), 0)
+    u_mean, v_mean = balanced_factors(u, s, vh, r)
+    k = ybar.shape[0]
+    cov = phi * np.broadcast_to(np.eye(r, dtype=np.complex128), (k, r, r))
 
     rng = _sub_rng(seed, SPARSE_INIT_STREAM)
     s_mean = np.asfortranarray(
@@ -398,15 +382,14 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     state = ModelState(
         y=y, transform=L, resid=_residual_stack(y, s_mean, L), hp=hp,
         factors=FactorState(
-            u=Factor(np.where(active[:, None, :], u_mean, 0), cov),
-            v=Factor(np.where(active[:, None, :], v_mean, 0), cov.copy()),
-            ranks=ranks.copy()),
+            u=Factor(u_mean, cov), v=Factor(v_mean, cov.copy()),
+            ranks=np.full(k, r)),
         sparse=SparseState(
             s_mean=s_mean, s_var=np.full(y.shape, hp.sigma0_sq, order="F"),
             beta_a=1.0, beta_b=np.full(y.shape, hp.sigma0_sq, order="F"),
         ),
         noise=NoiseState(tau_a=GAMMA_PRIOR, tau_b=GAMMA_PRIOR,
-                         lambda_a=1.0, lambda_b=np.full(active.shape, phi)),
+                         lambda_a=1.0, lambda_b=np.full((k, r), phi)),
         ynorm=math.sqrt(float(L.slice_weights
                               @ (ybar.real ** 2 + ybar.imag ** 2).sum(axis=(1, 2)))),
     )

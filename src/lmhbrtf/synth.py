@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import HyperParams, _check_seed, run
+from .model import HyperParams, _check_seed, _is_integer, run
 from .report import RunReport
 from .tensor import num_slices
 from .transform import Transform
@@ -54,6 +54,9 @@ def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
     [``low``, ``high``) must be finite and nonempty; by default it is the
     generator's [-10, 10).
     """
+    for name, value in (("rho", rho), ("sigma_sq", sigma_sq), ("low", low), ("high", high)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value}")
     if not 0.0 <= rho <= 1.0:  # NaN fails too
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if not 0.0 <= sigma_sq < math.inf:
@@ -81,7 +84,7 @@ class SynthConfig:
         if min(self.shape[:2]) < 2:
             raise ValueError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
                              "slices; the low-rank part needs I1 and I2 >= 2")
-        if not isinstance(self.base_rank, (int, np.integer)) or self.base_rank < 1:
+        if not _is_integer(self.base_rank) or self.base_rank < 1:
             raise ValueError(f"base_rank must be an integer of at least 1, got "
                              f"{self.base_rank!r}")
         _check_seed(seed)

@@ -145,7 +145,7 @@ def identity_tensor(size: int, L: Transform) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= 0:  # NaN fails too
+    if isinstance(tol, bool) or not tol >= 0:  # NaN fails too
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
 
 

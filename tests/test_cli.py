@@ -662,6 +662,34 @@ def test_synth_save_tensors_naming_a_file_is_usage_error(tmp_path, capsys, monke
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("under", [("sub",), ("sub", "deeper")])
+def test_synth_save_tensors_under_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                        under):
+    # the directories used to fail only after the solve, with no report written
+    _no_input_read(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = str(taken.joinpath(*under))
+    argv = ["synth", "--dims", "8,8,4", "--rank", "2", "--rho", "0.1", "--sigma2", "0.0",
+            "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv + ["--save-tensors", path]) == 2
+    assert (f"--save-tensors {path!r}: {str(taken)!r} exists and is not a directory"
+            in capsys.readouterr().err)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"save_tensors": path}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"--save-tensors {path!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_synth_save_tensors_makes_missing_directories(tmp_path):
+    saved = tmp_path / "new" / "deeper"
+    assert main(["synth", "--dims", "8,8,5", "--rank", "2", "--rho", "0.1", "--sigma2",
+                 "0.0", "--seed", "1", "--max-iter", "2", "--out", str(tmp_path / "r.json"),
+                 "--save-tensors", str(saved)]) == 0
+    assert (saved / "x_hat.npy").exists()
+
+
 def test_synth_all_zero_pattern_is_usage_error_before_generating(tmp_path, capsys,
                                                                  monkeypatch):
     _no_input_read(monkeypatch)

@@ -83,7 +83,7 @@ def test_ssim_window_larger_than_frame():
         ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=8)
 
 
-@pytest.mark.parametrize("window", [0, -1])
+@pytest.mark.parametrize("window", [0, -1, True])
 def test_ssim_rejects_window_below_one(window):
     with pytest.raises(ValueError, match="SSIM window must be at least 1"):
         ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=window)
@@ -106,7 +106,7 @@ def test_ergas_identical_and_unit_ratio():
     assert ergas(est, ref, scale=0.25) == pytest.approx(25.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, True])
 def test_ergas_rejects_scale_that_is_not_finite_and_positive(scale):
     x = np.full((4, 4, 1), 2.0)
     with pytest.raises(ValueError, match="ERGAS scale must be finite and positive"):

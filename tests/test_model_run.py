@@ -432,3 +432,27 @@ def test_run_forms_each_statistic_once_per_factor_object(monkeypatch):
     assert len(result.trace.records) == 12
     assert all(r.multirank == [2] * 4 for r in result.trace.records)  # no pruning
     assert counts[1:] == [6] * 12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the initial covariances, "
+                   "precisions and sparse draw do not scale with the data")
+def test_run_is_equivariant_under_power_of_two_scaling():
+    # scaling y by 2^e scales every quantity the updates form by a power of
+    # two, so a scale-free model returns 2^e x_hat and 2^e s_hat bit for bit
+    cfg = SynthConfig((20, 20, 5), 3, uniform_multirank((5,), 3), 0.1, 1e-4, 5)
+    y = generate(cfg).y
+    L = Transform.dft((5,))
+    protocol = protocol_hyperparams(cfg.shape)
+    hp = HyperParams(protocol.init_rank, sigma0_sq=protocol.sigma0_sq,
+                     gamma=protocol.gamma, tol=protocol.tol, max_iter=20)
+    base = run(y, L, hp, seed=11)
+    off = {}
+    for e in (-20, -3, 4, 20):
+        c = 2.0 ** e
+        got = run(c * y, L, hp, seed=11)
+        if not (np.array_equal(got.x_hat, c * base.x_hat)
+                and np.array_equal(got.s_hat, c * base.s_hat)
+                and np.array_equal(got.multirank, base.multirank)
+                and len(got.trace.records) == len(base.trace.records)):
+            off[e] = x_err(got.x_hat / c, base.x_hat)
+    assert not off, f"relative x_hat error by exponent: {off}"

@@ -49,6 +49,17 @@ def ybar_of(state):
     return to_slice_stack(state.transform.forward(state.y, half=True))
 
 
+def make_ragged(state, ranks):
+    """Cut the kept slices of *state* to *ranks* columns, zeroing the rest."""
+    with edited_factors(state) as f:
+        f.ranks = np.asarray(ranks)
+        inactive = np.arange(f.u.mean.shape[2]) >= f.ranks[:, None]
+        for factor in (f.u, f.v):
+            factor.mean[np.broadcast_to(inactive[:, None, :], factor.mean.shape)] = 0.0
+            pad = inactive[:, :, None] | inactive[:, None, :]
+            factor.cov[pad] = 0.0
+
+
 def randomize_factors(state, seed=0):
     """Overwrite the posterior with arbitrary complex values (oracle tests).
 
@@ -96,27 +107,27 @@ def test_hyperparams_reject_non_integer_max_iter(value):
         HyperParams(init_rank=2, max_iter=value)
 
 
-@pytest.mark.parametrize("value", [2.7, 2.0, [3, 2.5, 3], np.array([2.0, 3.0]), "auto"])
+@pytest.mark.parametrize("value", [2.7, 2.0, [3, 3], np.array([3, 3]), "auto", True, 0])
 def test_hyperparams_reject_non_integer_init_rank(value):
-    with pytest.raises(ValueError, match="init_rank entries must be integers"):
+    # the initial rank is one integer >= 1, the same for every slice
+    with pytest.raises(ValueError, match="init_rank must be a positive integer"):
         HyperParams(init_rank=value)
     HyperParams(init_rank=np.int64(2), max_iter=np.int32(3))
 
 
 def test_hyperparams_store_plain_python_numbers():
-    # numpy scalars and arrays would make the report echo unserializable
-    hp = HyperParams(init_rank=np.array([2, 3], dtype=np.int32), sigma0_sq=np.float32(0.5),
+    # numpy scalars would make the report echo unserializable
+    hp = HyperParams(init_rank=np.int64(3), sigma0_sq=np.float32(0.5),
                      gamma=np.float64(2.0), tol=np.float16(0.25), max_iter=np.int32(3))
     settings = hp.as_dict()
-    assert settings == {"init_rank": [2, 3], "sigma0_sq": 0.5, "gamma": 2.0,
+    assert settings == {"init_rank": 3, "sigma0_sq": 0.5, "gamma": 2.0,
                         "tol": 0.25, "max_iter": 3}
-    assert [type(v) for v in settings.values()] == [list, float, float, float, int]
-    assert [type(r) for r in hp.init_rank] == [int, int]
-    assert type(HyperParams(init_rank=np.int64(4)).init_rank) is int
+    assert [type(v) for v in settings.values()] == [int, float, float, float, int]
     json.dumps(settings)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+# True compared as 1 and was stored as 1.0
+@pytest.mark.parametrize("value", [math.nan, math.inf, True])
 @pytest.mark.parametrize("name", ["sigma0_sq", "gamma", "tol"])
 def test_hyperparams_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -155,7 +166,7 @@ def test_init_state_rejects_oversized_rank():
     y = np.zeros((3, 4, 2))
     y[0, 0, 0] = 1.0
     hp = HyperParams(init_rank=4)
-    with pytest.raises(ValueError, match="init_rank"):
+    with pytest.raises(ValueError, match="init_rank 4 exceeds the smaller slice side 3"):
         init_state(y, Transform.dft((2,)), hp, seed=0)
 
 
@@ -165,9 +176,9 @@ def test_init_state_rejects_complex_input():
         init_state(np.zeros((3, 3, 2), dtype=complex), Transform.dft((2,)), hp, 0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True])
 def test_init_state_rejects_seed_that_is_not_a_nonnegative_integer(seed):
-    # run(..., seed=1.5) silently ran seed 1
+    # run(..., seed=1.5) and run(..., seed=True) silently ran seed 1
     y = np.random.default_rng(0).standard_normal((4, 4, 5))
     for call in (init_state, run):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
@@ -179,57 +190,29 @@ def test_init_state_checks_init_rank_before_any_svd(monkeypatch):
         raise AssertionError("slice SVDs ran before the init_rank checks")
 
     y = np.random.default_rng(0).standard_normal((4, 4, 5))
-    L = Transform.dft((5,))
     monkeypatch.setattr(model.np.linalg, "svd", no_svd)
-    with pytest.raises(ValueError, match="mirrored"):
-        init_state(y, L, HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
+    with pytest.raises(ValueError, match="init_rank 5 exceeds"):
+        init_state(y, Transform.dft((5,)), HyperParams(init_rank=5), 0)
     with pytest.raises(ValueError, match="does not match"):
-        init_state(y, Transform.dft((4,)), HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
-
-
-def test_init_state_rejects_mirror_asymmetric_init_rank():
-    y = np.random.default_rng(0).standard_normal((4, 4, 5))
-    symmetric = HyperParams(init_rank=[3, 2, 1, 1, 2])
-    state = init_state(y, Transform.dft((5,)), symmetric, seed=0)
-    assert np.array_equal(state.factors.ranks, [3, 2, 1])
-    with pytest.raises(ValueError, match="mirrored"):
-        init_state(y, Transform.dft((5,)), HyperParams(init_rank=[3, 2, 1, 2, 2]), 0)
-
-
-@pytest.mark.parametrize("shape,L,init_rank", [
-    # order 4: slices 1 and 2, trailing (1, 0) and (2, 0), are mirrors and
-    # both kept in the i4 = 0 plane
-    ((6, 6, 3, 4), Transform.dft((3, 4)), [3, 2] + [3] * 10),
-    # row-reordered DFT matrices keep rows 0, 2, 3 of mode 4: slices 7 and
-    # 8, trailing (1, 2) and (2, 2), are mirrors and both kept in row 2
-    ((6, 6, 3, 4), Transform.explicit([np.fft.fft(np.eye(3)), REORDERED_DFT_4]),
-     [3] * 7 + [2] + [3] * 4),
-])
-def test_init_state_rejects_init_rank_asymmetric_on_a_kept_mirror_pair(shape, L, init_rank):
-    y = np.random.default_rng(1).standard_normal(shape)
-    with pytest.raises(ValueError, match="mirrored"):
-        init_state(y, L, HyperParams(init_rank=init_rank), seed=0)
-    with pytest.raises(ValueError, match="mirrored"):
-        run(y, L, HyperParams(init_rank=init_rank, max_iter=2), seed=0)
-    symmetric = np.minimum(init_rank, np.asarray(init_rank)[L.mirror])
-    init_state(y, L, HyperParams(init_rank=symmetric), seed=0)
+        init_state(y, Transform.dft((4,)), HyperParams(init_rank=3), 0)
 
 
 def test_hyperparams_as_dict_echoes_every_field_as_plain_values():
-    hp = HyperParams(init_rank=np.array([3, 2, 2]), gamma=2.0)
+    hp = HyperParams(init_rank=np.int32(3), gamma=2.0)
     echo = hp.as_dict()
-    assert echo["init_rank"] == [3, 2, 2]
-    assert all(type(r) is int for r in echo["init_rank"])
-    assert {k: v for k, v in echo.items() if k != "init_rank"} == {
-        k: v for k, v in vars(hp).items() if k != "init_rank"}
-    assert HyperParams(init_rank=4).as_dict()["init_rank"] == 4
+    assert echo == vars(hp)
+    assert type(echo["init_rank"]) is int
+    assert json.loads(json.dumps(echo)) == echo
 
 
 def test_init_state_stores_the_kept_slices_when_they_are_not_a_prefix():
     y = np.random.default_rng(0).standard_normal((4, 4, 4))
     L = Transform.explicit([REORDERED_DFT_4])
-    state = init_state(y, L, HyperParams(init_rank=[3, 3, 1, 2]), seed=0)
-    assert np.array_equal(state.factors.ranks, [3, 1, 2])
+    state = init_state(y, L, HyperParams(init_rank=3), seed=0)
+    assert np.array_equal(L.kept_slices, [0, 2, 3])
+    full = to_slice_stack(L.forward(state.y - state.sparse.s_mean))
+    assert np.allclose(state.resid, full[[0, 2, 3]], rtol=0, atol=1e-12)
+    make_ragged(state, [3, 1, 2])
     assert np.array_equal(state.multirank, [3, 3, 1, 2])
 
 
@@ -602,9 +585,10 @@ def assert_padding_zero(state):
 def mixed_rank_state():
     """Kept ranks [3, 2, 0] on (4, 4, 5): slice 2 is pruned to rank 0."""
     y = np.random.default_rng(17).standard_normal((4, 4, 5))
-    hp = HyperParams(init_rank=[3, 2, 1, 1, 2], gamma=1.0, tol=1e-6, max_iter=50)
+    hp = HyperParams(init_rank=3, gamma=1.0, tol=1e-6, max_iter=50)
     state = init_state(y, Transform.dft((5,)), hp, seed=17)
-    assert np.array_equal(state.factors.ranks, [3, 2, 1])
+    make_ragged(state, [3, 2, 1])
+    assert np.array_equal(state.multirank, [3, 2, 1, 1, 2])
     assert_padding_zero(state)
     randomize_factors(state, seed=4)
     with edited_factors(state) as f:
@@ -695,8 +679,8 @@ def test_mixed_rank_phases_match_per_slice_reference():
 
 def test_prune_compacts_survivors_in_order_and_shrinks_width():
     y = np.random.default_rng(2).standard_normal((5, 4, 5))
-    state = init_state(y, Transform.dft((5,)),
-                       HyperParams(init_rank=[3, 2, 1, 1, 2]), seed=2)
+    state = init_state(y, Transform.dft((5,)), HyperParams(init_rank=3), seed=2)
+    make_ragged(state, [3, 2, 1])
     randomize_factors(state, seed=9)
     # slice 0 loses its first column and slice 1 its second: width 3 -> 2
     with edited_factors(state) as f:

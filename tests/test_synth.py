@@ -10,6 +10,7 @@ from lmhbrtf.report import strip_timing
 from lmhbrtf.synth import (
     _FACTOR_STREAM,
     SynthConfig,
+    check_corruption,
     corrupt_tensor,
     desk_multirank,
     generate,
@@ -146,6 +147,16 @@ def test_config_rejects_settings_that_are_not_integers(name, value):
         SynthConfig(**settings)
     settings[name] = np.int64(2)
     assert SynthConfig(**settings).as_dict()[name] == 2
+
+
+@pytest.mark.parametrize("name", ["base_rank", "seed"])
+def test_config_rejects_a_bool_as_an_integer(name):
+    # True compares as 1 and was stored as True
+    settings = dict(shape=(8, 8, 4), base_rank=1, multirank=[1, 1, 1, 1],
+                    rho=0.0, sigma_sq=0.0, seed=1)
+    settings[name] = True
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        SynthConfig(**settings)
 
 
 def _dense_truncation(cfg, L):
@@ -293,9 +304,9 @@ def test_corrupt_tensor_validation():
         corrupt_tensor(x, rho=0.1, low=1.0, high=1.0, sigma_sq=0.0, seed=0)
 
 
-@pytest.mark.parametrize("seed", [1.5, -1])
+@pytest.mark.parametrize("seed", [1.5, -1, True])
 def test_corrupt_tensor_rejects_seed_that_is_not_a_nonnegative_integer(seed):
-    # seed 1.5 silently drew seed 1's corruption
+    # seeds 1.5 and True silently drew seed 1's corruption
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         corrupt_tensor(np.zeros((3, 3, 2)), rho=0.2, low=0.0, high=1.0,
                        sigma_sq=0.1, seed=seed)
@@ -330,6 +341,16 @@ def test_non_finite_corruption_levels_rejected(name, value):
     if name in ("rho", "sigma_sq"):
         with pytest.raises(ValueError, match=name):
             SynthConfig((4, 4, 2), 1, [1, 1], levels["rho"], levels["sigma_sq"], 0)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", ["rho", "sigma_sq", "low", "high"])
+def test_bool_corruption_levels_rejected(name, value):
+    # True and False compare as 1 and 0, so each passed the range checks
+    levels = dict(rho=0.1, sigma_sq=0.0, low=-10.0, high=10.0)
+    levels[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        check_corruption(**levels)
 
 
 @pytest.mark.parametrize("max_iter", [0, 40])

@@ -464,7 +464,7 @@ def test_truncate_rejects_asymmetric_target_before_any_svd(monkeypatch):
         truncate_multi_rank(x, L, [2, 1, 2, 2, 2])
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, True])
 def test_rank_tolerance_rejected_before_any_svd(tol, monkeypatch):
     # NaN gave all-zero ranks, and a negative tol full ranks and a false
     # "below the tubal rank"
