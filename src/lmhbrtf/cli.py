@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -18,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ImaginaryResidueError, NumericalBreakdownError
+from .errors import ImaginaryResidueError, NumericalBreakdownError, _check_number
 from .metrics import compute_all
 from .model import HyperParams, run
 from .npyio import read_tensor, write_tensor
@@ -39,21 +38,20 @@ class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-def _at_least(low: int):
-    """The parse function of an integer option with values from *low* up."""
-    def integer(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
-        return value
-    return integer
+def _checked(parse, low, **rule):
+    """The parse function of a numeric option: *parse* of its text, from
+    *low* up by the library's rule (:func:`errors._check_number`)."""
+    def number(text):
+        value = parse(text)
+        try:
+            return _check_number("value", value, low, **rule)
+        except ValueError as exc:  # argparse would print only the text
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    number.__name__ = parse.__name__  # for argparse's "invalid int value: '2.5'"
+    return number
 
 
-def _positive(text) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+_SEED, _COUNT = _checked(int, 0, integer=True), _checked(int, 1, integer=True)
 
 
 def _or_auto(parse):
@@ -108,21 +106,21 @@ _OPTIONS = {
         ("rank", int, _REQUIRED, "base rank R of the planted factors"),
         ("rho", float, _REQUIRED, "fraction of outlier entries"),
         ("sigma2", float, _REQUIRED, "dense noise variance"),
-        ("seed", _at_least(0), _REQUIRED, "data seed"),
+        ("seed", _SEED, _REQUIRED, "data seed"),
         ("out", str, _REQUIRED, "report JSON path"),
         ("pattern", str, "desk",
          "'desk', 'uniform:N' or an explicit comma list of per-slice ranks "
          "(default desk)"),
-        ("repeats", _at_least(1), 1, "rerun with shifted data seeds and average"),
+        ("repeats", _COUNT, 1, "rerun with shifted data seeds and average"),
         *_model_options(sigma0sq=1.0, gamma=1.0, tol=1e-6, max_iter=2500),
-        ("model_seed", _at_least(0), 11, "seed of the inference initialization"),
+        ("model_seed", _SEED, 11, "seed of the inference initialization"),
         ("save_tensors", str, None, "directory for the generated/recovered tensors"),
     )),
     "corrupt": ("outlier-corrupt a tensor file, optionally normalize, then add "
                 "Gaussian noise", (
         ("input", str, _REQUIRED, "input tensor path"),
         ("out", str, _REQUIRED, "output tensor path"),
-        ("seed", _at_least(0), _REQUIRED, "corruption seed"),
+        ("seed", _SEED, _REQUIRED, "corruption seed"),
         ("rho", float, 0.2, "fraction of outlier entries"),
         ("sigma2", float, 1e-4, "dense noise variance"),
         ("low", float, 0.0, "lower end of the outlier range"),
@@ -133,7 +131,7 @@ _OPTIONS = {
     "denoise": ("recover the low-rank and sparse parts of a tensor", (
         ("input", str, _REQUIRED, "observed tensor path"),
         ("out", str, _REQUIRED, "output path for the low-rank estimate"),
-        ("seed", _at_least(0), _REQUIRED, "seed of the inference initialization"),
+        ("seed", _SEED, _REQUIRED, "seed of the inference initialization"),
         ("transform_file", _paths, None,
          "explicit transform: one NPY matrix per mode 3..d (default: the DFT)"),
         *_model_options(sigma0sq=1e-7, gamma="auto", tol=1e-4, max_iter=200),
@@ -147,8 +145,8 @@ _OPTIONS = {
         ("ref", str, _REQUIRED, "reference tensor path"),
         ("est", str, _REQUIRED, "estimate tensor path"),
         ("out", str, _REQUIRED, "report JSON path"),
-        ("window", _at_least(1), 8, "SSIM window size"),
-        ("scale", _positive, 1.0, "ERGAS scale factor"),
+        ("window", _COUNT, 8, "SSIM window size"),
+        ("scale", _checked(float, 0, open_low=True), 1.0, "ERGAS scale factor"),
     )),
 }
 

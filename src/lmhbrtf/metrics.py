@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .errors import _check_number
 from .tensor import num_slices, to_slice_stack
 
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
@@ -67,8 +68,7 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
     window, are an error.
     """
     _check_shapes(x_hat, x_gt)
-    if isinstance(window, bool) or window < 1:
-        raise ValueError(f"SSIM window must be at least 1, got {window}")
+    window = _check_number("SSIM window", window, 1, integer=True)
     i1, i2 = x_gt.shape[:2]
     if i1 < window or i2 < window:
         raise ValueError(f"frame size {(i1, i2)} is smaller than the {window}x{window} window")
@@ -100,8 +100,7 @@ def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:
     The scale must be finite and positive.
     """
     _check_shapes(x_hat, x_gt)
-    if isinstance(scale, bool) or not 0.0 < scale < math.inf:  # NaN fails too
-        raise ValueError(f"ERGAS scale must be finite and positive, got {scale}")
+    scale = _check_number("ERGAS scale", scale, 0, open_low=True)
     hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
     refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
     means = refs.mean(axis=(1, 2))

@@ -30,13 +30,12 @@ computed once per factor object and cannot go stale.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, NumericalBreakdownError
+from .errors import ImaginaryResidueError, NumericalBreakdownError, _check_number
 from .tensor import (
     as_tensor,
     from_slice_stack,
@@ -102,18 +101,11 @@ class HyperParams:
 
     def __init__(self, init_rank: int, sigma0_sq: float = 1.0,
                  gamma: Optional[float] = None, tol: float = 1e-4, max_iter: int = 200):
-        for name, value in (("sigma0_sq", sigma0_sq), ("gamma", gamma), ("tol", tol)):
-            if value is not None and (isinstance(value, bool)
-                                      or not 0 < value < math.inf):  # NaN fails too
-                raise ValueError(f"{name} must be finite and strictly positive, "
-                                 f"got {value}")
-        for name, value, low, kind in (("init_rank", init_rank, 1, "positive"),
-                                       ("max_iter", max_iter, 0, "nonnegative")):
-            if not _is_integer(value) or value < low:
-                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-        self.init_rank, self.sigma0_sq = int(init_rank), float(sigma0_sq)
-        self.gamma = None if gamma is None else float(gamma)
-        self.tol, self.max_iter = float(tol), int(max_iter)
+        self.init_rank = _check_number("init_rank", init_rank, 1, integer=True)
+        self.sigma0_sq = _check_number("sigma0_sq", sigma0_sq, 0, open_low=True)
+        self.gamma = None if gamma is None else _check_number("gamma", gamma, 0, open_low=True)
+        self.tol = _check_number("tol", tol, 0, open_low=True)
+        self.max_iter = _check_number("max_iter", max_iter, 0, integer=True)
 
     def __repr__(self) -> str:
         return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
@@ -289,29 +281,19 @@ class RunResult(NamedTuple):
     trace: RunTrace
 
 
-def _is_integer(value) -> bool:
-    """Whether *value* is an int or a numpy integer; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_seed(seed) -> None:
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _sub_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-
-
-def _check_observation(y) -> np.ndarray:
-    """The observation as a real float64 tensor, or a ValueError.
+def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
+    """The observation as a real, column-major float64 tensor and the
+    seed as an int, or a ValueError; no slice is decomposed.
 
     Rejects slices with one row or one column (every such slice has full
     rank 1, so the low-rank part is not identifiable), complex and
     non-finite entries (naming the first bad index in column-major
-    order) and a nonzero tensor whose sum of squares underflows to 0 or
-    overflows to inf in float64.
+    order), a nonzero tensor whose sum of squares underflows to 0 or
+    overflows to inf in float64, a transform that is not real-safe or
+    does not fit the trailing shape, and an ``init_rank`` above the
+    smaller slice side.
     """
+    seed = _check_number("seed", seed, 0, integer=True)
     y = as_tensor(y)
     if min(y.shape[:2]) < 2:
         raise ValueError(
@@ -335,7 +317,16 @@ def _check_observation(y) -> np.ndarray:
                 f"observation scale out of range: max|y| = {np.abs(flat).max():.3e}, "
                 f"so its sum of squares {'underflows to 0' if sq == 0 else 'overflows'}"
                 " in float64; rescale the input")
-    return y
+    if not L.real_safe:
+        raise ValueError(
+            "transform is not real-safe: its inverse does not map products of "
+            "transforms of real tensors back to real tensors, which the model "
+            "of a real observation needs")
+    if hp.init_rank > min(y.shape[:2]):
+        raise ValueError(f"init_rank {hp.init_rank} exceeds the smaller slice side "
+                         f"{min(y.shape[:2])}")
+    L._check_shape(y)
+    return np.asfortranarray(y), seed
 
 
 def _pair_mask(active: np.ndarray) -> np.ndarray:
@@ -358,25 +349,14 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     at their prior values (tau at 1, ARD precisions at 1/phi, beta at
     1/sigma0^2).  Deterministic given seed.
     """
-    _check_seed(seed)
-    y = np.asfortranarray(_check_observation(y))
-    if not L.real_safe:
-        raise ValueError(
-            "transform is not real-safe: its inverse does not map products of "
-            "transforms of real tensors back to real tensors, which the model "
-            "of a real observation needs")
-    r = hp.init_rank
-    if r > min(y.shape[:2]):
-        raise ValueError(f"init_rank {r} exceeds the smaller slice side "
-                         f"{min(y.shape[:2])}")
-    L._check_shape(y)
-    phi = L.phi
+    y, seed = _check_inputs(y, L, hp, seed)
+    r, phi = hp.init_rank, L.phi
     _, ybar, (u, s, vh) = _slice_svds(y, L, full_matrices=False)
     u_mean, v_mean = balanced_factors(u, s, vh, r)
     k = ybar.shape[0]
     cov = phi * np.broadcast_to(np.eye(r, dtype=np.complex128), (k, r, r))
 
-    rng = _sub_rng(seed, SPARSE_INIT_STREAM)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, SPARSE_INIT_STREAM]))
     s_mean = np.asfortranarray(
         rng.uniform(0.0, math.sqrt(hp.sigma0_sq), size=y.shape))
     state = ModelState(
@@ -659,8 +639,9 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     reported as not converged.  A numerical breakdown raises
     :class:`NumericalBreakdownError`, and a reconstruction that fails to
     be real :class:`ImaginaryResidueError`, each naming the iteration.
+    An all-zero observation returns zeros after the checks of :func:`init_state`.
     """
-    y = _check_observation(y)
+    y, seed = _check_inputs(y, L, hp, seed)
     trace = RunTrace()
     if not y.any():
         trace.converged = True

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import HyperParams, _check_seed, _is_integer, run
+from .errors import _check_integer_array, _check_number
+from .model import HyperParams, run
 from .report import RunReport
 from .tensor import num_slices
 from .transform import Transform
@@ -46,24 +47,19 @@ _CORRUPT_STREAM = 4
 
 
 def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
-                     high: float = 10.0) -> None:
-    """Reject corruption levels that are out of range or not finite.
+                     high: float = 10.0) -> tuple:
+    """The corruption levels as plain floats, or a ValueError.
 
     ``rho`` (the outlier fraction) must lie in [0, 1], ``sigma_sq`` (the
     noise variance) must be finite and nonnegative, and the outlier range
     [``low``, ``high``) must be finite and nonempty; by default it is the
-    generator's [-10, 10).
+    generator's [-10, 10).  Returns ``(rho, sigma_sq, low, high)``.
     """
-    for name, value in (("rho", rho), ("sigma_sq", sigma_sq), ("low", low), ("high", high)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value}")
-    if not 0.0 <= rho <= 1.0:  # NaN fails too
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if not 0.0 <= sigma_sq < math.inf:
-        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
-    if not -math.inf < low < high < math.inf:
-        raise ValueError(f"corruption range [{low}, {high}] must be finite "
-                         "and satisfy high > low")
+    levels = (_check_number("rho", rho, 0, 1), _check_number("sigma_sq", sigma_sq, 0),
+              _check_number("low", low), _check_number("high", high))
+    if not levels[2] < levels[3]:
+        raise ValueError(f"corruption range [{low}, {high}] must satisfy high > low")
+    return levels
 
 
 class SynthConfig:
@@ -75,43 +71,28 @@ class SynthConfig:
 
     def __init__(self, shape: tuple, base_rank: int, multirank: np.ndarray,
                  rho: float, sigma_sq: float, seed: int):
-        self.shape = tuple(int(n) for n in shape)
-        self.base_rank = base_rank
-        self.multirank = np.asarray(multirank, dtype=np.int64)
-        self.rho, self.sigma_sq, self.seed = rho, sigma_sq, seed
+        self.shape = tuple(_check_number(f"shape[{i}]", n, 1, integer=True)
+                           for i, n in enumerate(shape))
         if len(self.shape) < 3:
             raise ValueError("synthetic tensors must have order >= 3")
         if min(self.shape[:2]) < 2:
             raise ValueError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
                              "slices; the low-rank part needs I1 and I2 >= 2")
-        if not _is_integer(self.base_rank) or self.base_rank < 1:
-            raise ValueError(f"base_rank must be an integer of at least 1, got "
-                             f"{self.base_rank!r}")
-        _check_seed(seed)
-        j = num_slices(self.shape)
-        if self.multirank.shape != (j,):
-            raise ValueError(f"multirank pattern must have length {j}")
-        if (self.multirank < 0).any() or (self.multirank > self.base_rank).any():
-            raise ValueError("pattern entries must lie in [0, base_rank]")
+        self.base_rank = _check_number("base_rank", base_rank, 1, min(self.shape[:2]),
+                                       integer=True)
+        self.multirank = _check_integer_array("multirank", multirank,
+                                              num_slices(self.shape), self.base_rank)
+        self.rho, self.sigma_sq, _, _ = check_corruption(rho, sigma_sq)
+        self.seed = _check_number("seed", seed, 0, integer=True)
         if not self.multirank.any():
             raise ValueError("pattern has no positive rank, so the planted "
                              "low-rank tensor is zero")
-        if self.base_rank > min(self.shape[:2]):
-            raise ValueError("base_rank must not exceed min(I1, I2)")
-        check_corruption(rho, sigma_sq)
 
     def __repr__(self) -> str:
         return f"SynthConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def as_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "base_rank": int(self.base_rank),
-            "multirank": [int(r) for r in self.multirank],
-            "rho": float(self.rho),
-            "sigma_sq": float(self.sigma_sq),
-            "seed": int(self.seed),
-        }
+        return dict(vars(self), shape=list(self.shape), multirank=self.multirank.tolist())
 
 
 class SynthInstance:
@@ -125,7 +106,8 @@ class SynthInstance:
 
 def uniform_multirank(trailing, rank: int) -> np.ndarray:
     """Constant rank pattern over all slices."""
-    return np.full(int(np.prod(tuple(trailing))), int(rank), dtype=np.int64)
+    rank = _check_number("rank", rank, 0, integer=True)
+    return np.full(int(np.prod(tuple(trailing))), rank, dtype=np.int64)
 
 
 def desk_multirank(trailing, base_rank: int) -> np.ndarray:
@@ -137,7 +119,7 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
     Supported trailing shapes: (n,) with n >= 5, (5, 5) and (3, 3, 3).
     """
     trailing = tuple(int(n) for n in trailing)
-    r = int(base_rank)
+    r = _check_number("base_rank", base_rank, 1, integer=True)
     h = max(1, r // 2)
     if len(trailing) == 1:
         j = trailing[0]
@@ -255,8 +237,8 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
     variance 1/tau estimated at the last iteration (None when no
     iteration ran).
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    repeats = _check_number("repeats", repeats, 1, integer=True)
+    model_seed = _check_number("model_seed", model_seed, 0, integer=True)
     cells = []
     for cfg in configs:
         hp_cell = hp if hp is not None else protocol_hyperparams(cfg.shape)
@@ -273,7 +255,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
             if on_cell is not None:
                 on_cell(cfg_rep, inst, result)
             rows.append({
-                "seed": int(cfg_rep.seed),
+                "seed": cfg_rep.seed,
                 "r_err": r_err(result.multirank, inst.multirank_gt),
                 "x_err": x_err(result.x_hat, inst.x_gt),
                 "noise_var": (1.0 / result.trace.records[-1].tau_mean
@@ -293,8 +275,8 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
     return RunReport(
         command="run_benchmark",
         config={
-            "repeats": int(repeats),
-            "model_seed": int(model_seed),
+            "repeats": repeats,
+            "model_seed": model_seed,
             "hyperparams": "protocol" if hp is None else hp.as_dict(),
         },
         results={"cells": cells},
@@ -311,11 +293,11 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     finally i.i.d. N(0, sigma_sq) noise is added to every entry.  The
     steps run in exactly this order.
     """
-    check_corruption(rho, sigma_sq, low, high)
-    _check_seed(seed)
+    rho, sigma_sq, low, high = check_corruption(rho, sigma_sq, low, high)
+    seed = _check_number("seed", seed, 0, integer=True)
     if np.iscomplexobj(x):
         raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _CORRUPT_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _CORRUPT_STREAM]))
     out = np.array(x, dtype=np.float64)
     n = out.size
     count = int(math.floor(rho * n))

@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImaginaryResidueError
+from .errors import ImaginaryResidueError, _check_number
 
 __all__ = ["Transform", "real_part"]
 
@@ -148,9 +148,10 @@ class Transform(_Frozen):
     @classmethod
     def dft(cls, trailing) -> "Transform":
         """Unnormalized DFT along each trailing mode; phi = prod(trailing)."""
-        trailing = tuple(int(n) for n in trailing)
-        if len(trailing) < 1 or any(n < 1 for n in trailing):
-            raise ValueError(f"invalid trailing shape {trailing}")
+        trailing = tuple(_check_number(f"size of trailing mode {mode}", n, 1, integer=True)
+                         for mode, n in enumerate(trailing, 3))
+        if not trailing:
+            raise ValueError("a transform needs at least one trailing mode")
         mats = tuple(_dft_matrix(n) for n in trailing)
         perms = tuple(-np.arange(n) % n for n in trailing)
         return cls(trailing=trailing,

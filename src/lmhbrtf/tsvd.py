@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryResidueError
+from .errors import ImaginaryResidueError, _check_integer_array, _check_number
 from .tensor import (
     as_tensor,
     from_slice_stack,
@@ -139,14 +139,10 @@ def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
 
 def identity_tensor(size: int, L: Transform) -> np.ndarray:
     """Tensor acting as identity for the t-product: every transform slice is I."""
+    size = _check_number("size", size, 0, integer=True)
     shape = (size, size) + (L.half_trailing if L.real_safe else L.trailing)
     eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * (len(shape) - 2))
     return L.inverse(np.broadcast_to(eye, shape), half=L.real_safe)
-
-
-def _check_tol(tol: float) -> None:
-    if isinstance(tol, bool) or not tol >= 0:  # NaN fails too
-        raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
 
 
 def _slice_svds(x: np.ndarray, L: Transform, **svd_kw):
@@ -195,11 +191,10 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     values beyond the slice rank.
     """
     x = as_tensor(x)
-    _check_tol(tol)
+    tol = _check_number("rank tolerance", tol, 0)
     i1, i2 = x.shape[:2]
-    m = min(i1, i2)
-    if rank is not None and not 1 <= rank <= m:
-        raise ValueError(f"skinny width {rank} out of range [1, {m}]")
+    if rank is not None:
+        rank = _check_number("skinny width", rank, 1, min(i1, i2), integer=True)
     wu, wv = (i1, i2) if rank is None else (rank, rank)
     half, xbar, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
     diag = np.arange(min(wu, wv))
@@ -221,7 +216,7 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     :attr:`Transform.slice_map`.
     """
     x = as_tensor(x)
-    _check_tol(tol)
+    tol = _check_number("rank tolerance", tol, 0)
     half, _, svals = _slice_svds(x, L, compute_uv=False)
     return _ranks_from_svals(svals, tol, L, half)
 
@@ -237,13 +232,8 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     """
     x = as_tensor(x)
     L._check_shape(x)
-    target = np.asarray(target, dtype=np.int64)
-    j = num_slices(x.shape)
-    m = min(x.shape[0], x.shape[1])
-    if target.shape != (j,):
-        raise ValueError(f"target multi-rank must have length {j}, got {target.shape}")
-    if (target < 0).any() or (target > m).any():
-        raise ValueError(f"target multi-rank entries must lie in [0, {m}]")
+    target = _check_integer_array("target multi-rank", target, num_slices(x.shape),
+                                  min(x.shape[:2]))
     if _half_spectrum(L, x) and not np.array_equal(target[L.mirror], target):
         raise ImaginaryResidueError(
             "target multi-rank differs on conjugate-mirrored slices, so the "
@@ -267,10 +257,8 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     tubal rank of x, else the product could not reproduce x.
     """
     x = as_tensor(x)
-    _check_tol(tol)
-    i1, i2 = x.shape[:2]
-    if not 0 <= r <= min(i1, i2):
-        raise ValueError(f"factor width {r} out of range [0, {min(i1, i2)}]")
+    tol = _check_number("rank tolerance", tol, 0)
+    r = _check_number("factor width", r, 0, min(x.shape[:2]), integer=True)
     half, _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
     tubal = int(_ranks_from_svals(svals, tol, L, half).max(initial=0))
     if tubal > r:

@@ -85,7 +85,7 @@ def test_ssim_window_larger_than_frame():
 
 @pytest.mark.parametrize("window", [0, -1, True])
 def test_ssim_rejects_window_below_one(window):
-    with pytest.raises(ValueError, match="SSIM window must be at least 1"):
+    with pytest.raises(ValueError, match="SSIM window must be a positive integer"):
         ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=window)
 
 

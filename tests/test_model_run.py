@@ -134,6 +134,30 @@ def test_zero_input_trivial_convergence():
     assert np.array_equal(result.multirank, np.zeros(3, dtype=np.int64))
 
 
+# An all-zero observation returned converged zeros without these checks,
+# which a nonzero observation of the same shape fails.
+def test_zero_input_checks_the_transform_trailing_shape():
+    with pytest.raises(ValueError, match="does not match transform trailing shape"):
+        run(np.zeros((4, 4, 3)), Transform.dft((5,)), small_hp(init_rank=2), seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_zero_input_checks_the_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        run(np.zeros((4, 4, 3)), Transform.dft((3,)), small_hp(init_rank=2), seed=seed)
+
+
+def test_zero_input_checks_init_rank_against_the_slice_side():
+    with pytest.raises(ValueError, match="init_rank 9 exceeds the smaller slice side 4"):
+        run(np.zeros((4, 4, 3)), Transform.dft((3,)), small_hp(init_rank=9), seed=0)
+
+
+def test_zero_input_checks_the_transform_is_real_safe():
+    phase = Transform.explicit([np.diag([1.0, 1j, -1.0])])
+    with pytest.raises(ValueError, match="not real-safe"):
+        run(np.zeros((4, 4, 3)), phase, small_hp(init_rank=2), seed=0)
+
+
 def test_default_traces_share_no_list():
     a, b = model.RunTrace(), model.RunTrace()
     a.records.append(1)

@@ -1,0 +1,179 @@
+"""Every numeric setting the library takes is checked by one rule.
+
+``errors._check_number`` decides whether a scalar setting is valid: it
+returns a plain ``int`` or finite ``float``, or raises a ValueError that
+names the setting.  The property test drives the rule itself; the table
+below calls it through every public entry point that takes a setting.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lmhbrtf.errors import _check_number
+from lmhbrtf.metrics import ergas, ssim
+from lmhbrtf.model import HyperParams, init_state, run
+from lmhbrtf.synth import (
+    SynthConfig,
+    check_corruption,
+    corrupt_tensor,
+    desk_multirank,
+    run_benchmark,
+    uniform_multirank,
+)
+from lmhbrtf.transform import Transform
+from lmhbrtf.tsvd import factorize_lemma1, identity_tensor, multi_rank, t_svd
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+    INT64.map(np.int64), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.one_of(INT64, st.floats(), st.booleans(), st.text(max_size=3)).map(np.array),
+    st.lists(st.floats(), min_size=1, max_size=2).map(np.array),
+)
+BOUND = st.one_of(st.none(), st.integers(-3, 3), st.floats(-3, 3))
+
+
+@settings(deadline=None)  # a loaded host must not fail a microsecond check
+@given(value=SCALARS, low=BOUND, high=BOUND, integer=st.booleans(), open_low=st.booleans())
+def test_check_number_returns_a_plain_number_in_bounds_or_raises_value_error(
+        value, low, high, integer, open_low):
+    try:
+        number = _check_number("setting", value, low, high, integer=integer,
+                               open_low=open_low)
+    except ValueError as exc:
+        assert str(exc).startswith("setting must be ")
+        return
+    assert type(number) is (int if integer else float)
+    assert -math.inf < number < math.inf
+    assert low is None or number > low or (number == low and not open_low)
+    assert high is None or number <= high
+    element = value[()] if isinstance(value, np.ndarray) else value
+    assert not isinstance(element, (bool, np.bool_, str)) and element is not None
+    assert number == element
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, math.nan, math.inf,
+                                   np.array([1.0]), 2.0, 2.5, 1 + 0j])
+def test_check_number_rejects_what_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^count must be a nonnegative integer, got "):
+        _check_number("count", value, 0, integer=True)
+
+
+def test_check_number_words_each_kind_of_bound():
+    cases = [((0, None, True, False), "a nonnegative integer"),
+             ((1, None, True, False), "a positive integer"),
+             ((None, None, False, False), "finite"),
+             ((0, None, False, False), "finite and nonnegative"),
+             ((0, None, False, True), "finite and positive"),
+             ((0, 1, False, False), r"a number in \[0, 1\]"),
+             ((1, 3, True, False), r"an integer in \[1, 3\]")]
+    for (low, high, integer, open_low), words in cases:
+        with pytest.raises(ValueError, match=f"^x must be {words}, got '-5'$"):
+            _check_number("x", "-5", low, high, integer=integer, open_low=open_low)
+
+
+def test_check_number_keeps_huge_integers_and_rejects_them_as_floats():
+    assert _check_number("seed", 10**40, 0, integer=True) == 10**40
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        _check_number("tol", 10**400, 0, open_low=True)
+
+
+X = np.random.default_rng(0).standard_normal((4, 3, 3))
+Y = np.random.default_rng(1).standard_normal((4, 4, 3))
+REF = np.full((8, 8, 2), 2.0)
+L3 = Transform.dft((3,))
+
+
+def _config(**change):
+    settings = dict(shape=(8, 8, 4), base_rank=2, multirank=[2, 1, 2, 1], rho=0.1,
+                    sigma_sq=0.0, seed=0)
+    return SynthConfig(**{**settings, **change})
+
+
+# site: (setting named in the message, integer setting, a valid value,
+# an out-of-range value or None where the setting has no range, the call)
+SITES = {
+    "HyperParams.init_rank": ("init_rank", True, 2, 0, lambda v: HyperParams(v)),
+    "HyperParams.sigma0_sq": ("sigma0_sq", False, 0.5, 0.0,
+                              lambda v: HyperParams(2, sigma0_sq=v)),
+    "HyperParams.gamma": ("gamma", False, 2.0, -1.0, lambda v: HyperParams(2, gamma=v)),
+    "HyperParams.tol": ("tol", False, 1e-3, 0.0, lambda v: HyperParams(2, tol=v)),
+    "HyperParams.max_iter": ("max_iter", True, 0, -1, lambda v: HyperParams(2, max_iter=v)),
+    "check_corruption.rho": ("rho", False, 0.5, 1.5, lambda v: check_corruption(v, 0.0)),
+    "check_corruption.sigma_sq": ("sigma_sq", False, 0.0, -1e-9,
+                                  lambda v: check_corruption(0.1, v)),
+    "check_corruption.low": ("low", False, -1.0, None,
+                             lambda v: check_corruption(0.1, 0.0, low=v)),
+    "check_corruption.high": ("high", False, 1.0, None,
+                              lambda v: check_corruption(0.1, 0.0, high=v)),
+    "SynthConfig.shape": ("shape[2]", True, 4, 0, lambda v: _config(shape=(8, 8, v))),
+    "SynthConfig.base_rank": ("base_rank", True, 2, 9, lambda v: _config(base_rank=v)),
+    "SynthConfig.seed": ("seed", True, 3, -1, lambda v: _config(seed=v)),
+    "run_benchmark.repeats": ("repeats", True, 2, 0, lambda v: run_benchmark([], repeats=v)),
+    "run_benchmark.model_seed": ("model_seed", True, 0, -1,
+                                 lambda v: run_benchmark([], model_seed=v)),
+    "uniform_multirank.rank": ("rank", True, 0, -1, lambda v: uniform_multirank((4,), v)),
+    "desk_multirank.base_rank": ("base_rank", True, 3, 0, lambda v: desk_multirank((5,), v)),
+    "Transform.dft": ("size of trailing mode 4", True, 2, 0,
+                      lambda v: Transform.dft((3, v))),
+    "ssim.window": ("SSIM window", True, 4, 0, lambda v: ssim(REF, REF, window=v)),
+    "ergas.scale": ("ERGAS scale", False, 0.5, 0.0, lambda v: ergas(REF, REF, scale=v)),
+    "t_svd.rank": ("skinny width", True, 2, 4, lambda v: t_svd(X, L3, rank=v)),
+    "t_svd.tol": ("rank tolerance", False, 0.0, -1.0, lambda v: t_svd(X, L3, tol=v)),
+    "multi_rank.tol": ("rank tolerance", False, 1e-3, -1.0, lambda v: multi_rank(X, L3, v)),
+    "factorize_lemma1.r": ("factor width", True, 3, 4, lambda v: factorize_lemma1(X, L3, v)),
+    "factorize_lemma1.tol": ("rank tolerance", False, 1e-8, -1.0,
+                             lambda v: factorize_lemma1(X, L3, 3, tol=v)),
+    "identity_tensor.size": ("size", True, 0, -1, lambda v: identity_tensor(v, L3)),
+    "init_state.seed": ("seed", True, 5, -1, lambda v: init_state(Y, L3, HyperParams(2), v)),
+    "run.seed": ("seed", True, 5, -1,
+                 lambda v: run(Y, L3, HyperParams(2, max_iter=1), v)),
+    "corrupt_tensor.seed": ("seed", True, 5, -1,
+                            lambda v: corrupt_tensor(REF, 0.1, 0.0, 1.0, 0.0, v)),
+}
+
+
+# None selects a default here: phi for gamma, the full t-SVD for the rank
+NONE_IS_DEFAULT = {"HyperParams.gamma", "t_svd.rank"}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_setting_rejects_what_is_not_a_valid_number(site):
+    name, integer, valid, out_of_range, call = SITES[site]
+    bad = [True, False, "1", math.nan, np.array([valid, valid])]
+    bad += [] if site in NONE_IS_DEFAULT else [None]
+    bad += [2.5, float(valid)] if integer else [math.inf]
+    bad += [] if out_of_range is None else [out_of_range]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            call(value)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_setting_takes_a_numpy_scalar(site):
+    name, integer, valid, _, call = SITES[site]
+    call(np.int32(valid) if integer else np.float32(valid))
+    if site in NONE_IS_DEFAULT:
+        call(None)
+
+
+def test_settings_are_stored_as_plain_python_numbers():
+    cfg = _config(shape=(np.int64(8), 8, np.uint8(4)), base_rank=np.int32(2),
+                  rho=np.float32(0.25), sigma_sq=np.int64(0), seed=np.int64(7))
+    assert [type(v) for v in vars(cfg).values()] == [tuple, int, np.ndarray, float, float, int]
+    assert [type(n) for n in cfg.shape] == [int, int, int]
+    assert cfg.as_dict() == {"shape": [8, 8, 4], "base_rank": 2, "multirank": [2, 1, 2, 1],
+                             "rho": 0.25, "sigma_sq": 0.0, "seed": 7}
+    assert check_corruption(np.float16(0.5), 0, np.int8(-1), np.float64(2.0)) == (0.5, 0.0,
+                                                                                    -1.0, 2.0)
+    assert [type(v) for v in check_corruption(np.float16(0.5), 0)] == [float] * 4
+    assert type(Transform.dft((np.int64(3),)).trailing[0]) is int
+    echo = run_benchmark([], repeats=np.int64(2), model_seed=np.uint16(4)).config
+    assert (echo["repeats"], echo["model_seed"]) == (2, 4)
+    assert [type(echo[k]) for k in ("repeats", "model_seed")] == [int, int]

@@ -129,6 +129,14 @@ def test_config_rejects_base_rank_below_one(base_rank):
                     rho=0.0, sigma_sq=0.0, seed=0)
 
 
+@pytest.mark.parametrize("pattern", [[1.5] * 4, [True] * 4, [1.0] * 4])
+def test_config_rejects_a_pattern_that_is_not_of_an_integer_dtype(pattern):
+    # [1.5] * 4 was stored as [1, 1, 1, 1]
+    with pytest.raises(ValueError, match=r"multirank must hold 4 integers in \[0, 2\]"):
+        SynthConfig(shape=(8, 8, 4), base_rank=2, multirank=pattern,
+                    rho=0.0, sigma_sq=0.0, seed=0)
+
+
 def test_config_rejects_pattern_with_no_positive_rank():
     # the planted tensor would be zero, so x_err after the solve is undefined
     with pytest.raises(ValueError, match="no positive rank"):
@@ -331,12 +339,18 @@ def test_config_rejects_thin_slices(shape):
         SynthConfig(shape, 1, uniform_multirank((4,), 1), 0.0, 0.0, 3)
 
 
+# what each corruption level must be, as its error message says
+LEVEL_RULES = {"rho": r"rho must be a number in \[0, 1\]",
+               "sigma_sq": "sigma_sq must be finite and nonnegative",
+               "low": "low must be finite", "high": "high must be finite"}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["rho", "sigma_sq", "low", "high"])
 def test_non_finite_corruption_levels_rejected(name, value):
     levels = dict(rho=0.1, sigma_sq=0.0, low=0.0, high=1.0)
     levels[name] = value
-    with pytest.raises(ValueError, match="rho|sigma_sq|range"):
+    with pytest.raises(ValueError, match=LEVEL_RULES[name]):
         corrupt_tensor(np.zeros((3, 3, 2)), seed=0, **levels)
     if name in ("rho", "sigma_sq"):
         with pytest.raises(ValueError, match=name):
@@ -349,7 +363,7 @@ def test_bool_corruption_levels_rejected(name, value):
     # True and False compare as 1 and 0, so each passed the range checks
     levels = dict(rho=0.1, sigma_sq=0.0, low=-10.0, high=10.0)
     levels[name] = value
-    with pytest.raises(ValueError, match=f"{name} must be a number"):
+    with pytest.raises(ValueError, match=LEVEL_RULES[name]):
         check_corruption(**levels)
 
 
@@ -387,7 +401,7 @@ def test_run_benchmark_repeats():
     assert rows[0]["r_err"] == rows[1]["r_err"] == 0.0
     assert rows[0]["x_err"] != rows[1]["x_err"]  # different data draws
     for repeats in (0, -1):
-        with pytest.raises(ValueError, match="repeats must be at least 1"):
+        with pytest.raises(ValueError, match="repeats must be a positive integer"):
             run_benchmark([cfg], hp=hp, repeats=repeats)
 
 

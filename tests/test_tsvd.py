@@ -476,7 +476,7 @@ def test_rank_tolerance_rejected_before_any_svd(tol, monkeypatch):
     monkeypatch.setattr(tsvd.np.linalg, "svd", no_svd)
     for call in (lambda: multi_rank(x, L, tol=tol), lambda: t_svd(x, L, tol=tol),
                  lambda: factorize_lemma1(x, L, 2, tol=tol)):
-        with pytest.raises(ValueError, match="rank tolerance must be nonnegative"):
+        with pytest.raises(ValueError, match="rank tolerance must be finite and nonnegative"):
             call()
 
 
@@ -496,6 +496,15 @@ def test_truncate_validates_target():
         truncate_multi_rank(x, L, [5, 1, 1])
     with pytest.raises(ValueError):
         truncate_multi_rank(x, L, [1, 1])
+
+
+@pytest.mark.parametrize("target", [[1.7, 1.2, 1.2], [True, True, True], [1.0, 1.0, 1.0]])
+def test_truncate_rejects_a_target_that_is_not_of_an_integer_dtype(target):
+    # [1.7, 1.2, 1.2] ran as [1, 1, 1], and bools as ranks 1
+    x = rng().standard_normal((4, 3, 3))
+    with pytest.raises(ValueError, match=r"target multi-rank must hold 3 integers in \[0, 3\]"):
+        truncate_multi_rank(x, Transform.dft((3,)), target)
+    truncate_multi_rank(x, Transform.dft((3,)), np.array([1, 1, 1], dtype=np.uint8))
 
 
 def test_factorize_lemma1_zero_and_rank_one():
