@@ -35,6 +35,8 @@ def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:
         raise ValueError("metrics need real tensors, got a complex one")
     if x_hat.shape != x_gt.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
+    if x_gt.size == 0:
+        raise ValueError(f"metrics need a tensor with entries, got shape {x_gt.shape}")
 
 
 def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:

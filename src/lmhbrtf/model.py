@@ -36,16 +36,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ImaginaryResidueError, NumericalBreakdownError, _check_number
-from .tensor import (
-    as_tensor,
-    from_slice_stack,
-    hermitian_t,
-    linear_to_slice,
-    num_slices,
-    to_slice_stack,
-)
+from .tensor import as_tensor, hermitian_t, linear_to_slice, num_slices, to_slice_stack
 from .transform import Transform, _Frozen
-from .tsvd import _slice_svds, balanced_factors
+from .tsvd import _inverse_stack, _slice_svds, _stack_product, balanced_factors
 
 __all__ = [
     "GAMMA_PRIOR",
@@ -178,12 +171,7 @@ class FactorState(_Frozen):
     @cached_property
     def products(self) -> np.ndarray:
         """(K, I1, I2) stack of the slice products U V^H."""
-        k, i1 = self.u.mean.shape[:2]
-        # column-major, so reconstruct_x inverse-transforms it without a copy
-        out = to_slice_stack(np.empty((i1, self.v.mean.shape[1], k),
-                                      dtype=np.complex128, order="F"))
-        np.matmul(self.u.mean, hermitian_t(self.v.mean), out=out)
-        return _read_only(out)
+        return _read_only(_stack_product(self.u.mean, hermitian_t(self.v.mean)))
 
 
 class SparseState:
@@ -198,16 +186,16 @@ class SparseState:
 
 
 class NoiseState:
-    """Noise precision, ARD precisions and the fit statistic.
+    """Noise precision, ARD precisions and the fit statistic (0 until
+    :func:`compute_fit` sets it).
 
     The ARD Gamma shape ``lambda_a`` is the same for every column;
     ``lambda_b`` is (K, R), laid out like the factor columns.
     """
 
-    def __init__(self, tau_a: float, tau_b: float, lambda_a: float,
-                 lambda_b: np.ndarray, fit: float = 0.0):
+    def __init__(self, tau_a: float, tau_b: float, lambda_a: float, lambda_b: np.ndarray):
         self.tau_a, self.tau_b, self.lambda_a, self.lambda_b = tau_a, tau_b, lambda_a, lambda_b
-        self.fit = fit
+        self.fit = 0.0
 
     @property
     def tau_mean(self) -> float:
@@ -225,16 +213,17 @@ class ModelState:
     residual ``resid`` = L(Y - S), the (K, I1, I2) slice stack of the K
     kept transform slices.  ``ynorm`` is the weighted norm of Ybar over
     all J slices.  ``x_hat`` is the reconstruction from the slice
-    products of the factors current at the last :func:`update_s`.
+    products of the factors current at the last :func:`update_s`, None
+    before the first.
     Statistics of the factors live on ``factors``, not here.
     """
 
     def __init__(self, y: np.ndarray, transform: Transform, resid: np.ndarray,
                  hp: HyperParams, factors: FactorState, sparse: SparseState,
-                 noise: NoiseState, ynorm: float, x_hat: Optional[np.ndarray] = None):
+                 noise: NoiseState, ynorm: float):
         self.y, self.transform, self.resid, self.hp = y, transform, resid, hp
         self.factors, self.sparse, self.noise = factors, sparse, noise
-        self.ynorm, self.x_hat = ynorm, x_hat
+        self.ynorm, self.x_hat = ynorm, None
 
     @property
     def shape(self) -> tuple:
@@ -260,15 +249,11 @@ class IterationRecord(NamedTuple):
 
 
 class RunTrace:
-    """Per-iteration history plus the final convergence verdict.
+    """Per-iteration history plus the final convergence verdict; starts
+    with no records, not converged and with an empty message."""
 
-    ``records`` defaults to a new empty list.
-    """
-
-    def __init__(self, records: Optional[list] = None, converged: bool = False,
-                 message: str = ""):
-        self.records = [] if records is None else records
-        self.converged, self.message = converged, message
+    def __init__(self):
+        self.records, self.converged, self.message = [], False, ""
 
     def as_dicts(self) -> list:
         return [r._asdict() for r in self.records]
@@ -486,9 +471,7 @@ def update_lambda(state: ModelState) -> NoiseState:
 def reconstruct_x(state: ModelState) -> np.ndarray:
     """Mean low-rank reconstruction from the slice products of the
     factors, mapped back to the original domain."""
-    L = state.transform
-    half = from_slice_stack(state.factors.products, state.shape[:2] + L.half_trailing)
-    return L.inverse(half, half=True)
+    return _inverse_stack(state.factors.products, state.transform, True)
 
 
 def update_s(state: ModelState) -> SparseState:
@@ -641,16 +624,15 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     be real :class:`ImaginaryResidueError`, each naming the iteration.
     An all-zero observation returns zeros after the checks of :func:`init_state`.
     """
-    y, seed = _check_inputs(y, L, hp, seed)
+    state = init_state(y, L, hp, seed)
     trace = RunTrace()
-    if not y.any():
+    if not state.y.any():
         trace.converged = True
         trace.message = "input tensor is identically zero; returning zeros"
-        zeros = np.zeros(y.shape)
+        zeros = np.zeros(state.shape)
         return RunResult(zeros, zeros.copy(),
-                         np.zeros(num_slices(y.shape), dtype=np.int64), trace)
+                         np.zeros(num_slices(state.shape), dtype=np.int64), trace)
 
-    state = init_state(y, L, hp, seed)
     x_prev = reconstruct_x(state)
     if hp.max_iter == 0:
         trace.message = "iteration budget is zero; returning initialization"

@@ -22,7 +22,7 @@ from .errors import _check_integer_array, _check_number
 from .model import HyperParams, run
 from .report import RunReport
 from .tensor import num_slices
-from .transform import Transform
+from .transform import Transform, _check_trailing
 from .tsvd import conj_transpose, t_product, t_qr, truncate_multi_rank
 
 __all__ = [
@@ -107,7 +107,7 @@ class SynthInstance:
 def uniform_multirank(trailing, rank: int) -> np.ndarray:
     """Constant rank pattern over all slices."""
     rank = _check_number("rank", rank, 0, integer=True)
-    return np.full(int(np.prod(tuple(trailing))), rank, dtype=np.int64)
+    return np.full(math.prod(_check_trailing(trailing)), rank, dtype=np.int64)
 
 
 def desk_multirank(trailing, base_rank: int) -> np.ndarray:
@@ -118,7 +118,7 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
     slices get equal ranks) so that the planted tensor is real.
     Supported trailing shapes: (n,) with n >= 5, (5, 5) and (3, 3, 3).
     """
-    trailing = tuple(int(n) for n in trailing)
+    trailing = _check_trailing(trailing)
     r = _check_number("base_rank", base_rank, 1, integer=True)
     h = max(1, r // 2)
     if len(trailing) == 1:
@@ -195,9 +195,12 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
 
 
 def r_err(estimated, ground_truth) -> float:
-    """Mean absolute per-slice rank deviation."""
-    est = np.asarray(estimated, dtype=np.int64)
-    gt = np.asarray(ground_truth, dtype=np.int64)
+    """Mean absolute per-slice rank deviation of two integer rank vectors;
+    a float or bool vector is an error, not truncated."""
+    est, gt = np.asarray(estimated), np.asarray(ground_truth)
+    for name, ranks in (("estimated", est), ("ground_truth", gt)):
+        if ranks.dtype.kind not in "iu":
+            raise ValueError(f"{name} rank vector must hold integers, got {ranks!r}")
     if est.shape != gt.shape:
         raise ValueError(f"rank vectors differ in length: {est.shape} vs {gt.shape}")
     return float(np.abs(est - gt).mean())

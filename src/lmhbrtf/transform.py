@@ -54,7 +54,6 @@ from .errors import ImaginaryResidueError, _check_number
 
 __all__ = ["Transform", "real_part"]
 
-_RCOND_MIN = 1e-10
 _SCALE_TOL = 1e-8
 # largest imaginary residue, relative in the Frobenius norm, dropped as roundoff
 RESIDUE_TOL = 1e-8
@@ -81,6 +80,13 @@ def real_part(x: np.ndarray) -> np.ndarray:
     out = x.real.copy(order="K")
     _check_residue(float(np.linalg.norm(x.imag)), float(np.linalg.norm(out)))
     return out
+
+
+def _check_trailing(trailing) -> tuple:
+    """*trailing* as a tuple of plain ints, each the size of a trailing mode
+    and at least 1, or a ValueError naming the mode."""
+    return tuple(_check_number(f"size of trailing mode {mode}", n, 1, integer=True)
+                 for mode, n in enumerate(trailing, 3))
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -127,35 +133,30 @@ class Transform(_Frozen):
     """The invertible linear transform L applied along modes 3..d.
 
     Attributes:
-        trailing: sizes (I3, ..., Id) the transform acts on.
         matrices: one matrix per trailing mode (for :meth:`dft` the
             unnormalized DFT matrices).
         phi: energy constant relating original- and transform-domain
             squared Frobenius norms.
     """
 
-    def __init__(self, trailing: tuple, phi: float, matrices: tuple = (),
-                 _inverses: tuple = (), _conj_perms: tuple = (),
-                 _conj_mixers: tuple = ()):
+    def __init__(self, phi: float, matrices: tuple, _inverses: tuple,
+                 _conj_perms: tuple, _conj_mixers: tuple):
         # _conj_perms: per trailing mode, p with conj(m) = m[p], or None where
         # conjugation does not permute the rows of m.  _conj_mixers: per
         # trailing mode, C = m^-1 conj(m): sweeping C over the conjugated,
         # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
-        vars(self).update(trailing=trailing, phi=phi, matrices=matrices,
-                          _inverses=_inverses, _conj_perms=_conj_perms,
-                          _conj_mixers=_conj_mixers)
+        vars(self).update(phi=phi, matrices=matrices, _inverses=_inverses,
+                          _conj_perms=_conj_perms, _conj_mixers=_conj_mixers)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":
         """Unnormalized DFT along each trailing mode; phi = prod(trailing)."""
-        trailing = tuple(_check_number(f"size of trailing mode {mode}", n, 1, integer=True)
-                         for mode, n in enumerate(trailing, 3))
+        trailing = _check_trailing(trailing)
         if not trailing:
             raise ValueError("a transform needs at least one trailing mode")
         mats = tuple(_dft_matrix(n) for n in trailing)
         perms = tuple(-np.arange(n) % n for n in trailing)
-        return cls(trailing=trailing,
-                   phi=float(np.prod(trailing)), matrices=mats,
+        return cls(phi=float(np.prod(trailing)), matrices=mats,
                    _inverses=tuple(m.conj() / m.shape[0] for m in mats),
                    _conj_perms=perms,
                    _conj_mixers=tuple(np.eye(p.size)[p] for p in perms))
@@ -164,9 +165,9 @@ class Transform(_Frozen):
     def explicit(cls, matrices) -> "Transform":
         """Transform given by one invertible matrix per trailing mode.
 
-        Each matrix must be square and finite, numerically invertible
-        (reciprocal condition number above 1e-10) and unitary up to a
-        positive scale c (U^H U = c I); the product of the scales is phi.
+        Each matrix must be square, nonempty, finite and unitary up to a
+        positive scale c (U^H U = c I, which makes it invertible); the
+        product of the scales is phi.
         """
         mats = tuple(np.asarray(m, dtype=np.complex128) for m in matrices)
         if not mats:
@@ -180,18 +181,16 @@ class Transform(_Frozen):
                 raise ValueError(f"transform matrix of mode {mode} has non-finite "
                                  "entries")
             n = m.shape[0]
-            sv = np.linalg.svd(m, compute_uv=False)
-            if sv[0] == 0 or sv[-1] / sv[0] < _RCOND_MIN:
-                raise ValueError(
-                    f"transform matrix is numerically singular "
-                    f"(rcond {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.2e})"
-                )
+            if n == 0:
+                raise ValueError(f"transform matrix of mode {mode} is empty")
+            # passing puts every squared singular value within
+            # c (1 +- 1e-8 sqrt(n)), so a matrix that passes is far from singular
             gram = m.conj().T @ m
             c = float(np.trace(gram).real) / n
             if c <= 0 or np.linalg.norm(gram - c * np.eye(n)) > _SCALE_TOL * c * np.sqrt(n):
                 raise ValueError(
-                    "transform matrix is not unitary up to scale; "
-                    "the energy constant phi would be undefined"
+                    f"transform matrix of mode {mode} is singular or not unitary "
+                    "up to scale; the energy constant phi would be undefined"
                 )
             phi *= c
             inverses.append(np.linalg.inv(m))
@@ -202,9 +201,13 @@ class Transform(_Frozen):
             permutes = (np.array_equal(np.sort(p), np.arange(n))
                         and np.linalg.norm(q - np.eye(n)[p]) <= _SCALE_TOL * np.sqrt(n))
             perms.append(p if permutes else None)
-        return cls(trailing=tuple(m.shape[0] for m in mats),
-                   phi=phi, matrices=mats, _inverses=tuple(inverses),
+        return cls(phi=phi, matrices=mats, _inverses=tuple(inverses),
                    _conj_perms=tuple(perms), _conj_mixers=tuple(mixers))
+
+    @cached_property
+    def trailing(self) -> tuple:
+        """Sizes (I3, ..., Id) the transform acts on."""
+        return tuple(m.shape[0] for m in self.matrices)
 
     @property
     def real_safe(self) -> bool:
@@ -292,19 +295,6 @@ class Transform(_Frozen):
         return np.flatnonzero(self.slice_weights == 1)
 
     @cached_property
-    def _residue_slices(self) -> list:
-        # Mirror pairs are conjugate by construction; a kept slice that is its
-        # own mirror adds its imaginary part to the full inverse through a
-        # real inverse column, orthogonal to every other: (position, squared
-        # norm of that column), 1/J for the DFT
-        own = self._own_mirror
-        index = np.unravel_index(self.kept_slices[own], self.trailing, order="F")
-        sq = np.ones(own.size)
-        for g, i in zip(self._inverses, index):
-            sq *= (np.abs(g[:, i]) ** 2).sum(axis=0)
-        return list(zip(own.tolist(), sq.tolist()))
-
-    @cached_property
     def _c2r(self) -> np.ndarray:
         # x = Re(G z) over the kept rows z of the last mode, G the inverse's
         # kept columns times their weights (2 where the mirror row is
@@ -372,9 +362,13 @@ class Transform(_Frozen):
         shape = xbar.shape
         if half:
             stack = flat.reshape(shape[2], -1)
-            # the strided dot products copy no slice
-            sq = sum(w * float(np.dot(stack[k].imag, stack[k].imag))
-                     for k, w in self._residue_slices)
+            # Mirror pairs are conjugate by construction; a kept slice that is
+            # its own mirror adds its imaginary part to the full inverse through
+            # a real inverse column, orthogonal to every other, of squared norm
+            # 1/phi (every accepted matrix is unitary up to scale).  The strided
+            # dot products copy no slice
+            sq = sum(float(np.dot(stack[k].imag, stack[k].imag))
+                     for k in self._own_mirror.tolist()) / self.phi
             if self._row_layout is not None:
                 _, source, conj = self._row_layout
                 stack = stack[source]

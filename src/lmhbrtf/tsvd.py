@@ -72,6 +72,14 @@ def _half_spectrum(L: Transform, *tensors) -> bool:
     return L.real_safe and not any(np.iscomplexobj(t) for t in tensors)
 
 
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (K, n1, n2) stack of the complex products a_k b_k, a view of
+    column-major memory, so :func:`_inverse_stack` reads it without a copy."""
+    k, n1 = a.shape[:2]
+    out = to_slice_stack(np.empty((n1, b.shape[2], k), dtype=np.complex128, order="F"))
+    return np.matmul(a, b, out=out)
+
+
 def _inverse_stack(stack: np.ndarray, L: Transform, half: bool) -> np.ndarray:
     """Inverse transform of a (J, n1, n2) stack, or of the K kept slices with *half*."""
     shape = stack.shape[1:] + (L.half_trailing if half else L.trailing)
@@ -239,13 +247,11 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
             "target multi-rank differs on conjugate-mirrored slices, so the "
             "truncation of a real tensor would not be real")
     # the truncation does not depend on the choice of singular vectors
-    half, xbar, (u, s, vh) = _slice_svds(x, L, full_matrices=False)
+    half, _, (u, s, vh) = _slice_svds(x, L, full_matrices=False)
     kept = target[L.kept_slices] if half else target
     r = int(kept.max(initial=0))
     s = np.where(np.arange(r) < kept[:, None], s[:, :r], 0.0)
-    out = np.empty_like(xbar)  # column-major like xbar
-    np.matmul(u[:, :, :r] * s[:, None, :], vh[:, :r], out=out)
-    return _inverse_stack(out, L, half)
+    return _inverse_stack(_stack_product(u[:, :, :r] * s[:, None, :], vh[:, :r]), L, half)
 
 
 def factorize_lemma1(x: np.ndarray, L: Transform, r: int,

@@ -355,6 +355,18 @@ def test_denoise_rejects_non_finite_transform_matrix(tmp_path, capsys, bad):
     assert "matrix of mode 3 has non-finite entries" in capsys.readouterr().err
 
 
+def test_denoise_rejects_empty_transform_matrix(tmp_path, capsys):
+    # an empty matrix failed with an IndexError traceback
+    src, _ = make_lowrank_input(tmp_path)
+    mpath = tmp_path / "m3.npy"
+    write_tensor(mpath, np.zeros((0, 0)))
+    code = main(["denoise", "--input", str(src), "--seed", "1",
+                 "--out", str(tmp_path / "x.npy"), "--transform-file", str(mpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "transform matrix of mode 3 is empty" in err
+
+
 def test_denoise_pads_matrix_input(tmp_path):
     m = np.random.default_rng(0).standard_normal((6, 5))
     src = tmp_path / "m.npy"
@@ -405,6 +417,18 @@ def test_metrics_shape_mismatch_exit_code_1(tmp_path):
     code = main(["metrics", "--ref", str(a), "--est", str(b),
                  "--out", str(tmp_path / "m.json")])
     assert code == 1
+
+
+def test_metrics_rejects_empty_tensor_exit_code_1(tmp_path, capsys):
+    # psnr read +inf for it, and ssim failed in a numpy reduction
+    src = tmp_path / "e.npy"
+    write_tensor(src, np.zeros((8, 8, 0)))
+    out = tmp_path / "m.json"
+    code = main(["metrics", "--ref", str(src), "--est", str(src), "--out", str(out)])
+    assert code == 1
+    assert any(line.startswith("lmhbrtf: error:") and "(8, 8, 0)" in line
+               for line in capsys.readouterr().err.splitlines())
+    assert not out.exists()
 
 
 def test_metrics_rejects_complex_estimate_exit_code_1(tmp_path, capsys):

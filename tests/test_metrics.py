@@ -1,6 +1,7 @@
 """Metric formulas against hand evaluations and naive oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ def test_metrics_reject_complex_input(metric):
     for est, ref in ((x + 1j, x), (x, x + 0j)):
         with pytest.raises(ValueError, match="complex"):
             metric(est, ref)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 0), (0, 8, 3)])
+@pytest.mark.parametrize("metric", [psnr, ssim, ergas, sam, compute_all])
+def test_metrics_reject_a_tensor_without_entries(metric, shape):
+    # psnr read +inf ("identical"), ergas NaN; ssim and sam failed in numpy
+    empty = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        metric(empty, empty)
 
 
 def test_psnr_shape_mismatch():

@@ -158,6 +158,19 @@ def test_zero_input_checks_the_transform_is_real_safe():
         run(np.zeros((4, 4, 3)), phase, small_hp(init_rank=2), seed=0)
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["nonzero", "all-zero"])
+def test_run_checks_its_observation_once(monkeypatch, zero):
+    # run checked a nonzero observation itself and again in init_state
+    calls = []
+    check = model._check_inputs
+    monkeypatch.setattr(model, "_check_inputs", lambda *args: calls.append(1) or check(*args))
+    _, inst = small_instance()
+    y = np.zeros_like(inst.y) if zero else inst.y
+    result = model.run(y, Transform.dft((8,)), small_hp(max_iter=2), seed=0)
+    assert len(calls) == 1
+    assert ("zero" in result.trace.message) == zero
+
+
 def test_default_traces_share_no_list():
     a, b = model.RunTrace(), model.RunTrace()
     a.records.append(1)

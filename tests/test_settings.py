@@ -120,6 +120,12 @@ SITES = {
                                  lambda v: run_benchmark([], model_seed=v)),
     "uniform_multirank.rank": ("rank", True, 0, -1, lambda v: uniform_multirank((4,), v)),
     "desk_multirank.base_rank": ("base_rank", True, 3, 0, lambda v: desk_multirank((5,), v)),
+    # uniform_multirank((2.5,), 1) was a 2-entry pattern, desk_multirank((5.9,), 2)
+    # the 5-slice one
+    "uniform_multirank.trailing": ("size of trailing mode 3", True, 4, 0,
+                                   lambda v: uniform_multirank((v,), 1)),
+    "desk_multirank.trailing": ("size of trailing mode 4", True, 5, 0,
+                                lambda v: desk_multirank((5, v), 2)),
     "Transform.dft": ("size of trailing mode 4", True, 2, 0,
                       lambda v: Transform.dft((3, v))),
     "ssim.window": ("SSIM window", True, 4, 0, lambda v: ssim(REF, REF, window=v)),

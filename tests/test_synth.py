@@ -267,6 +267,15 @@ def test_r_err_cases():
     assert r_err([5, 5], [5, 3]) == 1.0
     with pytest.raises(ValueError):
         r_err([5], [5, 3])
+    assert r_err(np.array([2, 0], dtype=np.uint8), np.array([1, 3])) == 2.0
+
+
+def test_r_err_rejects_rank_vectors_that_are_not_integers():
+    # [1.7, 2.2] was truncated to [1, 2] and scored 0.0
+    with pytest.raises(ValueError, match="^estimated rank vector must hold integers"):
+        r_err([1.7, 2.2], [1, 2])
+    with pytest.raises(ValueError, match="^ground_truth rank vector must hold integers"):
+        r_err([1, 0], [True, False])
 
 
 def test_x_err_cases():

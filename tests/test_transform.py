@@ -7,11 +7,12 @@ import pytest
 
 from lmhbrtf.errors import ImaginaryResidueError
 from lmhbrtf.tensor import (
+    from_slice_stack,
     frobenius_norm,
     linear_to_slice,
     to_slice_stack,
 )
-from lmhbrtf.transform import Transform, real_part
+from lmhbrtf.transform import RESIDUE_TOL, Transform, real_part
 
 
 def rng():
@@ -124,6 +125,11 @@ def test_explicit_rejects_non_finite_matrix(bad):
     # diag(1, inf, 1) was accepted with phi = nan; all-NaN failed in the SVD
     with pytest.raises(ValueError, match="matrix of mode 4 has non-finite entries"):
         Transform.explicit([np.eye(2), bad])
+
+
+def test_explicit_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="transform matrix of mode 4 is empty"):
+        Transform.explicit([np.eye(2), np.zeros((0, 0))])
 
 
 def test_explicit_rejects_non_scaled_unitary():
@@ -417,6 +423,40 @@ def test_one_kept_slice_per_conjugation_orbit(name):
         bad[:, :, k] += 0.5j
         with pytest.raises(ImaginaryResidueError):
             L.inverse(bad, half=True)
+
+
+def _raises_residue(call, *args, **kwargs) -> bool:
+    try:
+        call(*args, **kwargs)
+    except ImaginaryResidueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ORBIT_TRANSFORMS)
+def test_half_inverse_weighs_a_self_mirrored_residue_by_one_over_phi(name):
+    # every accepted matrix is unitary up to scale, so the inverse column of
+    # a self-mirrored slice has squared norm 1/phi: an imaginary part sized
+    # at half and at twice the residue threshold of the full inverse must
+    # fail the half inverse exactly when it fails the full one
+    L = ORBIT_TRANSFORMS[name]
+    shape = (3, 2) + L.trailing
+    x = rng().standard_normal(shape)
+    source, conj = L.slice_map
+    own = np.flatnonzero(L.slice_weights == 1)
+    # an imaginary part that puts RESIDUE_TOL * ||x|| into the full inverse
+    noise = rng().standard_normal(shape[:2])
+    noise *= RESIDUE_TOL * np.sqrt(L.phi) * frobenius_norm(x) / np.linalg.norm(noise)
+    for k in own[[0, -1]]:
+        for factor, raises in ((0.5, False), (2.0, True)):
+            half = L.forward(x, half=True)
+            half[:, :, k] += 1j * factor * noise
+            stack = to_slice_stack(half)[source]
+            stack[conj] = stack[conj].conj()
+            full = L.inverse(from_slice_stack(stack, shape))
+            outcomes = [_raises_residue(real_part, full),
+                        _raises_residue(L.inverse, half, half=True)]
+            assert outcomes == [raises, raises], (k, factor)
 
 
 # DFT trailing shapes with an even mode, whose self-mirrored slices pick up
