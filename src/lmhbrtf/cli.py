@@ -241,7 +241,6 @@ def _check_outputs(opts: dict) -> None:
 
 
 def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
-    j = int(np.prod(dims[2:]))
     if spec == "desk":
         try:
             return desk_multirank(dims[2:], rank)
@@ -252,13 +251,10 @@ def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
             return uniform_multirank(dims[2:], int(spec.split(":", 1)[1]))
         except ValueError:
             raise UsageError(f"bad uniform pattern {spec!r}")
-    try:
-        pattern = np.array([int(p) for p in spec.split(",")], dtype=np.int64)
+    try:  # SynthConfig checks the count and range of the ranks
+        return np.array([int(p) for p in spec.split(",")], dtype=np.int64)
     except ValueError:
         raise UsageError(f"--pattern must be 'desk', 'uniform:N' or a comma list, got {spec!r}")
-    if pattern.size != j:
-        raise UsageError(f"--pattern lists {pattern.size} ranks but the tensor has {j} slices")
-    return pattern
 
 
 def _load_input_tensor(path) -> np.ndarray:

@@ -48,11 +48,15 @@ def _check_number(name: str, value, low=None, high=None, integer: bool = False,
     return number
 
 
-def _check_integer_array(name: str, value, length: int, high: int) -> np.ndarray:
-    """*value* as an int64 vector of *length* entries in [0, *high*], or a
-    ValueError naming *name*; a float or bool dtype is an error, not truncated."""
+def _check_integer_array(name: str, value, length=None, high=None) -> np.ndarray:
+    """*value* as an int64 vector of *length* entries (None: one or more)
+    in [0, *high*] (None: no upper bound), or a ValueError naming *name*;
+    a float or bool dtype is an error, not truncated."""
     array = np.asarray(value)
-    if (array.dtype.kind not in "iu" or array.shape != (length,)
-            or array.min(initial=0) < 0 or array.max(initial=0) > high):
-        raise ValueError(f"{name} must hold {length} integers in [0, {high}], got {value!r}")
+    if (array.dtype.kind not in "iu"
+            or array.shape != ((max(array.size, 1),) if length is None else (length,))
+            or array.min() < 0 or high is not None and array.max() > high):
+        count = "integers, one or more in a 1-D vector," if length is None else f"{length} integers"
+        bound = "inf)" if high is None else f"{high}]"
+        raise ValueError(f"{name} must hold {count} in [0, {bound}, got {value!r}")
     return array.astype(np.int64)

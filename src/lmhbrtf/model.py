@@ -585,25 +585,22 @@ def prune_columns(state: ModelState) -> np.ndarray:
 
 
 def _check_state_positive(state: ModelState) -> None:
-    """Raise NumericalBreakdownError naming the first non-positive
-    Gamma parameter or posterior variance and where it is."""
+    """Raise NumericalBreakdownError naming the first non-positive ARD rate
+    or variance of an active column, sparse rate or sparse variance, and
+    where it is; :func:`run` scans only once its residual fails its test."""
     noise, sp, f = state.noise, state.sparse, state.factors
-    if not noise.tau_b > 0:
-        raise NumericalBreakdownError(f"noise Gamma rate tau_b = {noise.tau_b:g} "
-                                      "is not positive")
-    active = f.active
     for name, values in (
             ("ARD Gamma rate lambda_b", noise.lambda_b),
             ("posterior variance diag(Sigma_u)", _diag(f.u.cov)),
             ("posterior variance diag(Sigma_v)", _diag(f.v.cov))):
-        bad = np.flatnonzero((active & ~(values > 0)).any(axis=1))
+        bad = np.flatnonzero((f.active & ~(values > 0)).any(axis=1))
         if bad.size:
             raise NumericalBreakdownError(
                 f"{name} is not positive on {_slice_name(state, int(bad[0]))}")
     for name, values in (("sparse Gamma rate beta_b", sp.beta_b),
                          ("sparse variance s_var", sp.s_var)):
-        if not values.min() > 0:  # a NaN minimum fails too
-            bad = np.flatnonzero(~(values > 0).ravel(order="F"))
+        bad = np.flatnonzero(~(values > 0).ravel(order="F"))  # a NaN fails too
+        if bad.size:
             idx = tuple(int(i) for i in np.unravel_index(bad[0], state.shape, order="F"))
             raise NumericalBreakdownError(f"{name} is not positive at index {idx}")
 
@@ -619,10 +616,17 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
     ``hp.max_iter`` iterations; non-convergence is reported in the
     trace, not raised.  A stop on the relative change whose final fit
     is negative or whose reconstruction has norm 0 is degenerate and
-    reported as not converged.  A numerical breakdown raises
-    :class:`NumericalBreakdownError`, and a reconstruction that fails to
-    be real :class:`ImaginaryResidueError`, each naming the iteration.
-    An all-zero observation returns zeros after the checks of :func:`init_state`.
+    reported as not converged.  An all-zero observation returns zeros
+    after the checks of :func:`init_state`.
+
+    The updates keep every Gamma rate and posterior variance positive,
+    and the self-mirrored slices exactly real, by construction; a NaN
+    anywhere reaches the expected squared residual within one iteration.
+    So the loop tests that one scalar before tau is rebuilt from it; if
+    it is not finite and positive, :func:`_check_state_positive` names
+    the first non-positive quantity with its slice or index, or else the
+    residual.  :class:`NumericalBreakdownError` and
+    :class:`ImaginaryResidueError` name the iteration.
     """
     state = init_state(y, L, hp, seed)
     trace = RunTrace()
@@ -647,10 +651,13 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
             update_s(state)
             update_beta(state)
             resid_sq = expected_residual_sq(state)
+            if not 0 < resid_sq < math.inf:  # a NaN fails too
+                _check_state_positive(state)
+                raise NumericalBreakdownError(f"expected squared residual {resid_sq:g} "
+                                              "is not finite and positive")
             update_tau(state, resid_sq=resid_sq)
             compute_fit(state, resid_sq=resid_sq)
             prune_columns(state)
-            _check_state_positive(state)
         except (NumericalBreakdownError, ImaginaryResidueError) as exc:
             raise type(exc)(f"iteration {it}: {exc}") from exc
 

@@ -17,6 +17,7 @@ __all__ = ["RunReport", "strip_timing"]
 
 SCHEMA_VERSION = 1
 _TIMING_KEYS = ("timing", "created_unix")
+_NON_FINITE = {"+inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
 def _encode(value):
@@ -34,12 +35,8 @@ def _encode(value):
 
 
 def _decode(value):
-    if value == "+inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    if value == "nan":
-        return math.nan
+    if isinstance(value, str):
+        return _NON_FINITE.get(value, value)
     if isinstance(value, dict):
         return {k: _decode(v) for k, v in value.items()}
     if isinstance(value, list):

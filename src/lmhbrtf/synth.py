@@ -130,21 +130,16 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
         pattern[1:1 + edge] = h
         pattern[j - edge:] = h
         return pattern
-    if trailing == (5, 5):
-        big = {0, 2, 3}  # mirror-closed: 2 <-> 3, 0 fixed
-        return np.array(
-            [r if (i3 in big and i4 in big) else h
-             for i4 in range(5) for i3 in range(5)], dtype=np.int64)
-    if trailing == (3, 3, 3):
-        big = {1, 2}  # mirror-closed pair
-        return np.array(
-            [r if (i3 in big and i4 in big) else h
-             for i5 in range(3) for i4 in range(3) for i3 in range(3)],
-            dtype=np.int64)
-    raise ValueError(
-        f"no desk pattern defined for trailing shape {trailing}; "
-        "pass an explicit pattern instead"
-    )
+    # full rank where i3 and i4 are both in a mirror-closed set: under
+    # I = 5, 2 <-> 3 and 0 is fixed; under I = 3, 1 <-> 2
+    big = {(5, 5): [0, 2, 3], (3, 3, 3): [1, 2]}.get(trailing)
+    if big is None:
+        raise ValueError(
+            f"no desk pattern defined for trailing shape {trailing}; "
+            "pass an explicit pattern instead"
+        )
+    i3, i4 = np.indices(trailing).reshape(len(trailing), -1, order="F")[:2]
+    return np.where(np.isin(i3, big) & np.isin(i4, big), r, h).astype(np.int64)
 
 
 def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
@@ -195,14 +190,12 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
 
 
 def r_err(estimated, ground_truth) -> float:
-    """Mean absolute per-slice rank deviation of two integer rank vectors;
-    a float or bool vector is an error, not truncated."""
-    est, gt = np.asarray(estimated), np.asarray(ground_truth)
-    for name, ranks in (("estimated", est), ("ground_truth", gt)):
-        if ranks.dtype.kind not in "iu":
-            raise ValueError(f"{name} rank vector must hold integers, got {ranks!r}")
-    if est.shape != gt.shape:
-        raise ValueError(f"rank vectors differ in length: {est.shape} vs {gt.shape}")
+    """Mean absolute rank deviation of two nonempty, equal-length vectors
+    of nonnegative integers; a float or bool vector is an error, not truncated."""
+    est = _check_integer_array("estimated rank vector", estimated)
+    gt = _check_integer_array("ground_truth rank vector", ground_truth)
+    if est.size != gt.size:
+        raise ValueError(f"rank vectors differ in length: {est.size} vs {gt.size}")
     return float(np.abs(est - gt).mean())
 
 

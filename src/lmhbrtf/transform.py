@@ -354,7 +354,9 @@ class Transform(_Frozen):
         trailing index 0 or I_k/2 under the DFT) can be other than the
         transform of a real tensor, so the imaginary residue the full
         inverse would have on them is checked as :func:`real_part`
-        checks it.  ``real_part(L.inverse(xbar))`` checks the full inverse.
+        checks it; a residue of exactly 0, the only one the model's
+        stacks have, passes without the output's norm being taken.
+        ``real_part(L.inverse(xbar))`` checks the full inverse.
         """
         xbar = np.asarray(xbar)
         self._check_shape(xbar, half)
@@ -384,5 +386,6 @@ class Transform(_Frozen):
         z = flat.reshape(self._kept_rows.size, -1)
         out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
         out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
-        _check_residue(math.sqrt(sq), float(np.linalg.norm(out)))
+        if sq:  # a zero residue passes against any norm
+            _check_residue(math.sqrt(sq), float(np.linalg.norm(out)))
         return out

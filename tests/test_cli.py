@@ -100,6 +100,17 @@ def test_synth_rank_zero_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pattern", ["2,1,2", "2,1,2,1,2", "2,1,3,1", "2,-1,2,-1"])
+def test_synth_explicit_pattern_is_checked_by_the_config(tmp_path, capsys, pattern):
+    # the pattern's count and range are SynthConfig's check, named in its words
+    out = tmp_path / "r.json"
+    code = main(["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", pattern,
+                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "multirank must hold 4 integers in [0, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_reports(tmp_path):
     out = tmp_path / "a.json"
     args = ["synth", "--dims", "12,12,8", "--rank", "2",

@@ -284,28 +284,66 @@ def test_conjugate_symmetry_preserved_every_iteration():
         assert np.array_equal(state.multirank[L.mirror], state.multirank)
 
 
+REORDERED_DFT_4 = np.fft.fft(np.eye(4))[[3, 1, 2, 0]]
+# the phases run() calls in its loop, in order
+RUN_PHASES = ("update_u", "update_v", "update_lambda", "update_s", "update_beta",
+              "expected_residual_sq", "update_tau", "compute_fit", "prune_columns")
+
+
+def _check_state_invariants(state):
+    """Everything the updates keep by construction, so run() does not rescan it."""
+    noise, sp, f = state.noise, state.sparse, state.factors
+    active = f.active
+    assert 0 < noise.tau_b < np.inf
+    positive = [noise.lambda_b[active], sp.beta_b, sp.s_var]
+    for factor in (f.u, f.v):
+        positive.append(np.diagonal(factor.cov, axis1=1, axis2=2)[active])
+        # the stacks are exactly zero beyond each slice's rank
+        assert np.all(factor.mean.transpose(0, 2, 1)[~active] == 0)
+        assert np.all(factor.cov[~(active[:, :, None] & active[:, None, :])] == 0)
+    for values in positive:
+        assert np.all(np.isfinite(values)) and np.all(values.real > 0)
+    own = state.transform.slice_weights == 1
+    for stack in (state.resid, f.u.mean, f.v.mean, f.products):
+        assert np.all(stack[own].imag == 0)
+
+
 def test_self_mirrored_slices_stay_exactly_real_every_iteration(monkeypatch):
-    # under the DFT of (4, 4) the four slices with trailing indices in
-    # {0, 2} are their own mirror, real matrices: the residual, both factor
-    # means and their products hold no imaginary roundoff on them
-    trailing = (4, 4)
-    cfg = SynthConfig((12, 12) + trailing, 3, uniform_multirank(trailing, 3),
-                      rho=0.1, sigma_sq=1e-2, seed=3)
-    L = Transform.dft(trailing)
-    own = L.slice_weights == 1
-    assert own.sum() == 4
-    seen = []
+    # run() tests only the expected residual each iteration; every invariant
+    # the updates keep by construction is checked here after every phase:
+    # positive, finite Gamma rates and variances, zero padding, and self-mirrored
+    # slices (under the DFT, trailing indices in {0, I_k / 2}; every slice under
+    # a real matrix) whose residual, factor means and products are exactly real
+    orthogonal = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+    cases = [((4,), Transform.dft((4,))), ((4, 4), Transform.dft((4, 4))),
+             ((4, 3, 2), Transform.dft((4, 3, 2))),
+             ((4,), Transform.explicit([REORDERED_DFT_4])),
+             ((4,), Transform.explicit([2.0 * orthogonal]))]
+    checked = []
 
-    def checked_prune(state):
-        prune_columns(state)
-        f = state.factors
-        for stack in (state.resid, f.u.mean, f.v.mean, f.products):
-            assert np.all(stack[own].imag == 0)
-        seen.append(state.n_slices)
+    def checking(name, original):
+        def phase(state, *args, **kwargs):
+            out = original(state, *args, **kwargs)
+            _check_state_invariants(state)
+            checked.append(name)
+            return out
+        return phase
 
-    monkeypatch.setattr(model, "prune_columns", checked_prune)
-    result = run(generate(cfg).y, L, small_hp(max_iter=20, tol=1e-12), seed=4)
-    assert len(seen) == len(result.trace.records) == 20
+    for name in RUN_PHASES:
+        monkeypatch.setattr(model, name, checking(name, getattr(model, name)))
+    for trailing, L in cases:
+        assert (L.slice_weights == 1).any()
+        # ranks 1 to 3, equal on each conjugation orbit
+        pattern = 1 + np.minimum(np.arange(L.mirror.size), L.mirror) % 3
+        cfg = SynthConfig((12, 12) + trailing, 3, pattern, rho=0.1, sigma_sq=1e-4, seed=3)
+        y = generate(cfg, L).y
+        checked.clear()
+        result = run(y, L, small_hp(init_rank=6, max_iter=60, tol=1e-12), seed=4)
+        assert len(result.trace.records) == 60
+        # init_state forms its fit through the module too
+        assert checked == ["expected_residual_sq", "compute_fit"] + list(RUN_PHASES) * 60
+        # pruned to unequal ranks, so the stacks carry padding
+        assert len(set(result.multirank)) > 1
 
 
 @pytest.mark.parametrize("shape", [(20, 20, 3, 4), (20, 20, 5, 5), (20, 20, 3, 3, 3)])

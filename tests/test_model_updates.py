@@ -824,20 +824,46 @@ def test_breakdown_names_the_j_index_when_kept_slices_are_not_a_prefix():
 
 
 def test_breakdown_in_run_names_the_iteration(monkeypatch):
+    # the updates keep lambda_b, s_var and beta_b positive (a planted -1.0 in
+    # lambda_b was overwritten by the next update_lambda), so a NaN is planted
+    # after the phase that sets it in iteration 3; run tests only the expected
+    # residual, which the NaN reaches by iteration 4, then names the quantity
     y = np.random.default_rng(3).standard_normal((5, 5, 4))
-    original = model.update_lambda
-    calls = []
+    plants = [
+        ("update_lambda", lambda state: state.noise.lambda_b, (1, 0),
+         r"^iteration 4: ARD Gamma rate lambda_b is not positive on slice 1 "
+         r"\(trailing index \(1,\)\)"),
+        # s_var enters the residual at once, and beta_b is built from it
+        ("update_s", lambda state: state.sparse.s_var, (1, 0, 1),
+         r"^iteration 3: sparse Gamma rate beta_b is not positive at index \(1, 0, 1\)"),
+        ("update_beta", lambda state: state.sparse.beta_b, (1, 0, 1),
+         r"^iteration 4: sparse Gamma rate beta_b is not positive at index \(1, 0, 1\)"),
+    ]
+    for phase, target, index, message in plants:
+        original = getattr(model, phase)
+        calls = []
 
-    def update_lambda_breaking_at_3(state):
-        original(state)
-        calls.append(1)
-        if len(calls) == 3:
-            state.noise.lambda_b[1, 0] = -1.0
+        def planting_at_3(state, original=original, target=target, index=index,
+                          calls=calls):
+            out = original(state)
+            calls.append(1)
+            if len(calls) == 3:
+                target(state)[index] = np.nan
+            return out
 
-    monkeypatch.setattr(model, "update_lambda", update_lambda_breaking_at_3)
+        with monkeypatch.context() as m:
+            m.setattr(model, phase, planting_at_3)
+            with pytest.raises(NumericalBreakdownError, match=message):
+                run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
+
+
+def test_non_finite_residual_with_a_positive_state_names_the_residual(monkeypatch):
+    # with every scanned quantity positive, the scan names the residual itself
+    y = np.random.default_rng(3).standard_normal((5, 5, 4))
+    monkeypatch.setattr(model, "expected_residual_sq", lambda state: math.inf)
     with pytest.raises(NumericalBreakdownError,
-                       match=r"^iteration 3: ARD Gamma rate lambda_b is not "
-                             r"positive on slice 1 \(trailing index \(1,\)\)"):
+                       match=r"^iteration 1: expected squared residual inf is not "
+                             r"finite and positive$"):
         run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
 
 

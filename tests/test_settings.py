@@ -22,11 +22,18 @@ from lmhbrtf.synth import (
     check_corruption,
     corrupt_tensor,
     desk_multirank,
+    r_err,
     run_benchmark,
     uniform_multirank,
 )
 from lmhbrtf.transform import Transform
-from lmhbrtf.tsvd import factorize_lemma1, identity_tensor, multi_rank, t_svd
+from lmhbrtf.tsvd import (
+    factorize_lemma1,
+    identity_tensor,
+    multi_rank,
+    t_svd,
+    truncate_multi_rank,
+)
 
 INT64 = st.integers(-2**63, 2**63 - 1)
 SCALARS = st.one_of(
@@ -167,6 +174,42 @@ def test_every_setting_takes_a_numpy_scalar(site):
     call(np.int32(valid) if integer else np.float32(valid))
     if site in NONE_IS_DEFAULT:
         call(None)
+
+
+# rank-vector site: (vector named in the message, a valid value, the call);
+# ``errors._check_integer_array`` checks each
+VECTOR_SITES = {
+    "SynthConfig.multirank": ("multirank", [2, 1, 2, 1], lambda v: _config(multirank=v)),
+    "truncate_multi_rank.target": ("target multi-rank", [2, 1, 1],
+                                   lambda v: truncate_multi_rank(X, L3, v)),
+    # r_err([-3, 2], [1, 2]) was 2.0, two (2, 2) arrays and r_err(3, 3) were
+    # 0.0, and r_err([], []) blamed only the dtype
+    "r_err.estimated": ("estimated rank vector", [1, 2], lambda v: r_err(v, [1, 2])),
+    "r_err.ground_truth": ("ground_truth rank vector", [1, 2], lambda v: r_err([1, 2], v)),
+}
+
+
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_every_rank_vector_rejects_what_is_not_a_vector_of_nonnegative_integers(site):
+    name, valid, call = VECTOR_SITES[site]
+    call(valid)
+    call(np.array(valid, dtype=np.uint8))
+    bad = [[-3, 2], np.ones((2, 2), dtype=int), 3, [], np.array(valid, dtype=float),
+           [True] * len(valid), np.array(valid)[None], None, "12"]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold "):
+            call(value)
+
+
+def test_r_err_takes_two_nonempty_equal_length_vectors():
+    assert r_err([3, 0, 2], np.array([1, 0, 5], dtype=np.int32)) == 5 / 3
+    for args in (([-3, 2], [1, 2]), (np.ones((2, 2), int), np.ones((2, 2), int)), (3, 3),
+                 ([], [])):
+        with pytest.raises(ValueError, match=r"^estimated rank vector must hold integers, "
+                                             r"one or more in a 1-D vector, in \[0, inf\)"):
+            r_err(*args)
+    with pytest.raises(ValueError, match=r"^rank vectors differ in length: 3 vs 2$"):
+        r_err([1, 2, 3], [1, 2])
 
 
 def test_settings_are_stored_as_plain_python_numbers():

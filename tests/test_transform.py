@@ -459,6 +459,28 @@ def test_half_inverse_weighs_a_self_mirrored_residue_by_one_over_phi(name):
             assert outcomes == [raises, raises], (k, factor)
 
 
+@pytest.mark.parametrize("name", ORBIT_TRANSFORMS)
+def test_half_inverse_takes_no_norm_of_an_exactly_real_residue(monkeypatch, name):
+    # a residue of exactly 0 passes against any norm, so the half inverse
+    # skips the output's norm; any nonzero residue, however small, is still
+    # weighed against it (the test above: rejected above RESIDUE_TOL only)
+    L = ORBIT_TRANSFORMS[name]
+    x = rng().standard_normal((3, 2) + L.trailing)
+    half = L.forward(x, half=True)
+    tiny = half.copy()
+    tiny[:, :, np.flatnonzero(L.slice_weights == 1)[0]] += 1e-3j * RESIDUE_TOL
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("norm taken")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert np.allclose(L.inverse(half, half=True), x, rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError, match="norm taken"):
+        L.inverse(tiny, half=True)
+    monkeypatch.undo()
+    assert np.allclose(L.inverse(tiny, half=True), x, rtol=0, atol=1e-12)
+
+
 # DFT trailing shapes with an even mode, whose self-mirrored slices pick up
 # imaginary roundoff in the mode products, and DFT matrices in other row
 # orders or with phases
