@@ -1,9 +1,10 @@
 """Command-line driver: synth, corrupt, denoise and metrics subcommands.
 
-Exit codes: 0 on success, 1 on numerical or data failure, 2 on usage
-errors.  Every run is reproducible from its --seed; wall-clock times are
-confined to the report's timing fields.  Option precedence is CLI flag
-over --config file over built-in default.
+Exit codes: 0 on success, 2 on a usage error (a bad flag or any
+:class:`errors.SettingError`) and 1 on any other failure: bad data, a
+numerical breakdown or a file error.  Every run is reproducible from its
+--seed; wall-clock times are confined to the report's timing fields.
+Option precedence is CLI flag over --config file over built-in default.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ImaginaryResidueError, NumericalBreakdownError, _check_number
+from .errors import NumericalBreakdownError, SettingError, _check_number
 from .metrics import compute_all
 from .model import HyperParams, run
 from .npyio import read_tensor, write_tensor
@@ -34,10 +35,6 @@ from .synth import (
 from .transform import Transform
 
 
-class UsageError(Exception):
-    """Bad flag combination or value; maps to exit code 2."""
-
-
 def _checked(parse, low, **rule):
     """The parse function of a numeric option: *parse* of its text, from
     *low* up by the library's rule (:func:`errors._check_number`)."""
@@ -45,7 +42,7 @@ def _checked(parse, low, **rule):
         value = parse(text)
         try:
             return _check_number("value", value, low, **rule)
-        except ValueError as exc:  # argparse would print only the text
+        except SettingError as exc:  # argparse would print only the text
             raise argparse.ArgumentTypeError(str(exc)) from None
     number.__name__ = parse.__name__  # for argparse's "invalid int value: '2.5'"
     return number
@@ -201,17 +198,17 @@ def _resolve(args) -> dict:
             with open(args.config, "r", encoding="utf-8") as fh:
                 from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}")
+            raise SettingError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(from_file, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
+            raise SettingError(f"config file {args.config} must hold a JSON object")
         for key, value in from_file.items():
             key = key.replace("-", "_")
             if key not in settable:
-                raise UsageError(f"config file {args.config}: unknown option {key!r}")
+                raise SettingError(f"config file {args.config}: unknown option {key!r}")
             try:
                 merged[key] = _config_value(settable[key], value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"config file {args.config}: option {key!r}: {exc}")
+                raise SettingError(f"config file {args.config}: option {key!r}: {exc}")
     for key in merged:
         value = getattr(args, key)
         if value is not None:
@@ -233,28 +230,26 @@ def _check_outputs(opts: dict) -> None:
             while not os.path.exists(existing):
                 existing = os.path.dirname(existing)
             if not os.path.isdir(existing):
-                raise UsageError(f"{where}: {existing!r} exists and is not a directory")
+                raise SettingError(f"{where}: {existing!r} exists and is not a directory")
         elif not path or os.path.isdir(path):
-            raise UsageError(f"{where} is not a file path")
+            raise SettingError(f"{where} is not a file path")
         elif not os.path.isdir(os.path.dirname(path) or "."):
-            raise UsageError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
+            raise SettingError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
 
 
 def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
     if spec == "desk":
-        try:
-            return desk_multirank(dims[2:], rank)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        return desk_multirank(dims[2:], rank)
     if spec.startswith("uniform:"):
         try:
-            return uniform_multirank(dims[2:], int(spec.split(":", 1)[1]))
+            uniform = int(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad uniform pattern {spec!r}")
+            raise SettingError(f"bad uniform pattern {spec!r}")
+        return uniform_multirank(dims[2:], uniform)
     try:  # SynthConfig checks the count and range of the ranks
         return np.array([int(p) for p in spec.split(",")], dtype=np.int64)
     except ValueError:
-        raise UsageError(f"--pattern must be 'desk', 'uniform:N' or a comma list, got {spec!r}")
+        raise SettingError(f"--pattern must be 'desk', 'uniform:N' or a comma list, got {spec!r}")
 
 
 def _load_input_tensor(path) -> np.ndarray:
@@ -278,11 +273,8 @@ def _hyperparams(opts, shape) -> HyperParams:
 def cmd_synth(opts: dict, argv: list) -> None:
     dims = opts["dims"]
     pattern = _parse_pattern(opts["pattern"], dims, opts["rank"])
-    try:
-        cfg = SynthConfig(shape=dims, base_rank=opts["rank"], multirank=pattern,
-                          rho=opts["rho"], sigma_sq=opts["sigma2"], seed=opts["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = SynthConfig(shape=dims, base_rank=opts["rank"], multirank=pattern,
+                      rho=opts["rho"], sigma_sq=opts["sigma2"], seed=opts["seed"])
     hp = _hyperparams(opts, dims)
     saved = {}
 
@@ -312,10 +304,7 @@ def cmd_synth(opts: dict, argv: list) -> None:
 
 def cmd_corrupt(opts: dict, argv: list) -> None:
     rho, sigma2, low, high = opts["rho"], opts["sigma2"], opts["low"], opts["high"]
-    try:
-        check_corruption(rho, sigma2, low, high)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    check_corruption(rho, sigma2, low, high)
     x = _load_input_tensor(opts["input"])
     y = corrupt_tensor(x, rho=rho, low=low, high=high, sigma_sq=sigma2,
                        seed=opts["seed"], normalize=opts["normalize"])
@@ -334,16 +323,13 @@ def _build_transform(paths, trailing) -> Transform:
     if not paths:
         return Transform.dft(trailing)
     if len(paths) != len(trailing):
-        raise UsageError(
+        raise SettingError(
             f"got {len(paths)} transform matrices for {len(trailing)} trailing modes")
     mats = [_drop_extra_singletons(read_tensor(path)) for path in paths]
     for path, m in zip(paths, mats):
         if m.ndim != 2:
-            raise UsageError(f"{path}: transform file must hold a matrix")
-    try:
-        return Transform.explicit(mats)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+            raise SettingError(f"{path}: transform file must hold a matrix")
+    return Transform.explicit(mats)
 
 
 def cmd_denoise(opts: dict, argv: list) -> None:
@@ -351,7 +337,7 @@ def cmd_denoise(opts: dict, argv: list) -> None:
     y = _load_input_tensor(opts["input"])
     transform = _build_transform(opts["transform_file"], y.shape[2:])
     if transform.trailing != y.shape[2:]:
-        raise UsageError(
+        raise SettingError(
             f"transform trailing shape {transform.trailing} does not match "
             f"input {y.shape}")
     hp = _hyperparams(opts, y.shape)
@@ -414,11 +400,10 @@ def main(argv=None) -> int:
         opts = _resolve(args)
         _check_outputs(opts)
         args.func(opts, argv)
-    except UsageError as exc:
+    except SettingError as exc:
         print(f"lmhbrtf: usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalBreakdownError, ImaginaryResidueError,
-            np.linalg.LinAlgError, ValueError, OSError) as exc:
+    except (NumericalBreakdownError, ValueError, OSError) as exc:
         print(f"lmhbrtf: error: {exc}", file=sys.stderr)
         return 1
     return 0

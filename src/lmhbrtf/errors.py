@@ -17,6 +17,11 @@ class ImaginaryResidueError(ValueError):
     """
 
 
+class SettingError(ValueError):
+    """A setting the caller passed (a number, rank pattern, shape or
+    transform), not the data, is out of its domain; a CLI usage error."""
+
+
 class NumericalBreakdownError(RuntimeError):
     """The inference loop produced a state it cannot continue from
     (singular precision matrix, non-positive variance, ...)."""
@@ -26,7 +31,7 @@ def _check_number(name: str, value, low=None, high=None, integer: bool = False,
                   open_low: bool = False):
     """*value* as a plain ``int`` (with *integer*) or finite ``float`` in
     [*low*, *high*] (None: no bound; *open_low* excludes *low*), or a
-    ValueError naming the setting *name*.  An integer setting takes only an
+    SettingError naming the setting *name*.  An integer setting takes only an
     integer type (not ``2.0``); a 0-d array counts as its element.  The
     message words the bounds the package uses: an integer from 0 or 1, a
     float from 0 or unbounded, or a closed interval.
@@ -44,13 +49,13 @@ def _check_number(name: str, value, low=None, high=None, integer: bool = False,
         need = (f"{'an integer' if integer else 'a number'} in [{low}, {high}]"
                 if high is not None else f"a {sign} integer" if integer
                 else "finite" if low is None else f"finite and {sign}")
-        raise ValueError(f"{name} must be {need}, got {value!r}")
+        raise SettingError(f"{name} must be {need}, got {value!r}")
     return number
 
 
 def _check_integer_array(name: str, value, length=None, high=None) -> np.ndarray:
     """*value* as an int64 vector of *length* entries (None: one or more)
-    in [0, *high*] (None: no upper bound), or a ValueError naming *name*;
+    in [0, *high*] (None: no upper bound), or a SettingError naming *name*;
     a float or bool dtype is an error, not truncated."""
     array = np.asarray(value)
     if (array.dtype.kind not in "iu"
@@ -58,5 +63,5 @@ def _check_integer_array(name: str, value, length=None, high=None) -> np.ndarray
             or array.min() < 0 or high is not None and array.max() > high):
         count = "integers, one or more in a 1-D vector," if length is None else f"{length} integers"
         bound = "inf)" if high is None else f"{high}]"
-        raise ValueError(f"{name} must hold {count} in [0, {bound}, got {value!r}")
+        raise SettingError(f"{name} must hold {count} in [0, {bound}, got {value!r}")
     return array.astype(np.int64)

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, NumericalBreakdownError, _check_number
+from .errors import ImaginaryResidueError, NumericalBreakdownError, SettingError, _check_number
 from .tensor import as_tensor, hermitian_t, linear_to_slice, num_slices, to_slice_stack
 from .transform import Transform, _Frozen
 from .tsvd import _inverse_stack, _slice_svds, _stack_product, balanced_factors
@@ -276,7 +276,7 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
     order), a nonzero tensor whose sum of squares underflows to 0 or
     overflows to inf in float64, a transform that is not real-safe or
     does not fit the trailing shape, and an ``init_rank`` above the
-    smaller slice side.
+    smaller slice side (a SettingError).
     """
     seed = _check_number("seed", seed, 0, integer=True)
     y = as_tensor(y)
@@ -308,8 +308,8 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
             "transforms of real tensors back to real tensors, which the model "
             "of a real observation needs")
     if hp.init_rank > min(y.shape[:2]):
-        raise ValueError(f"init_rank {hp.init_rank} exceeds the smaller slice side "
-                         f"{min(y.shape[:2])}")
+        raise SettingError(f"init_rank {hp.init_rank} exceeds the smaller slice side "
+                           f"{min(y.shape[:2])}")
     L._check_shape(y)
     return np.asfortranarray(y), seed
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import _check_integer_array, _check_number
+from .errors import SettingError, _check_integer_array, _check_number
 from .model import HyperParams, run
 from .report import RunReport
 from .tensor import num_slices
@@ -48,7 +48,7 @@ _CORRUPT_STREAM = 4
 
 def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
                      high: float = 10.0) -> tuple:
-    """The corruption levels as plain floats, or a ValueError.
+    """The corruption levels as plain floats, or a SettingError.
 
     ``rho`` (the outlier fraction) must lie in [0, 1], ``sigma_sq`` (the
     noise variance) must be finite and nonnegative, and the outlier range
@@ -58,7 +58,7 @@ def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
     levels = (_check_number("rho", rho, 0, 1), _check_number("sigma_sq", sigma_sq, 0),
               _check_number("low", low), _check_number("high", high))
     if not levels[2] < levels[3]:
-        raise ValueError(f"corruption range [{low}, {high}] must satisfy high > low")
+        raise SettingError(f"corruption range [{low}, {high}] must satisfy high > low")
     return levels
 
 
@@ -74,9 +74,9 @@ class SynthConfig:
         self.shape = tuple(_check_number(f"shape[{i}]", n, 1, integer=True)
                            for i, n in enumerate(shape))
         if len(self.shape) < 3:
-            raise ValueError("synthetic tensors must have order >= 3")
+            raise SettingError("synthetic tensors must have order >= 3")
         if min(self.shape[:2]) < 2:
-            raise ValueError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
+            raise SettingError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
                              "slices; the low-rank part needs I1 and I2 >= 2")
         self.base_rank = _check_number("base_rank", base_rank, 1, min(self.shape[:2]),
                                        integer=True)
@@ -85,7 +85,7 @@ class SynthConfig:
         self.rho, self.sigma_sq, _, _ = check_corruption(rho, sigma_sq)
         self.seed = _check_number("seed", seed, 0, integer=True)
         if not self.multirank.any():
-            raise ValueError("pattern has no positive rank, so the planted "
+            raise SettingError("pattern has no positive rank, so the planted "
                              "low-rank tensor is zero")
 
     def __repr__(self) -> str:
@@ -124,7 +124,7 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
     if len(trailing) == 1:
         j = trailing[0]
         if j < 5:
-            raise ValueError("order-3 desk pattern needs at least 5 slices")
+            raise SettingError("order-3 desk pattern needs at least 5 slices")
         edge = int(round(0.2 * j))
         pattern = np.full(j, r, dtype=np.int64)
         pattern[1:1 + edge] = h
@@ -134,7 +134,7 @@ def desk_multirank(trailing, base_rank: int) -> np.ndarray:
     # I = 5, 2 <-> 3 and 0 is fixed; under I = 3, 1 <-> 2
     big = {(5, 5): [0, 2, 3], (3, 3, 3): [1, 2]}.get(trailing)
     if big is None:
-        raise ValueError(
+        raise SettingError(
             f"no desk pattern defined for trailing shape {trailing}; "
             "pass an explicit pattern instead"
         )
@@ -156,10 +156,10 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     if L is None:
         L = Transform.dft(cfg.shape[2:])
     if L.trailing != cfg.shape[2:]:
-        raise ValueError(f"transform trailing shape {L.trailing} does not match "
-                         f"the tensor shape {cfg.shape}")
+        raise SettingError(f"transform trailing shape {L.trailing} does not match "
+                           f"the tensor shape {cfg.shape}")
     if L.real_safe and not np.array_equal(cfg.multirank[L.mirror], cfg.multirank):
-        raise ValueError(
+        raise SettingError(
             "rank pattern is not symmetric across conjugate-mirrored slices; "
             "the planted low-rank tensor would not be real"
         )

@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, _check_number
+from .errors import ImaginaryResidueError, SettingError, _check_number
 
 __all__ = ["Transform", "real_part"]
 
@@ -84,7 +84,7 @@ def real_part(x: np.ndarray) -> np.ndarray:
 
 def _check_trailing(trailing) -> tuple:
     """*trailing* as a tuple of plain ints, each the size of a trailing mode
-    and at least 1, or a ValueError naming the mode."""
+    and at least 1, or a SettingError naming the mode."""
     return tuple(_check_number(f"size of trailing mode {mode}", n, 1, integer=True)
                  for mode, n in enumerate(trailing, 3))
 
@@ -153,7 +153,7 @@ class Transform(_Frozen):
         """Unnormalized DFT along each trailing mode; phi = prod(trailing)."""
         trailing = _check_trailing(trailing)
         if not trailing:
-            raise ValueError("a transform needs at least one trailing mode")
+            raise SettingError("a transform needs at least one trailing mode")
         mats = tuple(_dft_matrix(n) for n in trailing)
         perms = tuple(-np.arange(n) % n for n in trailing)
         return cls(phi=float(np.prod(trailing)), matrices=mats,
@@ -171,24 +171,24 @@ class Transform(_Frozen):
         """
         mats = tuple(np.asarray(m, dtype=np.complex128) for m in matrices)
         if not mats:
-            raise ValueError("explicit transform needs at least one matrix")
+            raise SettingError("explicit transform needs at least one matrix")
         phi = 1.0
         inverses, perms, mixers = [], [], []
         for mode, m in enumerate(mats, 3):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"transform matrix must be square, got {m.shape}")
+                raise SettingError(f"transform matrix must be square, got {m.shape}")
             if not np.isfinite(m).all():
-                raise ValueError(f"transform matrix of mode {mode} has non-finite "
-                                 "entries")
+                raise SettingError(f"transform matrix of mode {mode} has non-finite "
+                                   "entries")
             n = m.shape[0]
             if n == 0:
-                raise ValueError(f"transform matrix of mode {mode} is empty")
+                raise SettingError(f"transform matrix of mode {mode} is empty")
             # passing puts every squared singular value within
             # c (1 +- 1e-8 sqrt(n)), so a matrix that passes is far from singular
             gram = m.conj().T @ m
             c = float(np.trace(gram).real) / n
             if c <= 0 or np.linalg.norm(gram - c * np.eye(n)) > _SCALE_TOL * c * np.sqrt(n):
-                raise ValueError(
+                raise SettingError(
                     f"transform matrix of mode {mode} is singular or not unitary "
                     "up to scale; the energy constant phi would be undefined"
                 )

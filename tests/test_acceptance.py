@@ -43,6 +43,10 @@ from lmhbrtf.tensor import bdiag, frobenius_norm, to_slice_stack
 from lmhbrtf.transform import Transform, real_part
 from lmhbrtf.tsvd import conj_transpose, facewise_product, identity_tensor, t_product, t_svd
 
+# the recovery grids take most of the suite's time; `pytest -m "not slow"`
+# runs everything else
+pytestmark = pytest.mark.slow
+
 
 def _report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

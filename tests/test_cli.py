@@ -272,6 +272,12 @@ def test_denoise_transform_file_matches_builtin_dft(tmp_path):
     a, b = read_tensor(out_fft), read_tensor(out_mat)
     assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a)
     assert RunReport.load(rep).config["transform"] == "explicit"
+    # a size-1 axis beyond two is dropped: an (8, 8, 1) file is the same matrix
+    padded, out_padded = tmp_path / "m3_padded.npy", tmp_path / "padded.npy"
+    write_tensor(padded, dft[:, :, np.newaxis])
+    assert main(["denoise", "--input", str(src), "--out", str(out_padded),
+                 "--transform-file", str(padded)] + common) == 0
+    assert read_tensor(out_padded).tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -295,31 +301,80 @@ def test_denoise_rejects_bad_input_exit_code_1(tmp_path, capsys, bad, message):
     assert not out.exists()
 
 
+# (flag, a value the library rejects, the setting's name in its message)
+_BAD_MODEL_SETTINGS = [
+    ("--max-iter", "-1", "max_iter"), ("--tol", "nan", "tol"),
+    ("--tol", "-1", "tol"), ("--init-rank", "0", "init_rank"),
+    ("--sigma0sq", "nan", "sigma0_sq"), ("--gamma", "-2", "gamma"),
+]
+_SETTING_NAMES = {flag: name for flag, _, name in _BAD_MODEL_SETTINGS}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--sigma0sq", "--gamma", "--tol"])
 def test_denoise_rejects_non_finite_setting_exit_code_1(tmp_path, capsys, flag, value):
+    # a model setting the library rejects is a usage error (exit 2), not a
+    # failure of the data (exit 1)
     src, _ = make_lowrank_input(tmp_path)
     out = tmp_path / "xhat.npy"
     code = main(["denoise", "--input", str(src), "--seed", "1", "--init-rank", "2",
                  "--max-iter", "5", "--out", str(out), flag, value])
-    assert code == 1
-    assert "lmhbrtf: error: " in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"lmhbrtf: usage error: {_SETTING_NAMES[flag]} must be" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--max-iter", "-1", "max_iter"), ("--tol", "nan", "tol"),
-    ("--tol", "-1", "tol"), ("--init-rank", "0", "init_rank"),
-])
+@pytest.mark.parametrize("flag,value,message", _BAD_MODEL_SETTINGS)
 def test_denoise_checks_model_settings_before_reading_input(tmp_path, capsys, flag,
                                                             value, message):
+    # the input is missing: exit 2, not the read error's 1, shows that the
+    # settings are checked before any file is touched
     out = tmp_path / "xhat.npy"
     code = main(["denoise", "--input", str(tmp_path / "missing.npy"), "--seed", "1",
                  "--out", str(out), flag, value])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
+    assert err.startswith("lmhbrtf: usage error: ")
     assert message in err and "missing.npy" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", _BAD_MODEL_SETTINGS)
+def test_synth_checks_model_settings_before_generating(tmp_path, capsys, monkeypatch,
+                                                       flag, value, message):
+    _no_input_read(monkeypatch)
+    code = main(["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "uniform:2",
+                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1",
+                 "--out", str(tmp_path / "r.json"), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"lmhbrtf: usage error: {message} must be")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_pattern_unequal_on_mirrored_slices_is_usage_error(tmp_path, capsys):
+    # slices 1 and 3 of a 4-point DFT are conjugates: their ranks must agree
+    out = tmp_path / "r.json"
+    code = main(["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "2,1,2,2",
+                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "lmhbrtf: usage error: rank pattern is not symmetric")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "denoise"])
+def test_init_rank_above_the_slice_side_is_usage_error(tmp_path, capsys, command):
+    src, out = tmp_path / "y.npy", tmp_path / "out"
+    write_tensor(src, generate(SynthConfig((8, 8, 4), 2, uniform_multirank((4,), 2),
+                                           0.0, 0.0, seed=1)).y)
+    argv = {"synth": ["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "uniform:2",
+                      "--rho", "0.0", "--sigma2", "0.0", "--seed", "1"],
+            "denoise": ["denoise", "--input", str(src), "--seed", "1"]}[command]
+    assert main(argv + ["--init-rank", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "lmhbrtf: usage error: init_rank 9 exceeds the smaller slice side 8\n")
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_denoise_converges_where_mirror_slices_drifted_apart(tmp_path, capsys):
@@ -376,6 +431,19 @@ def test_denoise_rejects_empty_transform_matrix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "transform matrix of mode 3 is empty" in err
+
+
+def test_denoise_rejects_transform_of_another_trailing_shape(tmp_path, capsys):
+    src, _ = make_lowrank_input(tmp_path)  # its third mode has size 8
+    mpath, out = tmp_path / "m3.npy", tmp_path / "x.npy"
+    write_tensor(mpath, np.eye(4))
+    code = main(["denoise", "--input", str(src), "--seed", "1", "--out", str(out),
+                 "--transform-file", str(mpath)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lmhbrtf: usage error: transform trailing shape (4,)")
+    assert "(12, 12, 8)" in err
+    assert not out.exists()
 
 
 def test_denoise_pads_matrix_input(tmp_path):

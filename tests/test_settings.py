@@ -1,9 +1,11 @@
 """Every numeric setting the library takes is checked by one rule.
 
 ``errors._check_number`` decides whether a scalar setting is valid: it
-returns a plain ``int`` or finite ``float``, or raises a ValueError that
-names the setting.  The property test drives the rule itself; the table
-below calls it through every public entry point that takes a setting.
+returns a plain ``int`` or finite ``float``, or raises a SettingError
+(a ValueError) that names the setting.  The property test drives the rule
+itself; the table below calls it through every public entry point that
+takes a setting.  The library's other checks of a setting raise a
+SettingError too, and its checks of the data a plain ValueError.
 """
 
 import math
@@ -14,17 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmhbrtf.errors import _check_number
-from lmhbrtf.metrics import ergas, ssim
+from lmhbrtf.errors import SettingError, _check_number
+from lmhbrtf.metrics import ergas, psnr, ssim
 from lmhbrtf.model import HyperParams, init_state, run
 from lmhbrtf.synth import (
     SynthConfig,
     check_corruption,
     corrupt_tensor,
     desk_multirank,
+    generate,
     r_err,
     run_benchmark,
     uniform_multirank,
+    x_err,
 )
 from lmhbrtf.transform import Transform
 from lmhbrtf.tsvd import (
@@ -53,7 +57,7 @@ def test_check_number_returns_a_plain_number_in_bounds_or_raises_value_error(
     try:
         number = _check_number("setting", value, low, high, integer=integer,
                                open_low=open_low)
-    except ValueError as exc:
+    except SettingError as exc:
         assert str(exc).startswith("setting must be ")
         return
     assert type(number) is (int if integer else float)
@@ -164,7 +168,7 @@ def test_every_setting_rejects_what_is_not_a_valid_number(site):
     bad += [2.5, float(valid)] if integer else [math.inf]
     bad += [] if out_of_range is None else [out_of_range]
     for value in bad:
-        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        with pytest.raises(SettingError, match=f"^{re.escape(name)} must be "):
             call(value)
 
 
@@ -197,7 +201,7 @@ def test_every_rank_vector_rejects_what_is_not_a_vector_of_nonnegative_integers(
     bad = [[-3, 2], np.ones((2, 2), dtype=int), 3, [], np.array(valid, dtype=float),
            [True] * len(valid), np.array(valid)[None], None, "12"]
     for value in bad:
-        with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold "):
+        with pytest.raises(SettingError, match=f"^{re.escape(name)} must hold "):
             call(value)
 
 
@@ -226,3 +230,48 @@ def test_settings_are_stored_as_plain_python_numbers():
     echo = run_benchmark([], repeats=np.int64(2), model_seed=np.uint16(4)).config
     assert (echo["repeats"], echo["model_seed"]) == (2, 4)
     assert [type(echo[k]) for k in ("repeats", "model_seed")] == [int, int]
+
+
+# the library's checks beyond the one rule: a setting the caller passed
+# raises SettingError, which the CLI reports as a usage error (exit 2) ...
+SETTING_FAULTS = {
+    "check_corruption.range": lambda: check_corruption(0.1, 0.0, low=1.0, high=1.0),
+    "SynthConfig.order": lambda: _config(shape=(8, 8)),
+    "SynthConfig.thin_slices": lambda: _config(shape=(1, 8, 4)),
+    "SynthConfig.zero_pattern": lambda: _config(multirank=[0, 0, 0, 0]),
+    "desk_multirank.few_slices": lambda: desk_multirank((4,), 2),
+    "desk_multirank.trailing": lambda: desk_multirank((4, 4), 2),
+    "generate.trailing": lambda: generate(_config(), Transform.dft((5,))),
+    "generate.mirror": lambda: generate(_config(multirank=[2, 1, 2, 2])),
+    "Transform.dft.no_mode": lambda: Transform.dft(()),
+    "Transform.explicit.no_matrix": lambda: Transform.explicit([]),
+    "Transform.explicit.square": lambda: Transform.explicit([np.ones((2, 3))]),
+    "Transform.explicit.finite": lambda: Transform.explicit([np.full((2, 2), np.nan)]),
+    "Transform.explicit.empty": lambda: Transform.explicit([np.zeros((0, 0))]),
+    "Transform.explicit.unitary": lambda: Transform.explicit([np.ones((2, 2))]),
+    "run.init_rank": lambda: run(Y, L3, HyperParams(5, max_iter=1), 0),
+}
+# ... and a fault of the data a plain ValueError, a failure (exit 1)
+NOT_REAL_SAFE = Transform.explicit([np.diag(np.exp(2j * np.pi * np.arange(3) / 6))])
+DATA_FAULTS = {
+    "run.thin_slices": lambda: run(np.ones((1, 4, 3)), L3, HyperParams(1), 0),
+    "run.non_finite": lambda: run(np.where(Y > 1, np.nan, Y), L3, HyperParams(2), 0),
+    "run.scale": lambda: run(Y * 1e-200, L3, HyperParams(2), 0),
+    "run.real_safe": lambda: run(Y, NOT_REAL_SAFE, HyperParams(2), 0),
+    "run.trailing_shape": lambda: run(Y, Transform.dft((4,)), HyperParams(2), 0),
+    "x_err.shape": lambda: x_err(X, Y),
+    "psnr.shape": lambda: psnr(X, Y),
+}
+
+
+@pytest.mark.parametrize("site", SETTING_FAULTS)
+def test_a_bad_setting_raises_setting_error(site):
+    with pytest.raises(SettingError):
+        SETTING_FAULTS[site]()
+
+
+@pytest.mark.parametrize("site", DATA_FAULTS)
+def test_a_fault_of_the_data_raises_no_setting_error(site):
+    with pytest.raises(ValueError) as exc:
+        DATA_FAULTS[site]()
+    assert not isinstance(exc.value, SettingError), exc.value
