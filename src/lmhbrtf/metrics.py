@@ -26,8 +26,7 @@ class MetricReport:
         self.psnr, self.ssim, self.ergas, self.sam = psnr, ssim, ergas, sam
 
     def as_dict(self) -> dict:
-        return {"psnr": self.psnr, "ssim": self.ssim,
-                "ergas": self.ergas, "sam": self.sam}
+        return dict(vars(self))
 
 
 def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:

@@ -78,8 +78,8 @@ GAMMA_PRIOR = 1e-6
 PRUNE_THRESHOLD = 1e-4
 
 
-class HyperParams:
-    """Model and loop configuration.
+class HyperParams(_Frozen):
+    """Model and loop configuration; its fields cannot be reassigned.
 
     ``init_rank`` is the starting column count of every slice, one
     integer of at least 1; the ARD updates prune each slice down from
@@ -94,11 +94,12 @@ class HyperParams:
 
     def __init__(self, init_rank: int, sigma0_sq: float = 1.0,
                  gamma: Optional[float] = None, tol: float = 1e-4, max_iter: int = 200):
-        self.init_rank = _check_number("init_rank", init_rank, 1, integer=True)
-        self.sigma0_sq = _check_number("sigma0_sq", sigma0_sq, 0, open_low=True)
-        self.gamma = None if gamma is None else _check_number("gamma", gamma, 0, open_low=True)
-        self.tol = _check_number("tol", tol, 0, open_low=True)
-        self.max_iter = _check_number("max_iter", max_iter, 0, integer=True)
+        vars(self).update(
+            init_rank=_check_number("init_rank", init_rank, 1, integer=True),
+            sigma0_sq=_check_number("sigma0_sq", sigma0_sq, 0, open_low=True),
+            gamma=None if gamma is None else _check_number("gamma", gamma, 0, open_low=True),
+            tol=_check_number("tol", tol, 0, open_low=True),
+            max_iter=_check_number("max_iter", max_iter, 0, integer=True))
 
     def __repr__(self) -> str:
         return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
@@ -266,6 +267,13 @@ class RunResult(NamedTuple):
     trace: RunTrace
 
 
+def _check_init_rank(hp: HyperParams, shape) -> None:
+    """A SettingError unless ``hp.init_rank`` fits the slices of a tensor of *shape*."""
+    if hp.init_rank > min(shape[:2]):
+        raise SettingError(f"init_rank {hp.init_rank} exceeds the smaller slice side "
+                           f"{min(shape[:2])}")
+
+
 def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
     """The observation as a real, column-major float64 tensor and the
     seed as an int, or a ValueError; no slice is decomposed.
@@ -307,9 +315,7 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
             "transform is not real-safe: its inverse does not map products of "
             "transforms of real tensors back to real tensors, which the model "
             "of a real observation needs")
-    if hp.init_rank > min(y.shape[:2]):
-        raise SettingError(f"init_rank {hp.init_rank} exceeds the smaller slice side "
-                           f"{min(y.shape[:2])}")
+    _check_init_rank(hp, y.shape)
     L._check_shape(y)
     return np.asfortranarray(y), seed
 

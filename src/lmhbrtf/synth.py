@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import SettingError, _check_integer_array, _check_number
-from .model import HyperParams, run
+from .model import HyperParams, _check_init_rank, _read_only, run
 from .report import RunReport
 from .tensor import num_slices
-from .transform import Transform, _check_trailing
-from .tsvd import conj_transpose, t_product, t_qr, truncate_multi_rank
+from .transform import Transform, _check_trailing, _Frozen
+from .tsvd import _check_mirror_symmetric, conj_transpose, t_product, t_qr, truncate_multi_rank
 
 __all__ = [
     "SynthConfig",
@@ -62,31 +62,32 @@ def check_corruption(rho: float, sigma_sq: float, low: float = -10.0,
     return levels
 
 
-class SynthConfig:
+class SynthConfig(_Frozen):
     """One synthetic scenario: shape, planted ranks and corruption levels.
 
     Outliers are drawn from Uniform[-10, 10]; slices must be at least
-    2 x 2, because a 1 x n or n x 1 slice is full rank at rank 1.
+    2 x 2, because a 1 x n or n x 1 slice is full rank at rank 1.  The
+    fields cannot be reassigned, and ``multirank`` is read-only.
     """
 
     def __init__(self, shape: tuple, base_rank: int, multirank: np.ndarray,
                  rho: float, sigma_sq: float, seed: int):
-        self.shape = tuple(_check_number(f"shape[{i}]", n, 1, integer=True)
-                           for i, n in enumerate(shape))
-        if len(self.shape) < 3:
+        shape = tuple(_check_number(f"shape[{i}]", n, 1, integer=True)
+                      for i, n in enumerate(shape))
+        if len(shape) < 3:
             raise SettingError("synthetic tensors must have order >= 3")
-        if min(self.shape[:2]) < 2:
-            raise SettingError(f"shape {self.shape} has {self.shape[0]} x {self.shape[1]} "
+        if min(shape[:2]) < 2:
+            raise SettingError(f"shape {shape} has {shape[0]} x {shape[1]} "
                              "slices; the low-rank part needs I1 and I2 >= 2")
-        self.base_rank = _check_number("base_rank", base_rank, 1, min(self.shape[:2]),
-                                       integer=True)
-        self.multirank = _check_integer_array("multirank", multirank,
-                                              num_slices(self.shape), self.base_rank)
-        self.rho, self.sigma_sq, _, _ = check_corruption(rho, sigma_sq)
-        self.seed = _check_number("seed", seed, 0, integer=True)
-        if not self.multirank.any():
+        base_rank = _check_number("base_rank", base_rank, 1, min(shape[:2]), integer=True)
+        multirank = _check_integer_array("multirank", multirank, num_slices(shape), base_rank)
+        rho, sigma_sq, _, _ = check_corruption(rho, sigma_sq)
+        seed = _check_number("seed", seed, 0, integer=True)
+        if not multirank.any():
             raise SettingError("pattern has no positive rank, so the planted "
                              "low-rank tensor is zero")
+        vars(self).update(shape=shape, base_rank=base_rank, multirank=_read_only(multirank),
+                          rho=rho, sigma_sq=sigma_sq, seed=seed)
 
     def __repr__(self) -> str:
         return f"SynthConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
@@ -158,11 +159,7 @@ def generate(cfg: SynthConfig, L: Optional[Transform] = None) -> SynthInstance:
     if L.trailing != cfg.shape[2:]:
         raise SettingError(f"transform trailing shape {L.trailing} does not match "
                            f"the tensor shape {cfg.shape}")
-    if L.real_safe and not np.array_equal(cfg.multirank[L.mirror], cfg.multirank):
-        raise SettingError(
-            "rank pattern is not symmetric across conjugate-mirrored slices; "
-            "the planted low-rank tensor would not be real"
-        )
+    _check_mirror_symmetric(cfg.multirank, L)
     shape = cfg.shape
     trailing = shape[2:]
 
@@ -238,6 +235,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
     cells = []
     for cfg in configs:
         hp_cell = hp if hp is not None else protocol_hyperparams(cfg.shape)
+        _check_init_rank(hp_cell, cfg.shape)
         rows = []
         for rep in range(repeats):
             cfg_rep = SynthConfig(cfg.shape, cfg.base_rank, cfg.multirank,

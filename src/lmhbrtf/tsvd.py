@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, _check_integer_array, _check_number
+from .errors import SettingError, _check_integer_array, _check_number
 from .tensor import (
     as_tensor,
     from_slice_stack,
@@ -229,23 +229,28 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     return _ranks_from_svals(svals, tol, L, half)
 
 
+def _check_mirror_symmetric(ranks: np.ndarray, L: Transform) -> None:
+    """A SettingError if L is real-safe and *ranks* differ on conjugate-
+    mirrored slices (:attr:`Transform.mirror`): no real tensor has such slice ranks."""
+    if L.real_safe and not np.array_equal(ranks[L.mirror], ranks):
+        raise SettingError("rank pattern is not symmetric across conjugate-mirrored "
+                           "slices, so a tensor of these slice ranks would not be real")
+
+
 def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     """Best per-slice rank-r_k approximation, reassembled in the original domain.
 
     For a real input under a real-safe transform, *target* must be equal
-    on conjugate-mirrored slices (:attr:`Transform.mirror`); otherwise
-    the result cannot be real and an :class:`ImaginaryResidueError` is
-    raised before any SVD.  A real input is truncated on the slices
+    on conjugate-mirrored slices (:attr:`Transform.mirror`); otherwise a
+    SettingError is raised before any SVD.  A real input is truncated on the slices
     ``forward(x, half=True)`` keeps only.
     """
     x = as_tensor(x)
     L._check_shape(x)
     target = _check_integer_array("target multi-rank", target, num_slices(x.shape),
                                   min(x.shape[:2]))
-    if _half_spectrum(L, x) and not np.array_equal(target[L.mirror], target):
-        raise ImaginaryResidueError(
-            "target multi-rank differs on conjugate-mirrored slices, so the "
-            "truncation of a real tensor would not be real")
+    if not np.iscomplexobj(x):
+        _check_mirror_symmetric(target, L)
     # the truncation does not depend on the choice of singular vectors
     half, _, (u, s, vh) = _slice_svds(x, L, full_matrices=False)
     kept = target[L.kept_slices] if half else target

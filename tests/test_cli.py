@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmhbrtf import cli, transform
+from lmhbrtf import cli, synth, transform
 from lmhbrtf.cli import main
 from lmhbrtf.npyio import read_tensor, write_tensor
 from lmhbrtf.report import RunReport, strip_timing
 from lmhbrtf.synth import SynthConfig, corrupt_tensor, generate, uniform_multirank
+from lmhbrtf.tsvd import multi_rank
 
 
 def make_lowrank_input(tmp_path, name="y.npy", rho=0.0, sigma_sq=0.0, seed=5):
@@ -364,10 +365,16 @@ def test_synth_pattern_unequal_on_mirrored_slices_is_usage_error(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["synth", "denoise"])
-def test_init_rank_above_the_slice_side_is_usage_error(tmp_path, capsys, command):
+def test_init_rank_above_the_slice_side_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                      command):
     src, out = tmp_path / "y.npy", tmp_path / "out"
     write_tensor(src, generate(SynthConfig((8, 8, 4), 2, uniform_multirank((4,), 2),
                                            0.0, 0.0, seed=1)).y)
+
+    def no_generate(*args, **kwargs):  # synth knows the slice side before it draws
+        raise AssertionError("an instance was drawn before the init_rank check")
+
+    monkeypatch.setattr(synth, "generate", no_generate)
     argv = {"synth": ["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "uniform:2",
                       "--rho", "0.0", "--sigma2", "0.0", "--seed", "1"],
             "denoise": ["denoise", "--input", str(src), "--seed", "1"]}[command]
@@ -375,6 +382,23 @@ def test_init_rank_above_the_slice_side_is_usage_error(tmp_path, capsys, command
     assert capsys.readouterr().err == (
         "lmhbrtf: usage error: init_rank 9 exceeds the smaller slice side 8\n")
     assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the prune rule keeps every "
+                   "column of a video-like input")
+def test_denoise_returns_the_planted_multirank_of_a_video_like_input(tmp_path):
+    # today: [10] * 12 after 275 iterations, converged
+    x = generate(SynthConfig((20, 20, 3, 4), 2, uniform_multirank((3, 4), 2), 0.0, 0.0,
+                             seed=900)).x_gt
+    ref = (x - x.min()) / (x.max() - x.min())
+    planted = multi_rank(ref, transform.Transform.dft((3, 4))).tolist()
+    assert planted == [3] + [2] * 11  # the min-max offset adds one to the DC slice
+    src, out, rep = tmp_path / "y.npy", tmp_path / "xhat.npy", tmp_path / "r.json"
+    write_tensor(src, corrupt_tensor(ref, 0.2, 0.0, 1.0, 1e-4, seed=901))
+    assert main(["denoise", "--input", str(src), "--out", str(out), "--report", str(rep),
+                 "--seed", "902", "--init-rank", "10", "--sigma0sq", "1e-7",
+                 "--tol", "1e-6", "--max-iter", "400"]) == 0
+    assert RunReport.load(rep).results["multirank"] == planted
 
 
 def test_denoise_converges_where_mirror_slices_drifted_apart(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -61,6 +62,44 @@ def test_schema_version_checked(tmp_path):
         RunReport.load(path)
 
 
+def test_tool_checked(tmp_path):
+    path = tmp_path / "r.json"
+    RunReport(command="x").save(path)
+    raw = json.loads(path.read_text())
+    raw["tool"] = "other"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="schema"):
+        RunReport.load(path)
+
+
+def test_load_rejects_a_file_that_is_not_a_json_object(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[]\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported report schema"):
+        RunReport.load(path)
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw.pop("trace"),
+                                  lambda raw: raw.update(extra=1)], ids=["missing", "extra"])
+def test_load_takes_exactly_the_report_fields(tmp_path, edit):
+    # a missing key was a bare KeyError, and an extra one was dropped
+    path = tmp_path / "r.json"
+    RunReport(command="x").save(path)
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: report keys"):
+        RunReport.load(path)
+
+
+def test_saved_keys_are_the_header_and_the_constructor_fields(tmp_path):
+    path = tmp_path / "r.json"
+    RunReport(command="x").save(path)
+    assert sorted(json.loads(path.read_text())) == [
+        "command", "config", "results", "schema_version", "timing", "tool", "trace",
+        "version"]
+
+
 def test_unserializable_report_leaves_no_file_and_keeps_an_old_one(tmp_path):
     path = tmp_path / "r.json"
     bad = RunReport(command="x", results={"when": object()})
@@ -83,6 +122,7 @@ def test_strip_timing_removes_all_timing_fields():
     }
     stripped = strip_timing(doc)
     assert stripped == {"results": {"cells": [{"x": 1}]}, "kept": 5}
+    assert strip_timing({"a": (1, {"b_s": 2})}) == {"a": [1, {}]}
 
 
 def test_version_echoed():

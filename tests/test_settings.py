@@ -232,6 +232,19 @@ def test_settings_are_stored_as_plain_python_numbers():
     assert [type(echo[k]) for k in ("repeats", "model_seed")] == [int, int]
 
 
+def test_settings_objects_cannot_be_reassigned():
+    # a reassigned field skipped its check: tol -1 ran every iteration, and
+    # max_iter 2.5 or seed -1 failed later inside range or numpy
+    hp, cfg = HyperParams(2), _config()
+    for settings_object in (hp, cfg):
+        for name, value in vars(settings_object).items():
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(settings_object, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.multirank[0] = 1
+    assert (hp.tol, cfg.seed, cfg.multirank.tolist()) == (1e-4, 0, [2, 1, 2, 1])
+
+
 # the library's checks beyond the one rule: a setting the caller passed
 # raises SettingError, which the CLI reports as a usage error (exit 2) ...
 SETTING_FAULTS = {
@@ -243,6 +256,7 @@ SETTING_FAULTS = {
     "desk_multirank.trailing": lambda: desk_multirank((4, 4), 2),
     "generate.trailing": lambda: generate(_config(), Transform.dft((5,))),
     "generate.mirror": lambda: generate(_config(multirank=[2, 1, 2, 2])),
+    "truncate_multi_rank.mirror": lambda: truncate_multi_rank(Y, L3, [2, 1, 2]),
     "Transform.dft.no_mode": lambda: Transform.dft(()),
     "Transform.explicit.no_matrix": lambda: Transform.explicit([]),
     "Transform.explicit.square": lambda: Transform.explicit([np.ones((2, 3))]),

@@ -6,6 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from lmhbrtf import synth
+from lmhbrtf.errors import SettingError
+from lmhbrtf.model import HyperParams
 from lmhbrtf.report import strip_timing
 from lmhbrtf.synth import (
     _FACTOR_STREAM,
@@ -338,6 +341,16 @@ def test_corrupt_tensor_rejects_complex_input():
 def test_run_benchmark_empty_grid():
     report = run_benchmark([])
     assert report.results["cells"] == []
+
+
+def test_run_benchmark_checks_init_rank_before_drawing_an_instance(monkeypatch):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("an instance was drawn before the init_rank check")
+
+    monkeypatch.setattr(synth, "generate", no_generate)
+    cfg = SynthConfig((8, 8, 4), 2, uniform_multirank((4,), 2), 0.0, 0.0, seed=1)
+    with pytest.raises(SettingError, match=r"^init_rank 9 exceeds the smaller slice side 8$"):
+        run_benchmark([cfg], hp=HyperParams(9))
 
 
 @pytest.mark.parametrize("shape", [(1, 8, 4), (8, 1, 4)])

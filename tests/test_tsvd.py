@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lmhbrtf import tsvd
-from lmhbrtf.errors import ImaginaryResidueError
+from lmhbrtf.errors import SettingError
 from lmhbrtf.tensor import bdiag, frobenius_norm, from_slice_stack, to_slice_stack
 from lmhbrtf.transform import Transform, real_part
 from lmhbrtf.tsvd import (
@@ -447,7 +447,7 @@ def test_truncate_rejects_asymmetric_target(trailing, target):
     if len(trailing) == 2:
         target[1] = 2  # slice (1, 0); its mirror (2, 0) is kept in the half too
     x = np.random.default_rng(7).standard_normal((4, 4) + trailing)
-    with pytest.raises(ImaginaryResidueError, match="mirrored"):
+    with pytest.raises(SettingError, match="mirrored"):
         truncate_multi_rank(x, Transform.dft(trailing), target)
 
 
@@ -460,7 +460,7 @@ def test_truncate_rejects_asymmetric_target_before_any_svd(monkeypatch):
     L = Transform.explicit([np.fft.fft(np.eye(5))])
     x = np.random.default_rng(7).standard_normal((4, 4, 5))
     monkeypatch.setattr(tsvd.np.linalg, "svd", no_svd)
-    with pytest.raises(ImaginaryResidueError, match="mirrored"):
+    with pytest.raises(SettingError, match="mirrored"):
         truncate_multi_rank(x, L, [2, 1, 2, 2, 2])
 
 
