@@ -669,7 +669,8 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
 
         x_hat = state.x_hat
         prev_norm = np.linalg.norm(x_prev)
-        diff_norm = np.linalg.norm(x_hat - x_prev)
+        # the previous iterate is not read again: its change overwrites it
+        diff_norm = np.linalg.norm(np.subtract(x_hat, x_prev, out=x_prev))
         if prev_norm > 0:
             rel_change = diff_norm / prev_norm
         else:

@@ -23,18 +23,19 @@ J slices; every per-slice rank of a real tensor is checked against it.
 The half spectrum keeps one slice per orbit of the mirror, the one with
 the smaller linear index (:attr:`Transform.kept_slices`), so a real
 tensor's kept slices determine all J and conjugate symmetry holds by
-construction.  ``forward(x, half=True)`` computes the last mode's kept
-rows (the i with i <= p[i]) and gathers the kept slices from them;
-``inverse(xbar, half=True)`` scatters them back, conjugating the dropped
-mirrors, and applies the exact complex-to-real inverse.  Under an
-order-3 transform the gather and the scatter are the identity and are
-skipped.  :attr:`Transform.slice_weights` (1 for a slice that is its own
-mirror, else 2) and :attr:`Transform.slice_map` relate the kept slices
-to the J slices.  A slice that is its own mirror is the conjugate of
-itself, a real matrix, and ``forward(x, half=True)`` returns it with an
-imaginary part of exactly 0: only then are its singular vectors real
-where they are not unique (a repeated or zero singular value), and
-every product of such slices stays exactly real.
+construction.  ``forward(x, half=True)`` computes the last mode on its
+kept rows (the i with i <= p[i]), then mode 3 by blocks of I3 slices
+straight into the kept slices, never computing a dropped one;
+``inverse(xbar, half=True)`` reads mode 3's blocks where they lie in the
+kept slices, assembling with conjugates only the blocks that hold a
+dropped slice, and ends with the exact complex-to-real inverse of the
+last mode.  :attr:`Transform.slice_weights` (1 for a slice that is its
+own mirror, else 2) and :attr:`Transform.slice_map` relate the kept
+slices to the J slices.  A slice that is its own mirror is a real
+matrix, and ``forward(x, half=True)`` returns it with an imaginary part
+of exactly 0: only then are its singular vectors real where they are not
+unique (a repeated or zero singular value), and every product of such
+slices stays exactly real.
 
 For every invertible transform, real-safe or not, the transform also
 stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
@@ -95,6 +96,19 @@ def _dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(k, k) % n) / n)
 
 
+def _product(m: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """Write the stacked product ``m @ x`` into the complex128 array *out*.
+
+    A real *x* takes one real product with the real and imaginary parts
+    of each row of *m*, half the cost of a complex product, written
+    straight into the parts of *out* (whose last axis is contiguous).
+    """
+    if np.iscomplexobj(x):
+        return np.matmul(m, x, out=out)
+    parts = out.view(np.float64).reshape(out.shape + (2,)).swapaxes(-1, -2)
+    return np.matmul(np.stack([m.real, m.imag], axis=1), x[..., None, :, :], out=parts)
+
+
 def _mode_product(flat: np.ndarray, shape: tuple, axis: int, m: np.ndarray):
     """Multiply mode *axis* of a column-major tensor by the matrix *m*.
 
@@ -103,19 +117,11 @@ def _mode_product(flat: np.ndarray, shape: tuple, axis: int, m: np.ndarray):
     one batched matrix product with *m* on the left.  Returns the flat
     complex128 result and its shape.
     """
-    rows = m.shape[0]
     x = flat.reshape(math.prod(shape[axis + 1:]), shape[axis],
                      math.prod(shape[:axis]))
-    if np.iscomplexobj(x):
-        out = np.matmul(m, x)
-    else:
-        # real data: one real product with the stacked real and imaginary
-        # parts of m does the work of a complex product at half the cost
-        parts = np.matmul(np.concatenate([m.real, m.imag]), x)
-        out = np.empty((x.shape[0], rows, x.shape[2]), dtype=np.complex128)
-        out.real = parts[:, :rows]
-        out.imag = parts[:, rows:]
-    return out.reshape(-1), shape[:axis] + (rows,) + shape[axis + 1:]
+    out = np.empty((x.shape[0], m.shape[0], x.shape[2]), dtype=np.complex128)
+    _product(m, x, out)
+    return out.reshape(-1), shape[:axis] + m.shape[:1] + shape[axis + 1:]
 
 
 class _Frozen:
@@ -277,17 +283,29 @@ class Transform(_Frozen):
         return np.where(dropped, position[self.mirror], position), dropped
 
     @cached_property
-    def _row_layout(self):
-        # The mode products compute the slices on the last mode's kept rows;
-        # the kept slices are among them.  None where they are all of them
-        # (every order-3 transform); else the kept slices' positions among
-        # them, and per row slice its kept source and the conjugated ones.
-        last = np.arange(self.mirror.size) // math.prod(self.trailing[:-1])
-        rows = np.flatnonzero(last <= self._conj_perms[-1][last])
-        if rows.size == self.kept_slices.size:
-            return None
+    def _blocks(self) -> tuple:
+        # Mode 3 of the half transforms runs by blocks of I3 consecutive slices
+        # on the last mode's kept rows (the whole input under an order-3
+        # transform); the kept slices lie among them in order.  Per run of
+        # blocks that keep the same slices: the blocks, the rows of M3 for
+        # them, where they lie, and the kept sources of all the run's slices
+        # (a view when all are kept) with the positions to conjugate.
+        n3 = self.trailing[0]
+        j = np.arange(self.mirror.size).reshape(-1, n3)
+        if len(self.trailing) > 1:
+            last = j[:, 0] // math.prod(self.trailing[:-1])
+            j = j[last <= self._conj_perms[-1][last]]
+        kept = j <= self.mirror[j]
         source, conj = self.slice_map
-        return np.searchsorted(rows, self.kept_slices), source[rows], np.flatnonzero(conj[rows])
+        edges = [0, *np.flatnonzero((kept[1:] != kept[:-1]).any(axis=1)) + 1, len(j)]
+        runs, pos = [], 0
+        for start, stop in zip(edges[:-1], edges[1:]):
+            sel, run = np.flatnonzero(kept[start]), j[start:stop].reshape(-1)
+            dest = slice(pos, pos + (stop - start) * sel.size)
+            runs.append((slice(start, stop), self.matrices[0][sel], dest,
+                         dest if sel.size == n3 else source[run], np.flatnonzero(conj[run])))
+            pos = dest.stop
+        return tuple(runs)
 
     @cached_property
     def _own_mirror(self) -> np.ndarray:
@@ -318,9 +336,10 @@ class Transform(_Frozen):
 
         With ``half`` the input must be real and only the kept slices are
         returned, as an (I1, I2, K) tensor (:attr:`half_trailing`): the
-        last mode's kept rows are computed, then the kept slices gathered
-        from them.  The kept slices that are their own mirror are real in
-        exact arithmetic; their imaginary roundoff is set to exactly 0.
+        last mode is computed on its kept rows, then mode 3 block by block
+        straight into the kept slices, so no dropped slice is computed.
+        The kept slices that are their own mirror are real in exact
+        arithmetic; their imaginary roundoff is set to exactly 0.
         """
         x = np.asarray(x)
         self._check_shape(x)
@@ -329,31 +348,33 @@ class Transform(_Frozen):
         dtype = np.complex128 if np.iscomplexobj(x) else np.float64
         flat, shape = np.ravel(x, order="F").astype(dtype, copy=False), x.shape
         last = x.ndim - 1
-        for axis in range(last, 1, -1):
+        for axis in range(last, 2 if half else 1, -1):
             m = self.matrices[axis - 2]
             if half and axis == last:
                 m = m[self._kept_rows]
             flat, shape = _mode_product(flat, shape, axis, m)
-        if half:
-            stack = flat.reshape(-1, shape[0] * shape[1])
-            if self._row_layout is not None:
-                stack = stack[self._row_layout[0]]
-            # a new array: the input is real, so the caller's data is not written
-            stack.imag[self._own_mirror] = 0.0
-            flat, shape = stack.reshape(-1), shape[:2] + self.half_trailing
-        return flat.reshape(shape, order="F")
+        if not half:
+            return flat.reshape(shape, order="F")
+        blocks = flat.reshape(-1, shape[2], shape[0] * shape[1])
+        stack = np.empty((self.kept_slices.size, blocks.shape[2]), dtype=np.complex128)
+        for run, m, dest, _, _ in self._blocks:
+            block = blocks[run]
+            _product(m, block, stack[dest].reshape(len(block), -1, block.shape[2]))
+        stack.imag[self._own_mirror] = 0.0
+        return stack.reshape(-1).reshape(shape[:2] + self.half_trailing, order="F")
 
     def inverse(self, xbar: np.ndarray, half: bool = False) -> np.ndarray:
         """Apply L^-1 along modes 3..d; the result is complex128.
 
         With ``half`` the input holds the kept slices of a real tensor's
         transform, as returned by ``forward(x, half=True)``, and the
-        result is real: the dropped mirrors are filled in as conjugates
-        of their kept slices, then the exact complex-to-real inverse is
-        applied.  Only the kept slices that are their own mirror (every
-        trailing index 0 or I_k/2 under the DFT) can be other than the
-        transform of a real tensor, so the imaginary residue the full
-        inverse would have on them is checked as :func:`real_part`
+        result is real: mode 3 reads its blocks where they lie among the
+        kept slices, filling in dropped mirrors as conjugates only in the
+        blocks that hold one, then the exact complex-to-real inverse of
+        the last mode is applied.  Only the kept slices that are their own
+        mirror (every trailing index 0 or I_k/2 under the DFT) can be other
+        than the transform of a real tensor, so the imaginary residue the
+        full inverse would have on them is checked as :func:`real_part`
         checks it; a residue of exactly 0, the only one the model's
         stacks have, passes without the output's norm being taken.
         ``real_part(L.inverse(xbar))`` checks the full inverse.
@@ -361,7 +382,7 @@ class Transform(_Frozen):
         xbar = np.asarray(xbar)
         self._check_shape(xbar, half)
         flat = np.ravel(xbar, order="F").astype(np.complex128, copy=False)
-        shape = xbar.shape
+        shape, first = xbar.shape, 2
         if half:
             stack = flat.reshape(shape[2], -1)
             # Mirror pairs are conjugate by construction; a kept slice that is
@@ -371,14 +392,17 @@ class Transform(_Frozen):
             # dot products copy no slice
             sq = sum(float(np.dot(stack[k].imag, stack[k].imag))
                      for k in self._own_mirror.tolist()) / self.phi
-            if self._row_layout is not None:
-                _, source, conj = self._row_layout
-                stack = stack[source]
-                stack.imag[conj] *= -1
-                flat = stack.reshape(-1)
             shape = shape[:2] + self.trailing[:-1] + self._kept_rows.shape
+            if len(shape) > 3:
+                out = np.empty((math.prod(shape[3:]), shape[2], stack.shape[1]), np.complex128)
+                for run, _, _, source, conj in self._blocks:
+                    block = stack[source]
+                    if conj.size:  # a copy: some slice of the run is dropped
+                        block.imag[conj] *= -1
+                    _product(self._inverses[0], block.reshape(-1, *out.shape[1:]), out[run])
+                flat, first = out.reshape(-1), 3
         last = len(shape) - 1
-        for axis in range(2, last):
+        for axis in range(first, last):
             flat, shape = _mode_product(flat, shape, axis, self._inverses[axis - 2])
         if not half:
             flat, shape = _mode_product(flat, shape, last, self._inverses[-1])

@@ -44,6 +44,10 @@ def test_generate_and_run_fire_every_hooked_layer(bench_modules):
     out = tracing.summarize(tracer.spans,
                             workloads.MODEL_LAYERS + workloads.SETUP_LAYERS)
     assert out["model.update_u.calls"] == 3
+    # the half transforms are reached through Transform.forward/inverse,
+    # where the tracer wraps them
+    assert out["transform.forward.calls"] == 5
+    assert out["transform.inverse.calls"] == 4
 
 
 def test_denoise_video_workload_runs_traced(bench_modules, tmp_path):

@@ -66,6 +66,24 @@ def test_mode_product_composition():
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def test_mode_product_of_real_data_matches_the_complex_product():
+    # real data take the real product with the stacked real and imaginary
+    # parts of m, written straight into the complex output
+    r = rng()
+    x = r.standard_normal((3, 4, 6, 2))
+    k = np.arange(6)
+    m = np.exp(-2j * np.pi * np.outer(k, k) / 6)[:4]  # the DFT's kept rows
+    got = mode_product(x, m, 2)
+    ref = mode_product(x.astype(np.complex128), m, 2)
+    assert got.dtype == np.complex128
+    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+    q = np.linalg.qr(r.standard_normal((6, 6)))[0]
+    real = mode_product(x, q, 2)
+    assert np.all(real.imag == 0)
+    assert np.allclose(real.real, mode_product(x, q.astype(np.complex128), 2).real,
+                       rtol=1e-14, atol=0)
+
+
 def test_mode_product_dimension_mismatch():
     with pytest.raises(ValueError):
         mode_product(np.zeros((3, 4, 2)), np.zeros((2, 5)), 1)

@@ -1,6 +1,7 @@
 """Forward/inverse transform contracts, phi, and DFT slice symmetry."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +165,10 @@ def test_real_part_threshold():
 
 HALF_SHAPES = [(3, 4, 5), (3, 4, 6), (3, 4, 1), (3, 4, 2),
                (2, 3, 4, 5), (2, 3, 3, 6), (2, 3, 5, 1), (2, 3, 3, 2),
-               (2, 2, 3, 2, 5), (2, 2, 2, 3, 4), (2, 2, 3, 3, 1), (2, 2, 4, 3, 2)]
+               (2, 2, 3, 2, 5), (2, 2, 2, 3, 4), (2, 2, 3, 3, 1), (2, 2, 4, 3, 2),
+               # mode 3 block by block: a partly kept block, a wholly dropped
+               # block and an even last mode whose Nyquist row is its own mirror
+               (2, 2, 3, 3, 3), (2, 2, 4, 4)]
 
 
 @pytest.mark.parametrize("shape", HALF_SHAPES)
@@ -515,3 +519,18 @@ def test_half_form_rejects_complex_input_and_full_shape():
         Transform.dft((4,)).forward(np.ones((2, 2, 4), dtype=complex), half=True)
     with pytest.raises(ValueError):
         Transform.dft((4,)).inverse(np.zeros((2, 2, 4), dtype=complex), half=True)
+
+
+def test_half_forward_allocates_little_beyond_its_output():
+    # the real product is written straight into the complex output and mode
+    # 3 straight into the kept slices: no parts array, no gather
+    x = np.asfortranarray(rng().standard_normal((50, 50, 50)))
+    L = Transform.dft((50,))
+    L.forward(x, half=True)  # caches the kept-slice tables
+    tracemalloc.start()
+    try:
+        out = L.forward(x, half=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
