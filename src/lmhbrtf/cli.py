@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 on a usage error (a bad flag or any
 :class:`errors.SettingError`) and 1 on any other failure: bad data, a
 numerical breakdown or a file error.  Every run is reproducible from its
 --seed; wall-clock times are confined to the report's timing fields.
-Option precedence is CLI flag over --config file over built-in default.
+Option precedence is CLI flag over --config file over default; an unset
+model setting of synth or denoise takes the library's preset for it.
 """
 
 from __future__ import annotations
@@ -81,24 +82,23 @@ def _paths(value) -> list:
 
 _REQUIRED = object()  # the default of a flag that every call must give
 
-
-def _model_options(sigma0sq, gamma, tol, max_iter) -> tuple:
-    """The rows of the model settings that synth and denoise share."""
-    return (
-        ("init_rank", _or_auto(int), "auto", "starting rank of every slice, or 'auto'"),
-        ("sigma0sq", float, sigma0sq, "initial sparse variance"),
-        ("gamma", _or_auto(float), gamma, "refinement divisor, or 'auto' for phi"),
-        ("tol", float, tol, "convergence threshold on the relative change"),
-        ("max_iter", int, max_iter, "iteration budget"),
-    )
-
+# The model settings of synth and denoise, with no default of their own: a
+# given one overrides the command's library preset (see _hyperparams).
+_MODEL_OPTIONS = (
+    ("init_rank", _or_auto(int), None, "starting rank of every slice, or 'auto'"),
+    ("sigma0sq", float, None, "initial sparse variance"),
+    ("gamma", _or_auto(float), None, "refinement divisor, or 'auto' for phi"),
+    ("tol", float, None, "convergence threshold on the relative change"),
+    ("max_iter", int, None, "iteration budget"),
+)
 
 # One table per subcommand: its help and its option rows (name, parse
 # function, default, help).  The flag is the name with '-' for '_'.
 # build_parser() makes the flags from the rows, and _resolve() parses a
 # --config value with the same function as the flag's text.
 _OPTIONS = {
-    "synth": ("generate a synthetic instance, recover it and score the recovery", (
+    "synth": ("generate a synthetic instance, recover it and score the recovery; "
+              "unset model settings: synth.protocol_hyperparams(dims)", (
         ("dims", _dims, _REQUIRED, "comma-separated tensor sizes, e.g. 50,50,5,5"),
         ("rank", int, _REQUIRED, "base rank R of the planted factors"),
         ("rho", float, _REQUIRED, "fraction of outlier entries"),
@@ -109,7 +109,7 @@ _OPTIONS = {
          "'desk', 'uniform:N' or an explicit comma list of per-slice ranks "
          "(default desk)"),
         ("repeats", _COUNT, 1, "rerun with shifted data seeds and average"),
-        *_model_options(sigma0sq=1.0, gamma=1.0, tol=1e-6, max_iter=2500),
+        *_MODEL_OPTIONS,
         ("model_seed", _SEED, 11, "seed of the inference initialization"),
         ("save_tensors", str, None, "directory for the generated/recovered tensors"),
     )),
@@ -125,16 +125,16 @@ _OPTIONS = {
         ("normalize", _switch, False,
          "map to [0,1] via (x - low)/(high - low) before adding noise"),
     )),
-    "denoise": ("recover the low-rank and sparse parts of a tensor", (
+    "denoise": ("recover the low-rank and sparse parts of a tensor; unset model "
+                "settings: model.HyperParams' defaults, init_rank 'auto'", (
         ("input", str, _REQUIRED, "observed tensor path"),
         ("out", str, _REQUIRED, "output path for the low-rank estimate"),
         ("seed", _SEED, _REQUIRED, "seed of the inference initialization"),
         ("transform_file", _paths, None,
          "explicit transform: one NPY matrix per mode 3..d (default: the DFT)"),
-        *_model_options(sigma0sq=1e-7, gamma="auto", tol=1e-4, max_iter=200),
+        *_MODEL_OPTIONS,
         ("report", str, None, "optional report JSON path"),
         ("sparse_out", str, None, "optional path for the sparse estimate"),
-        # slice updates are batched, so there are no slice threads; the flag
         # parses only because the benchmark's denoise workload passes it
         ("threads", int, 0, "ignored (no-op): slice updates are batched"),
     )),
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "denoise": cmd_denoise, "metrics": cmd_metrics}
     for command, (summary, rows) in _OPTIONS.items():
         # no prefix matching: a removed flag must not parse as a longer one
-        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p = sub.add_parser(command, help=summary, description=summary, allow_abbrev=False)
         for name, parse, default, text in rows:
             flag = "--" + name.replace("_", "-")
             if parse is _switch:
@@ -259,15 +259,15 @@ def _load_input_tensor(path) -> np.ndarray:
     return arr
 
 
-def _hyperparams(opts, shape) -> HyperParams:
-    """The model settings from the resolved options of synth or denoise;
-    without a *shape*, as a check before the input is read ('auto' rank 1)."""
-    init_rank, gamma = opts["init_rank"], opts["gamma"]
-    if init_rank == "auto":
-        init_rank = 1 if shape is None else protocol_hyperparams(shape).init_rank
-    return HyperParams(init_rank=init_rank, sigma0_sq=opts["sigma0sq"],
-                       gamma=None if gamma == "auto" else gamma,
-                       tol=opts["tol"], max_iter=opts["max_iter"])
+def _hyperparams(opts, preset: HyperParams) -> HyperParams:
+    """*preset* with the model settings given by flag or --config: 'auto'
+    keeps the preset's init_rank and selects phi for gamma."""
+    hp = preset.as_dict()
+    for name, *_ in _MODEL_OPTIONS:
+        value = opts[name]
+        if value is not None and (name, value) != ("init_rank", "auto"):
+            hp["sigma0_sq" if name == "sigma0sq" else name] = None if value == "auto" else value
+    return HyperParams(**hp)
 
 
 def cmd_synth(opts: dict, argv: list) -> None:
@@ -275,7 +275,7 @@ def cmd_synth(opts: dict, argv: list) -> None:
     pattern = _parse_pattern(opts["pattern"], dims, opts["rank"])
     cfg = SynthConfig(shape=dims, base_rank=opts["rank"], multirank=pattern,
                       rho=opts["rho"], sigma_sq=opts["sigma2"], seed=opts["seed"])
-    hp = _hyperparams(opts, dims)
+    hp = _hyperparams(opts, protocol_hyperparams(dims))
     saved = {}
 
     def keep_tensors(cfg_rep, inst, result):
@@ -333,14 +333,14 @@ def _build_transform(paths, trailing) -> Transform:
 
 
 def cmd_denoise(opts: dict, argv: list) -> None:
-    _hyperparams(opts, None)  # bad settings fail before the read
+    _hyperparams(opts, HyperParams(init_rank=1))  # bad settings fail before the read
     y = _load_input_tensor(opts["input"])
     transform = _build_transform(opts["transform_file"], y.shape[2:])
     if transform.trailing != y.shape[2:]:
         raise SettingError(
             f"transform trailing shape {transform.trailing} does not match "
             f"input {y.shape}")
-    hp = _hyperparams(opts, y.shape)
+    hp = _hyperparams(opts, HyperParams(init_rank=protocol_hyperparams(y.shape).init_rank))
     t0 = time.perf_counter()
     result = run(y, transform, hp, seed=opts["seed"])
     elapsed = time.perf_counter() - t0

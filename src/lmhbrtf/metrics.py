@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import _check_number
-from .tensor import num_slices, to_slice_stack
+from .tensor import _check_finite, num_slices, to_slice_stack
 
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
 
@@ -36,6 +36,8 @@ def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
     if x_gt.size == 0:
         raise ValueError(f"metrics need a tensor with entries, got shape {x_gt.shape}")
+    _check_finite("estimate", x_hat)
+    _check_finite("reference", x_gt)
 
 
 def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:

@@ -36,7 +36,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ImaginaryResidueError, NumericalBreakdownError, SettingError, _check_number
-from .tensor import as_tensor, hermitian_t, linear_to_slice, num_slices, to_slice_stack
+from .tensor import (_check_finite, as_tensor, hermitian_t, linear_to_slice, num_slices,
+                     to_slice_stack)
 from .transform import Transform, _Frozen
 from .tsvd import _inverse_stack, _slice_svds, _stack_product, balanced_factors
 
@@ -295,12 +296,7 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
             "identifiable; I1 and I2 must be at least 2")
     if np.iscomplexobj(y):
         raise ValueError("observation tensor must be real")
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = np.flatnonzero(~finite.ravel(order="F"))
-        idx = tuple(int(i) for i in np.unravel_index(bad[0], y.shape, order="F"))
-        raise ValueError(f"observation has a non-finite entry {y[idx]} at index "
-                         f"{idx} ({bad.size} non-finite entries in all)")
+    _check_finite("observation", y)
     if y.any():
         flat = y.ravel(order="K")
         with np.errstate(over="ignore", under="ignore"):

@@ -59,6 +59,17 @@ def frobenius_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.ravel(x)))
 
 
+def _check_finite(name: str, x: np.ndarray) -> None:
+    """A ValueError naming *name* and its first non-finite entry in
+    column-major order, if *x* has one."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.ravel(order="F"))
+        idx = tuple(int(i) for i in np.unravel_index(bad[0], x.shape, order="F"))
+        raise ValueError(f"{name} has a non-finite entry {x[idx]} at index "
+                         f"{idx} ({bad.size} non-finite entries in all)")
+
+
 def linear_to_slice(j: int, shape) -> tuple:
     """Trailing multi-index (i3, ..., id) for a linear slice index, 0-based."""
     total = num_slices(shape)

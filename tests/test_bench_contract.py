@@ -16,6 +16,7 @@ import pytest
 
 from lmhbrtf import model, synth
 from lmhbrtf.model import HyperParams
+from lmhbrtf.report import RunReport
 from lmhbrtf.transform import Transform
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -60,3 +61,7 @@ def test_denoise_video_workload_runs_traced(bench_modules, tmp_path):
     solves = w.check(prepared, raw)
     assert [s.failed for s in solves] == [[]]
     tracing.summarize(tracer.spans, w.layers)
+    # the workload passes every model setting, so no CLI default reaches it
+    files, _ = prepared
+    assert RunReport.load(files["report"]).config["hyperparams"] == HyperParams(
+        init_rank=30, sigma0_sq=1e-7, gamma=None, tol=1e-6, max_iter=400).as_dict()

@@ -10,6 +10,8 @@ import pytest
 
 from lmhbrtf import cli, synth, transform
 from lmhbrtf.cli import main
+from lmhbrtf.metrics import psnr
+from lmhbrtf.model import HyperParams
 from lmhbrtf.npyio import read_tensor, write_tensor
 from lmhbrtf.report import RunReport, strip_timing
 from lmhbrtf.synth import SynthConfig, corrupt_tensor, generate, uniform_multirank
@@ -401,6 +403,31 @@ def test_denoise_returns_the_planted_multirank_of_a_video_like_input(tmp_path):
     assert RunReport.load(rep).results["multirank"] == planted
 
 
+def test_denoise_at_its_defaults_runs_past_its_start_up_plateau(tmp_path):
+    # ROADMAP item 17: with a CLI default of sigma0sq 1e-7 this run stopped
+    # after 34 iterations, converged, with a 5.39 dB gain
+    x = generate(SynthConfig((20, 20, 3, 4), 2, uniform_multirank((3, 4), 2), 0.0, 0.0,
+                             seed=900)).x_gt
+    ref = (x - x.min()) / (x.max() - x.min())
+    y = corrupt_tensor(ref, 0.2, 0.0, 1.0, 1e-4, seed=901)
+    src, out, rep = tmp_path / "y.npy", tmp_path / "xhat.npy", tmp_path / "r.json"
+    write_tensor(src, y)
+    assert main(["denoise", "--input", str(src), "--out", str(out), "--report", str(rep),
+                 "--seed", "902"]) == 0
+    assert psnr(read_tensor(out), ref) - psnr(y, ref) >= 20.0
+    # every unset model setting is the library's: HyperParams' defaults, and
+    # the init_rank of 'auto'
+    assert RunReport.load(rep).config["hyperparams"] == HyperParams(init_rank=10).as_dict()
+
+
+def test_synth_at_its_defaults_echoes_the_protocol_settings(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["synth", "--dims", "8,8,4", "--rank", "2", "--pattern", "uniform:2",
+                 "--rho", "0.0", "--sigma2", "0.0", "--seed", "1", "--out", str(out)]) == 0
+    assert RunReport.load(out).config["hyperparams"] == \
+        synth.protocol_hyperparams((8, 8, 4)).as_dict()
+
+
 def test_denoise_converges_where_mirror_slices_drifted_apart(tmp_path, capsys):
     # when both slices of a mirror pair were stored and updated apart, this
     # run exited 1 with an imaginary residue at iteration 106
@@ -520,6 +547,26 @@ def test_metrics_shape_mismatch_exit_code_1(tmp_path):
     code = main(["metrics", "--ref", str(a), "--est", str(b),
                  "--out", str(tmp_path / "m.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--ref", "--est"])
+def test_metrics_rejects_non_finite_entry_exit_code_1(tmp_path, capsys, flag, bad):
+    # a NaN exited 0 with psnr nan; an inf in the estimate exited 1 with an
+    # unnamed "math domain error", one in the reference 0 with every metric nan
+    ref = np.random.default_rng(3).uniform(0.1, 1.0, (10, 10, 3))
+    files = {"--ref": ref, "--est": ref + 0.01}
+    files[flag][3, 4, 1] = float(bad)
+    argv = ["metrics", "--out", str(tmp_path / "m.json")]
+    for name, x in files.items():
+        write_tensor(tmp_path / f"{name[2:]}.npy", x)
+        argv += [name, str(tmp_path / f"{name[2:]}.npy")]
+    assert main(argv) == 1
+    side = "reference" if flag == "--ref" else "estimate"
+    assert capsys.readouterr().err == (f"lmhbrtf: error: {side} has a non-finite entry "
+                                       f"{bad} at index (3, 4, 1) (1 non-finite entries "
+                                       "in all)\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_metrics_rejects_empty_tensor_exit_code_1(tmp_path, capsys):

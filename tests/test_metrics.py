@@ -51,6 +51,23 @@ def test_metrics_reject_a_tensor_without_entries(metric, shape):
         metric(empty, empty)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["estimate", "reference"])
+@pytest.mark.parametrize("metric", [psnr, ssim, ergas, sam, compute_all])
+def test_metrics_reject_a_non_finite_entry(metric, side, bad):
+    # a NaN read nan (sam skipped its pixel), an inf in the estimate failed
+    # with "math domain error" and one in the reference read nan everywhere
+    ref = rng().uniform(0.1, 1.0, (10, 10, 3, 2))
+    est = ref + 0.01
+    (est if side == "estimate" else ref)[3, 4, 1, 1] = bad
+    # the first bad index in column-major order, as the model names its input's
+    (est if side == "estimate" else ref)[5, 4, 0, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"{side} has a non-finite entry {bad} at index (5, 4, 0, 1) "
+            "(2 non-finite entries in all)")):
+        metric(est, ref)
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))

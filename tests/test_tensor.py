@@ -10,10 +10,12 @@ from lmhbrtf.tensor import (
     bdiag,
     frobenius_norm,
     from_slice_stack,
+    hermitian_t,
     linear_to_slice,
     to_slice_stack,
 )
-from lmhbrtf.transform import _mode_product
+from lmhbrtf.transform import Transform, _mode_product
+from lmhbrtf.tsvd import _inverse_stack, _stack_product
 
 
 def rng():
@@ -154,6 +156,30 @@ def test_slice_stack_is_a_view_of_column_major_data(shape):
         assert np.array_equal(stack[k], x[idx])
     assert np.array_equal(from_slice_stack(stack, shape), x)
     assert np.array_equal(from_slice_stack(np.ascontiguousarray(stack), shape), x)
+
+
+@pytest.mark.parametrize("trailing", [(5,), (5, 5), (3, 3, 3)])
+def test_product_stack_reaches_the_inverse_without_a_copy(monkeypatch, trailing):
+    # the model's x-hat: _stack_product's stack of the kept slices, whose
+    # column-major memory inverse(half=True) ravels on entry without a copy
+    L = Transform.dft(trailing)
+    a, b = (to_slice_stack(L.forward(rng().standard_normal((6, 2) + trailing), half=True))
+            for _ in range(2))
+    stack = _stack_product(a, hermitian_t(b))
+    ravel, copied = np.ravel, []
+
+    def spy(x, order="C"):
+        flat = ravel(x, order=order)
+        copied.append(not np.shares_memory(flat, x))
+        return flat
+
+    monkeypatch.setattr(np, "ravel", spy)
+    x_hat = _inverse_stack(stack, L, half=True)
+    assert copied[0] is False
+    # the same slices in row-major memory are copied on entry
+    copied.clear()
+    assert np.array_equal(_inverse_stack(stack.copy(), L, half=True), x_hat)
+    assert copied[0] is True
 
 
 def test_bdiag_single_slice_and_zero():
