@@ -217,7 +217,9 @@ def _resolve(args) -> dict:
 
 
 def _check_outputs(opts: dict) -> None:
-    """Fail before any input is read on an output path that cannot be written."""
+    """Fail before any input is read on an output path that cannot be
+    written, or on two output files that resolve to one path."""
+    files = {}
     for key in ("out", "report", "sparse_out", "save_tensors"):
         path = opts.get(key)
         if path is None:
@@ -235,6 +237,10 @@ def _check_outputs(opts: dict) -> None:
             raise SettingError(f"{where} is not a file path")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             raise SettingError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
+        else:
+            first = files.setdefault(os.path.realpath(path), where)
+            if first != where:
+                raise SettingError(f"{first} and {where} name one file")
 
 
 def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import _check_number
-from .tensor import _check_finite, num_slices, to_slice_stack
+from .tensor import as_tensor, num_slices, to_slice_stack
 
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
 
@@ -29,15 +29,17 @@ class MetricReport:
         return dict(vars(self))
 
 
-def _check_shapes(x_hat: np.ndarray, x_gt: np.ndarray) -> None:
+def _check_shapes(x_hat, x_gt) -> tuple:
+    """The estimate and the reference as real float64 tensors of one shape
+    with entries, or a ValueError."""
+    x_hat, x_gt = as_tensor(x_hat, "estimate"), as_tensor(x_gt, "reference")
     if np.iscomplexobj(x_hat) or np.iscomplexobj(x_gt):
         raise ValueError("metrics need real tensors, got a complex one")
     if x_hat.shape != x_gt.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
     if x_gt.size == 0:
         raise ValueError(f"metrics need a tensor with entries, got shape {x_gt.shape}")
-    _check_finite("estimate", x_hat)
-    _check_finite("reference", x_gt)
+    return x_hat, x_gt
 
 
 def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
@@ -46,9 +48,8 @@ def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     Identical inputs give the +inf sentinel; an all-zero reference with
     any other estimate is an error.
     """
-    _check_shapes(x_hat, x_gt)
-    err = float(np.sum((np.asarray(x_hat, dtype=np.float64)
-                        - np.asarray(x_gt, dtype=np.float64)) ** 2))
+    x_hat, x_gt = _check_shapes(x_hat, x_gt)
+    err = float(np.sum((x_hat - x_gt) ** 2))
     if err == 0.0:
         return math.inf
     peak = float(np.max(np.abs(x_gt)))
@@ -70,7 +71,7 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
     range of the reference.  A window below 1, or frames smaller than the
     window, are an error.
     """
-    _check_shapes(x_hat, x_gt)
+    x_hat, x_gt = _check_shapes(x_hat, x_gt)
     window = _check_number("SSIM window", window, 1, integer=True)
     i1, i2 = x_gt.shape[:2]
     if i1 < window or i2 < window:
@@ -80,10 +81,8 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
         rng = 1.0
     c1 = (0.01 * rng) ** 2
     c2 = (0.03 * rng) ** 2
-    hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
-    refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
     values = []
-    for hat, ref in zip(hats, refs):
+    for hat, ref in zip(to_slice_stack(x_hat), to_slice_stack(x_gt)):
         a = _frame_windows(hat, window)
         b = _frame_windows(ref, window)
         mu_a = a.mean(axis=1)
@@ -102,10 +101,9 @@ def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:
 
     The scale must be finite and positive.
     """
-    _check_shapes(x_hat, x_gt)
+    x_hat, x_gt = _check_shapes(x_hat, x_gt)
     scale = _check_number("ERGAS scale", scale, 0, open_low=True)
-    hats = to_slice_stack(np.asarray(x_hat, dtype=np.float64))
-    refs = to_slice_stack(np.asarray(x_gt, dtype=np.float64))
+    hats, refs = to_slice_stack(x_hat), to_slice_stack(x_gt)
     means = refs.mean(axis=(1, 2))
     if (means == 0.0).any():
         raise ValueError("a reference frame has zero mean; ratio undefined")
@@ -119,11 +117,11 @@ def sam(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     Pixels where either vector is zero are skipped; all-zero inputs are
     an error.
     """
-    _check_shapes(x_hat, x_gt)
+    x_hat, x_gt = _check_shapes(x_hat, x_gt)
     # column p of the (J, I1 * I2) slice stack is pixel p's spectral vector
     j = num_slices(x_gt.shape)
-    a = to_slice_stack(np.asarray(x_hat, dtype=np.float64)).reshape(j, -1)
-    b = to_slice_stack(np.asarray(x_gt, dtype=np.float64)).reshape(j, -1)
+    a = to_slice_stack(x_hat).reshape(j, -1)
+    b = to_slice_stack(x_gt).reshape(j, -1)
     na = np.linalg.norm(a, axis=0)
     nb = np.linalg.norm(b, axis=0)
     keep = (na > 0) & (nb > 0)

@@ -36,8 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ImaginaryResidueError, NumericalBreakdownError, SettingError, _check_number
-from .tensor import (_check_finite, as_tensor, hermitian_t, linear_to_slice, num_slices,
-                     to_slice_stack)
+from .tensor import as_tensor, hermitian_t, linear_to_slice, num_slices, to_slice_stack
 from .transform import Transform, _Frozen
 from .tsvd import _inverse_stack, _slice_svds, _stack_product, balanced_factors
 
@@ -288,7 +287,7 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
     smaller slice side (a SettingError).
     """
     seed = _check_number("seed", seed, 0, integer=True)
-    y = as_tensor(y)
+    y = as_tensor(y, "observation")
     if min(y.shape[:2]) < 2:
         raise ValueError(
             f"observation of shape {y.shape} has {y.shape[0]} x {y.shape[1]} "
@@ -296,7 +295,6 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
             "identifiable; I1 and I2 must be at least 2")
     if np.iscomplexobj(y):
         raise ValueError("observation tensor must be real")
-    _check_finite("observation", y)
     if y.any():
         flat = y.ravel(order="K")
         with np.errstate(over="ignore", under="ignore"):

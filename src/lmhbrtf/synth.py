@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SettingError, _check_integer_array, _check_number
 from .model import HyperParams, _check_init_rank, _read_only, run
 from .report import RunReport
-from .tensor import num_slices
+from .tensor import as_tensor, num_slices
 from .transform import Transform, _check_trailing, _Frozen
 from .tsvd import _check_mirror_symmetric, conj_transpose, t_product, t_qr, truncate_multi_rank
 
@@ -285,21 +285,22 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     Exactly floor(rho * numel) entries are replaced by Uniform[low, high)
     draws; with *normalize* the result is mapped by (x - low)/(high - low);
     finally i.i.d. N(0, sigma_sq) noise is added to every entry.  The
-    steps run in exactly this order.
+    steps run in exactly this order, on a real tensor that passes
+    :func:`tensor.as_tensor`.
     """
     rho, sigma_sq, low, high = check_corruption(rho, sigma_sq, low, high)
     seed = _check_number("seed", seed, 0, integer=True)
+    x = as_tensor(x, "input")
     if np.iscomplexobj(x):
         raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CORRUPT_STREAM]))
-    out = np.array(x, dtype=np.float64)
-    n = out.size
+    n = x.size
     count = int(math.floor(rho * n))
-    flat = out.reshape(-1, order="F")
+    flat = x.flatten(order="F")  # a copy: the caller's tensor is left as it is
     if count:
         where = rng.choice(n, size=count, replace=False)
         flat[where] = rng.uniform(low, high, size=count)
-    out = flat.reshape(out.shape, order="F")
+    out = flat.reshape(x.shape, order="F")
     if normalize:
         out = (out - low) / (high - low)
     if sigma_sq > 0:

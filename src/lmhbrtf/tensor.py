@@ -1,10 +1,12 @@
 """Dense order-d tensor basics: layout, slice indexing and slice stacks.
 
 A tensor here is a plain :class:`numpy.ndarray` of ``float64`` or
-``complex128`` with ``ndim >= 3``.  The canonical flat layout is
-column-major (Fortran order, first index fastest); every reshape in this
-package uses ``order='F'`` so that linear indices and the slice
-enumeration below agree with that single convention.
+``complex128`` with ``ndim >= 3`` and finite entries: the one rule that
+:func:`as_tensor` checks at every public entry taking a data tensor.
+The canonical flat layout is column-major (Fortran order, first index
+fastest); every reshape in this package uses ``order='F'`` so that
+linear indices and the slice enumeration below agree with that single
+convention.
 
 Mode-1/mode-2 slices ``X[:, :, i3, ..., id]`` are enumerated by the linear
 index ``j = i3 + I3*(i4 + I4*(...))`` (0-based; the first trailing index
@@ -33,20 +35,25 @@ __all__ = [
 MIN_ORDER = 3
 
 
-def as_tensor(x) -> np.ndarray:
-    """Validate *x* as a dense tensor and return it as float64/complex128.
+def as_tensor(x, name: str = "tensor") -> np.ndarray:
+    """*x* as a float64/complex128 tensor the library can compute on, or a
+    ValueError naming *name*.
 
     Inputs of order below :data:`MIN_ORDER` are rejected rather than
     padded; callers that want padding (e.g. the CLI) must do it explicitly.
+    A non-finite entry is rejected with its first index in column-major order.
     """
     arr = np.asarray(x)
     if arr.ndim < MIN_ORDER:
-        raise ValueError(
-            f"tensor must have order >= {MIN_ORDER}, got order {arr.ndim}"
-        )
-    if np.iscomplexobj(arr):
-        return np.asarray(arr, dtype=np.complex128)
-    return np.asarray(arr, dtype=np.float64)
+        raise ValueError(f"{name} must have order >= {MIN_ORDER}, got order {arr.ndim}")
+    arr = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.ravel(order="F"))
+        idx = tuple(int(i) for i in np.unravel_index(bad[0], arr.shape, order="F"))
+        raise ValueError(f"{name} has a non-finite entry {arr[idx]} at index "
+                         f"{idx} ({bad.size} non-finite entries in all)")
+    return arr
 
 
 def num_slices(shape) -> int:
@@ -57,17 +64,6 @@ def num_slices(shape) -> int:
 def frobenius_norm(x: np.ndarray) -> float:
     """sqrt of the sum of squared entry magnitudes."""
     return float(np.linalg.norm(np.ravel(x)))
-
-
-def _check_finite(name: str, x: np.ndarray) -> None:
-    """A ValueError naming *name* and its first non-finite entry in
-    column-major order, if *x* has one."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = np.flatnonzero(~finite.ravel(order="F"))
-        idx = tuple(int(i) for i in np.unravel_index(bad[0], x.shape, order="F"))
-        raise ValueError(f"{name} has a non-finite entry {x[idx]} at index "
-                         f"{idx} ({bad.size} non-finite entries in all)")
 
 
 def linear_to_slice(j: int, shape) -> tuple:

@@ -88,8 +88,8 @@ def _inverse_stack(stack: np.ndarray, L: Transform, half: bool) -> np.ndarray:
 
 def facewise_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slice-wise matrix product Z^(k) = X^(k) Y^(k) for every slice k."""
-    x = as_tensor(x)
-    y = as_tensor(y)
+    x = as_tensor(x, "x")
+    y = as_tensor(y, "y")
     _stacks_compatible(x, y)
     zs = to_slice_stack(x) @ to_slice_stack(y)
     return from_slice_stack(zs, (x.shape[0], y.shape[1]) + x.shape[2:])
@@ -103,8 +103,8 @@ def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
     are multiplied, and the complex-to-real inverse checks and drops the
     imaginary residue.
     """
-    x = as_tensor(x)
-    y = as_tensor(y)
+    x = as_tensor(x, "x")
+    y = as_tensor(y, "y")
     _stacks_compatible(x, y)
     half = _half_spectrum(L, x, y)
     zbar = facewise_product(L.forward(x, half=half), L.forward(y, half=half))
@@ -120,7 +120,7 @@ def t_qr(x: np.ndarray, L: Transform):
     under a real-safe transform is factored on its kept slices and gives
     real factors.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     L._check_shape(x)
     half = _half_spectrum(L, x)
     q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
@@ -135,7 +135,7 @@ def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
     order of slices 2..I_k.  A real *x* under a real-safe transform
     gives a real result, after its imaginary residue is checked.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     L._check_shape(x)
     out = np.swapaxes(np.conj(x), 0, 1)
     flat, shape = np.ravel(out, order="F"), out.shape
@@ -198,7 +198,7 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     and a rank x rank f-diagonal middle whose slices zero-pad singular
     values beyond the slice rank.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
     i1, i2 = x.shape[:2]
     if rank is not None:
@@ -223,7 +223,7 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     only, and each of the J ranks is read through
     :attr:`Transform.slice_map`.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
     half, _, svals = _slice_svds(x, L, compute_uv=False)
     return _ranks_from_svals(svals, tol, L, half)
@@ -245,7 +245,7 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     SettingError is raised before any SVD.  A real input is truncated on the slices
     ``forward(x, half=True)`` keeps only.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     L._check_shape(x)
     target = _check_integer_array("target multi-rank", target, num_slices(x.shape),
                                   min(x.shape[:2]))
@@ -267,7 +267,7 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     u^(k) = U0 sqrt(S0), v^(k) = V0 sqrt(S0).  Requires r at least the
     tubal rank of x, else the product could not reproduce x.
     """
-    x = as_tensor(x)
+    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
     r = _check_number("factor width", r, 0, min(x.shape[:2]), integer=True)
     half, _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)

@@ -547,6 +547,65 @@ def test_criterion_7_residual_expansion_monte_carlo():
             f"({gap / se:.2f} standard errors, limit 3)")
 
 
+@pytest.mark.parametrize("trailing", [(3,), (4,), (3, 4)])
+def test_residual_expansion_holds_under_the_slice_weights(trailing):
+    # criterion 7's state has trailing (2,), where every slice is its own
+    # mirror; here the expansion over the K kept slices, each counted with
+    # its weight, must match a Monte-Carlo sum over all J slices
+    state, rng = _tiny_state(7, shape=(3, 3) + trailing, rank=2)
+    L = state.transform
+    with edited_factors(state) as f:
+        for k, weight in enumerate(L.slice_weights):
+            # a slice that is its own mirror holds a real tensor's transform
+            draw = ((lambda *s: rng.standard_normal(s)) if weight == 1 else
+                    (lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)))
+            f.u.mean[k], f.v.mean[k] = draw(3, 2), draw(3, 2)
+            for covs in (f.u.cov, f.v.cov):
+                a = draw(2, 2)
+                covs[k] = 0.5 * (a @ a.conj().T) + 0.3 * np.eye(2)
+    state.sparse.s_mean = rng.standard_normal(state.shape)
+    state.sparse.s_var = rng.uniform(0.2, 1.0, state.shape)
+    state.resid = (to_slice_stack(L.forward(state.y, half=True))
+                   - to_slice_stack(L.forward(state.sparse.s_mean, half=True)))
+
+    analytic = expected_residual_sq(state)
+
+    total, chunk, j = 200_000, 20_000, L.slice_map[0].size
+    ybar = to_slice_stack(L.forward(state.y))  # all J slices
+    mc_rng = np.random.default_rng(4242)
+    chols = [[np.linalg.cholesky(c) for c in f.cov] for f in (state.factors.u, state.factors.v)]
+    samples = np.empty(total)
+    for done in range(0, total, chunk):
+        s = (state.sparse.s_mean
+             + np.sqrt(state.sparse.s_var) * mc_rng.standard_normal((chunk,) + state.shape))
+        # the transform acts on the tensor's trailing modes (batch axes >= 3)
+        sbar = np.fft.fftn(s, axes=tuple(range(3, s.ndim))).reshape(
+            (chunk, 3, 3, j), order="F")
+        kept = []
+        for k, weight in enumerate(L.slice_weights):
+            pair = []
+            for f, chol in zip((state.factors.u, state.factors.v), chols):
+                z = mc_rng.standard_normal((chunk, 3, 2))
+                if weight == 2:
+                    z = (z + 1j * mc_rng.standard_normal((chunk, 3, 2))) / math.sqrt(2.0)
+                pair.append(f.mean[k] + z @ chol[k].conj().T)
+            kept.append(pair[0] @ np.swapaxes(pair[1].conj(), 1, 2))
+        resid_sq = np.zeros(chunk)
+        for jj, (source, conj) in enumerate(zip(*L.slice_map)):
+            # a dropped slice is the conjugate of its kept mirror's sample
+            prod = kept[source].conj() if conj else kept[source]
+            resid_sq += np.sum(np.abs(ybar[jj] - prod - sbar[..., jj]) ** 2, axis=(1, 2))
+        samples[done:done + chunk] = resid_sq
+
+    mc_mean = samples.mean()
+    se = samples.std(ddof=1) / math.sqrt(total)
+    gap = abs(analytic - mc_mean)
+    _report(f"criterion 7 under the slice weights, trailing {trailing}",
+            gap <= 3.0 * se,
+            f"analytic {analytic:.6f}, MC {mc_mean:.6f} +- {se:.6f} "
+            f"({gap / se:.2f} standard errors, limit 3)")
+
+
 # --------------------------------------------------------------------------
 # criterion 8: PSNR formula and corruption-pipeline sanity
 

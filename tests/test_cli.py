@@ -603,6 +603,19 @@ def test_corrupt_rejects_complex_input_exit_code_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_corrupt_rejects_non_finite_input_exit_code_1(tmp_path, capsys, bad):
+    # exited 0 and wrote the NaN or inf out
+    src, out = tmp_path / "x.npy", tmp_path / "o.npy"
+    x = np.ones((4, 4, 2))
+    x[1, 2, 1] = float(bad)
+    write_tensor(src, x)
+    assert main(["corrupt", "--input", str(src), "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"lmhbrtf: error: input has a non-finite entry {bad} "
+                                       "at index (1, 2, 1) (1 non-finite entries in all)\n")
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path):
     src, _ = make_lowrank_input(tmp_path, rho=0.05, sigma_sq=1e-4)
     cfg = tmp_path / "cfg.json"
@@ -819,6 +832,42 @@ def test_bad_output_path_is_usage_error_before_any_input(tmp_path, capsys, monke
         assert main(argv + ["--config", str(cfg)]) == 2
         assert f"{flag} {path!r}" in capsys.readouterr().err
     assert not (tmp_path / "good.out").exists()
+
+
+@pytest.mark.parametrize("first,second", [
+    ("--out", "--report"), ("--out", "--sparse-out"), ("--report", "--sparse-out"),
+])
+def test_denoise_outputs_naming_one_file_are_usage_error(tmp_path, capsys, monkeypatch,
+                                                         first, second):
+    # --out b.npy --report b.npy exited 0 with the report in b.npy, x_hat lost
+    _no_input_read(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    path, alias = str(tmp_path / "b.npy"), str(tmp_path / "sub" / ".." / "b.npy")
+    argv = ["denoise", "--input", "y.npy", "--seed", "1", first, path, second, alias]
+    if "--out" not in (first, second):
+        argv += ["--out", str(tmp_path / "x.npy")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"lmhbrtf: usage error: {first} {path!r} and "
+                                       f"{second} {alias!r} name one file\n")
+    assert not list(tmp_path.glob("*.npy"))
+
+
+def test_denoise_output_from_config_naming_the_out_file_is_usage_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    _no_input_read(monkeypatch)
+    out, cfg = str(tmp_path / "b.npy"), tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"report": out}))
+    assert main(["denoise", "--input", "y.npy", "--seed", "1", "--out", out,
+                 "--config", str(cfg)]) == 2
+    assert f"--out {out!r} and --report {out!r} name one file" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.npy"))
+
+
+def test_an_input_may_also_be_the_output(tmp_path):
+    src = tmp_path / "x.npy"
+    write_tensor(src, np.ones((4, 4, 2)))
+    assert main(["corrupt", "--input", str(src), "--seed", "1", "--out", str(src)]) == 0
+    assert np.count_nonzero(read_tensor(src) != 1.0) > 0
 
 
 def test_synth_save_tensors_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -567,6 +567,18 @@ def test_planted_rank_zero_slices_are_detected():
     assert result.multirank.tolist() == pattern
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 6 and 10: a clean cell keeps "
+                   "its initial rank and reports a false convergence")
+def test_a_clean_cell_is_recovered():
+    # today: converged after 771 iterations with x_err 0.169 and the initial
+    # multi-rank [4, 4, 4, 4]; data seeds 2 and 3 reach x_err ~4e-6, but at
+    # the initial rank too (planted 2)
+    cfg = SynthConfig((8, 8, 4), 2, uniform_multirank((4,), 2), 0, 0, seed=1)
+    inst = generate(cfg)
+    result = run(inst.y, Transform.dft((4,)), protocol_hyperparams(cfg.shape), seed=11)
+    assert x_err(result.x_hat, inst.x_gt) <= 1e-3
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: dead factor columns decay "
                    "geometrically into subnormals")
 def test_factor_means_hold_no_subnormal(monkeypatch):

@@ -1,10 +1,14 @@
 """Layout, the mode-product kernel, slice indexing and the bdiag oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from lmhbrtf import metrics, tsvd
+from lmhbrtf.model import HyperParams, init_state, run
+from lmhbrtf.synth import corrupt_tensor
 from lmhbrtf.tensor import (
     as_tensor,
     bdiag,
@@ -37,6 +41,49 @@ def test_as_tensor_rejects_low_order():
         as_tensor(np.zeros((3, 3)))
     assert as_tensor(np.zeros((3, 3, 1))).dtype == np.float64
     assert as_tensor(np.zeros((3, 3, 1), dtype=complex)).dtype == np.complex128
+
+
+L4 = Transform.dft((4,))
+GOOD = np.random.default_rng(77).uniform(0.5, 1.0, (8, 8, 4))
+
+# every public entry that takes a data tensor, called with *bad* in one
+# tensor argument, and the name its error gives that argument
+ENTRIES = {
+    "run": (lambda bad: run(bad, L4, HyperParams(2), seed=0), "observation"),
+    "init_state": (lambda bad: init_state(bad, L4, HyperParams(2), seed=0), "observation"),
+    **{name: (lambda bad, f=getattr(metrics, name): f(bad, GOOD), "estimate")
+       for name in ("psnr", "ssim", "ergas", "sam", "compute_all")},
+    "compute_all(reference)": (lambda bad: metrics.compute_all(GOOD, bad), "reference"),
+    "corrupt_tensor": (lambda bad: corrupt_tensor(bad, 0.1, 0.0, 1.0, 0.0, seed=0), "input"),
+    "facewise_product": (lambda bad: tsvd.facewise_product(bad, GOOD), "x"),
+    "facewise_product(y)": (lambda bad: tsvd.facewise_product(GOOD, bad), "y"),
+    "t_product": (lambda bad: tsvd.t_product(bad, GOOD, L4), "x"),
+    "t_product(y)": (lambda bad: tsvd.t_product(GOOD, bad, L4), "y"),
+    "t_qr": (lambda bad: tsvd.t_qr(bad, L4), "x"),
+    "conj_transpose": (lambda bad: tsvd.conj_transpose(bad, L4), "x"),
+    "t_svd": (lambda bad: tsvd.t_svd(bad, L4), "x"),
+    "multi_rank": (lambda bad: tsvd.multi_rank(bad, L4), "x"),
+    "truncate_multi_rank": (lambda bad: tsvd.truncate_multi_rank(bad, L4, [1] * 4), "x"),
+    "factorize_lemma1": (lambda bad: tsvd.factorize_lemma1(bad, L4, 8), "x"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "order 2"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_entry_rejects_a_bad_tensor_by_name(entry, bad):
+    # the t-algebra raised numpy's unnamed "SVD did not converge" on a NaN
+    # and returned NaN factors on an inf, corrupt_tensor passed both
+    # through, and the metrics scored an order-2 array
+    call, name = ENTRIES[entry]
+    x = GOOD.copy()
+    if bad == "order 2":
+        x, message = x[:, :, 0], f"{name} must have order >= 3, got order 2"
+    else:
+        x[1, 2, 3] = x[0, 3, 3] = float(bad)  # (0, 3, 3) is first in row-major order
+        message = (f"{name} has a non-finite entry {bad} at index (1, 2, 3) "
+                   "(2 non-finite entries in all)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(x)
 
 
 def test_mode_product_identity_and_zero():
