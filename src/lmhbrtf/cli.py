@@ -82,6 +82,9 @@ def _paths(value) -> list:
 
 _REQUIRED = object()  # the default of a flag that every call must give
 
+# the files synth --save-tensors writes, each <name>.npy in that directory
+_SAVED_TENSORS = ("y", "x_gt", "s_gt", "e_gt", "x_hat", "s_hat")
+
 # The model settings of synth and denoise, with no default of their own: a
 # given one overrides the command's library preset (see _hyperparams).
 _MODEL_OPTIONS = (
@@ -218,13 +221,15 @@ def _resolve(args) -> dict:
 
 def _check_outputs(opts: dict) -> None:
     """Fail before any input is read on an output path that cannot be
-    written, or on two output files that resolve to one path."""
+    written, or on two output files (--save-tensors' six among them) that
+    resolve to one path."""
     files = {}
     for key in ("out", "report", "sparse_out", "save_tensors"):
         path = opts.get(key)
         if path is None:
             continue
         where = f"--{key.replace('_', '-')} {path!r}"
+        written = {where: path}
         if key == "save_tensors":
             # the directories are made after the solve, under the nearest
             # existing ancestor, which must therefore be a directory
@@ -233,14 +238,16 @@ def _check_outputs(opts: dict) -> None:
                 existing = os.path.dirname(existing)
             if not os.path.isdir(existing):
                 raise SettingError(f"{where}: {existing!r} exists and is not a directory")
+            written = {f"{where} ({name}.npy)": os.path.join(path, f"{name}.npy")
+                       for name in _SAVED_TENSORS}
         elif not path or os.path.isdir(path):
             raise SettingError(f"{where} is not a file path")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             raise SettingError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
-        else:
-            first = files.setdefault(os.path.realpath(path), where)
-            if first != where:
-                raise SettingError(f"{first} and {where} name one file")
+        for label, file in written.items():
+            first = files.setdefault(os.path.realpath(file), label)
+            if first != label:
+                raise SettingError(f"{first} and {label} name one file")
 
 
 def _parse_pattern(spec: str, dims: tuple, rank: int) -> np.ndarray:
@@ -288,10 +295,9 @@ def cmd_synth(opts: dict, argv: list) -> None:
         if opts["save_tensors"] and not saved:
             outdir = opts["save_tensors"]
             os.makedirs(outdir, exist_ok=True)
-            for name, arr in (("y", inst.y), ("x_gt", inst.x_gt),
-                              ("s_gt", inst.s_gt), ("e_gt", inst.e_gt),
-                              ("x_hat", result.x_hat), ("s_hat", result.s_hat)):
-                write_tensor(os.path.join(outdir, f"{name}.npy"), arr)
+            tensors = {**vars(inst), **result._asdict()}
+            for name in _SAVED_TENSORS:
+                write_tensor(os.path.join(outdir, f"{name}.npy"), tensors[name])
             saved["done"] = True
 
     report = run_benchmark([cfg], hp=hp, model_seed=opts["model_seed"],

@@ -32,9 +32,8 @@ class MetricReport:
 def _check_shapes(x_hat, x_gt) -> tuple:
     """The estimate and the reference as real float64 tensors of one shape
     with entries, or a ValueError."""
-    x_hat, x_gt = as_tensor(x_hat, "estimate"), as_tensor(x_gt, "reference")
-    if np.iscomplexobj(x_hat) or np.iscomplexobj(x_gt):
-        raise ValueError("metrics need real tensors, got a complex one")
+    x_hat = as_tensor(x_hat, "estimate", real=True)
+    x_gt = as_tensor(x_gt, "reference", real=True)
     if x_hat.shape != x_gt.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x_gt.shape}")
     if x_gt.size == 0:

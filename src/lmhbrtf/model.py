@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ImaginaryResidueError, NumericalBreakdownError, SettingError, _check_number
 from .tensor import as_tensor, hermitian_t, linear_to_slice, num_slices, to_slice_stack
-from .transform import Transform, _Frozen
-from .tsvd import _inverse_stack, _slice_svds, _stack_product, balanced_factors
+from .transform import Transform, _Frozen, _read_only
+from .tsvd import _inverse_stack, _slice_stacks, _stack_product, balanced_factors
 
 __all__ = [
     "GAMMA_PRIOR",
@@ -107,11 +107,6 @@ class HyperParams(_Frozen):
     def as_dict(self) -> dict:
         """The settings as a report echo."""
         return dict(vars(self))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _diag(m: np.ndarray) -> np.ndarray:
@@ -282,19 +277,17 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
     rank 1, so the low-rank part is not identifiable), complex and
     non-finite entries (naming the first bad index in column-major
     order), a nonzero tensor whose sum of squares underflows to 0 or
-    overflows to inf in float64, a transform that is not real-safe or
-    does not fit the trailing shape, and an ``init_rank`` above the
-    smaller slice side (a SettingError).
+    overflows to inf in float64, a transform that is not real-safe, and
+    an ``init_rank`` above the smaller slice side (a SettingError); the
+    transform domain's entry (``tsvd._slice_stacks``) checks the shape.
     """
     seed = _check_number("seed", seed, 0, integer=True)
-    y = as_tensor(y, "observation")
+    y = as_tensor(y, "observation", real=True)
     if min(y.shape[:2]) < 2:
         raise ValueError(
             f"observation of shape {y.shape} has {y.shape[0]} x {y.shape[1]} "
             "slices, each full rank at rank 1, so the low-rank part is not "
             "identifiable; I1 and I2 must be at least 2")
-    if np.iscomplexobj(y):
-        raise ValueError("observation tensor must be real")
     if y.any():
         flat = y.ravel(order="K")
         with np.errstate(over="ignore", under="ignore"):
@@ -310,7 +303,6 @@ def _check_inputs(y, L: Transform, hp: HyperParams, seed) -> tuple:
             "transforms of real tensors back to real tensors, which the model "
             "of a real observation needs")
     _check_init_rank(hp, y.shape)
-    L._check_shape(y)
     return np.asfortranarray(y), seed
 
 
@@ -336,8 +328,8 @@ def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> Model
     """
     y, seed = _check_inputs(y, L, hp, seed)
     r, phi = hp.init_rank, L.phi
-    _, ybar, (u, s, vh) = _slice_svds(y, L, full_matrices=False)
-    u_mean, v_mean = balanced_factors(u, s, vh, r)
+    _, (ybar,) = _slice_stacks(L, observation=y)
+    u_mean, v_mean = balanced_factors(*np.linalg.svd(ybar, full_matrices=False), r)
     k = ybar.shape[0]
     cov = phi * np.broadcast_to(np.eye(r, dtype=np.complex128), (k, r, r))
 

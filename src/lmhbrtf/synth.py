@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import SettingError, _check_integer_array, _check_number
-from .model import HyperParams, _check_init_rank, _read_only, run
+from .model import HyperParams, _check_init_rank, run
 from .report import RunReport
 from .tensor import as_tensor, num_slices
-from .transform import Transform, _check_trailing, _Frozen
+from .transform import Transform, _check_trailing, _Frozen, _read_only
 from .tsvd import _check_mirror_symmetric, conj_transpose, t_product, t_qr, truncate_multi_rank
 
 __all__ = [
@@ -290,9 +290,7 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     """
     rho, sigma_sq, low, high = check_corruption(rho, sigma_sq, low, high)
     seed = _check_number("seed", seed, 0, integer=True)
-    x = as_tensor(x, "input")
-    if np.iscomplexobj(x):
-        raise ValueError("corrupt_tensor needs a real tensor, got a complex one")
+    x = as_tensor(x, "input", real=True)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CORRUPT_STREAM]))
     n = x.size
     count = int(math.floor(rho * n))

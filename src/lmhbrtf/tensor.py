@@ -35,17 +35,20 @@ __all__ = [
 MIN_ORDER = 3
 
 
-def as_tensor(x, name: str = "tensor") -> np.ndarray:
+def as_tensor(x, name: str = "tensor", real: bool = False) -> np.ndarray:
     """*x* as a float64/complex128 tensor the library can compute on, or a
     ValueError naming *name*.
 
     Inputs of order below :data:`MIN_ORDER` are rejected rather than
     padded; callers that want padding (e.g. the CLI) must do it explicitly.
-    A non-finite entry is rejected with its first index in column-major order.
+    With *real* a complex input is rejected.  A non-finite entry is
+    rejected with its first index in column-major order.
     """
     arr = np.asarray(x)
     if arr.ndim < MIN_ORDER:
         raise ValueError(f"{name} must have order >= {MIN_ORDER}, got order {arr.ndim}")
+    if real and np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got a complex tensor")
     arr = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
     finite = np.isfinite(arr)
     if not finite.all():

@@ -124,6 +124,11 @@ def _mode_product(flat: np.ndarray, shape: tuple, axis: int, m: np.ndarray):
     return out.reshape(-1), shape[:axis] + m.shape[:1] + shape[axis + 1:]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class _Frozen:
     """Base of immutable objects: ``__init__`` sets every attribute once,
     through ``vars(self)``; ``functools.cached_property`` still caches."""
@@ -143,6 +148,9 @@ class Transform(_Frozen):
             unnormalized DFT matrices).
         phi: energy constant relating original- and transform-domain
             squared Frobenius norms.
+
+    A transform is immutable: no field can be reassigned and every array it
+    holds or exposes is read-only, so nothing it caches can go stale.
     """
 
     def __init__(self, phi: float, matrices: tuple, _inverses: tuple,
@@ -153,6 +161,13 @@ class Transform(_Frozen):
         # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
         vars(self).update(phi=phi, matrices=matrices, _inverses=_inverses,
                           _conj_perms=_conj_perms, _conj_mixers=_conj_mixers)
+        for a in (*matrices, *_inverses, *_conj_perms, *_conj_mixers):
+            if a is not None:
+                _read_only(a)
+
+    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
+        return Transform, (self.phi, self.matrices, self._inverses, self._conj_perms,
+                           self._conj_mixers)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":
@@ -175,7 +190,8 @@ class Transform(_Frozen):
         positive scale c (U^H U = c I, which makes it invertible); the
         product of the scales is phi.
         """
-        mats = tuple(np.asarray(m, dtype=np.complex128) for m in matrices)
+        # copies: the transform freezes its matrices, not the caller's
+        mats = tuple(np.array(m, dtype=np.complex128) for m in matrices)
         if not mats:
             raise SettingError("explicit transform needs at least one matrix")
         phi = 1.0
@@ -237,7 +253,7 @@ class Transform(_Frozen):
                              "transform that is not real-safe")
         idx = np.indices(self.trailing).reshape(len(self.trailing), -1, order="F")
         conj = tuple(p[i] for p, i in zip(self._conj_perms, idx))
-        return np.ravel_multi_index(conj, self.trailing, order="F")
+        return _read_only(np.ravel_multi_index(conj, self.trailing, order="F"))
 
     @cached_property
     def _kept_rows(self) -> np.ndarray:
@@ -252,7 +268,7 @@ class Transform(_Frozen):
         """Linear index among the J slices of each kept slice, ascending:
         the smaller index of each orbit of :attr:`mirror`, in the order
         ``forward(x, half=True)`` stores them."""
-        return np.flatnonzero(np.arange(self.mirror.size) <= self.mirror)
+        return _read_only(np.flatnonzero(np.arange(self.mirror.size) <= self.mirror))
 
     @property
     def half_trailing(self) -> tuple:
@@ -267,7 +283,7 @@ class Transform(_Frozen):
         real X, where Xbar = forward(X, half=True).
         """
         kept = self.kept_slices
-        return np.where(self.mirror[kept] == kept, 1.0, 2.0)
+        return _read_only(np.where(self.mirror[kept] == kept, 1.0, 2.0))
 
     @cached_property
     def slice_map(self) -> tuple:
@@ -280,7 +296,8 @@ class Transform(_Frozen):
         position = np.full(math.prod(self.trailing), -1)
         position[self.kept_slices] = np.arange(self.kept_slices.size)
         dropped = position < 0
-        return np.where(dropped, position[self.mirror], position), dropped
+        return tuple(map(_read_only, (np.where(dropped, position[self.mirror], position),
+                                      dropped)))
 
     @cached_property
     def _blocks(self) -> tuple:

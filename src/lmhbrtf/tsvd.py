@@ -7,22 +7,18 @@ For real inputs under a real-safe transform every routine here works on
 the slices that ``forward(x, half=True)`` keeps and maps back with the
 complex-to-real inverse, so its results are real; complex inputs, and
 any input under a transform that is not real-safe, take all J slices.
-Every factorization of transform slices, here and in the model's
-initialization, is one stacked SVD in :func:`_slice_svds`.
+Every routine here, and the model's initialization, reaches the
+transform domain through one checked entry, :func:`_slice_stacks`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SettingError, _check_integer_array, _check_number
-from .tensor import (
-    as_tensor,
-    from_slice_stack,
-    hermitian_t,
-    num_slices,
-    to_slice_stack,
-)
+from .tensor import as_tensor, from_slice_stack, hermitian_t, to_slice_stack
 from .transform import Transform, _mode_product, real_part
 
 __all__ = [
@@ -57,19 +53,26 @@ class TSVDResult:
 
 
 def _stacks_compatible(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[2:] != y.shape[2:]:
-        raise ValueError(
-            f"trailing shapes differ: {x.shape[2:]} vs {y.shape[2:]}"
-        )
-    if x.shape[1] != y.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: {x.shape[1]} vs {y.shape[0]}"
-        )
+    """A ValueError unless the slices of the stacks *x* and *y* can be multiplied."""
+    if x.shape[2] != y.shape[1]:
+        raise ValueError(f"inner dimensions differ: {x.shape[2]} vs {y.shape[1]}")
 
 
-def _half_spectrum(L: Transform, *tensors) -> bool:
-    """Whether real *tensors* under a real-safe L are handled on their kept slices."""
-    return L.real_safe and not any(np.iscomplexobj(t) for t in tensors)
+def _slice_stacks(L: Transform, **tensors) -> tuple:
+    """The one way into the transform domain: whether the kept slices are
+    taken (real operands under a real-safe L) and the stack of transform
+    slices of each named operand, in order.  Each operand passes
+    :func:`as_tensor`, and one whose transform overflows float64 is a
+    ValueError naming it.
+    """
+    tensors = {name: as_tensor(x, name) for name, x in tensors.items()}
+    half = L.real_safe and not any(map(np.iscomplexobj, tensors.values()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [to_slice_stack(L.forward(x, half=half)) for x in tensors.values()]
+    for name, stack in zip(tensors, stacks):
+        if not np.isfinite(stack).all():
+            raise ValueError(f"the transform of {name} overflows float64; rescale {name}")
+    return half, stacks
 
 
 def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,11 +91,12 @@ def _inverse_stack(stack: np.ndarray, L: Transform, half: bool) -> np.ndarray:
 
 def facewise_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slice-wise matrix product Z^(k) = X^(k) Y^(k) for every slice k."""
-    x = as_tensor(x, "x")
-    y = as_tensor(y, "y")
-    _stacks_compatible(x, y)
-    zs = to_slice_stack(x) @ to_slice_stack(y)
-    return from_slice_stack(zs, (x.shape[0], y.shape[1]) + x.shape[2:])
+    x, y = as_tensor(x, "x"), as_tensor(y, "y")
+    if x.shape[2:] != y.shape[2:]:
+        raise ValueError(f"trailing shapes differ: {x.shape[2:]} vs {y.shape[2:]}")
+    xs, ys = to_slice_stack(x), to_slice_stack(y)
+    _stacks_compatible(xs, ys)
+    return from_slice_stack(xs @ ys, (x.shape[0], y.shape[1]) + x.shape[2:])
 
 
 def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
@@ -103,12 +107,9 @@ def t_product(x: np.ndarray, y: np.ndarray, L: Transform) -> np.ndarray:
     are multiplied, and the complex-to-real inverse checks and drops the
     imaginary residue.
     """
-    x = as_tensor(x, "x")
-    y = as_tensor(y, "y")
-    _stacks_compatible(x, y)
-    half = _half_spectrum(L, x, y)
-    zbar = facewise_product(L.forward(x, half=half), L.forward(y, half=half))
-    return L.inverse(zbar, half=half)
+    half, (xbar, ybar) = _slice_stacks(L, x=x, y=y)
+    _stacks_compatible(xbar, ybar)
+    return _inverse_stack(xbar @ ybar, L, half)
 
 
 def t_qr(x: np.ndarray, L: Transform):
@@ -120,11 +121,8 @@ def t_qr(x: np.ndarray, L: Transform):
     under a real-safe transform is factored on its kept slices and gives
     real factors.
     """
-    x = as_tensor(x, "x")
-    L._check_shape(x)
-    half = _half_spectrum(L, x)
-    q, r = np.linalg.qr(to_slice_stack(L.forward(x, half=half)))
-    return tuple(_inverse_stack(f, L, half) for f in (q, r))
+    half, (xbar,) = _slice_stacks(L, x=x)
+    return tuple(_inverse_stack(f, L, half) for f in np.linalg.qr(xbar))
 
 
 def conj_transpose(x: np.ndarray, L: Transform) -> np.ndarray:
@@ -151,18 +149,6 @@ def identity_tensor(size: int, L: Transform) -> np.ndarray:
     shape = (size, size) + (L.half_trailing if L.real_safe else L.trailing)
     eye = np.eye(size, dtype=np.complex128).reshape(shape[:2] + (1,) * (len(shape) - 2))
     return L.inverse(np.broadcast_to(eye, shape), half=L.real_safe)
-
-
-def _slice_svds(x: np.ndarray, L: Transform, **svd_kw):
-    """Forward-transform *x* and SVD its slices in one stacked call.
-
-    A real *x* under a real-safe L is decomposed on its kept slices, of
-    which ``forward`` returns the self-mirrored ones exactly real.
-    Returns whether the kept slices were taken, the stack and its SVD.
-    """
-    half = _half_spectrum(L, x)
-    xbar = to_slice_stack(L.forward(x, half=half))
-    return half, xbar, np.linalg.svd(xbar, **svd_kw)
 
 
 def _ranks_from_svals(svals: np.ndarray, tol: float, L: Transform,
@@ -198,13 +184,13 @@ def t_svd(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL,
     and a rank x rank f-diagonal middle whose slices zero-pad singular
     values beyond the slice rank.
     """
-    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
-    i1, i2 = x.shape[:2]
+    half, (xbar,) = _slice_stacks(L, x=x)
+    i1, i2 = xbar.shape[1:]
     if rank is not None:
         rank = _check_number("skinny width", rank, 1, min(i1, i2), integer=True)
     wu, wv = (i1, i2) if rank is None else (rank, rank)
-    half, xbar, (u, svals, vh) = _slice_svds(x, L, full_matrices=rank is None)
+    u, svals, vh = np.linalg.svd(xbar, full_matrices=rank is None)
     diag = np.arange(min(wu, wv))
     sbar = np.zeros((xbar.shape[0], wu, wv), dtype=np.complex128)
     sbar[:, diag, diag] = svals[:, :diag.size]
@@ -223,10 +209,9 @@ def multi_rank(x: np.ndarray, L: Transform, tol: float = DEFAULT_RANK_TOL) -> np
     only, and each of the J ranks is read through
     :attr:`Transform.slice_map`.
     """
-    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
-    half, _, svals = _slice_svds(x, L, compute_uv=False)
-    return _ranks_from_svals(svals, tol, L, half)
+    half, (xbar,) = _slice_stacks(L, x=x)
+    return _ranks_from_svals(np.linalg.svd(xbar, compute_uv=False), tol, L, half)
 
 
 def _check_mirror_symmetric(ranks: np.ndarray, L: Transform) -> None:
@@ -245,14 +230,13 @@ def truncate_multi_rank(x: np.ndarray, L: Transform, target) -> np.ndarray:
     SettingError is raised before any SVD.  A real input is truncated on the slices
     ``forward(x, half=True)`` keeps only.
     """
-    x = as_tensor(x, "x")
-    L._check_shape(x)
-    target = _check_integer_array("target multi-rank", target, num_slices(x.shape),
-                                  min(x.shape[:2]))
-    if not np.iscomplexobj(x):
+    half, (xbar,) = _slice_stacks(L, x=x)
+    target = _check_integer_array("target multi-rank", target, math.prod(L.trailing),
+                                  min(xbar.shape[1:]))
+    if half:
         _check_mirror_symmetric(target, L)
     # the truncation does not depend on the choice of singular vectors
-    half, _, (u, s, vh) = _slice_svds(x, L, full_matrices=False)
+    u, s, vh = np.linalg.svd(xbar, full_matrices=False)
     kept = target[L.kept_slices] if half else target
     r = int(kept.max(initial=0))
     s = np.where(np.arange(r) < kept[:, None], s[:, :r], 0.0)
@@ -267,10 +251,10 @@ def factorize_lemma1(x: np.ndarray, L: Transform, r: int,
     u^(k) = U0 sqrt(S0), v^(k) = V0 sqrt(S0).  Requires r at least the
     tubal rank of x, else the product could not reproduce x.
     """
-    x = as_tensor(x, "x")
     tol = _check_number("rank tolerance", tol, 0)
-    r = _check_number("factor width", r, 0, min(x.shape[:2]), integer=True)
-    half, _, (us, svals, vhs) = _slice_svds(x, L, full_matrices=False)
+    half, (xbar,) = _slice_stacks(L, x=x)
+    r = _check_number("factor width", r, 0, min(xbar.shape[1:]), integer=True)
+    us, svals, vhs = np.linalg.svd(xbar, full_matrices=False)
     tubal = int(_ranks_from_svals(svals, tol, L, half).max(initial=0))
     if tubal > r:
         raise ValueError(f"factor width {r} is below the tubal rank {tubal}")

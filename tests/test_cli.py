@@ -905,6 +905,40 @@ def test_synth_save_tensors_under_a_file_is_usage_error(tmp_path, capsys, monkey
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("name", ["y", "s_hat"])
+def test_synth_out_among_the_saved_tensors_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                           name):
+    # --out d/y.npy --save-tensors d exited 0 with the report in y.npy, the
+    # saved observation lost
+    _no_input_read(monkeypatch)
+    (tmp_path / "d").mkdir()
+    saved = str(tmp_path / "d")
+    out = str(tmp_path / "d" / f"{name}.npy")
+    argv = ["synth", "--dims", "8,8,5", "--rank", "2", "--rho", "0.05", "--sigma2",
+            "1e-4", "--seed", "1", "--max-iter", "3", "--out", out]
+    message = (f"lmhbrtf: usage error: --out {out!r} and --save-tensors {saved!r} "
+               f"({name}.npy) name one file\n")
+    assert main(argv + ["--save-tensors", saved]) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"save_tensors": saved}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert not list((tmp_path / "d").iterdir())
+
+
+def test_synth_report_beside_the_saved_tensors(tmp_path):
+    saved = tmp_path / "d"
+    saved.mkdir()
+    assert main(["synth", "--dims", "8,8,5", "--rank", "2", "--rho", "0.05", "--sigma2",
+                 "1e-4", "--seed", "1", "--max-iter", "3", "--out", str(saved / "report.json"),
+                 "--save-tensors", str(saved)]) == 0
+    assert RunReport.load(saved / "report.json").command == "synth"
+    assert sorted(p.name for p in saved.glob("*.npy")) == sorted(
+        f"{name}.npy" for name in cli._SAVED_TENSORS)
+    assert read_tensor(saved / "y.npy").shape == (8, 8, 5)
+
+
 def test_synth_save_tensors_makes_missing_directories(tmp_path):
     saved = tmp_path / "new" / "deeper"
     assert main(["synth", "--dims", "8,8,5", "--rank", "2", "--rho", "0.1", "--sigma2",

@@ -28,6 +28,7 @@ from lmhbrtf.model import (
     update_u,
     update_v,
 )
+from lmhbrtf.synth import SynthConfig, desk_multirank, generate, uniform_multirank
 from lmhbrtf.tensor import from_slice_stack, to_slice_stack
 from lmhbrtf.transform import Transform
 
@@ -900,3 +901,152 @@ def test_indefinite_precision_in_run_names_the_iteration(monkeypatch):
                        match=r"^iteration 3: singular posterior precision of U "
                              r"on slice 1 \(trailing index \(1,\)\)"):
         run(y, Transform.dft((4,)), HyperParams(init_rank=2, max_iter=10), seed=0)
+
+
+def _full_spectrum(x):
+    """The unnormalized DFT of *x* along modes 3..d, as a list of its J slices."""
+    xbar = np.fft.fftn(x, axes=tuple(range(2, x.ndim)))
+    xbar = xbar.reshape(x.shape[:2] + (-1,), order="F")
+    return [xbar[:, :, j] for j in range(xbar.shape[2])]
+
+
+def _from_full_spectrum(slices, shape):
+    """The real tensor of *shape* whose full DFT has the given J slices."""
+    xbar = np.stack(slices, axis=2).reshape(shape, order="F")
+    return np.fft.ifftn(xbar, axes=tuple(range(2, len(shape)))).real
+
+
+class FullSpectrumOracle:
+    """The model's iteration written from its update equations as a plain
+    loop over all J DFT slices: no half spectrum, no padding, no batched
+    stacks, np.linalg.inv for the covariances.
+
+    The start is a model state: slice j of each factor posterior is kept
+    slice ``slice_map[0][j]``, conjugated where ``slice_map[1][j]`` is set,
+    cut to its active columns.
+    """
+
+    def __init__(self, state):
+        source, conj = state.transform.slice_map
+        f, noise, sp = state.factors, state.noise, state.sparse
+        self.y, self.gamma = state.y, state.hp.gamma
+        self.u, self.su, self.v, self.sv, self.lam_b = [], [], [], [], []
+        for k, c in zip(source, conj):
+            r = f.ranks[k]
+            part = np.conj if c else np.copy
+            self.u.append(part(f.u.mean[k, :, :r]))
+            self.v.append(part(f.v.mean[k, :, :r]))
+            self.su.append(part(f.u.cov[k, :r, :r]))
+            self.sv.append(part(f.v.cov[k, :r, :r]))
+            self.lam_b.append(noise.lambda_b[k, :r].copy())
+        self.phi = float(len(self.u))
+        self.lam_a, self.tau_a, self.tau_b = noise.lambda_a, noise.tau_a, noise.tau_b
+        self.s, self.s_var = sp.s_mean.copy(), sp.s_var.copy()
+        self.beta_a, self.beta_b = sp.beta_a, sp.beta_b.copy()
+        self.ynorm = math.sqrt(sum(np.linalg.norm(s) ** 2 for s in _full_spectrum(self.y)))
+        self.resid = _full_spectrum(self.y - self.s)
+        self.fit = self._fit(self._expected_residual_sq())
+        self.x_hat = None
+
+    @property
+    def tau(self):
+        return self.tau_a / self.tau_b
+
+    @property
+    def multirank(self):
+        return [u.shape[1] for u in self.u]
+
+    def _expected_residual_sq(self):
+        i1, i2 = self.y.shape[:2]
+        total = self.phi * self.s_var.sum()
+        for r, u, su, v, sv in zip(self.resid, self.u, self.su, self.v, self.sv):
+            uu, vv = u.conj().T @ u, v.conj().T @ v
+            total += np.linalg.norm(r - u @ v.conj().T) ** 2 + np.trace(
+                i1 * i2 * su @ sv + i1 * su @ vv + i2 * uu @ sv).real
+        return total
+
+    def _fit(self, resid_sq):
+        return 1.0 - math.sqrt(resid_sq) / self.ynorm
+
+    def _column_energy(self, j):
+        """Slice j's column energies, the diagonal of <U^H U> + <V^H V>."""
+        i1, i2 = self.y.shape[:2]
+        u, v = self.u[j], self.v[j]
+        return (i1 * np.diag(self.su[j]).real + (abs(u) ** 2).sum(axis=0)
+                + i2 * np.diag(self.sv[j]).real + (abs(v) ** 2).sum(axis=0))
+
+    def iterate(self):
+        i1, i2 = self.y.shape[:2]
+        tau, w = self.tau, max(self.fit, 0.0) / self.gamma
+        scale = tau / self.phi
+        for j, r in enumerate(self.resid):  # U, V and lambda
+            ard = w * np.diag(self.lam_a / self.lam_b[j])
+            u, v = self.u[j], self.v[j]
+            self.su[j] = np.linalg.inv(scale * (i2 * self.sv[j] + v.conj().T @ v) + ard)
+            self.u[j] = u = scale * r @ v @ self.su[j]
+            self.sv[j] = np.linalg.inv(scale * (i1 * self.su[j] + u.conj().T @ u) + ard)
+            self.v[j] = scale * r.conj().T @ u @ self.sv[j]
+            self.lam_b[j] = model.GAMMA_PRIOR + self._column_energy(j) / 2
+        self.lam_a = model.GAMMA_PRIOR + (i1 + i2) / 2
+        self.x_hat = _from_full_spectrum([u @ v.conj().T for u, v in zip(self.u, self.v)],
+                                         self.y.shape)
+        denom = self.beta_a / self.beta_b + tau  # S, then beta
+        self.s = tau * (self.y - self.x_hat) / denom
+        self.s_var = 1.0 / denom
+        self.resid = _full_spectrum(self.y - self.s)
+        self.beta_a = model.GAMMA_PRIOR + 0.5
+        self.beta_b = model.GAMMA_PRIOR + (self.s ** 2 + self.s_var) / 2
+        resid_sq = self._expected_residual_sq()  # tau and the fit
+        self.tau_a = model.GAMMA_PRIOR + self.y.size / 2
+        self.tau_b = model.GAMMA_PRIOR + resid_sq / (2 * self.phi)
+        self.fit = self._fit(resid_sq)
+        for j in range(len(self.u)):  # the prune rule, slice by slice
+            energy = self._column_energy(j) / (i1 + i2)
+            top = energy.max(initial=0.0)
+            keep = (energy >= model.PRUNE_THRESHOLD * top) & (top > 0)
+            self.u[j], self.v[j] = self.u[j][:, keep], self.v[j][:, keep]
+            self.su[j] = self.su[j][np.ix_(keep, keep)]
+            self.sv[j] = self.sv[j][np.ix_(keep, keep)]
+            self.lam_b[j] = self.lam_b[j][keep]
+
+
+def _model_iteration(state):
+    """One iteration of :func:`model.run`'s phase loop."""
+    update_u(state)
+    update_v(state)
+    update_lambda(state)
+    update_s(state)
+    update_beta(state)
+    resid_sq = expected_residual_sq(state)
+    update_tau(state, resid_sq)
+    compute_fit(state, resid_sq)
+    prune_columns(state)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
+
+
+@pytest.mark.parametrize("trailing,pattern,data_seed", [
+    ((5,), desk_multirank((5,), 3), 5),
+    ((4,), uniform_multirank((4,), 3), 1),
+    ((3, 4), uniform_multirank((3, 4), 3), 2),
+    ((5, 5), desk_multirank((5, 5), 3), 3),
+])
+def test_phases_match_a_full_spectrum_oracle(trailing, pattern, data_seed):
+    # the model updates K kept slices on padded stacks with the slice
+    # weights; the oracle updates all J slices one by one, so every
+    # dropped slice, weight and prune is checked against the equations
+    shape = (12, 10) + trailing
+    inst = generate(SynthConfig(shape, 3, pattern, 0.1, 1e-4, seed=data_seed))
+    state = init_state(inst.y, Transform.dft(trailing), HyperParams(6, gamma=1.0), seed=11)
+    oracle = FullSpectrumOracle(state)
+    assert oracle.fit == pytest.approx(state.noise.fit, rel=1e-10, abs=0)
+    for it in range(150):
+        _model_iteration(state)
+        oracle.iterate()
+        where = f"iteration {it + 1}"
+        assert list(state.multirank) == oracle.multirank, where
+        assert _rel(state.x_hat, oracle.x_hat) <= 1e-10, where
+        assert _rel(state.sparse.s_mean, oracle.s) <= 1e-10, where
+        assert state.noise.tau_mean == pytest.approx(oracle.tau, rel=1e-10, abs=0), where

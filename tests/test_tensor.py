@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -68,22 +69,40 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "order 2"])
-@pytest.mark.parametrize("entry", list(ENTRIES))
-def test_every_entry_rejects_a_bad_tensor_by_name(entry, bad):
+# the entries that transform their tensors, and those that take real ones only
+TRANSFORMING = ("t_product", "t_product(y)", "t_qr", "t_svd", "multi_rank",
+                "truncate_multi_rank", "factorize_lemma1")
+REAL_ONLY = ("run", "init_state", "psnr", "ssim", "ergas", "sam", "compute_all",
+             "compute_all(reference)", "corrupt_tensor")
+
+
+@pytest.mark.parametrize("entry,bad", [(e, b) for e in ENTRIES for b in ("nan", "inf", "order 2")]
+                         + [(e, "overflow") for e in TRANSFORMING]
+                         + [(e, "complex") for e in REAL_ONLY])
+def test_every_entry_rejects_a_bad_tensor_by_name(entry, bad, capfd):
     # the t-algebra raised numpy's unnamed "SVD did not converge" on a NaN
     # and returned NaN factors on an inf, corrupt_tensor passed both
-    # through, and the metrics scored an order-2 array
+    # through, and the metrics scored an order-2 array.  A finite tensor
+    # whose transform overflows gave multi-rank 0 (with a LAPACK complaint
+    # on stderr), NaN t-QR factors, an unnamed LinAlgError, or a
+    # non-finite entry the input does not hold
     call, name = ENTRIES[entry]
     x = GOOD.copy()
     if bad == "order 2":
         x, message = x[:, :, 0], f"{name} must have order >= 3, got order 2"
+    elif bad == "overflow":
+        x, message = x * 1e308, f"the transform of {name} overflows float64"
+    elif bad == "complex":
+        x, message = x + 1j, f"{name} must be real, got a complex tensor"
     else:
         x[1, 2, 3] = x[0, 3, 3] = float(bad)  # (0, 3, 3) is first in row-major order
         message = (f"{name} has a non-finite entry {bad} at index (1, 2, 3) "
                    "(2 non-finite entries in all)")
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(x)
+    assert capfd.readouterr().err == ""
 
 
 def test_mode_product_identity_and_zero():

@@ -1,6 +1,8 @@
 """Forward/inverse transform contracts, phi, and DFT slice symmetry."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -42,6 +44,45 @@ def test_transform_is_frozen_but_caches():
         with pytest.raises(AttributeError):
             delattr(L, name)
     assert L.trailing == (4, 3) and L.phi == 12.0
+
+
+def _held_arrays(L):
+    """Every array a real-safe transform holds, and those its properties cache."""
+    return [a for a in (*L.matrices, *L._inverses, *L._conj_perms, *L._conj_mixers,
+                        L.mirror, L.kept_slices, L.slice_weights, *L.slice_map)
+            if a is not None]
+
+
+def test_transform_arrays_are_read_only():
+    # a write into L.matrices changed forward(x) but not forward(x, half=True),
+    # which read the rows cached from the old matrix, and slice_weights took
+    # any value that later model runs would read
+    L = Transform.dft((4, 3))
+    for array in _held_arrays(L):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    mine = dft_matrix(5)
+    E = Transform.explicit([mine])
+    assert not E.matrices[0].flags.writeable
+    assert E.matrices[0] is not mine and mine.flags.writeable  # the caller's stays writable
+    mine[:] = 0
+    assert np.array_equal(E.matrices[0], dft_matrix(5))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copied_transforms_are_read_only_and_uncached(clone):
+    L = Transform.dft((4, 3))
+    _held_arrays(L), L._blocks, L._c2r  # fill the caches
+    C = clone(L)
+    assert type(C) is Transform
+    assert set(vars(C)) == {"phi", "matrices", "_inverses", "_conj_perms", "_conj_mixers"}
+    assert C.phi == L.phi and all(np.array_equal(a, b) for a, b in
+                                  zip(_held_arrays(C), _held_arrays(L)))
+    for array in _held_arrays(C):
+        assert not array.flags.writeable
+    x = rng().standard_normal((2, 3, 4, 3))
+    assert np.array_equal(C.forward(x, half=True), L.forward(x, half=True))
 
 
 def test_two_point_dft_example():
