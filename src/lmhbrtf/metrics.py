@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import _check_number
+from .errors import SettingError, _check_number
 from .tensor import as_tensor, num_slices, to_slice_stack
 
 __all__ = ["MetricReport", "psnr", "ssim", "ergas", "sam", "compute_all"]
@@ -74,7 +74,7 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
     window = _check_number("SSIM window", window, 1, integer=True)
     i1, i2 = x_gt.shape[:2]
     if i1 < window or i2 < window:
-        raise ValueError(f"frame size {(i1, i2)} is smaller than the {window}x{window} window")
+        raise SettingError(f"frame size {(i1, i2)} is smaller than the {window}x{window} window")
     rng = float(np.max(x_gt) - np.min(x_gt))
     if rng == 0.0:
         rng = 1.0

@@ -79,7 +79,7 @@ def linear_to_slice(j: int, shape) -> tuple:
 
 def to_slice_stack(x: np.ndarray) -> np.ndarray:
     """The (J, I1, I2) stack of the slices in linear order; a view of column-major *x*."""
-    return x.reshape((x.shape[0], x.shape[1], -1), order="F").transpose(2, 0, 1)
+    return x.reshape(x.shape[:2] + (num_slices(x.shape),), order="F").transpose(2, 0, 1)
 
 
 def from_slice_stack(stack: np.ndarray, shape) -> np.ndarray:

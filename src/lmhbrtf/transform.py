@@ -6,6 +6,13 @@ beyond the first two (forward has no scaling, the inverse carries the
 I3 * ... * Id.  Explicit matrix transforms are supported but restricted
 to scaled-unitary matrices so that phi is well defined.
 
+Every transform is derived from its matrices alone, in ``Transform.__init__``
+(:meth:`Transform.dft` passes the DFT matrices, :meth:`Transform.explicit`
+the caller's): each matrix M is unitary up to a scale c, phi is the
+product of the scales, M^-1 = M^H / c, p has conj(M) = M[p] (or is None),
+and the mixer M^-1 conj(M) is p's permutation matrix where M[p] = M[:, p]
+exactly (p is an involution), else M^H conj(M) / c.
+
 Every transform runs on one kernel: a product with one small dense matrix per
 trailing mode, done as a BLAS matrix product on a reshaped view of the
 column-major data.  A sweep over all trailing modes costs
@@ -38,8 +45,8 @@ unique (a repeated or zero singular value), and every product of such
 slices stays exactly real.
 
 For every invertible transform, real-safe or not, the transform also
-stores C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these over
-the conjugated, mode-1/2-swapped tensor gives its tensor conjugate
+stores the mixer C_k = M_k^-1 conj(M_k) per trailing mode.  Sweeping these
+over the conjugated, mode-1/2-swapped tensor gives its tensor conjugate
 transpose (``tsvd.conj_transpose``): L(x^H) = L(x)^H slice by slice.
 Under the DFT each C_k is the permutation i -> -i mod I_k.
 """
@@ -151,52 +158,16 @@ class Transform(_Frozen):
 
     A transform is immutable: no field can be reassigned and every array it
     holds or exposes is read-only, so nothing it caches can go stale.
+    Build one with :meth:`dft` or :meth:`explicit`.
     """
 
-    def __init__(self, phi: float, matrices: tuple, _inverses: tuple,
-                 _conj_perms: tuple, _conj_mixers: tuple):
-        # _conj_perms: per trailing mode, p with conj(m) = m[p], or None where
-        # conjugation does not permute the rows of m.  _conj_mixers: per
-        # trailing mode, C = m^-1 conj(m): sweeping C over the conjugated,
-        # mode-1/2-swapped x gives the y with L(y) = L(x)^H slice by slice
-        vars(self).update(phi=phi, matrices=matrices, _inverses=_inverses,
-                          _conj_perms=_conj_perms, _conj_mixers=_conj_mixers)
-        for a in (*matrices, *_inverses, *_conj_perms, *_conj_mixers):
-            if a is not None:
-                _read_only(a)
-
-    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
-        return Transform, (self.phi, self.matrices, self._inverses, self._conj_perms,
-                           self._conj_mixers)
-
-    @classmethod
-    def dft(cls, trailing) -> "Transform":
-        """Unnormalized DFT along each trailing mode; phi = prod(trailing)."""
-        trailing = _check_trailing(trailing)
-        if not trailing:
+    def __init__(self, matrices):
+        # the one derivation of every field (see the module docstring)
+        matrices = tuple(matrices)
+        if not matrices:
             raise SettingError("a transform needs at least one trailing mode")
-        mats = tuple(_dft_matrix(n) for n in trailing)
-        perms = tuple(-np.arange(n) % n for n in trailing)
-        return cls(phi=float(np.prod(trailing)), matrices=mats,
-                   _inverses=tuple(m.conj() / m.shape[0] for m in mats),
-                   _conj_perms=perms,
-                   _conj_mixers=tuple(np.eye(p.size)[p] for p in perms))
-
-    @classmethod
-    def explicit(cls, matrices) -> "Transform":
-        """Transform given by one invertible matrix per trailing mode.
-
-        Each matrix must be square, nonempty, finite and unitary up to a
-        positive scale c (U^H U = c I, which makes it invertible); the
-        product of the scales is phi.
-        """
-        # copies: the transform freezes its matrices, not the caller's
-        mats = tuple(np.array(m, dtype=np.complex128) for m in matrices)
-        if not mats:
-            raise SettingError("explicit transform needs at least one matrix")
-        phi = 1.0
-        inverses, perms, mixers = [], [], []
-        for mode, m in enumerate(mats, 3):
+        phi, inverses, perms, mixers = 1.0, [], [], []
+        for mode, m in enumerate(matrices, 3):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise SettingError(f"transform matrix must be square, got {m.shape}")
             if not np.isfinite(m).all():
@@ -207,7 +178,8 @@ class Transform(_Frozen):
                 raise SettingError(f"transform matrix of mode {mode} is empty")
             # passing puts every squared singular value within
             # c (1 +- 1e-8 sqrt(n)), so a matrix that passes is far from singular
-            gram = m.conj().T @ m
+            mh = m.conj().T
+            gram = mh @ m
             c = float(np.trace(gram).real) / n
             if c <= 0 or np.linalg.norm(gram - c * np.eye(n)) > _SCALE_TOL * c * np.sqrt(n):
                 raise SettingError(
@@ -215,16 +187,39 @@ class Transform(_Frozen):
                     "up to scale; the energy constant phi would be undefined"
                 )
             phi *= c
-            inverses.append(np.linalg.inv(m))
-            mixers.append(inverses[-1] @ m.conj())
+            inverses.append(np.ascontiguousarray(mh) / c)
             # conj(m) = q m; real results need q to be a permutation
-            q = m.conj() @ m.conj().T / c
+            q = m.conj() @ mh / c
             p = np.abs(q).argmax(axis=1)
             permutes = (np.array_equal(np.sort(p), np.arange(n))
                         and np.linalg.norm(q - np.eye(n)[p]) <= _SCALE_TOL * np.sqrt(n))
             perms.append(p if permutes else None)
-        return cls(phi=phi, matrices=mats, _inverses=tuple(inverses),
-                   _conj_perms=tuple(perms), _conj_mixers=tuple(mixers))
+            mixers.append(np.eye(n)[p] if permutes and np.array_equal(m[p], m[:, p])
+                          else inverses[-1] @ m.conj())
+        vars(self).update(phi=phi, matrices=matrices, _inverses=tuple(inverses),
+                          _conj_perms=tuple(perms), _conj_mixers=tuple(mixers))
+        for a in (*matrices, *inverses, *perms, *mixers):
+            if a is not None:
+                _read_only(a)
+
+    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
+        return Transform, (self.matrices,)
+
+    @classmethod
+    def dft(cls, trailing) -> "Transform":
+        """Unnormalized DFT along each trailing mode; phi = prod(trailing)."""
+        return cls(_dft_matrix(n) for n in _check_trailing(trailing))
+
+    @classmethod
+    def explicit(cls, matrices) -> "Transform":
+        """Transform given by one invertible matrix per trailing mode.
+
+        Each matrix must be square, nonempty, finite and unitary up to a
+        positive scale c (U^H U = c I, which makes it invertible); the
+        product of the scales is phi, and the inverse is U^H / c.
+        """
+        # copies: the transform freezes its matrices, not the caller's
+        return cls(np.array(m, dtype=np.complex128) for m in matrices)
 
     @cached_property
     def trailing(self) -> tuple:
@@ -372,11 +367,11 @@ class Transform(_Frozen):
             flat, shape = _mode_product(flat, shape, axis, m)
         if not half:
             return flat.reshape(shape, order="F")
-        blocks = flat.reshape(-1, shape[2], shape[0] * shape[1])
+        blocks = flat.reshape(math.prod(shape[3:]), shape[2], shape[0] * shape[1])
         stack = np.empty((self.kept_slices.size, blocks.shape[2]), dtype=np.complex128)
         for run, m, dest, _, _ in self._blocks:
             block = blocks[run]
-            _product(m, block, stack[dest].reshape(len(block), -1, block.shape[2]))
+            _product(m, block, stack[dest].reshape(len(block), m.shape[0], block.shape[2]))
         stack.imag[self._own_mirror] = 0.0
         return stack.reshape(-1).reshape(shape[:2] + self.half_trailing, order="F")
 
@@ -401,7 +396,7 @@ class Transform(_Frozen):
         flat = np.ravel(xbar, order="F").astype(np.complex128, copy=False)
         shape, first = xbar.shape, 2
         if half:
-            stack = flat.reshape(shape[2], -1)
+            stack = flat.reshape(shape[2], shape[0] * shape[1])
             # Mirror pairs are conjugate by construction; a kept slice that is
             # its own mirror adds its imaginary part to the full inverse through
             # a real inverse column, orthogonal to every other, of squared norm
@@ -413,10 +408,10 @@ class Transform(_Frozen):
             if len(shape) > 3:
                 out = np.empty((math.prod(shape[3:]), shape[2], stack.shape[1]), np.complex128)
                 for run, _, _, source, conj in self._blocks:
-                    block = stack[source]
+                    block, dest = stack[source], out[run]
                     if conj.size:  # a copy: some slice of the run is dropped
                         block.imag[conj] *= -1
-                    _product(self._inverses[0], block.reshape(-1, *out.shape[1:]), out[run])
+                    _product(self._inverses[0], block.reshape(dest.shape), dest)
                 flat, first = out.reshape(-1), 3
         last = len(shape) - 1
         for axis in range(first, last):
@@ -424,7 +419,7 @@ class Transform(_Frozen):
         if not half:
             flat, shape = _mode_product(flat, shape, last, self._inverses[-1])
             return flat.reshape(shape, order="F")
-        z = flat.reshape(self._kept_rows.size, -1)
+        z = flat.reshape(self._kept_rows.size, math.prod(shape[:last]))
         out = (self._c2r @ np.concatenate([z.real, z.imag])).reshape(-1)
         out = out.reshape(shape[:last] + self.trailing[-1:], order="F")
         if sq:  # a zero residue passes against any norm

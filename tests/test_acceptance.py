@@ -307,24 +307,27 @@ def _tiny_state(seed, shape=(3, 3, 2), rank=2):
 
 def _factor_objective(state, side, weighted=False):
     """Coordinate objective for the q(U) or q(V) update as a function of
-    the (means, covariances) it returns, all other factors fixed.  With
-    *weighted*, each kept slice's prior and entropy terms count once per
-    slice it stands for (``Transform.slice_weights``)."""
+    the (means, covariances) it returns, all other factors fixed.  Slice
+    k's mean and covariance are its active block, its first
+    ``ranks[k]`` columns; the padding stays zero.  With *weighted*, each
+    kept slice's prior and entropy terms count once per slice it stands
+    for (``Transform.slice_weights``)."""
     rows = state.shape[0] if side == "u" else state.shape[1]
     tau = state.noise.tau_mean
     weights = state.transform.slice_weights if weighted else np.ones(state.n_slices)
+    ranks = state.factors.ranks
 
     def evaluate(means, covs):
         st = copy.deepcopy(state)
         with edited_factors(st) as f:
             target = f.u.mean if side == "u" else f.v.mean
             target_cov = f.u.cov if side == "u" else f.v.cov
-            for k in range(st.n_slices):
-                target[k] = np.array(means[k])
-                target_cov[k] = np.array(covs[k])
+            for k, r in enumerate(ranks):
+                target[k][:, :r] = means[k]
+                target_cov[k][:r, :r] = covs[k]
         value = -(tau / st.transform.phi) * expected_residual_sq(st)
-        for k in range(st.n_slices):
-            lam = st.noise.lambda_mean[k]
+        for k, r in enumerate(ranks):
+            lam = st.noise.lambda_mean[k][:r]
             m, c = means[k], covs[k]
             value -= weights[k] * float(np.sum(lam * (np.sum(np.abs(m) ** 2, axis=0)
                                                       + rows * np.diagonal(c).real)))
@@ -461,6 +464,28 @@ def test_criterion_6_update_optimality():
             f"{worst_gap:.3e} (tolerance 1e-6 relative), {elapsed:.1f}s (<60s)")
 
 
+def _check_weighted_factor_updates(state, rng, label):
+    """update_u and update_v maximize the weighted objective on the
+    active blocks: no perturbation of a mean or a covariance improves it."""
+    for side, update in (("u", update_u), ("v", update_v)):
+        update(state)
+        f, ranks = getattr(state.factors, side), state.factors.ranks
+        means = [m[:, :r].copy() for m, r in zip(f.mean, ranks)]
+        covs = [c[:r, :r].copy() for c, r in zip(f.cov, ranks)]
+        objective = _factor_objective(state, side, weighted=True)
+        perturbed = []
+        for eps in (1e-2, 1e-3):
+            for _ in range(6):
+                dm = [m + eps * (rng.standard_normal(m.shape)
+                                 + 1j * rng.standard_normal(m.shape))
+                      * max(np.linalg.norm(m), 1.0) / math.sqrt(m.size)
+                      for m in means]
+                perturbed.append(objective(dm, covs))
+                perturbed.append(objective(means, [_perturbed_cov(c, rng, eps)
+                                                   for c in covs]))
+        _assert_local_max(objective(means, covs), perturbed, f"update_{side} {label}")
+
+
 @pytest.mark.parametrize("trailing", [(3,), (4,), (3, 4)])
 def test_factor_updates_are_optimal_under_the_slice_weights(trailing):
     # criterion 6's state has trailing (2,), where every slice is its own
@@ -469,23 +494,7 @@ def test_factor_updates_are_optimal_under_the_slice_weights(trailing):
     assert Transform.dft(trailing).slice_weights.max() == 2
     for seed in (1, 2, 3):
         state, rng = _tiny_state(seed, shape=(4, 3) + trailing)
-        for side, update in (("u", update_u), ("v", update_v)):
-            update(state)
-            f = getattr(state.factors, side)
-            means, covs = [m.copy() for m in f.mean], [c.copy() for c in f.cov]
-            objective = _factor_objective(state, side, weighted=True)
-            perturbed = []
-            for eps in (1e-2, 1e-3):
-                for _ in range(6):
-                    dm = [m + eps * (rng.standard_normal(m.shape)
-                                     + 1j * rng.standard_normal(m.shape))
-                          * max(np.linalg.norm(m), 1.0) / math.sqrt(m.size)
-                          for m in means]
-                    perturbed.append(objective(dm, covs))
-                    perturbed.append(objective(means, [_perturbed_cov(c, rng, eps)
-                                                       for c in covs]))
-            _assert_local_max(objective(means, covs), perturbed,
-                              f"update_{side} seed {seed} trailing {trailing}")
+        _check_weighted_factor_updates(state, rng, f"seed {seed} trailing {trailing}")
 
 
 # --------------------------------------------------------------------------

@@ -524,6 +524,19 @@ def test_denoise_transform_file_of_size_one_mode(tmp_path, capsys):
     assert np.array_equal(read_tensor(outs["one"]), read_tensor(outs["dft"]))
 
 
+def test_denoise_transform_file_of_the_dft_matrix_reproduces_the_builtin_bitwise(tmp_path,
+                                                                                capsys):
+    src, _ = make_lowrank_input(tmp_path, rho=0.05, sigma_sq=1e-4)
+    write_tensor(tmp_path / "m3.npy", transform.Transform.dft((8,)).matrices[0])
+    common = ["denoise", "--input", str(src), "--seed", "1", "--init-rank", "4",
+              "--max-iter", "30"]
+    outs = tmp_path / "builtin.npy", tmp_path / "file.npy"
+    assert main(common + ["--out", str(outs[0])]) == 0, capsys.readouterr().err
+    assert main(common + ["--out", str(outs[1]),
+                          "--transform-file", str(tmp_path / "m3.npy")]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_metrics_identical_inputs_sentinels(tmp_path):
     src, _ = make_lowrank_input(tmp_path)
     out = tmp_path / "m.json"
@@ -578,6 +591,19 @@ def test_metrics_rejects_empty_tensor_exit_code_1(tmp_path, capsys):
     assert code == 1
     assert any(line.startswith("lmhbrtf: error:") and "(8, 8, 0)" in line
                for line in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
+def test_metrics_window_larger_than_a_frame_is_usage_error(tmp_path, capsys):
+    # it exited 1, while init_rank beyond the slice side exits 2
+    src = tmp_path / "x.npy"
+    write_tensor(src, np.random.default_rng(0).uniform(0, 1, (8, 8, 2)))
+    out = tmp_path / "m.json"
+    code = main(["metrics", "--ref", str(src), "--est", str(src), "--window", "9",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("lmhbrtf: usage error: frame size (8, 8) is "
+                                       "smaller than the 9x9 window\n")
     assert not out.exists()
 
 

@@ -188,6 +188,20 @@ def test_run_deterministic_bitwise():
     assert [r._asdict() for r in a.trace.records] == [r._asdict() for r in b.trace.records]
 
 
+@pytest.mark.parametrize("trailing", [(4, 3), (5, 5), (3, 3, 3)])
+def test_explicit_dft_matrices_reproduce_the_builtin_run_bitwise(trailing):
+    # the explicit inverse came from np.linalg.inv: x_hat differed by up to 8.5e-14
+    L = Transform.dft(trailing)
+    cfg = SynthConfig(shape=(12, 10) + trailing, base_rank=2,
+                      multirank=uniform_multirank(trailing, 2), rho=0.1,
+                      sigma_sq=1e-4, seed=3)
+    y = generate(cfg, L).y
+    builtin, explicit = (run(y, T, small_hp(init_rank=4, max_iter=40), seed=7)
+                         for T in (L, Transform.explicit(L.matrices)))
+    assert builtin.x_hat.tobytes() == explicit.x_hat.tobytes()
+    assert builtin.s_hat.tobytes() == explicit.s_hat.tobytes()
+
+
 def test_ranks_nonincreasing_and_positive_trace_fields():
     cfg, inst = small_instance(rho=0.1, sigma_sq=1e-2, seed=6)
     result = run(inst.y, Transform.dft((8,)), small_hp(max_iter=80), seed=1)

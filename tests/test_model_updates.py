@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 from factor_edits import edited_factors
 
+# the coordinate objectives live with criterion 6; the ragged-rank check
+# below is quick, so it runs here, outside the slow acceptance module
+from test_acceptance import _check_weighted_factor_updates, _tiny_state
+
 from lmhbrtf import model
 from lmhbrtf.errors import ImaginaryResidueError, NumericalBreakdownError
 from lmhbrtf.model import (
@@ -555,6 +559,22 @@ def test_update_u_replaces_only_u_and_keeps_the_gram_of_v():
     assert state.factors.v is v and state.factors.v.gram is gram
     update_v(state)
     assert state.factors.v is not v
+
+
+@pytest.mark.parametrize("trailing,ranks", [((5,), [3, 1, 2]), ((4,), [3, 1, 2]),
+                                            ((3, 4), [3, 1, 2, 1, 3, 2, 1])])
+def test_factor_updates_are_optimal_on_a_pruned_state_with_ragged_ranks(trailing, ranks):
+    # the weighted coordinate check of the factor updates on the state that
+    # pruning leaves, each slice padded with zero columns past its rank; a
+    # padded covariance is singular, so the objective reads the active
+    # blocks only
+    for seed in (1, 2, 3):
+        state, rng = _tiny_state(seed, shape=(5, 4) + trailing, rank=3)
+        make_ragged(state, ranks)
+        _check_weighted_factor_updates(state, rng, f"seed {seed} ranks {ranks}")
+        padded = ~state.factors.active
+        for factor in (state.factors.u, state.factors.v):
+            assert not np.where(padded[:, None, :], factor.mean, 0).any()
 
 
 def test_reconstruct_zero_factors_and_single_slice():

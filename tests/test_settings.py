@@ -264,6 +264,7 @@ SETTING_FAULTS = {
     "Transform.explicit.empty": lambda: Transform.explicit([np.zeros((0, 0))]),
     "Transform.explicit.unitary": lambda: Transform.explicit([np.ones((2, 2))]),
     "run.init_rank": lambda: run(Y, L3, HyperParams(5, max_iter=1), 0),
+    "ssim.window": lambda: ssim(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), window=8),
 }
 # ... and a fault of the data a plain ValueError, a failure (exit 1)
 NOT_REAL_SAFE = Transform.explicit([np.diag(np.exp(2j * np.pi * np.arange(3) / 6))])

@@ -156,6 +156,31 @@ def test_explicit_unnormalized_dft_matches_builtin():
     assert frobenius_norm(a - b) <= 1e-10 * frobenius_norm(a)
 
 
+@pytest.mark.parametrize("trailing", [(4, 3), (5, 5), (3, 3, 3)])
+def test_explicit_dft_matrices_give_the_builtin_transform(trailing):
+    # both constructors derive every field from the matrices in one place;
+    # np.linalg.inv and a dense mixer made the explicit fields differ
+    L = Transform.dft(trailing)
+    E = Transform.explicit(L.matrices)
+    assert vars(E).keys() == vars(L).keys() and E.phi == L.phi
+    for name in ("matrices", "_inverses", "_conj_perms", "_conj_mixers"):
+        for a, b in zip(getattr(E, name), getattr(L, name), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_explicit_orthogonal_transform_round_trips(scale):
+    # the inverse is U^H / c, exact to roundoff for a matrix unitary up to scale c
+    r = rng()
+    L = Transform.explicit([scale * np.linalg.qr(r.standard_normal((n, n)))[0]
+                            for n in (4, 3)])
+    assert L.phi == pytest.approx(scale ** 4, rel=1e-14)
+    x = r.standard_normal((3, 2, 4, 3))
+    for half in (False, True):
+        back = L.inverse(L.forward(x, half=half), half=half)
+        assert frobenius_norm(back - x) <= 1e-13 * frobenius_norm(x)
+
+
 def test_explicit_rejects_singular_matrix():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError, match="singular"):
@@ -553,6 +578,18 @@ def test_half_forward_self_mirrored_slices_exactly_real(name):
     assert own.any() and np.all(half[own].imag == 0)
     assert np.linalg.norm(half - full) <= 1e-13 * np.linalg.norm(full)
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("trailing", [(4,), (5, 5), (3, 3, 3)])
+@pytest.mark.parametrize("sides", [(0, 3), (3, 0), (0, 0)])
+def test_half_transforms_of_an_empty_first_or_second_mode(sides, trailing):
+    # a reshape to -1 columns failed on these: "cannot reshape array of size 0"
+    L = Transform.dft(trailing)
+    x = np.zeros(sides + trailing)
+    half = L.forward(x, half=True)
+    assert half.shape == sides + L.half_trailing
+    back = L.inverse(half, half=True)
+    assert back.dtype == np.float64 and back.shape == x.shape
 
 
 def test_half_form_rejects_complex_input_and_full_shape():

@@ -248,6 +248,15 @@ def test_conj_transpose_under_the_dft_is_the_slice_reversal_bitwise(shape):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["orthogonal-4", "orthogonal-4x3"])
+def test_conj_transpose_under_a_real_orthogonal_transform_is_the_slice_transpose(name):
+    # m^-1 conj(m) is exactly I for a real m; inv(m) @ m was off by 4.4e-16
+    L = Transform.explicit(EXPLICIT[name])
+    for x in real_and_complex((3, 2) + L.trailing, 8):
+        got = conj_transpose(x, L)
+        assert got.dtype == x.dtype and np.array_equal(got, np.swapaxes(x, 0, 1).conj())
+
+
 @pytest.mark.parametrize("name", sorted(EXPLICIT))
 def test_conj_transpose_transform_domain_oracle_explicit(name):
     # L(x^H) = L(x)^H slice by slice under any invertible transform
@@ -601,3 +610,31 @@ def test_t_svd_and_lemma1_factors_of_a_real_tensor_are_real(trailing):
                  (u, v)):
         recon = t_product(a, conj_transpose(b, L), L)
         assert frobenius_norm(recon - x) <= 1e-12 * frobenius_norm(x)
+
+
+# each routine on a real x or its complex copy, as a tuple of arrays
+EMPTY_MODE_ROUTINES = {
+    "t_product": lambda x, L: (t_product(x, np.ones((x.shape[1], 2) + L.trailing, x.dtype), L),),
+    "t_qr": t_qr,
+    "t_svd": lambda x, L: tuple(vars(t_svd(x, L)).values()),
+    "multi_rank": lambda x, L: (multi_rank(x, L),),
+    "truncate_multi_rank": lambda x, L: (truncate_multi_rank(x, L, [0] * math.prod(L.trailing)),),
+    "factorize_lemma1": lambda x, L: factorize_lemma1(x, L, 0),
+}
+
+
+@pytest.mark.parametrize("trailing", [(4,), (5, 5), (3, 3, 3)])
+@pytest.mark.parametrize("sides", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("routine", sorted(EMPTY_MODE_ROUTINES))
+def test_routines_compute_on_an_empty_first_or_second_mode(routine, sides, trailing):
+    # these failed in a reshape to -1 columns: "cannot reshape array of size 0"
+    L = Transform.dft(trailing)
+    x = np.zeros(sides + trailing)
+    real, cplx = (EMPTY_MODE_ROUTINES[routine](a, L) for a in (x, x.astype(complex)))
+    assert len(real) == len(cplx)
+    for a, b in zip(real, cplx):
+        # t_svd's full right factor is an identity per slice, up to roundoff
+        assert np.isrealobj(a) and a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+    if routine == "t_product":
+        assert real[0].shape == (sides[0], 2) + trailing and not real[0].any()
