@@ -84,6 +84,8 @@ _REQUIRED = object()  # the default of a flag that every call must give
 
 # the files synth --save-tensors writes, each <name>.npy in that directory
 _SAVED_TENSORS = ("y", "x_gt", "s_gt", "e_gt", "x_hat", "s_hat")
+# the report path of each command: unlike a tensor output, it may not be an input
+_REPORT = {"synth": "out", "denoise": "report", "metrics": "out"}
 
 # The model settings of synth and denoise, with no default of their own: a
 # given one overrides the command's library preset (see _hyperparams).
@@ -219,10 +221,14 @@ def _resolve(args) -> dict:
     return merged
 
 
-def _check_outputs(opts: dict) -> None:
+def _check_outputs(opts: dict, command: str) -> None:
     """Fail before any input is read on an output path that cannot be
-    written, or on two output files (--save-tensors' six among them) that
-    resolve to one path."""
+    written, on two output files (--save-tensors' six among them) that
+    resolve to one path, or on a report path that resolves to an input."""
+    inputs = {}
+    for key in ("input", "ref", "est", "transform_file"):
+        for path in [opts[key]] if isinstance(opts.get(key), str) else opts.get(key) or []:
+            inputs.setdefault(os.path.realpath(path), f"--{key.replace('_', '-')} {path!r}")
     files = {}
     for key in ("out", "report", "sparse_out", "save_tensors"):
         path = opts.get(key)
@@ -244,6 +250,8 @@ def _check_outputs(opts: dict) -> None:
             raise SettingError(f"{where} is not a file path")
         elif not os.path.isdir(os.path.dirname(path) or "."):
             raise SettingError(f"{where}: directory {os.path.dirname(path)!r} does not exist")
+        elif key == _REPORT.get(command) and os.path.realpath(path) in inputs:
+            raise SettingError(f"{inputs[os.path.realpath(path)]} and {where} name one file")
         for label, file in written.items():
             first = files.setdefault(os.path.realpath(file), label)
             if first != label:
@@ -360,6 +368,8 @@ def cmd_denoise(opts: dict, argv: list) -> None:
     if opts["sparse_out"]:
         write_tensor(opts["sparse_out"], result.s_hat)
     if opts["report"]:
+        results = result.report_fields()
+        trace = results.pop("trace")  # the report's own top-level field
         report = RunReport(
             command="denoise",
             config={
@@ -371,13 +381,8 @@ def cmd_denoise(opts: dict, argv: list) -> None:
                 "seed": opts["seed"],
                 "hyperparams": hp.as_dict(),
             },
-            results={
-                "multirank": [int(r) for r in result.multirank],
-                "converged": result.trace.converged,
-                "iterations": len(result.trace.records),
-                "message": result.trace.message,
-            },
-            trace=result.trace.as_dicts(),
+            results=results,
+            trace=trace,
             timing={"run_s": elapsed},
         )
         report.save(opts["report"])
@@ -410,7 +415,7 @@ def main(argv=None) -> int:
         return 2
     try:
         opts = _resolve(args)
-        _check_outputs(opts)
+        _check_outputs(opts, args.subcommand)
         args.func(opts, argv)
     except SettingError as exc:
         print(f"lmhbrtf: usage error: {exc}", file=sys.stderr)

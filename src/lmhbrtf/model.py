@@ -101,9 +101,6 @@ class HyperParams(_Frozen):
             tol=_check_number("tol", tol, 0, open_low=True),
             max_iter=_check_number("max_iter", max_iter, 0, integer=True))
 
-    def __repr__(self) -> str:
-        return f"HyperParams({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
     def as_dict(self) -> dict:
         """The settings as a report echo."""
         return dict(vars(self))
@@ -123,9 +120,6 @@ class Factor(_Frozen):
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
         vars(self).update(mean=_read_only(mean), cov=_read_only(cov))
-
-    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
-        return Factor, (self.mean, self.cov)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -148,9 +142,6 @@ class FactorState(_Frozen):
 
     def __init__(self, u: Factor, v: Factor, ranks: np.ndarray):
         vars(self).update(u=u, v=v, ranks=_read_only(ranks))
-
-    def __reduce__(self):
-        return FactorState, (self.u, self.v, self.ranks)
 
     @property
     def active(self) -> np.ndarray:
@@ -251,15 +242,21 @@ class RunTrace:
     def __init__(self):
         self.records, self.converged, self.message = [], False, ""
 
-    def as_dicts(self) -> list:
-        return [r._asdict() for r in self.records]
-
 
 class RunResult(NamedTuple):
     x_hat: np.ndarray
     s_hat: np.ndarray
     multirank: np.ndarray
     trace: RunTrace
+
+    def report_fields(self) -> dict:
+        """The run as report fields: multi-rank, iterations, verdict, message,
+        the noise variance 1/tau of the last record (or None) and the records."""
+        records = self.trace.records
+        return {"multirank": [int(r) for r in self.multirank], "iterations": len(records),
+                "converged": self.trace.converged, "message": self.trace.message,
+                "noise_var": 1.0 / records[-1].tau_mean if records else None,
+                "trace": [r._asdict() for r in records]}
 
 
 def _check_init_rank(hp: HyperParams, shape) -> None:

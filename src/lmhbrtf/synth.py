@@ -89,9 +89,6 @@ class SynthConfig(_Frozen):
         vars(self).update(shape=shape, base_rank=base_rank, multirank=_read_only(multirank),
                           rho=rho, sigma_sq=sigma_sq, seed=seed)
 
-    def __repr__(self) -> str:
-        return f"SynthConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
     def as_dict(self) -> dict:
         return dict(vars(self), shape=list(self.shape), multirank=self.multirank.tolist())
 
@@ -226,9 +223,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
     with shifted data seeds and the mean errors are reported alongside
     the per-repeat rows.  The optional *on_cell* callback receives
     (config, instance, result) for every completed run, e.g. to persist
-    tensors.  Each per-repeat row holds ``noise_var``, the noise
-    variance 1/tau estimated at the last iteration (None when no
-    iteration ran).
+    tensors.
     """
     repeats = _check_number("repeats", repeats, 1, integer=True)
     model_seed = _check_number("model_seed", model_seed, 0, integer=True)
@@ -243,8 +238,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
             t0 = time.perf_counter()
             inst = generate(cfg_rep)
             t1 = time.perf_counter()
-            result = run(inst.y, Transform.dft(cfg.shape[2:]), hp_cell,
-                         seed=model_seed)
+            result = run(inst.y, Transform.dft(cfg.shape[2:]), hp_cell, seed=model_seed)
             t2 = time.perf_counter()
             if on_cell is not None:
                 on_cell(cfg_rep, inst, result)
@@ -252,12 +246,7 @@ def run_benchmark(configs, hp: Optional[HyperParams] = None,
                 "seed": cfg_rep.seed,
                 "r_err": r_err(result.multirank, inst.multirank_gt),
                 "x_err": x_err(result.x_hat, inst.x_gt),
-                "noise_var": (1.0 / result.trace.records[-1].tau_mean
-                              if result.trace.records else None),
-                "multirank": [int(r) for r in result.multirank],
-                "iterations": len(result.trace.records),
-                "converged": result.trace.converged,
-                "trace": result.trace.as_dicts(),
+                **result.report_fields(),
                 "timing": {"generate_s": t1 - t0, "run_s": t2 - t1},
             })
         cells.append({

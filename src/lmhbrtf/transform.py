@@ -53,6 +53,7 @@ Under the DFT each C_k is the permutation i -> -i mod I_k.
 
 from __future__ import annotations
 
+import inspect
 import math
 from functools import cached_property
 
@@ -137,8 +138,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Frozen:
-    """Base of immutable objects: ``__init__`` sets every attribute once,
-    through ``vars(self)``; ``functools.cached_property`` still caches."""
+    """Base of immutable objects: ``__init__`` stores each parameter once, under
+    its name, through ``vars(self)`` (``functools.cached_property`` still caches).
+    Copies and unpickled objects are rebuilt through ``__init__``: checked,
+    read-only and uncached."""
+
+    def _args(self) -> dict:
+        return {name: vars(self)[name] for name in inspect.signature(type(self)).parameters}
+
+    def __reduce__(self):
+        return type(self), tuple(self._args().values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._args().items())})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -201,9 +213,6 @@ class Transform(_Frozen):
         for a in (*matrices, *inverses, *perms, *mixers):
             if a is not None:
                 _read_only(a)
-
-    def __reduce__(self):  # copies and unpickled objects are read-only, uncached
-        return Transform, (self.matrices,)
 
     @classmethod
     def dft(cls, trailing) -> "Transform":

@@ -11,10 +11,11 @@ import pytest
 from lmhbrtf import cli, synth, transform
 from lmhbrtf.cli import main
 from lmhbrtf.metrics import psnr
-from lmhbrtf.model import HyperParams
+from lmhbrtf.model import HyperParams, run
 from lmhbrtf.npyio import read_tensor, write_tensor
 from lmhbrtf.report import RunReport, strip_timing
 from lmhbrtf.synth import SynthConfig, corrupt_tensor, generate, uniform_multirank
+from lmhbrtf.transform import Transform
 from lmhbrtf.tsvd import multi_rank
 
 
@@ -981,4 +982,140 @@ def test_synth_all_zero_pattern_is_usage_error_before_generating(tmp_path, capsy
                  "--rho", "0.1", "--sigma2", "1e-4", "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "no positive rank" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_report_holds_the_run_report_fields(tmp_path):
+    # the report's results had no noise_var
+    src, _ = make_lowrank_input(tmp_path, rho=0.05, sigma_sq=1e-4)
+    rep = tmp_path / "r.json"
+    assert main(["denoise", "--input", str(src), "--seed", "4", "--init-rank", "4",
+                 "--gamma", "1.0", "--tol", "1e-5", "--max-iter", "30",
+                 "--out", str(tmp_path / "x.npy"), "--report", str(rep)]) == 0
+    report = RunReport.load(rep)
+    fields = run(read_tensor(src), Transform.dft((8,)),
+                 HyperParams(4, gamma=1.0, tol=1e-5, max_iter=30), seed=4).report_fields()
+    assert report.trace == fields.pop("trace")
+    assert report.results == fields
+    assert report.results["noise_var"] == 1.0 / report.trace[-1]["tau_mean"]
+
+
+def _report_over_an_input(tmp_path, command, flag):
+    """The argv of *command* whose report path names, through '..', the
+    input file of *flag*, and that input file."""
+    (tmp_path / "sub").mkdir()
+    files = {name: str(tmp_path / f"{name}.npy") for name in ("a", "b", "y", "m")}
+    write_tensor(files["a"], np.ones((6, 6, 4)))
+    write_tensor(files["b"], np.full((6, 6, 4), 2.0))
+    write_tensor(files["y"], np.random.default_rng(3).standard_normal((6, 6, 4)))
+    write_tensor(files["m"], np.eye(4))
+    argv = {
+        "metrics": ["metrics", "--ref", files["a"], "--est", files["b"], "--window", "3"],
+        "denoise": ["denoise", "--input", files["y"], "--out", str(tmp_path / "x.npy"),
+                    "--seed", "1", "--max-iter", "3", "--transform-file", files["m"]],
+    }[command]
+    target = argv[argv.index(flag) + 1]
+    return argv, target, str(tmp_path / "sub" / ".." / Path(target).name)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("metrics", "--ref"), ("metrics", "--est"),
+    ("denoise", "--input"), ("denoise", "--transform-file"),
+])
+def test_report_naming_an_input_is_usage_error(tmp_path, capsys, command, flag):
+    # metrics --out a.npy over --ref a.npy, and denoise --report y.npy over
+    # --input y.npy, exited 0 with the JSON report in place of the input
+    argv, target, alias = _report_over_an_input(tmp_path, command, flag)
+    report = "--out" if command == "metrics" else "--report"
+    before = Path(target).read_bytes()
+    assert main(argv + [report, alias]) == 2
+    assert capsys.readouterr().err == (f"lmhbrtf: usage error: {flag} {target!r} and "
+                                       f"{report} {alias!r} name one file\n")
+    assert Path(target).read_bytes() == before
+    assert not (tmp_path / "x.npy").exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--transform-file"])
+def test_report_from_config_naming_an_input_is_usage_error(tmp_path, capsys, flag):
+    argv, target, alias = _report_over_an_input(tmp_path, "denoise", flag)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"report": alias}))
+    before = Path(target).read_bytes()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"lmhbrtf: usage error: {flag} {target!r} and "
+                                       f"--report {alias!r} name one file\n")
+    # the input named from the config file is checked the same way
+    at = argv.index("--transform-file")
+    cfg.write_text(json.dumps({"transform_file": argv[at + 1:at + 2]}))
+    assert main(argv[:at] + argv[at + 2:] + ["--report", alias, "--config", str(cfg)]) == 2
+    assert f"{flag} {target!r} and --report {alias!r} name one file" in capsys.readouterr().err
+    assert Path(target).read_bytes() == before
+    assert not (tmp_path / "x.npy").exists()
+
+
+def test_denoise_output_may_replace_its_input(tmp_path):
+    src, _ = make_lowrank_input(tmp_path)
+    assert main(["denoise", "--input", str(src), "--out", str(src), "--seed", "1",
+                 "--init-rank", "2", "--max-iter", "3"]) == 0
+    assert read_tensor(src).shape == (12, 12, 8)
+
+
+_SYNTH_ARGV = ["synth", "--dims", "6,6,3", "--rank", "1", "--rho", "0", "--sigma2", "0",
+               "--seed", "1"]
+
+
+def test_synth_dims_of_order_two_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--dims", "5,5", *_SYNTH_ARGV[3:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --dims: must name an order >= 3 tensor, got (5, 5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read config file {}: [Errno 2] No such file or directory"),
+    ("{max_iter: 3}", "cannot read config file {}: Expecting property name enclosed in "
+     "double quotes"),
+    ("[3]", "config file {} must hold a JSON object"),
+], ids=["missing", "not_json", "a_list"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, monkeypatch, content,
+                                               message):
+    _no_input_read(monkeypatch)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(_SYNTH_ARGV + ["--out", str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "lmhbrtf: usage error: " + message.format(cfg))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pattern,message", [
+    ("uniform:x", "bad uniform pattern 'uniform:x'"),
+    ("1,a", "--pattern must be 'desk', 'uniform:N' or a comma list, got '1,a'"),
+], ids=["uniform", "comma_list"])
+def test_unparsable_synth_pattern_is_usage_error(tmp_path, capsys, monkeypatch, pattern,
+                                                 message):
+    _no_input_read(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(_SYNTH_ARGV + ["--out", str(out), "--pattern", pattern]) == 2
+    assert capsys.readouterr().err == f"lmhbrtf: usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("matrices,message", [
+    ([np.eye(8), np.eye(8)], "got 2 transform matrices for 1 trailing modes"),
+    ([np.ones((3, 3, 2))], "{}: transform file must hold a matrix"),
+], ids=["two_for_one_mode", "not_a_matrix"])
+def test_denoise_transform_files_that_do_not_fit_are_usage_error(tmp_path, capsys,
+                                                                 matrices, message):
+    src, _ = make_lowrank_input(tmp_path)  # one trailing mode, of size 8
+    paths = [str(tmp_path / f"m{i}.npy") for i in range(len(matrices))]
+    for path, m in zip(paths, matrices):
+        write_tensor(path, m)
+    out = tmp_path / "x.npy"
+    assert main(["denoise", "--input", str(src), "--seed", "1", "--out", str(out),
+                 "--transform-file", *paths]) == 2
+    assert capsys.readouterr().err == f"lmhbrtf: usage error: {message.format(*paths)}\n"
     assert not out.exists()

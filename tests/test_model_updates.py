@@ -456,6 +456,16 @@ def test_compute_fit_limits():
     assert compute_fit(exact, expected_residual_sq(exact)) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_compute_fit_of_an_all_zero_observation_is_undefined():
+    # init_state skips the fit of an all-zero observation; the phase itself refuses it
+    state = init_state(np.zeros((4, 4, 2)), Transform.dft((2,)), HyperParams(2), seed=0)
+    assert state.ynorm == 0 and state.noise.fit == 0.0
+    with pytest.raises(ValueError, match="^fit is undefined for an identically zero "
+                                         "observation$"):
+        compute_fit(state, 0.0)
+    assert state.noise.fit == 0.0
+
+
 @pytest.mark.parametrize("phase", [update_tau, compute_fit])
 def test_noise_phases_take_the_expected_residual_as_a_required_argument(phase, monkeypatch):
     state = make_state(shape=(4, 4, 2), r=2, seed=6)

@@ -1,6 +1,8 @@
 """Generator reproducibility, planted structure and scoring functions."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -399,6 +401,44 @@ def test_run_benchmark_reports_the_estimated_noise_variance(max_iter):
         assert row["noise_var"] == 1.0 / row["trace"][-1]["tau_mean"]
     else:
         assert row["trace"] == [] and row["noise_var"] is None
+
+
+@pytest.mark.parametrize("max_iter,message", [
+    (0, "iteration budget is zero; returning initialization"),
+    (3, "relative change still "),
+], ids=["budget_zero", "budget_spent"])
+def test_run_benchmark_rows_are_the_run_report_fields(max_iter, message):
+    # a row said converged: false with no reason
+    hp = HyperParams(init_rank=4, sigma0_sq=1.0, gamma=1.0, tol=1e-5, max_iter=max_iter)
+    results = []
+    row, = run_benchmark([small_cfg(seed=21)], hp=hp,
+                         on_cell=lambda cfg, inst, result: results.append(result)
+                         ).results["cells"][0]["repeats"]
+    fields = results[0].report_fields()
+    assert set(row) == {"seed", "r_err", "x_err", "timing", *fields}
+    assert {key: row[key] for key in fields} == fields
+    assert not row["converged"] and row["message"].startswith(message)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("settings", [
+    small_cfg(), HyperParams(3, sigma0_sq=0.5, gamma=None, tol=1e-5, max_iter=7),
+], ids=["SynthConfig", "HyperParams"])
+def test_copied_settings_are_rebuilt_frozen(clone, settings):
+    # a copied SynthConfig held a writable multirank
+    copied = clone(settings)
+    assert type(copied) is type(settings) and repr(copied) == repr(settings)
+    assert copied.as_dict() == settings.as_dict()
+    if isinstance(settings, SynthConfig):
+        assert not copied.multirank.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copied.multirank[0] = 0
+    with pytest.raises(AttributeError, match="cannot assign"):
+        copied.seed = 1
+    if isinstance(settings, HyperParams):
+        assert repr(copied) == ("HyperParams(init_rank=3, sigma0_sq=0.5, gamma=None, "
+                                "tol=1e-05, max_iter=7)")
 
 
 def test_run_benchmark_deterministic_modulo_timing():

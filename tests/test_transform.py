@@ -227,6 +227,15 @@ def test_real_part_threshold():
         real_part(np.ones((2, 2, 2)) + 1e-4j)
 
 
+def test_real_part_of_a_real_array_is_the_array_as_float64():
+    x = np.asfortranarray(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
+    got = real_part(x)
+    assert got.dtype == np.float64 and got.flags.f_contiguous
+    assert np.array_equal(got, x)
+    y = np.asfortranarray(rng().standard_normal((2, 3, 2)))
+    assert real_part(y) is y  # nothing to drop: no copy
+
+
 # half-spectrum form: the kept slices of a real tensor's DFT
 
 HALF_SHAPES = [(3, 4, 5), (3, 4, 6), (3, 4, 1), (3, 4, 2),
