@@ -4,14 +4,14 @@ Exit codes: 0 on success, 2 on a usage error (a bad flag or any
 :class:`errors.SettingError`) and 1 on any other failure: bad data, a
 numerical breakdown or a file error.  Every run is reproducible from its
 --seed; wall-clock times are confined to the report's timing fields.
-Option precedence is CLI flag over --config file over default; an unset
-model setting of synth or denoise takes the library's preset for it.
+An argument @PATH stands for the lines of that file, one argument per
+line, so a later argument overrides an earlier one; an unset model
+setting of synth or denoise takes the library's preset for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -66,20 +66,6 @@ def _dims(text) -> tuple:
     return dims
 
 
-def _switch(value) -> bool:
-    """A config file's value of a switch; the flag itself sets True."""
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {json.dumps(value)}")
-    return value
-
-
-def _paths(value) -> list:
-    """A config file's list of paths; the flag takes them as separate words."""
-    if not (isinstance(value, list) and value and all(isinstance(p, str) for p in value)):
-        raise ValueError(f"must be a list of paths, got {json.dumps(value)}")
-    return value
-
-
 _REQUIRED = object()  # the default of a flag that every call must give
 
 # the files synth --save-tensors writes, each <name>.npy in that directory
@@ -98,9 +84,8 @@ _MODEL_OPTIONS = (
 )
 
 # One table per subcommand: its help and its option rows (name, parse
-# function, default, help).  The flag is the name with '-' for '_'.
-# build_parser() makes the flags from the rows, and _resolve() parses a
-# --config value with the same function as the flag's text.
+# function or argparse keywords, default, help), from which build_parser()
+# makes the flags.  The flag is the name with '-' for '_'.
 _OPTIONS = {
     "synth": ("generate a synthetic instance, recover it and score the recovery; "
               "unset model settings: synth.protocol_hyperparams(dims)", (
@@ -127,7 +112,7 @@ _OPTIONS = {
         ("sigma2", float, 1e-4, "dense noise variance"),
         ("low", float, 0.0, "lower end of the outlier range"),
         ("high", float, 255.0, "upper end of the outlier range"),
-        ("normalize", _switch, False,
+        ("normalize", {"action": "store_true"}, False,
          "map to [0,1] via (x - low)/(high - low) before adding noise"),
     )),
     "denoise": ("recover the low-rank and sparse parts of a tensor; unset model "
@@ -135,7 +120,7 @@ _OPTIONS = {
         ("input", str, _REQUIRED, "observed tensor path"),
         ("out", str, _REQUIRED, "output path for the low-rank estimate"),
         ("seed", _SEED, _REQUIRED, "seed of the inference initialization"),
-        ("transform_file", _paths, None,
+        ("transform_file", {"nargs": "+"}, None,
          "explicit transform: one NPY matrix per mode 3..d (default: the DFT)"),
         *_MODEL_OPTIONS,
         ("report", str, None, "optional report JSON path"),
@@ -169,63 +154,38 @@ def build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a removed flag must not parse as a longer one
         p = sub.add_parser(command, help=summary, description=summary, allow_abbrev=False)
         for name, parse, default, text in rows:
-            flag = "--" + name.replace("_", "-")
-            if parse is _switch:
-                p.add_argument(flag, action="store_const", const=True, help=text)
-            else:
-                p.add_argument(flag, type=str if parse is _paths else parse,
-                               nargs="+" if parse is _paths else None,
-                               required=default is _REQUIRED, help=text)
-        p.add_argument("--config", help="JSON file with default option values")
+            required = default is _REQUIRED
+            p.add_argument("--" + name.replace("_", "-"),
+                           **(parse if isinstance(parse, dict) else {"type": parse}),
+                           required=required, default=None if required else default,
+                           help=text)
         p.set_defaults(func=commands[command])
     return parser
 
 
-def _config_value(parse, value):
-    """A config file's value, parsed as its flag's text would be."""
-    if parse in (_switch, _paths):
-        return parse(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and parse is not str:
-        value = repr(value)  # the JSON number's exact text
-    if not isinstance(value, str):
-        raise ValueError(f"must be {'text' if parse is str else 'a number'}, "
-                         f"got {json.dumps(value)}")
-    return parse(value)
-
-
-def _resolve(args) -> dict:
-    """Every option of the command: its flag over the config file over its default."""
-    rows = _OPTIONS[args.subcommand][1]
-    merged = {name: default for name, _, default, _ in rows}
-    settable = {name: parse for name, parse, default, _ in rows if default is not _REQUIRED}
-    if args.config:
+def _read_args_files(argv) -> tuple:
+    """*argv* with each '@PATH' word replaced by the lines of that file, one
+    argument per line and none expanded again, and the paths of those files."""
+    words, files = [], []
+    for word in argv:
+        if not word.startswith("@"):
+            words.append(word)
+            continue
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                from_file = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SettingError(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(from_file, dict):
-            raise SettingError(f"config file {args.config} must hold a JSON object")
-        for key, value in from_file.items():
-            key = key.replace("-", "_")
-            if key not in settable:
-                raise SettingError(f"config file {args.config}: unknown option {key!r}")
-            try:
-                merged[key] = _config_value(settable[key], value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise SettingError(f"config file {args.config}: option {key!r}: {exc}")
-    for key in merged:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    return merged
+            with open(word[1:], "r", encoding="utf-8") as fh:
+                words += fh.read().splitlines()
+        except (OSError, ValueError) as exc:
+            raise SettingError(f"cannot read args file {word[1:]!r}: {exc}") from None
+        files.append(word[1:])
+    return words, files
 
 
-def _check_outputs(opts: dict, command: str) -> None:
+def _check_outputs(opts: dict, command: str, args_files: list) -> None:
     """Fail before any input is read on an output path that cannot be
     written, on two output files (--save-tensors' six among them) that
-    resolve to one path, or on a report path that resolves to an input."""
-    inputs = {}
+    resolve to one path, or on a report path that resolves to an input,
+    args files among them."""
+    inputs = {os.path.realpath(path): f"args file {path!r}" for path in args_files}
     for key in ("input", "ref", "est", "transform_file"):
         for path in [opts[key]] if isinstance(opts.get(key), str) else opts.get(key) or []:
             inputs.setdefault(os.path.realpath(path), f"--{key.replace('_', '-')} {path!r}")
@@ -281,8 +241,8 @@ def _load_input_tensor(path) -> np.ndarray:
 
 
 def _hyperparams(opts, preset: HyperParams) -> HyperParams:
-    """*preset* with the model settings given by flag or --config: 'auto'
-    keeps the preset's init_rank and selects phi for gamma."""
+    """*preset* with the model settings given: 'auto' keeps the preset's
+    init_rank and selects phi for gamma."""
     hp = preset.as_dict()
     for name, *_ in _MODEL_OPTIONS:
         value = opts[name]
@@ -386,9 +346,10 @@ def cmd_denoise(opts: dict, argv: list) -> None:
             timing={"run_s": elapsed},
         )
         report.save(opts["report"])
+    why = "" if result.trace.converged else f": {result.trace.message}"
     print(f"denoised {opts['input']} -> {opts['out']} "
           f"(iterations={len(result.trace.records)}, "
-          f"converged={result.trace.converged})")
+          f"converged={result.trace.converged}){why}")
 
 
 def cmd_metrics(opts: dict, argv: list) -> None:
@@ -407,15 +368,15 @@ def cmd_metrics(opts: dict, argv: list) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_help(file=sys.stderr)
-        return 2
     try:
-        opts = _resolve(args)
-        _check_outputs(opts, args.subcommand)
+        argv, args_files = _read_args_files(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_help(file=sys.stderr)
+            return 2
+        opts = vars(args)
+        _check_outputs(opts, args.subcommand, args_files)
         args.func(opts, argv)
     except SettingError as exc:
         print(f"lmhbrtf: usage error: {exc}", file=sys.stderr)

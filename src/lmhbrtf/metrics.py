@@ -57,9 +57,13 @@ def psnr(x_hat: np.ndarray, x_gt: np.ndarray) -> float:
     return 10.0 * math.log10(x_gt.size * peak * peak / err)
 
 
-def _frame_windows(frame: np.ndarray, window: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(frame, (window, window))
-    return view.reshape(-1, window * window)
+def _window_means(frame: np.ndarray, window: int) -> np.ndarray:
+    """Mean of *frame* over every full window x window window, from the
+    frame's 2-D cumulative sums: no window is copied."""
+    sums = np.zeros((frame.shape[0] + 1, frame.shape[1] + 1))
+    np.cumsum(np.cumsum(frame, axis=0), axis=1, out=sums[1:, 1:])
+    w = window
+    return (sums[w:, w:] - sums[:-w, w:] - sums[w:, :-w] + sums[:-w, :-w]) / (w * w)
 
 
 def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
@@ -80,19 +84,22 @@ def ssim(x_hat: np.ndarray, x_gt: np.ndarray, window: int = 8) -> float:
         rng = 1.0
     c1 = (0.01 * rng) ** 2
     c2 = (0.03 * rng) ** 2
-    values = []
+    total = 0.0
     for hat, ref in zip(to_slice_stack(x_hat), to_slice_stack(x_gt)):
-        a = _frame_windows(hat, window)
-        b = _frame_windows(ref, window)
-        mu_a = a.mean(axis=1)
-        mu_b = b.mean(axis=1)
-        var_a = (a * a).mean(axis=1) - mu_a ** 2
-        var_b = (b * b).mean(axis=1) - mu_b ** 2
-        cov = (a * b).mean(axis=1) - mu_a * mu_b
+        # moments of the frames less their means, which the cumulative
+        # sums would otherwise carry into every window's variance
+        shift_a, shift_b = hat.mean(), ref.mean()
+        a, b = hat - shift_a, ref - shift_b
+        mu_a, mu_b = _window_means(a, window), _window_means(b, window)
+        var_a = _window_means(a * a, window) - mu_a ** 2
+        var_b = _window_means(b * b, window) - mu_b ** 2
+        cov = _window_means(a * b, window) - mu_a * mu_b
+        mu_a += shift_a
+        mu_b += shift_b
         num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
         den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
-        values.append(num / den)
-    return float(np.concatenate(values).mean())
+        total += float((num / den).sum())
+    return total / (num_slices(x_gt.shape) * (i1 - window + 1) * (i2 - window + 1))
 
 
 def ergas(x_hat: np.ndarray, x_gt: np.ndarray, scale: float = 1.0) -> float:

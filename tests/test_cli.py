@@ -59,16 +59,18 @@ def test_synth_missing_dims_usage_error(capsys):
 def test_synth_has_no_threads_option(tmp_path, capsys):
     argv = ["synth", "--dims", "12,12,8", "--rank", "2", "--rho", "0.0",
             "--sigma2", "0.0", "--seed", "1", "--out", str(tmp_path / "r.json")]
-    cfg = tmp_path / "cfg.json"
+    args = tmp_path / "args.txt"
     # --threshold (a constant now) and --order (len(--dims)) went too
     for key, value in (("threads", 1), ("threshold", 1e-4), ("order", 3)):
         with pytest.raises(SystemExit) as exc:
             main(argv + [f"--{key}", str(value)])
         assert exc.value.code == 2
-        cfg.write_text(json.dumps({key: value}))
+        args.write_text(f"--{key}\n{value}\n")
         capsys.readouterr()
-        assert main(argv + ["--config", str(cfg)]) == 2
-        assert "unknown option" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"@{args}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -76,15 +78,17 @@ def test_denoise_has_no_transform_option(tmp_path, capsys):
     src, _ = make_lowrank_input(tmp_path)
     argv = ["denoise", "--input", str(src), "--seed", "1",
             "--out", str(tmp_path / "x.npy")]
-    cfg = tmp_path / "cfg.json"
+    args = tmp_path / "args.txt"
     for key, value in (("transform", "dft"), ("threshold", 1e-4)):
         with pytest.raises(SystemExit) as exc:
             main(argv + [f"--{key}", str(value)])
         assert exc.value.code == 2
-        cfg.write_text(json.dumps({key: value}))
+        args.write_text(f"--{key}\n{value}\n")
         capsys.readouterr()
-        assert main(argv + ["--config", str(cfg)]) == 2
-        assert "unknown option" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"@{args}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
     assert not (tmp_path / "x.npy").exists()
 
 
@@ -233,6 +237,21 @@ def test_denoise_clean_input_and_report(tmp_path):
     assert report.config["phi"] == 8.0
     assert report.config["transform"] == "dft"
     assert len(report.trace) == report.results["iterations"]
+
+
+def test_denoise_says_why_it_did_not_converge(tmp_path, capsys):
+    # the line ended at "converged=False)"; the reason reached only a --report
+    src, _ = make_lowrank_input(tmp_path)
+    out = tmp_path / "x.npy"
+    argv = ["denoise", "--input", str(src), "--seed", "1", "--out", str(out), "--init-rank", "2"]
+    assert main(argv + ["--max-iter", "3"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith(f"denoised {src} -> {out} (iterations=3, converged=False): "
+                           "relative change still ")
+    assert line.endswith(" after 3 iterations (tol 0.0001)\n")
+    assert main(argv + ["--max-iter", "0"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "converged=False): iteration budget is zero; returning initialization\n")
 
 
 def test_denoise_max_iter_zero_returns_initialization(tmp_path):
@@ -644,26 +663,42 @@ def test_corrupt_rejects_non_finite_input_exit_code_1(tmp_path, capsys, bad):
 
 
 def test_config_file_precedence(tmp_path):
+    # an args file's lines stand where the file is named: a later argument wins
     src, _ = make_lowrank_input(tmp_path, rho=0.05, sigma_sq=1e-4)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max_iter": 2, "init_rank": 4,
-                               "gamma": "1.0", "sigma0sq": 1.0}))
+    lines = ["--max-iter", "2", "--init-rank", "4", "--gamma", "1.0", "--sigma0sq", "1.0"]
+    args = tmp_path / "args.txt"
+    args.write_text("\n".join(lines) + "\n")
     rep = tmp_path / "r.json"
-    # config supplies max_iter=2; the flag overrides it to 3
-    code = main(["denoise", "--input", str(src), "--seed", "1",
-                 "--out", str(tmp_path / "x.npy"), "--report", str(rep),
-                 "--config", str(cfg), "--max-iter", "3"])
-    assert code == 0
-    assert RunReport.load(rep).results["iterations"] == 3
+    argv = ["denoise", "--input", str(src), "--seed", "1",
+            "--out", str(tmp_path / "x.npy"), "--report", str(rep)]
+    for words, iterations in ((["--max-iter", "3", f"@{args}"], 2),
+                              ([f"@{args}", "--max-iter", "3"], 3)):
+        assert main(argv + words) == 0
+        report = RunReport.load(rep)
+        assert report.results["iterations"] == iterations
+        # the report echoes the arguments that were parsed
+        assert report.config["argv"] == argv + [w for word in words
+                                                for w in (lines if word[0] == "@" else [word])]
 
 
-def test_config_file_unknown_key_usage_error(tmp_path):
+def test_config_file_unknown_key_usage_error(tmp_path, capsys):
     src, _ = make_lowrank_input(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_option": 1}))
-    code = main(["denoise", "--input", str(src), "--seed", "1",
-                 "--out", str(tmp_path / "x.npy"), "--config", str(cfg)])
-    assert code == 2
+    args = tmp_path / "args.txt"
+    args.write_text("--no-such-option\n1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--input", str(src), "--seed", "1",
+              "--out", str(tmp_path / "x.npy"), f"@{args}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-option 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_config_option_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(_argv_with_missing_input(command, tmp_path) + ["--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -695,15 +730,10 @@ def _argv_with_missing_input(command, tmp_path):
     ("corrupt", "rho", "abc"),
     ("corrupt", "normalize", "false"),
     ("corrupt", "normalize", 0),
-    ("denoise", "report", 5),
-    ("denoise", "transform_file", 5),
-    ("denoise", "transform_file", "a.npy,b.npy"),
     ("denoise", "gamma", None),
-    ("synth", "save_tensors", 5),
     ("synth", "repeats", 1.5),
     ("synth", "repeats", 0),
     ("synth", "model_seed", -1),
-    ("synth", "pattern", 3),
     ("metrics", "window", 7.5),
     ("metrics", "window", 0),
     ("metrics", "scale", "nan"),
@@ -711,13 +741,17 @@ def _argv_with_missing_input(command, tmp_path):
 ])
 def test_config_value_of_wrong_type_or_range_is_usage_error(tmp_path, capsys,
                                                             command, key, value):
+    # a value from an args file meets its flag's own check (a switch takes none)
     argv = _argv_with_missing_input(command, tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert main(argv + ["--config", str(cfg)]) == 2
+    args = tmp_path / "args.txt"
+    args.write_text(f"--{key.replace('_', '-')}\n{value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"@{args}"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage error" in err and repr(key) in err
-    assert list(tmp_path.iterdir()) == [cfg]
+    assert (f"unrecognized arguments: {value}" in err if key == "normalize"
+            else f"argument --{key.replace('_', '-')}: " in err)
+    assert list(tmp_path.iterdir()) == [args]
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -741,50 +775,51 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, command, flag, value
     assert list(tmp_path.iterdir()) == []
 
 
-# one value per settable option: (the flag's words, the same value in JSON)
+# the words of one value for each settable option's flag
 _SAMPLES = {
-    "pattern": (["uniform:2"], "uniform:2"),
-    "repeats": (["3"], 3),
-    "init_rank": (["7"], 7),
-    "sigma0sq": (["1e-07"], 1e-7),
-    "gamma": (["0.30000000000000004"], 0.1 + 0.2),
-    "tol": (["2.2250738585072014e-308"], 2.2250738585072014e-308),
-    "max_iter": (["17"], 17),
-    "model_seed": (["123"], 123),
-    "save_tensors": (["tensors"], "tensors"),
-    "rho": (["0.1"], 0.1),
-    "sigma2": (["1e-4"], 1e-4),
-    "low": (["-3.5"], -3.5),
-    "high": (["254.99999999999997"], 254.99999999999997),
-    "normalize": ([], True),
-    "transform_file": (["a.npy", "b.npy"], ["a.npy", "b.npy"]),
-    "report": (["r.json"], "r.json"),
-    "sparse_out": (["s.npy"], "s.npy"),
-    "threads": (["3"], 3),
-    "window": (["5"], 5),
-    "scale": (["0.1"], 0.1),
+    "pattern": ["uniform:2"],
+    "repeats": ["3"],
+    "init_rank": ["7"],
+    "sigma0sq": ["1e-07"],
+    "gamma": ["0.30000000000000004"],
+    "tol": ["2.2250738585072014e-308"],
+    "max_iter": ["17"],
+    "model_seed": ["123"],
+    "save_tensors": ["tensors"],
+    "rho": ["0.1"],
+    "sigma2": ["2.5e-05"],
+    "low": ["-3.5"],
+    "high": ["254.99999999999997"],
+    "normalize": [],
+    "transform_file": ["a.npy", "b.npy"],
+    "report": ["r.json"],
+    "sparse_out": ["s.npy"],
+    "threads": ["3"],
+    "window": ["5"],
+    "scale": ["0.1"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(cli._OPTIONS))
-def test_config_value_resolves_to_what_its_flag_gives(tmp_path, command):
+def test_config_value_resolves_to_what_its_flag_gives(tmp_path, monkeypatch, command):
+    # every settable option, given in an args file, reaches the command as its flag's value
+    monkeypatch.chdir(tmp_path)
     base = _argv_with_missing_input(command, tmp_path)
-    parser = cli.build_parser()
-    cfg = tmp_path / "cfg.json"
-    settable = [row[0] for row in cli._OPTIONS[command][1] if row[2] is not cli._REQUIRED]
+    args = tmp_path / "args.txt"
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda opts, argv: seen.append(opts))
+    settable = {row[0]: row[2] for row in cli._OPTIONS[command][1]
+                if row[2] is not cli._REQUIRED}
     assert settable and set(settable) <= set(_SAMPLES)
-    for key in settable:
-        words, value = _SAMPLES[key]
-        flag = "--" + key.replace("_", "-")
-        by_flag = cli._resolve(parser.parse_args(base + [flag] + words))
-        # the JSON value, and for a one-word flag also the flag's own text
-        for setting in [value] + (words if len(words) == 1 else []):
-            cfg.write_text(json.dumps({key: setting}))
-            by_config = cli._resolve(parser.parse_args(base + ["--config", str(cfg)]))
-            got, want = by_config[key], by_flag[key]
-            assert type(got) is type(want) and got == want, (key, setting)
-            if isinstance(want, float):
-                assert got.hex() == want.hex(), key
+    for key, default in settable.items():
+        words = ["--" + key.replace("_", "-")] + _SAMPLES[key]
+        args.write_text("\n".join(words) + "\n")
+        assert main(base + words) == 0 and main(base + [f"@{args}"]) == 0
+        by_flag, by_file = seen[-2][key], seen[-1][key]
+        assert by_flag != default, key
+        assert type(by_file) is type(by_flag) and by_file == by_flag, key
+        if isinstance(by_flag, float):
+            assert by_file.hex() == by_flag.hex(), key
 
 
 def test_readme_cli_examples_parse():
@@ -851,13 +886,11 @@ def test_bad_output_path_is_usage_error_before_any_input(tmp_path, capsys, monke
     assert main(argv + [flag, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"lmhbrtf: usage error: {flag} {path!r}")
-    # the same check holds for a path from the config file
-    cfg = tmp_path / "cfg.json"
-    key = flag[2:].replace("-", "_")
-    if key != "out":
-        cfg.write_text(json.dumps({key: path}))
-        assert main(argv + ["--config", str(cfg)]) == 2
-        assert f"{flag} {path!r}" in capsys.readouterr().err
+    # the same check holds for a path from an args file
+    args = tmp_path / "args.txt"
+    args.write_text(f"{flag}\n{path}\n")
+    assert main(argv + [f"@{args}"]) == 2
+    assert capsys.readouterr().err.startswith(f"lmhbrtf: usage error: {flag} {path!r}")
     assert not (tmp_path / "good.out").exists()
 
 
@@ -882,10 +915,10 @@ def test_denoise_outputs_naming_one_file_are_usage_error(tmp_path, capsys, monke
 def test_denoise_output_from_config_naming_the_out_file_is_usage_error(tmp_path, capsys,
                                                                       monkeypatch):
     _no_input_read(monkeypatch)
-    out, cfg = str(tmp_path / "b.npy"), tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"report": out}))
+    out, args = str(tmp_path / "b.npy"), tmp_path / "args.txt"
+    args.write_text(f"--report\n{out}\n")
     assert main(["denoise", "--input", "y.npy", "--seed", "1", "--out", out,
-                 "--config", str(cfg)]) == 2
+                 f"@{args}"]) == 2
     assert f"--out {out!r} and --report {out!r} name one file" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.npy"))
 
@@ -905,9 +938,9 @@ def test_synth_save_tensors_naming_a_file_is_usage_error(tmp_path, capsys, monke
             "--seed", "1", "--out", str(tmp_path / "r.json")]
     assert main(argv + ["--save-tensors", str(taken)]) == 2
     assert f"--save-tensors {str(taken)!r}" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"save_tensors": str(taken)}))
-    assert main(argv + ["--config", str(cfg)]) == 2
+    args = tmp_path / "args.txt"
+    args.write_text(f"--save-tensors\n{taken}\n")
+    assert main(argv + [f"@{args}"]) == 2
     assert f"--save-tensors {str(taken)!r}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
@@ -925,9 +958,9 @@ def test_synth_save_tensors_under_a_file_is_usage_error(tmp_path, capsys, monkey
     assert main(argv + ["--save-tensors", path]) == 2
     assert (f"--save-tensors {path!r}: {str(taken)!r} exists and is not a directory"
             in capsys.readouterr().err)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"save_tensors": path}))
-    assert main(argv + ["--config", str(cfg)]) == 2
+    args = tmp_path / "args.txt"
+    args.write_text(f"--save-tensors\n{path}\n")
+    assert main(argv + [f"@{args}"]) == 2
     assert f"--save-tensors {path!r}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
@@ -947,9 +980,9 @@ def test_synth_out_among_the_saved_tensors_is_usage_error(tmp_path, capsys, monk
                f"({name}.npy) name one file\n")
     assert main(argv + ["--save-tensors", saved]) == 2
     assert capsys.readouterr().err == message
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"save_tensors": saved}))
-    assert main(argv + ["--config", str(cfg)]) == 2
+    args = tmp_path / "args.txt"
+    args.write_text(f"--save-tensors\n{saved}\n")
+    assert main(argv + [f"@{args}"]) == 2
     assert capsys.readouterr().err == message
     assert not list((tmp_path / "d").iterdir())
 
@@ -1038,16 +1071,16 @@ def test_report_naming_an_input_is_usage_error(tmp_path, capsys, command, flag):
 @pytest.mark.parametrize("flag", ["--input", "--transform-file"])
 def test_report_from_config_naming_an_input_is_usage_error(tmp_path, capsys, flag):
     argv, target, alias = _report_over_an_input(tmp_path, "denoise", flag)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"report": alias}))
+    args = tmp_path / "args.txt"
+    args.write_text(f"--report\n{alias}\n")
     before = Path(target).read_bytes()
-    assert main(argv + ["--config", str(cfg)]) == 2
+    assert main(argv + [f"@{args}"]) == 2
     assert capsys.readouterr().err == (f"lmhbrtf: usage error: {flag} {target!r} and "
                                        f"--report {alias!r} name one file\n")
-    # the input named from the config file is checked the same way
+    # the input named from an args file is checked the same way
     at = argv.index("--transform-file")
-    cfg.write_text(json.dumps({"transform_file": argv[at + 1:at + 2]}))
-    assert main(argv[:at] + argv[at + 2:] + ["--report", alias, "--config", str(cfg)]) == 2
+    args.write_text("\n".join(argv[at:at + 2]) + "\n")
+    assert main(argv[:at] + argv[at + 2:] + ["--report", alias, f"@{args}"]) == 2
     assert f"{flag} {target!r} and --report {alias!r} name one file" in capsys.readouterr().err
     assert Path(target).read_bytes() == before
     assert not (tmp_path / "x.npy").exists()
@@ -1074,21 +1107,50 @@ def test_synth_dims_of_order_two_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content,message", [
-    (None, "cannot read config file {}: [Errno 2] No such file or directory"),
-    ("{max_iter: 3}", "cannot read config file {}: Expecting property name enclosed in "
-     "double quotes"),
-    ("[3]", "config file {} must hold a JSON object"),
-], ids=["missing", "not_json", "a_list"])
+    (None, "[Errno 2] No such file or directory"),
+    ("dir", "[Errno 21] Is a directory"),
+    (b"--max-iter\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["missing", "directory", "not_utf8"])
 def test_unreadable_config_file_is_usage_error(tmp_path, capsys, monkeypatch, content,
                                                message):
     _no_input_read(monkeypatch)
-    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
-    if content is not None:
-        cfg.write_text(content)
-    assert main(_SYNTH_ARGV + ["--out", str(out), "--config", str(cfg)]) == 2
+    args, out = tmp_path / "args.txt", tmp_path / "r.json"
+    if content == "dir":
+        args.mkdir()
+    elif content is not None:
+        args.write_bytes(content)
+    assert main(_SYNTH_ARGV + ["--out", str(out), f"@{args}"]) == 2
     assert capsys.readouterr().err.startswith(
-        "lmhbrtf: usage error: " + message.format(cfg))
+        f"lmhbrtf: usage error: cannot read args file {str(args)!r}: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics"])
+def test_report_naming_an_args_file_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # metrics --out a.txt @a.txt exited 0 with the report in place of its settings
+    _no_input_read(monkeypatch)
+    args = tmp_path / "args.txt"
+    args.write_text("--out\nr.json\n")
+    before = args.read_bytes()
+    alias = str(tmp_path / "sub" / ".." / "args.txt")
+    (tmp_path / "sub").mkdir()
+    argv = {"synth": _SYNTH_ARGV,
+            "metrics": ["metrics", "--ref", "a.npy", "--est", "b.npy"]}[command]
+    assert main(argv + [f"@{args}", "--out", alias]) == 2
+    assert capsys.readouterr().err == (f"lmhbrtf: usage error: args file {str(args)!r} and "
+                                       f"--out {alias!r} name one file\n")
+    assert args.read_bytes() == before
+
+
+def test_args_file_lines_are_not_expanded_again(tmp_path, monkeypatch):
+    # a word that starts with '@' is a path only on the command line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "args.txt").write_text("--out\n@r.json\n")
+    argv = _SYNTH_ARGV + ["--pattern", "uniform:1", "--max-iter", "2"]
+    assert main(argv + ["@args.txt"]) == 0
+    assert RunReport.load(tmp_path / "@r.json").command == "synth"
+    assert main(argv + ["--out", "./@s.json"]) == 0
+    assert RunReport.load(tmp_path / "@s.json").command == "synth"
 
 
 @pytest.mark.parametrize("pattern,message", [

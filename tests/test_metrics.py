@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,44 @@ def test_ssim_constant_frames_closed_form():
     c1 = (0.01 * 1.0) ** 2
     expected = (2 * a * b + c1) / (a * a + b * b + c1)
     assert ssim(est, ref) == pytest.approx(expected, rel=1e-12)
+
+
+def _ssim_oracle(x_hat, x_gt, window):
+    """Mean SSIM from an explicit copy of every window, moments by two passes."""
+    rng_ = x_gt.max() - x_gt.min()
+    c1, c2 = (0.01 * rng_) ** 2, (0.03 * rng_) ** 2
+    values = []
+    for k in range(x_gt.shape[2]):
+        for i in range(x_gt.shape[0] - window + 1):
+            for j in range(x_gt.shape[1] - window + 1):
+                a = x_hat[i:i + window, j:j + window, k]
+                b = x_gt[i:i + window, j:j + window, k]
+                ma, mb = a.mean(), b.mean()
+                va, vb = ((a - ma) ** 2).mean(), ((b - mb) ** 2).mean()
+                cov = ((a - ma) * (b - mb)).mean()
+                values.append((2 * ma * mb + c1) * (2 * cov + c2)
+                              / ((ma ** 2 + mb ** 2 + c1) * (va + vb + c2)))
+    return float(np.mean(values))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_ssim_matches_a_window_by_window_oracle(offset):
+    ref = offset + rng().uniform(0, 1, (11, 9, 3))
+    est = ref + 0.1 * rng().standard_normal((11, 9, 3))
+    assert ssim(est, ref, window=4) == pytest.approx(_ssim_oracle(est, ref, 4), rel=1e-12)
+
+
+def test_ssim_copies_no_window():
+    # every 8x8 window was copied: 4.9 MB for this pair
+    ref = np.asfortranarray(rng().uniform(0, 1, (60, 60, 30)))
+    est = np.asfortranarray(ref + 0.01 * rng().standard_normal(ref.shape))
+    tracemalloc.start()
+    try:
+        ssim(est, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_ssim_window_larger_than_frame():
