@@ -205,8 +205,10 @@ class ModelState:
     residual ``resid`` = L(Y - S), the (K, I1, I2) slice stack of the K
     kept transform slices.  ``ynorm`` is the weighted norm of Ybar over
     all J slices.  ``x_hat`` is the reconstruction from the slice
-    products of the factors current at the last :func:`update_s`, None
-    before the first.
+    products of the factors current at the last :func:`update_s`, or the
+    initial one :func:`run` sets before the first iteration; None until
+    then.  ``change`` is (||x_hat_prev||, ||x_hat - x_hat_prev||) as the
+    last :func:`update_s` recorded it, None if it had no previous ``x_hat``.
     Statistics of the factors live on ``factors``, not here.
     """
 
@@ -215,7 +217,7 @@ class ModelState:
                  noise: NoiseState, ynorm: float):
         self.y, self.transform, self.resid, self.hp = y, transform, resid, hp
         self.factors, self.sparse, self.noise = factors, sparse, noise
-        self.ynorm, self.x_hat = ynorm, None
+        self.ynorm, self.x_hat, self.change = ynorm, None, None
 
     @property
     def shape(self) -> tuple:
@@ -313,9 +315,11 @@ def _pair_mask(active: np.ndarray) -> np.ndarray:
     return active[:, :, None] & active[:, None, :]
 
 
-def _residual_stack(y: np.ndarray, s_mean: np.ndarray, L: Transform) -> np.ndarray:
-    """The (K, I1, I2) residual stack L(Y - S) of the kept slices."""
-    return to_slice_stack(L.forward(y - s_mean, half=True))
+def _residual_stack(y: np.ndarray, s_mean: np.ndarray, L: Transform,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (K, I1, I2) residual stack L(Y - S) of the kept slices; Y - S
+    is written into *out* if given, else into a new array."""
+    return to_slice_stack(L.forward(np.subtract(y, s_mean, out=out), half=True))
 
 
 def init_state(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> ModelState:
@@ -471,10 +475,20 @@ def reconstruct_x(state: ModelState) -> np.ndarray:
 def update_s(state: ModelState) -> SparseState:
     """Gaussian update of the sparse component from the current residual.
 
-    Sets ``x_hat`` from the current factors, writes ``s_mean`` and
-    ``s_var`` in place, then sets the residual stack to L(Y - S).
+    Sets ``x_hat`` from the current factors and records ``change``,
+    writes ``s_mean`` and ``s_var`` in place, then sets the residual
+    stack to L(Y - S).  The old stack is released before the
+    reconstruction, and the previous ``x_hat``'s array, not read again,
+    takes the step and then Y - S; with no previous ``x_hat`` the change
+    is None and Y - S a new array.
     """
-    state.x_hat = reconstruct_x(state)
+    state.resid = None
+    x_prev, state.x_hat = state.x_hat, reconstruct_x(state)
+    if x_prev is None:
+        state.change = None
+    else:
+        prev_norm = np.linalg.norm(x_prev)
+        state.change = prev_norm, np.linalg.norm(np.subtract(state.x_hat, x_prev, out=x_prev))
     tau = state.noise.tau_mean
     sp = state.sparse
     # s_var holds denom = <beta> + tau until the last step
@@ -484,7 +498,7 @@ def update_s(state: ModelState) -> SparseState:
     sp.s_mean *= tau
     sp.s_mean /= denom
     np.divide(1.0, denom, out=sp.s_var)
-    state.resid = _residual_stack(state.y, sp.s_mean, state.transform)
+    state.resid = _residual_stack(state.y, sp.s_mean, state.transform, out=x_prev)
     return sp
 
 
@@ -619,7 +633,11 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
 
     Per iteration the factors, ARD precisions, sparse component, its
     precisions and the noise precision are updated in that order, then
-    dead factor columns are pruned.  The loop stops when the relative
+    dead factor columns are pruned.  ``x_hat`` is set to the initial
+    reconstruction before the first iteration; each record's relative
+    change is ||x_hat - x_hat_prev|| / ||x_hat_prev|| from the norms
+    :func:`update_s` records (0 for no step from a zero reconstruction,
+    inf for any other).  The loop stops when the relative
     change of the reconstruction drops below ``hp.tol`` or after
     ``hp.max_iter`` iterations; non-convergence is reported in the
     trace, not raised.  A stop on the relative change whose final fit
@@ -645,10 +663,10 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
         return RunResult(zeros, zeros.copy(),
                          np.zeros(num_slices(state.shape), dtype=np.int64), trace)
 
-    x_prev = reconstruct_x(state)
+    state.x_hat = reconstruct_x(state)
     if hp.max_iter == 0:
         trace.message = "iteration budget is zero; returning initialization"
-        return RunResult(x_prev, state.sparse.s_mean.copy(),
+        return RunResult(state.x_hat, state.sparse.s_mean.copy(),
                          state.multirank, trace)
 
     for it in range(1, hp.max_iter + 1):
@@ -669,10 +687,7 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
         except (NumericalBreakdownError, ImaginaryResidueError) as exc:
             raise type(exc)(f"iteration {it}: {exc}") from exc
 
-        x_hat = state.x_hat
-        prev_norm = np.linalg.norm(x_prev)
-        # the previous iterate is not read again: its change overwrites it
-        diff_norm = np.linalg.norm(np.subtract(x_hat, x_prev, out=x_prev))
+        prev_norm, diff_norm = state.change
         if prev_norm > 0:
             rel_change = diff_norm / prev_norm
         else:
@@ -688,7 +703,6 @@ def run(y: np.ndarray, L: Transform, hp: HyperParams, seed: int) -> RunResult:
         if rel_change < hp.tol and it >= 2:
             trace.converged = True
             break
-        x_prev = x_hat
 
     if trace.converged:
         fit = state.noise.fit

@@ -32,7 +32,9 @@ def write_tensor(path, x: np.ndarray) -> None:
         # not npy_format.write_array: it writes fortran_order False for arrays
         # that are both C- and F-contiguous, such as 1-d or (n, 1, 1) ones
         npy_format.write_array_header_1_0(fh, header)
-        fh.write(x.tobytes(order="F"))
+        # the C-ordered transpose of a column-major array is its memory as
+        # it lies, so a column-major input is written without a copy
+        fh.write(memoryview(np.asfortranarray(x).T))
 
 
 def read_tensor(path) -> np.ndarray:

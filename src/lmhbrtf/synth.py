@@ -275,7 +275,8 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     draws; with *normalize* the result is mapped by (x - low)/(high - low);
     finally i.i.d. N(0, sigma_sq) noise is added to every entry.  The
     steps run in exactly this order, on a real tensor that passes
-    :func:`tensor.as_tensor`.
+    :func:`tensor.as_tensor`, and in place on one column-major copy of
+    it, which is returned.
     """
     rho, sigma_sq, low, high = check_corruption(rho, sigma_sq, low, high)
     seed = _check_number("seed", seed, 0, integer=True)
@@ -283,13 +284,17 @@ def corrupt_tensor(x: np.ndarray, rho: float, low: float, high: float,
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CORRUPT_STREAM]))
     n = x.size
     count = int(math.floor(rho * n))
+    if count:  # drawn before the copy: the draw shuffles one index per entry
+        where = rng.choice(n, size=count, replace=False)
+        values = rng.uniform(low, high, size=count)
     flat = x.flatten(order="F")  # a copy: the caller's tensor is left as it is
     if count:
-        where = rng.choice(n, size=count, replace=False)
-        flat[where] = rng.uniform(low, high, size=count)
-    out = flat.reshape(x.shape, order="F")
+        flat[where] = values
+        del where, values  # released before the noise, as large as the tensor
+    out = flat.reshape(x.shape, order="F")  # column-major, as every step keeps it
     if normalize:
-        out = (out - low) / (high - low)
+        out -= low
+        out /= high - low
     if sigma_sq > 0:
-        out = out + rng.normal(0.0, math.sqrt(sigma_sq), size=out.shape)
+        out += rng.normal(0.0, math.sqrt(sigma_sq), size=out.shape)
     return out

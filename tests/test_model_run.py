@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ def test_report_fields_of_a_run_without_iterations(y, hp, message):
     fields = run(y, Transform.dft((4,)), hp, seed=0).report_fields()
     assert (fields["iterations"], fields["noise_var"], fields["trace"]) == (0, None, [])
     assert fields["message"] == message
+
+
+def test_run_peak_memory_per_element_of_the_video_input():
+    # the benchmark's denoise_video input; update_s held the loop's previous
+    # x_hat, the previous residual stack and a new Y - S at once: 100.6 bytes
+    # per element of a column-major y, 87.1 once it reuses them
+    shape = (60, 60, 3, 10)
+    cfg = SynthConfig(shape, 5, uniform_multirank(shape[2:], 5), 0.0, 0.0, seed=900)
+    x = generate(cfg).x_gt
+    clean = 255.0 * (x - x.min()) / (x.max() - x.min())
+    # column-major, so run takes no copy of it
+    y = np.asfortranarray(corrupt_tensor(clean, 0.2, 0.0, 255.0, 1e-4, seed=901,
+                                         normalize=True))
+    hp = HyperParams(30, sigma0_sq=1e-7, gamma=None, tol=1e-6, max_iter=5)
+    L = Transform.dft(shape[2:])
+    tracemalloc.start()
+    try:
+        run(y, L, hp, seed=902)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / y.size <= 96
+
+
+def test_rel_change_is_the_step_between_consecutive_reconstructions_bitwise():
+    # update_s records the norms on the state; each record must still hold
+    # ||x_t - x_{t-1}|| / ||x_{t-1}|| of the reconstructions run returns
+    _, inst = small_instance(rho=0.05, sigma_sq=1e-4, seed=9)
+    L = Transform.dft((8,))
+    x = [run(inst.y, L, small_hp(tol=1e-30, max_iter=t), seed=1).x_hat for t in range(5)]
+    records = run(inst.y, L, small_hp(tol=1e-30, max_iter=4), seed=1).trace.records
+    for t in range(1, 5):
+        want = float(np.linalg.norm(x[t] - x[t - 1]) / np.linalg.norm(x[t - 1]))
+        assert records[t - 1].rel_change == want, t
 
 
 def test_multirank_covers_all_slices_and_is_mirror_symmetric():

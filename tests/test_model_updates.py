@@ -766,6 +766,25 @@ def test_update_s_sets_residual_to_transform_of_y_minus_s():
             <= 1e-12 * np.linalg.norm(via_sbar))
 
 
+def test_update_s_records_the_change_and_reuses_the_previous_x_hat():
+    state = mixed_rank_state()
+    assert state.x_hat is None
+    update_s(state)  # no previous x_hat: no change, and Y - S in a new array
+    assert state.change is None
+    first = state.x_hat
+    kept = first.copy(order="K")  # the norms sum in memory order
+    with edited_factors(state) as f:
+        f.u.mean[...] *= 1.5
+    update_s(state)
+    x_hat = state.x_hat
+    assert x_hat is not first
+    assert state.change == (np.linalg.norm(kept), np.linalg.norm(x_hat - kept))
+    # the previous x_hat's array ends holding Y - S, the forward transform's input
+    assert np.array_equal(first, state.y - state.sparse.s_mean)
+    direct = to_slice_stack(state.transform.forward(state.y - state.sparse.s_mean, half=True))
+    assert np.array_equal(state.resid, direct)
+
+
 def test_sparse_phase_updates_in_place_and_matches_reference_formulas():
     state = mixed_rank_state()
     sp = state.sparse

@@ -1,9 +1,12 @@
 """NPY v1.0 container contract: round trips, interop, strict rejection."""
 
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from lmhbrtf.npyio import read_tensor, write_tensor
 
@@ -191,3 +194,50 @@ def test_read_returns_column_major_array(tmp_path, shape):
     back = read_tensor(path)
     assert back.flags.f_contiguous
     assert np.array_equal(back, x)
+
+
+def _header_and_tobytes(x):
+    """The file as written by a header and a whole-tensor ``tobytes`` copy."""
+    x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    fh = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        fh, {"descr": x.dtype.str, "fortran_order": True, "shape": x.shape})
+    return fh.getvalue() + x.tobytes(order="F")
+
+
+_LAYOUTS = {
+    "f_ordered": lambda a: np.asfortranarray(a),
+    "c_ordered": lambda a: np.ascontiguousarray(a),
+    "non_contiguous": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("shape,complex_", [((4, 3, 2, 2), False), ((3, 5, 2), True),
+                                            ((2, 0, 3), False), ((4, 1, 1), False),
+                                            ((4, 1, 1), True)])
+def test_written_bytes_are_the_header_and_the_column_major_data(tmp_path, layout,
+                                                                 shape, complex_):
+    r = rng()
+    x = r.standard_normal(shape)
+    if complex_:
+        x = x + 1j * r.standard_normal(shape)
+    x = _LAYOUTS[layout](x)
+    assert x.shape == shape
+    path = tmp_path / "t.npy"
+    write_tensor(path, x)
+    assert path.read_bytes() == _header_and_tobytes(x)
+
+
+def test_writing_a_column_major_tensor_copies_none_of_it(tmp_path):
+    # the whole-tensor tobytes copy peaked at the array's own size
+    x = np.asfortranarray(rng().standard_normal((60, 60, 3, 10)))
+    path = tmp_path / "t.npy"
+    write_tensor(path, x)  # opens the file once before the measured write
+    tracemalloc.start()
+    try:
+        write_tensor(path, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * x.nbytes

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,38 @@ def test_corrupt_tensor_normalize_then_noise_order():
     noisy = corrupt_tensor(x, rho=0.0, low=0.0, high=255.0, sigma_sq=1e-4,
                            seed=1, normalize=True)
     assert np.abs(noisy - 2.0).max() < 0.1
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("sigma_sq", [0.0, 1e-4])
+def test_corrupt_tensor_in_place_steps_match_the_formula(normalize, sigma_sq):
+    x = np.random.default_rng(3).uniform(0, 255, (6, 5, 3, 2))
+    low, high = 0.0, 255.0
+    rng = np.random.default_rng(np.random.SeedSequence([7, synth._CORRUPT_STREAM]))
+    flat = x.flatten(order="F")
+    count = math.floor(0.2 * x.size)
+    where = rng.choice(x.size, size=count, replace=False)
+    flat[where] = rng.uniform(low, high, size=count)
+    want = flat.reshape(x.shape, order="F")
+    if normalize:
+        want = (want - low) / (high - low)
+    if sigma_sq > 0:
+        want = want + rng.normal(0.0, math.sqrt(sigma_sq), size=want.shape)
+    out = corrupt_tensor(x, 0.2, low, high, sigma_sq, seed=7, normalize=normalize)
+    assert out.tobytes(order="F") == want.tobytes(order="F")
+    assert out.flags.f_contiguous
+
+
+def test_corrupt_tensor_allocates_little_beyond_its_copy_and_noise():
+    # out-of-place normalization and noise peaked at about 3.3 array sizes
+    x = np.random.default_rng(0).uniform(0, 255, (60, 60, 3, 10))
+    tracemalloc.start()
+    try:
+        corrupt_tensor(x, 0.2, 0.0, 255.0, 1e-4, seed=1, normalize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * x.nbytes
 
 
 def test_corrupt_tensor_validation():
